@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -32,6 +33,13 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
+SAMPLES_HELP = "probes per period of the probe-grid oracle; the reported error is exact"
+SAMPLES_PER_STEP_HELP = (
+    "DFT samples per hold step: sizes the capture checked against the DFT cap, "
+    "and the THD capture of quantizers above 20 bits"
+)
+
+
 class UsageError(Exception):
     pass
 
@@ -41,11 +49,18 @@ def _parse_multiplier(text: str, q_max: int) -> TimingConfig:
         if "/" in text:
             return TimingConfig.from_exact(Fraction(text))
         value = float(text)
+        if not math.isfinite(value):
+            raise ValueError("the multiplier must be finite")
         if value != int(value):
             return snap_multiplier(value, q_max)
         return TimingConfig.from_exact(int(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--multiplier: cannot parse {text!r}: {exc}") from exc
+
+
+def _check_freq(freq: float) -> None:
+    if not (math.isfinite(freq) and freq > 0):
+        raise UsageError(f"--freq must be positive and finite, got {freq!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,8 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--multiplier", type=str, default=None)
     ev.add_argument("--dt", type=float, default=None)
     ev.add_argument("--qmax", type=int, default=16)
-    ev.add_argument("--samples", type=int, default=100_000)
-    ev.add_argument("--samples-per-step", type=int, default=64)
+    ev.add_argument("--samples", type=int, default=100_000, help=SAMPLES_HELP)
+    ev.add_argument(
+        "--samples-per-step", type=int, default=64, help=SAMPLES_PER_STEP_HELP
+    )
     ev.add_argument("--format", choices=["json", "csv"], default="json")
     ev.add_argument("--out", type=str, default="-")
     ev.set_defaults(func=cmd_eval)
@@ -89,8 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sw.add_argument("--mode", choices=["floor", "round", "ceiling"], default="floor")
     sw.add_argument("--qmax", type=int, default=16)
-    sw.add_argument("--samples", type=int, default=100_000)
-    sw.add_argument("--samples-per-step", type=int, default=64)
+    sw.add_argument("--samples", type=int, default=100_000, help=SAMPLES_HELP)
+    sw.add_argument(
+        "--samples-per-step", type=int, default=64, help=SAMPLES_PER_STEP_HELP
+    )
     sw.add_argument("--workers", type=int, default=1)
     sw.add_argument("--out", type=str, default="-")
     sw.add_argument("--svg", type=str, default=None)
@@ -123,13 +142,17 @@ def _resolve_timing(args) -> TimingConfig:
     if args.multiplier is not None:
         return _parse_multiplier(args.multiplier, args.qmax)
     if args.dt is not None:
-        if args.dt <= 0:
-            raise UsageError("--dt must be positive")
-        return snap_multiplier(1.0 / (args.freq * args.dt), args.qmax)
+        if not (math.isfinite(args.dt) and args.dt > 0):
+            raise UsageError(f"--dt must be positive and finite, got {args.dt!r}")
+        requested = 1.0 / (args.freq * args.dt)
+        if not math.isfinite(requested):
+            raise UsageError(f"--dt {args.dt!r} is too small: 1/(freq*dt) overflows")
+        return snap_multiplier(requested, args.qmax)
     raise UsageError(f"--multiplier (or --dt) is required for model {args.model!r}")
 
 
 def _eval_model(args) -> WaveformModel:
+    _check_freq(args.freq)
     spec = SignalSpec(args.freq)
     model = args.model
     needs_bits = model in ("quantized", "digitized")
@@ -202,6 +225,8 @@ def _sweep_svg(result, metric_choice: str) -> str:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     multipliers = None
     if args.multipliers is not None:
         try:
@@ -233,6 +258,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    _check_freq(args.freq)
     data: dict = {"freq_hz": args.freq, "full_scale_range": bounds_mod.full_scale_range()}
     if args.bits is not None:
         data["bits"] = args.bits
@@ -290,3 +316,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,17 +1,29 @@
-"""Numerical estimators for the two comparison metrics.
+"""The two comparison metrics, exact, plus the numerical oracles that
+check them.
 
-Maximum absolute error is estimated in the time domain from a probe grid
-that combines uniform coverage of one combined period with targeted
-probes a hair before and after every discontinuity: step boundaries for
-the hold models, level crossings for the quantizer. The discontinuity
-probes make the grid density nearly irrelevant, because the suprema of
-the error sit one-sided at those points.
+:func:`evaluate` reports both metrics in closed form. Every degraded
+model is a step function over one combined period, so a row costs
+O(pieces) and needs no FFT and no probe grid:
 
-Total harmonic distortion is measured in the frequency domain from a
-coherent capture of exactly one combined period, so the DFT has no
-leakage and needs no window. For the piecewise-constant models an exact
-continuous-time Fourier oracle is also provided; it validates the DFT
-route independently.
+* maximum absolute error is the exact supremum, taken piece by piece:
+  on each piece the larger of the two one-sided endpoint limits, or the
+  distance to a sine extremum (phase 1/4 or 3/4) inside the piece;
+* THD follows from Parseval's theorem. Harmonic power is the AC power of
+  the levels less the fundamental's, and the fundamental is one DFT bin
+  of the step levels times the zero-order-hold factor (held and
+  digitized models), or a sum over the quantizer thresholds (quantized
+  model).
+
+The numerical estimators stay as independent oracles for the tests.
+:func:`max_abs_error` samples a probe grid that combines uniform coverage
+of one combined period with probes a hair before and after every
+discontinuity, so it approaches the supremum from below.
+:func:`spectrum_dft` takes a coherent capture of exactly one combined
+period, so the DFT has no leakage and needs no window, and
+:func:`spectrum_exact_staircase` is the truncated continuous-time Fourier
+series of a staircase. :func:`evaluate` falls back on the DFT only for
+the THD of a quantizer above ``_MAX_CROSSING_BITS`` bits, where there are
+too many level intervals to enumerate.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from .signals import (
     QuantizationMode,
     QuantizerConfig,
     WaveformModel,
+    sin_turns,
     sin_turns_array,
 )
 
@@ -48,8 +61,9 @@ __all__ = [
 
 DFT_SIZE_CAP = 1 << 24
 
-# Level-crossing probes enumerate every quantizer level; beyond this many
-# bits the enumeration is intractable and the uniform grid has to do.
+# Level-crossing probes and the exact quantized THD enumerate every
+# quantizer level; beyond this many bits the enumeration is intractable,
+# so the probe grid goes uniform and THD comes from the DFT.
 _MAX_CROSSING_BITS = 20
 
 
@@ -386,6 +400,126 @@ def thd(spectrum: Spectrum) -> tuple[float, float | None]:
     return 0.0, None
 
 
+def _turns(num: np.ndarray, den: int) -> np.ndarray:
+    """Phase num/den in turns, reduced modulo 1 in integers first."""
+    return (num % den).astype(np.float64) / den
+
+
+def _check_capture(model: WaveformModel, samples_per_step: int, dft_cap: int) -> None:
+    """Raise what :func:`spectrum_dft` would raise for these settings,
+    before anything is allocated."""
+    m = samples_per_step
+    if not isinstance(m, int) or isinstance(m, bool) or m < 16 or m % 2:
+        raise ValueError(f"samples_per_step must be an even integer >= 16, got {m!r}")
+    n_total = _dft_size(model, m)
+    if n_total > dft_cap:
+        p, q = _model_pq(model)
+        raise DftCapExceeded(p, q, n_total, dft_cap)
+
+
+def _parseval_thd(
+    mean: float, mean_square: float, fundamental: float
+) -> tuple[float | None, float | None]:
+    """THD from the signal's mean, mean square and fundamental peak
+    amplitude: harmonic power is the AC power less the fundamental's.
+    Both fields are None when there is no fundamental."""
+    if fundamental == 0.0:
+        return None, None
+    harmonic = 2.0 * (mean_square - mean * mean) - fundamental * fundamental
+    ratio = math.sqrt(max(harmonic, 0.0)) / fundamental
+    if ratio > 0.0:
+        return ratio, 20.0 * math.log10(ratio)
+    return 0.0, None
+
+
+def _stepped_exact(
+    model: WaveformModel, with_thd: bool
+) -> tuple[float, float, tuple[float | None, float | None]]:
+    """Exact supremum, its earliest time, and THD of a held or digitized
+    model: p pieces of q/p turns each, piece k starting at phase r/p with
+    r = k*q mod p."""
+    f = model.spec.frequency_hz
+    p, q = _model_pq(model)
+    k = np.arange(p, dtype=np.int64)
+    r = (k * q) % p
+    level = staircase_values(model)
+    # the sine at the start of each piece; the levels themselves when held
+    start = level if model.kind is ModelKind.HELD else sin_turns_array(_turns(r, p))
+
+    # sin(pi*q/p), half the sine's swing across a piece. Up to f*dt = 1/2
+    # it is the very float the strict bound doubles, so that the swing
+    # 2*cos(...)*half below can never round above the bound.
+    x = f * model.timing.time_gap_s(f)
+    half = sin_turns(x / 2.0) if x <= 0.5 else sin_turns(q % (2 * p) / (2 * p))
+    # sin(a + w) - sin(a) = 2*cos(a + w/2)*sin(w/2): the sine's change
+    # from the start of each piece to the end, without cancellation.
+    swing = 2.0 * sin_turns_array(_turns(4 * r + 2 * q + p, 4 * p)) * half
+    offset = level - start  # 0 for held; the quantization error at the start
+    # Phase 1/4 (3/4) lies in [r/p, (r+q)/p] iff (p - 4r) mod 4p <= 4q
+    # (resp. 3p - 4r), exact in integers; the offsets put it in time.
+    to_peak = (p - 4 * r) % (4 * p)
+    to_trough = (3 * p - 4 * r) % (4 * p)
+    # Candidate suprema per piece and their times in units of 1/(4*p*f).
+    errors = np.stack([
+        np.abs(offset),
+        np.abs(offset - swing),
+        np.where(to_peak <= 4 * q, np.abs(level - 1.0), 0.0),
+        np.where(to_trough <= 4 * q, np.abs(level + 1.0), 0.0),
+    ])
+    ticks = np.stack([4 * k * q, 4 * (k + 1) * q, 4 * k * q + to_peak, 4 * k * q + to_trough])
+    sup = float(np.max(errors))
+    argmax_t = int(np.min(ticks[errors == sup])) / (4 * p) / f
+
+    thd_result = (None, None)
+    if with_thd:
+        # One DFT bin of the levels at their start phases, times the
+        # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
+        cosine = sin_turns_array(_turns(4 * r + p, 4 * p))
+        bin_1 = math.hypot(float(level @ cosine), float(level @ start))
+        fundamental = 2.0 * bin_1 * abs(half) / (math.pi * q)
+        thd_result = _parseval_thd(
+            float(np.mean(level)), float(np.mean(level * level)), fundamental
+        )
+    return sup, argmax_t, thd_result
+
+
+def _quantized_supremum(quantizer: QuantizerConfig, f: float) -> tuple[float, float]:
+    """Exact supremum of the quantizer's error and the earliest time it is
+    approached. Floor: one level, as the rising sine nears the first level
+    above 0 (the peak, for 1 bit). Round: half a level, reached where the
+    sine first equals half a level. Ceiling: one level, just after t = 0."""
+    step = quantizer.step
+    if quantizer.mode is QuantizationMode.FLOOR:
+        return step, math.asin(step) / (2.0 * math.pi) / f
+    if quantizer.mode is QuantizationMode.ROUND:
+        return step / 2.0, math.asin(step / 2.0) / (2.0 * math.pi) / f
+    return step, 0.0
+
+
+def _quantized_thd(quantizer: QuantizerConfig) -> tuple[float | None, float | None]:
+    """Parseval THD of the quantized sine, summed over its thresholds.
+
+    The level rises by one step at each threshold c inside (-1, 1); the
+    sine lies above c for acos(c)/pi of the period, and the step it adds
+    contributes 2*sqrt(1 - c**2)/pi, in phase with the sine, to the
+    fundamental's peak amplitude.
+    """
+    scale, step = quantizer.scale, quantizer.step
+    if quantizer.mode is QuantizationMode.ROUND:
+        thresholds = (np.arange(1 - scale, scale + 1) - 0.5) / scale
+    else:
+        thresholds = np.arange(1 - scale, scale) / scale
+    # the level just above the sine's trough
+    bottom = -1.0 + step if quantizer.mode is QuantizationMode.CEILING else -1.0
+    below = bottom + step * np.arange(len(thresholds))
+    above_share = np.arccos(thresholds) / np.pi
+    mean = bottom + step * float(np.sum(above_share))
+    mean_square = bottom * bottom + step * float(np.sum((2.0 * below + step) * above_share))
+    root = np.sqrt((1.0 - thresholds) * (1.0 + thresholds))
+    fundamental = 2.0 * step / math.pi * float(np.sum(root))
+    return _parseval_thd(mean, mean_square, fundamental)
+
+
 def _bounds_for(model: WaveformModel) -> tuple[float, float]:
     f = model.spec.frequency_hz
     if model.kind is ModelKind.TARGET:
@@ -413,22 +547,42 @@ def evaluate(
     dft_cap: int = DFT_SIZE_CAP,
     with_thd: bool = True,
 ) -> MetricsReport:
-    """Run both metrics on one model and attach the matching bounds."""
-    plan = plan if plan is not None else SamplingPlan()
-    err, argmax_t = max_abs_error(model, plan)
-    paper, strict = _bounds_for(model)
+    """Run both metrics on one model and attach the matching bounds.
+
+    Max error is the exact supremum and THD the exact Parseval value,
+    both in O(pieces); ``thd_db`` is None when the ratio is 0 (target
+    model) and both THD fields are None when the signal has no
+    fundamental. ``plan`` only configures the probe-grid oracle and is
+    not used here. ``samples_per_step`` and ``dft_cap`` keep their DFT
+    meaning: with ``with_thd`` they are validated as :func:`spectrum_dft`
+    would, and :class:`DftCapExceeded` is raised before anything is
+    allocated when the coherent capture would exceed the cap. A quantizer
+    above ``_MAX_CROSSING_BITS`` bits still takes its THD from the DFT.
+    """
+    del plan  # the exact engine needs no probe grid
+    f = model.spec.frequency_hz
+    if with_thd:
+        _check_capture(model, samples_per_step, dft_cap)
     ratio: float | None = None
     db: float | None = None
-    if with_thd:
-        try:
-            ratio, db = thd(spectrum_dft(model, samples_per_step, dft_cap=dft_cap))
-        except DegenerateSignalError:
-            ratio, db = None, None
+    if model.kind is ModelKind.TARGET:
+        err, argmax_t = 0.0, 0.0
+        if with_thd:
+            ratio = 0.0
+    elif model.kind is ModelKind.QUANTIZED:
+        err, argmax_t = _quantized_supremum(model.quantizer, f)
+        if with_thd and model.quantizer.bits <= _MAX_CROSSING_BITS:
+            ratio, db = _quantized_thd(model.quantizer)
+        elif with_thd:
+            ratio, db = thd(spectrum_dft(model, samples_per_step, dft_cap))
+    else:
+        err, argmax_t, (ratio, db) = _stepped_exact(model, with_thd)
+    paper, strict = _bounds_for(model)
     timing = model.timing
     quantizer = model.quantizer
     return MetricsReport(
         model=model.kind.value,
-        freq_hz=model.spec.frequency_hz,
+        freq_hz=f,
         bits=quantizer.bits if quantizer else None,
         mode=quantizer.mode.value if quantizer else None,
         m_num=timing.multiplier_num if timing else None,

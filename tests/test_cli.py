@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -223,3 +227,56 @@ class TestExitCodes:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestBoundaryInputs:
+    def test_infinite_multiplier_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "--model", "held", "--multiplier", "inf")
+        assert code == 2
+        assert "--multiplier" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_is_usage_error(self, capsys, workers):
+        code, out, err = run_cli(
+            capsys, "sweep", "bits", "--bits-to", "2", "--workers", workers
+        )
+        assert code == 2
+        assert "--workers" in err
+        assert out == ""
+
+    def test_negative_freq_is_named(self, capsys):
+        code, _, err = run_cli(capsys, "bounds", "--multiplier", "4", "--freq", "-1")
+        assert code == 2
+        assert "--freq" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e-320"])
+    def test_unusable_dt_is_named(self, capsys, value):
+        code, _, err = run_cli(capsys, "eval", "--model", "held", "--dt", value)
+        assert code == 2
+        assert "--dt" in err
+
+    @pytest.mark.parametrize("flag,value", [("--multiplier", "1e12"), ("--dt", "1e-300")])
+    def test_work_cap_checked_before_allocation(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "eval", "--model", "held", flag, value)
+        assert code == 3
+        assert "exceeding the cap" in err
+        assert out == ""
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["ddsmetrics", "ddsmetrics.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "bounds", "--bits", "8"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["quantization_bound"] == 0.0078125
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "frobnicate"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2

@@ -50,6 +50,13 @@ def digitized_model(p, bits, q=1, mode=QuantizationMode.FLOOR):
     return WaveformModel.digitized(SPEC, TimingConfig(p, q), QuantizerConfig(bits, mode))
 
 
+def stepped_model(p, q, bits, mode, spec=SPEC):
+    """Held when ``bits`` is None, else digitized."""
+    if bits is None:
+        return WaveformModel.held(spec, TimingConfig(p, q))
+    return WaveformModel.digitized(spec, TimingConfig(p, q), QuantizerConfig(bits, mode))
+
+
 def parseval_residual(spectrum, mean_square):
     captured = spectrum.dc**2 + float(np.sum(spectrum.amplitudes**2)) / 2.0
     return abs(captured - mean_square) / mean_square
@@ -394,3 +401,96 @@ class TestEvaluate:
             model, SamplingPlan(samples_per_period=4096), with_thd=False
         )
         assert report.max_abs_error <= report.strict_bound
+
+
+class TestExactEngine:
+    """evaluate() reports the exact supremum and Parseval THD; the probe
+    grid and the two spectra are its oracles."""
+
+    def test_quantized_floor_reports_one_level(self):
+        # the probe grid falls short: 0.4999999980
+        report = evaluate(quantized_model(2))
+        assert report.max_abs_error == 0.5
+        assert report.max_abs_error == report.strict_bound
+
+    def test_quantized_round_reports_half_a_level(self):
+        # the crossing probes sit at whole levels, so the grid read 0.4999819
+        report = evaluate(quantized_model(1, QuantizationMode.ROUND))
+        assert report.max_abs_error == 0.5
+
+    def test_quantized_ceiling_reports_one_level_from_the_start(self):
+        report = evaluate(quantized_model(3, QuantizationMode.CEILING))
+        assert report.max_abs_error == 0.25
+        assert report.argmax_time_s == 0.0
+
+    def test_odd_held_reaches_strict_bound_exactly(self):
+        # 2*sin(pi/5) is the true supremum; the probe grid read 1.17557049950
+        report = evaluate(held_model(5))
+        assert report.max_abs_error == report.strict_bound == 1.1755705045849463
+
+    def test_target_thd_is_exactly_zero(self):
+        report = evaluate(target_model())
+        assert report.thd_ratio == 0.0
+        assert report.thd_db is None
+
+    def test_held_thd_closed_form(self):
+        for p in (3, 4, 5, 7, 16, 100, 1000):
+            _, expected_db = held_thd_closed_form(p)
+            assert evaluate(held_model(p)).thd_db == pytest.approx(expected_db, abs=1e-9)
+
+    def test_argmax_time(self):
+        # held(5): the largest jump is the one across phase 1/2, at t = 3/5
+        assert evaluate(held_model(5)).argmax_time_s == 0.6
+        slow = evaluate(held_model(7, 3))
+        fast = evaluate(held_model(7, 3, spec=SignalSpec(50.0)))
+        assert fast.max_abs_error == slow.max_abs_error
+        assert fast.argmax_time_s == pytest.approx(slow.argmax_time_s / 50.0, rel=1e-12)
+
+    def test_dft_cap_checked_before_any_work(self):
+        with pytest.raises(DftCapExceeded):
+            evaluate(held_model(10**15))
+        with pytest.raises(ValueError):
+            evaluate(held_model(4), samples_per_step=17)
+
+    @given(
+        p=st.integers(min_value=1, max_value=200),
+        q=st.integers(min_value=1, max_value=16),
+        bits=st.one_of(st.none(), st.integers(min_value=1, max_value=16)),
+        mode=st.sampled_from(list(QuantizationMode)),
+        freq=st.sampled_from([1.0, 0.3, 7.0, 1e3, 2.5e-4]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_supremum_between_probe_estimate_and_strict_bound(self, p, q, bits, mode, freq):
+        model = stepped_model(p, q, bits, mode, SignalSpec(freq))
+        report = evaluate(model, with_thd=False)
+        probe, _ = max_abs_error(model, SamplingPlan(samples_per_period=4096))
+        assert probe <= report.max_abs_error <= report.strict_bound
+
+    @given(
+        p=st.integers(min_value=1, max_value=200),
+        q=st.integers(min_value=1, max_value=16),
+        bits=st.one_of(st.none(), st.integers(min_value=1, max_value=16)),
+        mode=st.sampled_from(list(QuantizationMode)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_stepped_thd_matches_both_spectra(self, p, q, bits, mode):
+        model = stepped_model(p, q, bits, mode)
+        report = evaluate(model, samples_per_step=256)
+        try:
+            _, dft_db = thd(spectrum_dft(model, 256))
+        except DegenerateSignalError:
+            assert report.thd_ratio is None
+            return
+        _, exact_db = thd(spectrum_exact_staircase(model))
+        assert abs(report.thd_db - dft_db) <= 0.02
+        assert abs(report.thd_db - exact_db) <= 0.05
+
+    @given(
+        bits=st.integers(min_value=1, max_value=12),
+        mode=st.sampled_from(list(QuantizationMode)),
+    )
+    @settings(max_examples=36, deadline=None)
+    def test_quantized_thd_matches_dft(self, bits, mode):
+        model = quantized_model(bits, mode)
+        _, dft_db = thd(spectrum_dft(model))
+        assert abs(evaluate(model).thd_db - dft_db) <= 0.02
