@@ -21,7 +21,6 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from ddsmetrics.charts import ChartKind, ChartStyle, render_heatmap, render_line_chart
-from ddsmetrics.metrics import SamplingPlan
 from ddsmetrics.reporting import sweep_to_csv
 from ddsmetrics.signals import QuantizationMode
 from ddsmetrics.sweeps import SweepSpec, sweep_bits, sweep_grid, sweep_multiplier
@@ -41,26 +40,15 @@ def main() -> int:
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    plan = SamplingPlan(samples_per_period=10_000 if args.fast else 100_000)
     points_per_decade = 10 if args.fast else 30
 
-    bits_floor = SweepSpec(bits_from=1, bits_to=16, plan=plan)
-    bits_round = SweepSpec(
-        bits_from=1, bits_to=16, mode=QuantizationMode.ROUND, plan=plan
-    )
+    bits_floor = SweepSpec(bits_from=1, bits_to=16)
+    bits_round = SweepSpec(bits_from=1, bits_to=16, mode=QuantizationMode.ROUND)
     mult = SweepSpec(
-        decades_from=0.5,
-        decades_to=4.0,
-        points_per_decade=points_per_decade,
-        plan=plan,
-        samples_per_step=32,
+        decades_from=0.5, decades_to=4.0, points_per_decade=points_per_decade
     )
     grid = SweepSpec(
-        bits_from=2,
-        bits_to=12,
-        multipliers=tuple(float(4 * 2**k) for k in range(11)),
-        plan=plan,
-        samples_per_step=32,
+        bits_from=2, bits_to=12, multipliers=tuple(float(4 * 2**k) for k in range(11))
     )
 
     result = sweep_bits(bits_floor, workers=args.workers)

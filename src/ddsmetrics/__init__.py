@@ -26,8 +26,9 @@ from .bounds import (
 )
 from .metrics import (
     DFT_SIZE_CAP,
+    MAX_PIECES,
+    CapExceeded,
     DegenerateSignalError,
-    DftCapExceeded,
     MetricsReport,
     SamplingPlan,
     Spectrum,

@@ -15,7 +15,7 @@ import enum
 import math
 from fractions import Fraction
 
-from .signals import MAX_BITS, sin_turns
+from .signals import MAX_BITS, TimingConfig, sin_turns
 
 __all__ = [
     "BoundVariant",
@@ -25,6 +25,8 @@ __all__ = [
     "max_phase_shift",
     "held_error_bound",
     "digitized_error_bound",
+    "variant_bounds",
+    "report",
 ]
 
 # Absolute error between two points of a unit sine can never exceed the
@@ -125,3 +127,41 @@ def digitized_error_bound(
             frequency_hz, dt, BoundVariant.STRICT
         )
     raise ValueError(f"unknown bound variant {variant!r}")
+
+
+def variant_bounds(
+    frequency_hz: float, dt: float, bits: int | None = None
+) -> dict[BoundVariant, float]:
+    """Each variant's hold bound, or its combined bound when ``bits`` is
+    given."""
+    if bits is None:
+        return {v: held_error_bound(frequency_hz, dt, v) for v in BoundVariant}
+    return {v: digitized_error_bound(frequency_hz, dt, bits, v) for v in BoundVariant}
+
+
+def report(
+    frequency_hz: float, timing: TimingConfig | None = None, bits: int | None = None
+) -> dict:
+    """Every closed-form figure of a parameter point, keyed and ordered as
+    the ``bounds`` command prints them: the quantization bound when
+    ``bits`` is given, the clock, phase and hold figures when ``timing``
+    is, and the combined bounds when both are."""
+    f = frequency_hz
+    data: dict = {"freq_hz": f, "full_scale_range": full_scale_range()}
+    if bits is not None:
+        data["bits"] = bits
+        data["quantization_bound"] = quantization_error_bound(bits)
+    if timing is None:
+        return data
+    dt = timing.time_gap_s(f)
+    data["m_num"] = timing.multiplier_num
+    data["m_den"] = timing.multiplier_den
+    data["dt_s"] = dt
+    data["min_clock_hz"] = min_clock_frequency(dt)
+    data["max_phase_shift_rad"] = max_phase_shift(f, dt)
+    for variant, value in variant_bounds(f, dt).items():
+        data[f"held_bound_{variant.value}"] = value
+    if bits is not None:
+        for variant, value in variant_bounds(f, dt, bits).items():
+            data[f"digitized_bound_{variant.value}"] = value
+    return data

@@ -3,20 +3,25 @@
 Three subcommands: ``eval`` reports both metrics for a single model,
 ``sweep`` runs one of the parameter sweeps and writes CSV (plus an
 optional SVG chart), and ``bounds`` prints the closed-form bounds for a
-parameter point. Exit codes: 0 success, 2 usage error, 3 runtime error.
+parameter point. Exit codes: 0 success, 2 usage error, 3 runtime error
+(an unwritable path, or a multiplier over the piece cap); on exit 3 no
+output file is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import stat
 import sys
 from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import charts, reporting
-from .metrics import DFT_SIZE_CAP, DftCapExceeded, SamplingPlan, evaluate
+from .metrics import CapExceeded, evaluate
 from .signals import (
     QuantizationMode,
     QuantizerConfig,
@@ -31,13 +36,6 @@ __all__ = ["main", "run"]
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
-
-
-SAMPLES_HELP = "probes per period of the probe-grid oracle; the reported error is exact"
-SAMPLES_PER_STEP_HELP = (
-    "DFT samples per hold step: sizes the capture checked against the DFT cap, "
-    "and the THD capture of quantizers above 20 bits"
-)
 
 
 class UsageError(Exception):
@@ -63,6 +61,12 @@ def _check_freq(freq: float) -> None:
         raise UsageError(f"--freq must be positive and finite, got {freq!r}")
 
 
+def _add_retired_flags(parser: argparse.ArgumentParser) -> None:
+    # Unused since the metrics are exact; kept so the benchmark's argv still parses.
+    for flag in ("--samples", "--samples-per-step"):
+        parser.add_argument(flag, type=int, help=argparse.SUPPRESS)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddsmetrics",
@@ -82,10 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--multiplier", type=str, default=None)
     ev.add_argument("--dt", type=float, default=None)
     ev.add_argument("--qmax", type=int, default=16)
-    ev.add_argument("--samples", type=int, default=100_000, help=SAMPLES_HELP)
-    ev.add_argument(
-        "--samples-per-step", type=int, default=64, help=SAMPLES_PER_STEP_HELP
-    )
+    _add_retired_flags(ev)
     ev.add_argument("--format", choices=["json", "csv"], default="json")
     ev.add_argument("--out", type=str, default="-")
     ev.set_defaults(func=cmd_eval)
@@ -106,10 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sw.add_argument("--mode", choices=["floor", "round", "ceiling"], default="floor")
     sw.add_argument("--qmax", type=int, default=16)
-    sw.add_argument("--samples", type=int, default=100_000, help=SAMPLES_HELP)
-    sw.add_argument(
-        "--samples-per-step", type=int, default=64, help=SAMPLES_PER_STEP_HELP
-    )
+    _add_retired_flags(sw)
     sw.add_argument("--workers", type=int, default=1)
     sw.add_argument("--out", type=str, default="-")
     sw.add_argument("--svg", type=str, default=None)
@@ -128,12 +126,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_out(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
+def _write_outputs(outputs: list[tuple[str, str]]) -> None:
+    """Write each (path, text) pair, all files or none. A target that is
+    new or a regular file (symlinks followed) gets a temp file beside it,
+    with the target's mode, and the temp files are renamed into place only
+    once all of them are written. Any other existing target (a device, a
+    FIFO) is written directly after the renames. Path ``-`` is stdout,
+    written last."""
+    staged: list[tuple[str, str]] = []
+    direct: list[tuple[str, str]] = []
+    try:
+        for path, text in outputs:
+            if path == "-":
+                continue
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                mode = None
+            if mode is not None and not stat.S_ISREG(mode):
+                direct.append((path, text))
+                continue
+            target = os.path.realpath(path)
+            head, tail = os.path.split(target)
+            temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+            staged.append((temp, target))
+            with open(temp, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+        for temp, target in staged:
+            os.replace(temp, target)
+    except BaseException:
+        for temp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise
+    for path, text in direct:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    for path, text in outputs:
+        if path == "-":
+            sys.stdout.write(text)
 
 
 def _resolve_timing(args) -> TimingConfig:
@@ -183,14 +216,12 @@ def _eval_model(args) -> WaveformModel:
 
 
 def cmd_eval(args) -> int:
-    model = _eval_model(args)
-    plan = SamplingPlan(samples_per_period=args.samples)
-    report = evaluate(model, plan, args.samples_per_step)
+    report = evaluate(_eval_model(args))
     if args.format == "json":
         text = reporting.report_to_json(report)
     else:
         text = reporting.report_to_csv(report)
-    _write_out(args.out, text)
+    _write_outputs([(args.out, text)])
     return EXIT_OK
 
 
@@ -244,50 +275,26 @@ def cmd_sweep(args) -> int:
             multipliers=multipliers,
             mode=QuantizationMode(args.mode),
             q_max=args.qmax,
-            plan=SamplingPlan(samples_per_period=args.samples),
-            samples_per_step=args.samples_per_step,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     runner = {"bits": sweep_bits, "multiplier": sweep_multiplier, "grid": sweep_grid}
     result = runner[args.axis](spec, workers=args.workers)
-    _write_out(args.out, reporting.sweep_to_csv(result))
+    outputs = [(args.out, reporting.sweep_to_csv(result))]
     if args.svg is not None:
-        _write_out(args.svg, _sweep_svg(result, args.svg_metric))
+        outputs.append((args.svg, _sweep_svg(result, args.svg_metric)))
+    _write_outputs(outputs)
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
     _check_freq(args.freq)
-    data: dict = {"freq_hz": args.freq, "full_scale_range": bounds_mod.full_scale_range()}
-    if args.bits is not None:
-        data["bits"] = args.bits
-        data["quantization_bound"] = bounds_mod.quantization_error_bound(args.bits)
     timing = None
     if args.multiplier is not None or args.dt is not None:
         args.model = "bounds"  # for the usage message in _resolve_timing
         timing = _resolve_timing(args)
-        dt = timing.time_gap_s(args.freq)
-        data["m_num"] = timing.multiplier_num
-        data["m_den"] = timing.multiplier_den
-        data["dt_s"] = dt
-        data["min_clock_hz"] = bounds_mod.min_clock_frequency(dt)
-        data["max_phase_shift_rad"] = bounds_mod.max_phase_shift(args.freq, dt)
-        data["held_bound_paper"] = bounds_mod.held_error_bound(
-            args.freq, dt, bounds_mod.BoundVariant.PAPER
-        )
-        data["held_bound_strict"] = bounds_mod.held_error_bound(
-            args.freq, dt, bounds_mod.BoundVariant.STRICT
-        )
-    if args.bits is not None and timing is not None:
-        dt = timing.time_gap_s(args.freq)
-        data["digitized_bound_paper"] = bounds_mod.digitized_error_bound(
-            args.freq, dt, args.bits, bounds_mod.BoundVariant.PAPER
-        )
-        data["digitized_bound_strict"] = bounds_mod.digitized_error_bound(
-            args.freq, dt, args.bits, bounds_mod.BoundVariant.STRICT
-        )
-    _write_out(args.out, json.dumps(data, indent=2) + "\n")
+    data = bounds_mod.report(args.freq, timing, args.bits)
+    _write_outputs([(args.out, json.dumps(data, indent=2) + "\n")])
     return EXIT_OK
 
 
@@ -306,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DftCapExceeded as exc:
+    except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

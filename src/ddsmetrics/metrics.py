@@ -45,10 +45,11 @@ from .signals import (
 
 __all__ = [
     "DFT_SIZE_CAP",
+    "MAX_PIECES",
     "SamplingPlan",
     "Spectrum",
     "MetricsReport",
-    "DftCapExceeded",
+    "CapExceeded",
     "DegenerateSignalError",
     "probe_times",
     "max_abs_error",
@@ -56,10 +57,14 @@ __all__ = [
     "spectrum_dft",
     "spectrum_exact_staircase",
     "thd",
+    "check_pieces",
     "evaluate",
 ]
 
 DFT_SIZE_CAP = 1 << 24
+# evaluate() holds about 140 bytes per piece at its peak, so a row stays
+# under about 2.4 GB.
+MAX_PIECES = 1 << 24
 
 # Level-crossing probes and the exact quantized THD enumerate every
 # quantizer level; beyond this many bits the enumeration is intractable,
@@ -67,17 +72,18 @@ DFT_SIZE_CAP = 1 << 24
 _MAX_CROSSING_BITS = 20
 
 
-class DftCapExceeded(RuntimeError):
-    """Coherent capture would need more samples than the configured cap."""
+class CapExceeded(RuntimeError):
+    """A multiplier needs more work than a cap allows: more pieces than
+    ``MAX_PIECES`` in :func:`evaluate`, or more samples than the DFT cap
+    in :func:`spectrum_dft`."""
 
-    def __init__(self, p: int, q: int, n_total: int, cap: int):
+    def __init__(self, p: int, q: int, count: int, cap: int, unit: str):
         super().__init__(
-            f"coherent capture needs {n_total} samples for multiplier "
-            f"{p}/{q}, exceeding the cap of {cap}"
+            f"multiplier {p}/{q} needs {count} {unit}, exceeding the cap of {cap}"
         )
         self.p = p
         self.q = q
-        self.n_total = n_total
+        self.count = count
         self.cap = cap
 
 
@@ -186,8 +192,7 @@ def staircase_values(model: WaveformModel) -> np.ndarray:
         raise ValueError(f"model kind {model.kind.value!r} has no staircase")
     p, q = _model_pq(model)
     k = np.arange(p, dtype=np.int64)
-    frac = ((k * q) % p).astype(np.float64) / p
-    values = sin_turns_array(frac)
+    values = sin_turns_array(_turns(k * (q % p), p))
     if model.kind is ModelKind.DIGITIZED:
         values = _quantize_array(values, model.quantizer)
     return values
@@ -295,7 +300,7 @@ def spectrum_dft(
     p, q = _model_pq(model)
     n_total = _dft_size(model, m)
     if n_total > dft_cap:
-        raise DftCapExceeded(p, q, n_total, dft_cap)
+        raise CapExceeded(p, q, n_total, dft_cap, "DFT samples")
 
     if model.kind in (ModelKind.HELD, ModelKind.DIGITIZED):
         samples = np.repeat(staircase_values(model), m)
@@ -405,16 +410,11 @@ def _turns(num: np.ndarray, den: int) -> np.ndarray:
     return (num % den).astype(np.float64) / den
 
 
-def _check_capture(model: WaveformModel, samples_per_step: int, dft_cap: int) -> None:
-    """Raise what :func:`spectrum_dft` would raise for these settings,
-    before anything is allocated."""
-    m = samples_per_step
-    if not isinstance(m, int) or isinstance(m, bool) or m < 16 or m % 2:
-        raise ValueError(f"samples_per_step must be an even integer >= 16, got {m!r}")
-    n_total = _dft_size(model, m)
-    if n_total > dft_cap:
-        p, q = _model_pq(model)
-        raise DftCapExceeded(p, q, n_total, dft_cap)
+def check_pieces(p: int, q: int) -> None:
+    """Raise :class:`CapExceeded` when the multiplier p/q has more than
+    ``MAX_PIECES`` pieces per combined period."""
+    if p > MAX_PIECES:
+        raise CapExceeded(p, q, p, MAX_PIECES, "pieces")
 
 
 def _parseval_thd(
@@ -433,7 +433,7 @@ def _parseval_thd(
 
 
 def _stepped_exact(
-    model: WaveformModel, with_thd: bool
+    model: WaveformModel,
 ) -> tuple[float, float, tuple[float | None, float | None]]:
     """Exact supremum, its earliest time, and THD of a held or digitized
     model: p pieces of q/p turns each, piece k starting at phase r/p with
@@ -441,7 +441,8 @@ def _stepped_exact(
     f = model.spec.frequency_hz
     p, q = _model_pq(model)
     k = np.arange(p, dtype=np.int64)
-    r = (k * q) % p
+    # q meets the int64 arrays only reduced, so any exact multiplier fits
+    r = (k * (q % p)) % p
     level = staircase_values(model)
     # the sine at the start of each piece; the levels themselves when held
     start = level if model.kind is ModelKind.HELD else sin_turns_array(_turns(r, p))
@@ -453,33 +454,38 @@ def _stepped_exact(
     half = sin_turns(x / 2.0) if x <= 0.5 else sin_turns(q % (2 * p) / (2 * p))
     # sin(a + w) - sin(a) = 2*cos(a + w/2)*sin(w/2): the sine's change
     # from the start of each piece to the end, without cancellation.
-    swing = 2.0 * sin_turns_array(_turns(4 * r + 2 * q + p, 4 * p)) * half
+    swing = 2.0 * sin_turns_array(_turns(4 * r + 2 * (q % (2 * p)) + p, 4 * p)) * half
     offset = level - start  # 0 for held; the quantization error at the start
     # Phase 1/4 (3/4) lies in [r/p, (r+q)/p] iff (p - 4r) mod 4p <= 4q
     # (resp. 3p - 4r), exact in integers; the offsets put it in time.
     to_peak = (p - 4 * r) % (4 * p)
     to_trough = (3 * p - 4 * r) % (4 * p)
-    # Candidate suprema per piece and their times in units of 1/(4*p*f).
+    reach = 4 * min(q, p)  # both offsets are below 4p
+    # Candidate suprema per piece, and their offsets into the piece in
+    # units of 1/(4*p*f).
     errors = np.stack([
         np.abs(offset),
         np.abs(offset - swing),
-        np.where(to_peak <= 4 * q, np.abs(level - 1.0), 0.0),
-        np.where(to_trough <= 4 * q, np.abs(level + 1.0), 0.0),
+        np.where(to_peak <= reach, np.abs(level - 1.0), 0.0),
+        np.where(to_trough <= reach, np.abs(level + 1.0), 0.0),
     ])
-    ticks = np.stack([4 * k * q, 4 * (k + 1) * q, 4 * k * q + to_peak, 4 * k * q + to_trough])
     sup = float(np.max(errors))
-    argmax_t = int(np.min(ticks[errors == sup])) / (4 * p) / f
+    # Pieces follow each other in time, so the earliest attainment lies in
+    # the first piece that attains the supremum at all.
+    hit = errors == sup
+    first = int(np.argmax(hit.any(axis=0)))
+    offsets = (0, 4 * q, int(to_peak[first]), int(to_trough[first]))
+    tick = 4 * first * q + min(o for o, h in zip(offsets, hit[:, first]) if h)
+    argmax_t = tick / (4 * p) / f
 
-    thd_result = (None, None)
-    if with_thd:
-        # One DFT bin of the levels at their start phases, times the
-        # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
-        cosine = sin_turns_array(_turns(4 * r + p, 4 * p))
-        bin_1 = math.hypot(float(level @ cosine), float(level @ start))
-        fundamental = 2.0 * bin_1 * abs(half) / (math.pi * q)
-        thd_result = _parseval_thd(
-            float(np.mean(level)), float(np.mean(level * level)), fundamental
-        )
+    # One DFT bin of the levels at their start phases, times the
+    # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
+    cosine = sin_turns_array(_turns(4 * r + p, 4 * p))
+    bin_1 = math.hypot(float(level @ cosine), float(level @ start))
+    fundamental = 2.0 * bin_1 * abs(half) / (math.pi * q)
+    thd_result = _parseval_thd(
+        float(np.mean(level)), float(np.mean(level * level)), fundamental
+    )
     return sup, argmax_t, thd_result
 
 
@@ -521,62 +527,41 @@ def _quantized_thd(quantizer: QuantizerConfig) -> tuple[float | None, float | No
 
 
 def _bounds_for(model: WaveformModel) -> tuple[float, float]:
-    f = model.spec.frequency_hz
+    """The paper and strict bounds of the model's own kind."""
     if model.kind is ModelKind.TARGET:
         return 0.0, 0.0
     if model.kind is ModelKind.QUANTIZED:
         b = bounds.quantization_error_bound(model.quantizer.bits)
         return b, b
-    dt = model.timing.time_gap_s(f)
-    if model.kind is ModelKind.HELD:
-        return (
-            bounds.held_error_bound(f, dt, bounds.BoundVariant.PAPER),
-            bounds.held_error_bound(f, dt, bounds.BoundVariant.STRICT),
-        )
-    bits = model.quantizer.bits
-    return (
-        bounds.digitized_error_bound(f, dt, bits, bounds.BoundVariant.PAPER),
-        bounds.digitized_error_bound(f, dt, bits, bounds.BoundVariant.STRICT),
-    )
+    f = model.spec.frequency_hz
+    bits = model.quantizer.bits if model.quantizer else None
+    pair = bounds.variant_bounds(f, model.timing.time_gap_s(f), bits)
+    return pair[bounds.BoundVariant.PAPER], pair[bounds.BoundVariant.STRICT]
 
 
-def evaluate(
-    model: WaveformModel,
-    plan: SamplingPlan | None = None,
-    samples_per_step: int = 64,
-    dft_cap: int = DFT_SIZE_CAP,
-    with_thd: bool = True,
-) -> MetricsReport:
+def evaluate(model: WaveformModel) -> MetricsReport:
     """Run both metrics on one model and attach the matching bounds.
 
     Max error is the exact supremum and THD the exact Parseval value,
     both in O(pieces); ``thd_db`` is None when the ratio is 0 (target
     model) and both THD fields are None when the signal has no
-    fundamental. ``plan`` only configures the probe-grid oracle and is
-    not used here. ``samples_per_step`` and ``dft_cap`` keep their DFT
-    meaning: with ``with_thd`` they are validated as :func:`spectrum_dft`
-    would, and :class:`DftCapExceeded` is raised before anything is
-    allocated when the coherent capture would exceed the cap. A quantizer
-    above ``_MAX_CROSSING_BITS`` bits still takes its THD from the DFT.
+    fundamental. :class:`CapExceeded` is raised before anything is
+    allocated when the model has more than ``MAX_PIECES`` pieces. A
+    quantizer above ``_MAX_CROSSING_BITS`` bits takes its THD from the
+    DFT oracle.
     """
-    del plan  # the exact engine needs no probe grid
+    check_pieces(*_model_pq(model))
     f = model.spec.frequency_hz
-    if with_thd:
-        _check_capture(model, samples_per_step, dft_cap)
-    ratio: float | None = None
-    db: float | None = None
     if model.kind is ModelKind.TARGET:
-        err, argmax_t = 0.0, 0.0
-        if with_thd:
-            ratio = 0.0
+        err, argmax_t, (ratio, db) = 0.0, 0.0, (0.0, None)
     elif model.kind is ModelKind.QUANTIZED:
         err, argmax_t = _quantized_supremum(model.quantizer, f)
-        if with_thd and model.quantizer.bits <= _MAX_CROSSING_BITS:
+        if model.quantizer.bits <= _MAX_CROSSING_BITS:
             ratio, db = _quantized_thd(model.quantizer)
-        elif with_thd:
-            ratio, db = thd(spectrum_dft(model, samples_per_step, dft_cap))
+        else:
+            ratio, db = thd(spectrum_dft(model))
     else:
-        err, argmax_t, (ratio, db) = _stepped_exact(model, with_thd)
+        err, argmax_t, (ratio, db) = _stepped_exact(model)
     paper, strict = _bounds_for(model)
     timing = model.timing
     quantizer = model.quantizer

@@ -16,7 +16,7 @@ import json
 import math
 
 from .metrics import MetricsReport
-from .sweeps import SweepResult, SweepRow
+from .sweeps import SCHEMA_VERSION, SweepResult, SweepRow
 
 __all__ = [
     "fmt_float",
@@ -91,7 +91,7 @@ def _flags_field(flags: tuple[str, ...]) -> str:
     return ";".join(flags) if flags else "-"
 
 
-def report_to_json(report: MetricsReport, schema_version: int = 1) -> str:
+def report_to_json(report: MetricsReport, schema_version: int = SCHEMA_VERSION) -> str:
     data = {
         "model": report.model,
         "freq_hz": report.freq_hz,
@@ -110,7 +110,7 @@ def report_to_json(report: MetricsReport, schema_version: int = 1) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def report_to_csv(report: MetricsReport, schema_version: int = 1) -> str:
+def report_to_csv(report: MetricsReport, schema_version: int = SCHEMA_VERSION) -> str:
     header = ",".join(JSON_KEYS)
     row = ",".join(
         csv_field(v)
@@ -153,13 +153,7 @@ def _spec_echo_lines(result: SweepResult) -> list[str]:
                 f"{fmt_float(spec.decades_to)}"
                 f" points_per_decade={spec.points_per_decade}"
             )
-        lines.append(f"# qmax={spec.q_max} dft_cap={spec.dft_cap}")
-    lines.append(
-        f"# samples={spec.plan.samples_per_period}"
-        f" epsilon={fmt_float(spec.plan.epsilon_fraction)}"
-        f" probe_discontinuities={int(spec.plan.probe_discontinuities)}"
-        f" samples_per_step={spec.samples_per_step}"
-    )
+        lines.append(f"# qmax={spec.q_max}")
     return lines
 
 

@@ -8,24 +8,21 @@ loses no generality and scale invariance is covered by tests.
 
 Requested multipliers are snapped to nearby rationals with a bounded
 denominator so spectra stay coherent; both the requested and the snapped
-values are reported. Rows are independent and may be evaluated by a
-thread pool, but the result order is fixed by the parameter axes, never
-by completion order.
+values are reported. A sweep snaps its axis once, before any row runs,
+and refuses the whole sweep if a snapped multiplier has more pieces than
+``MAX_PIECES``. Rows are independent and may be evaluated by a thread
+pool, but the result order is fixed by the parameter axes, never by
+completion order.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .metrics import (
-    DFT_SIZE_CAP,
-    MetricsReport,
-    SamplingPlan,
-    evaluate,
-)
+from .metrics import MetricsReport, check_pieces, evaluate
 from .signals import (
     QuantizationMode,
     QuantizerConfig,
@@ -37,7 +34,6 @@ from .signals import (
 __all__ = [
     "SCHEMA_VERSION",
     "FLAG_SUBNYQUIST",
-    "FLAG_DFT_CAP",
     "SweepSpec",
     "SweepRow",
     "SweepResult",
@@ -51,7 +47,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 FLAG_SUBNYQUIST = "subnyquist"
-FLAG_DFT_CAP = "dft_cap_exceeded"
 
 # All sweeps run at 1 Hz; the metrics depend on f*dt = 1/M only.
 _SWEEP_FREQUENCY_HZ = 1.0
@@ -59,7 +54,7 @@ _SWEEP_FREQUENCY_HZ = 1.0
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axis definitions and evaluation controls for one sweep."""
+    """Axis definitions for one sweep."""
 
     bits_from: int = 1
     bits_to: int = 16
@@ -70,9 +65,6 @@ class SweepSpec:
     multipliers: tuple[float, ...] | None = None
     mode: QuantizationMode = QuantizationMode.FLOOR
     q_max: int = 16
-    plan: SamplingPlan = field(default_factory=SamplingPlan)
-    samples_per_step: int = 64
-    dft_cap: int = DFT_SIZE_CAP
 
     def __post_init__(self) -> None:
         if not 1 <= self.bits_from <= self.bits_to <= 52:
@@ -155,55 +147,45 @@ def _run_ordered(
     return [worker(t) for t in tasks]
 
 
+# (requested multiplier, snapped timing, row flags)
+_AxisPoint = tuple[float, TimingConfig, tuple[str, ...]]
+
+
+def _snapped_axis(spec: SweepSpec) -> list[_AxisPoint]:
+    """One point per requested multiplier; raises
+    :class:`~ddsmetrics.metrics.CapExceeded` if any snapped multiplier is
+    over the piece cap, before a single row is evaluated."""
+    axis = []
+    for requested in spec.multiplier_axis():
+        timing = snap_multiplier(requested, spec.q_max)
+        check_pieces(timing.multiplier_num, timing.multiplier_den)
+        subnyquist = timing.multiplier < 2
+        axis.append((requested, timing, (FLAG_SUBNYQUIST,) if subnyquist else ()))
+    return axis
+
+
 def sweep_bits(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """One row per bit count for the quantized model, bits ascending."""
     signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
 
     def one(bits: int) -> SweepRow:
         model = WaveformModel.quantized(signal, QuantizerConfig(bits, spec.mode))
-        report = evaluate(
-            model, spec.plan, spec.samples_per_step, dft_cap=spec.dft_cap
-        )
-        return SweepRow(requested_multiplier=None, report=report)
+        return SweepRow(requested_multiplier=None, report=evaluate(model))
 
     rows = _run_ordered(spec.bits_axis(), one, workers)
     return SweepResult("bits", tuple(rows), spec)
 
 
-def _timing_flags(spec: SweepSpec, timing: TimingConfig) -> tuple[tuple[str, ...], bool]:
-    flags: list[str] = []
-    if Fraction(timing.multiplier_num, timing.multiplier_den) < 2:
-        flags.append(FLAG_SUBNYQUIST)
-    n_total = timing.multiplier_num * spec.samples_per_step
-    capped = n_total > spec.dft_cap
-    if capped:
-        flags.append(FLAG_DFT_CAP)
-    return tuple(flags), capped
-
-
 def sweep_multiplier(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """One row per requested multiplier for the held model, ascending.
-
-    Rows whose snapped multiplier would push the coherent capture past
-    the DFT size cap keep their time-domain metrics and bounds but carry
-    the ``dft_cap_exceeded`` flag with empty THD fields.
-    """
+    """One row per requested multiplier for the held model, ascending."""
     signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
 
-    def one(requested: float) -> SweepRow:
-        timing = snap_multiplier(requested, spec.q_max)
-        flags, capped = _timing_flags(spec, timing)
-        model = WaveformModel.held(signal, timing)
-        report = evaluate(
-            model,
-            spec.plan,
-            spec.samples_per_step,
-            dft_cap=spec.dft_cap,
-            with_thd=not capped,
-        )
+    def one(point: _AxisPoint) -> SweepRow:
+        requested, timing, flags = point
+        report = evaluate(WaveformModel.held(signal, timing))
         return SweepRow(requested_multiplier=requested, report=report, flags=flags)
 
-    rows = _run_ordered(spec.multiplier_axis(), one, workers)
+    rows = _run_ordered(_snapped_axis(spec), one, workers)
     return SweepResult("multiplier", tuple(rows), spec)
 
 
@@ -211,27 +193,16 @@ def sweep_grid(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """One row per (bits, multiplier) pair for the digitized model,
     row-major with bits outermost, both axes ascending."""
     signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
-    pairs = [
-        (bits, requested)
-        for bits in spec.bits_axis()
-        for requested in spec.multiplier_axis()
-    ]
+    axis = _snapped_axis(spec)
+    cells = [(bits, point) for bits in spec.bits_axis() for point in axis]
 
-    def one(pair: tuple[int, float]) -> SweepRow:
-        bits, requested = pair
-        timing = snap_multiplier(requested, spec.q_max)
-        flags, capped = _timing_flags(spec, timing)
+    def one(cell: tuple[int, _AxisPoint]) -> SweepRow:
+        bits, (requested, timing, flags) = cell
         model = WaveformModel.digitized(
             signal, timing, QuantizerConfig(bits, spec.mode)
         )
-        report = evaluate(
-            model,
-            spec.plan,
-            spec.samples_per_step,
-            dft_cap=spec.dft_cap,
-            with_thd=not capped,
-        )
+        report = evaluate(model)
         return SweepRow(requested_multiplier=requested, report=report, flags=flags)
 
-    rows = _run_ordered(pairs, one, workers)
+    rows = _run_ordered(cells, one, workers)
     return SweepResult("grid", tuple(rows), spec)

@@ -83,8 +83,6 @@ def grid_spec():
         bits_from=2,
         bits_to=12,
         multipliers=GRID_MULTIPLIERS,
-        plan=SamplingPlan(samples_per_period=20_000),
-        samples_per_step=32,
     )
 
 
@@ -179,7 +177,6 @@ def test_criterion_07_quantization_thd_trend():
             bits_from=4,
             bits_to=12,
             mode=QuantizationMode.ROUND,
-            plan=SamplingPlan(samples_per_period=4096),
         )
         rows = sweep_bits(spec).rows
         slope, _, r2 = linear_fit(
@@ -197,8 +194,6 @@ def test_criterion_08_hold_thd_trend():
             decades_to=4.0,
             points_per_decade=30,
             q_max=1,  # integer-snapped axis
-            plan=SamplingPlan(samples_per_period=20_000),
-            samples_per_step=64,
         )
         rows = sweep_multiplier(spec).rows
         slope, _, r2 = linear_fit(

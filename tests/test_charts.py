@@ -9,10 +9,8 @@ from ddsmetrics.charts import (
     render_heatmap,
     render_line_chart,
 )
-from ddsmetrics.metrics import MetricsReport, SamplingPlan
+from ddsmetrics.metrics import MetricsReport
 from ddsmetrics.sweeps import SweepResult, SweepRow, SweepSpec, sweep_bits, sweep_grid
-
-FAST_PLAN = SamplingPlan(samples_per_period=2048)
 
 
 def _report(**overrides):
@@ -43,7 +41,7 @@ def _grid_result(cells):
         )
         for b, m, err, db in cells
     )
-    spec = SweepSpec(bits_from=2, bits_to=3, multipliers=(4.0, 8.0), plan=FAST_PLAN)
+    spec = SweepSpec(bits_from=2, bits_to=3, multipliers=(4.0, 8.0))
     return SweepResult("grid", rows, spec)
 
 
@@ -52,7 +50,7 @@ def _two_point_multiplier_result():
         SweepRow(requested_multiplier=m, report=_report(m_num=int(m), max_abs_error=e))
         for m, e in ((4.0, 0.9), (40.0, 0.15))
     )
-    spec = SweepSpec(multipliers=(4.0, 40.0), plan=FAST_PLAN)
+    spec = SweepSpec(multipliers=(4.0, 40.0))
     return SweepResult("multiplier", rows, spec)
 
 
@@ -72,7 +70,7 @@ class TestLineChart:
         assert first == second
 
     def test_real_bits_sweep_with_log_error_axis(self):
-        result = sweep_bits(SweepSpec(bits_from=2, bits_to=6, plan=FAST_PLAN))
+        result = sweep_bits(SweepSpec(bits_from=2, bits_to=6))
         style = ChartStyle(ChartKind.LINEAR_LINE, "bits", "max error", log_y=True)
         svg = render_line_chart(result, style, ["max_err", "eq5_bound"])
         assert svg.startswith("<svg ")
@@ -95,7 +93,7 @@ class TestLineChart:
             SweepRow(requested_multiplier=m, report=_report(m_num=int(m), thd_db=db))
             for m, db in ((2.0, None), (4.0, -6.3), (8.0, -12.7))
         )
-        spec = SweepSpec(multipliers=(2.0, 4.0, 8.0), plan=FAST_PLAN)
+        spec = SweepSpec(multipliers=(2.0, 4.0, 8.0))
         result = SweepResult("multiplier", rows, spec)
         style = ChartStyle(ChartKind.LOG_X_LINE, "multiplier", "THD")
         svg = render_line_chart(result, style, ["thd_db"])
@@ -150,7 +148,7 @@ class TestHeatmap:
             render_heatmap(_two_point_multiplier_result(), style, "max_err")
 
     def test_deterministic_on_real_sweep(self):
-        spec = SweepSpec(bits_from=2, bits_to=4, multipliers=(4.0, 16.0), plan=FAST_PLAN)
+        spec = SweepSpec(bits_from=2, bits_to=4, multipliers=(4.0, 16.0))
         result = sweep_grid(spec)
         style = ChartStyle(ChartKind.HEATMAP, "multiplier", "bits")
         assert render_heatmap(result, style, "max_err") == render_heatmap(

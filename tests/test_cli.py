@@ -262,6 +262,103 @@ class TestBoundaryInputs:
         assert "exceeding the cap" in err
         assert out == ""
 
+    def test_past_the_old_dft_cap_reports_thd(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--model", "held", "--multiplier", "300001")
+        assert code == 0
+        assert json.loads(out)["thd_ratio"] > 0
+
+    def test_denominator_beyond_int64(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--model", "held", "--multiplier", "1/100000000000000000000"
+        )
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["max_abs_error"] == 1.0
+        assert data["m_den"] == 10**20
+
+    def test_over_cap_sweep_writes_nothing(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "grid", "--bits-from", "2", "--bits-to", "3",
+            "--multipliers", "4,2e7",
+            "--out", str(tmp_path / "grid.csv"), "--svg", str(tmp_path / "grid.svg"),
+        )
+        assert code == 3
+        assert "20000000/1" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_svg_leaves_no_csv(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys,
+            "sweep", "multiplier", "--multipliers", "4,8",
+            "--out", str(tmp_path / "ok.csv"),
+            "--svg", str(tmp_path / "missing-dir" / "x.svg"),
+        )
+        assert code == 3
+        assert err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_through_symlink_fills_its_target(self, capsys, tmp_path):
+        target = tmp_path / "real.json"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        code, _, _ = run_cli(capsys, "bounds", "--bits", "4", "--out", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        assert json.loads(target.read_text())["bits"] == 4
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+    def test_out_to_devnull(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "multiplier", "--multipliers", "4,8",
+            "--out", os.devnull, "--svg", os.devnull,
+        )
+        assert (code, out, err) == (0, "", "")
+        assert not os.path.isfile(os.devnull)
+
+
+class TestRetiredFlags:
+    """--samples and --samples-per-step are parsed and ignored, so the
+    command lines of the benchmark (perfbench/run.py) keep running."""
+
+    @pytest.mark.parametrize(
+        "argv,rows",
+        [
+            (["sweep", "multiplier", "--multipliers",
+              "3.1622776601683795,10.0,316.22776601683796",
+              "--qmax", "16", "--samples-per-step", "32", "--workers", "2"], 3),
+            (["sweep", "grid", "--bits-from", "2", "--bits-to", "4",
+              "--multipliers", "4,37,4096", "--qmax", "16",
+              "--samples", "100000", "--samples-per-step", "32", "--workers", "1",
+              "--svg-metric", "thd"], 9),
+            (["sweep", "bits", "--bits-from", "1", "--bits-to", "4", "--mode", "round",
+              "--workers", "1"], 4),
+        ],
+        ids=["held-multiplier", "digitized-grid", "quantized-bits"],
+    )
+    def test_benchmark_argv_runs(self, capsys, tmp_path, argv, rows):
+        csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+        code, _, err = run_cli(
+            capsys, *argv, "--out", str(csv_path), "--svg", str(svg_path)
+        )
+        assert code == 0, err
+        assert len(parse_csv(csv_path.read_text())[2]) == rows
+        assert svg_path.read_text().startswith("<svg ")
+
+    def test_flags_change_nothing_and_stay_hidden(self, capsys):
+        argv = ["eval", "--model", "held", "--multiplier", "19/6"]
+        plain = run_cli(capsys, *argv)
+        flagged = run_cli(capsys, *argv, "--samples", "64", "--samples-per-step", "17")
+        assert plain == flagged
+        for command in ("eval", "sweep"):
+            assert main([command, "--help"]) == 0
+            assert "--samples" not in capsys.readouterr().out
+
 
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["ddsmetrics", "ddsmetrics.cli"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from conftest import (
     held_thd_closed_form,
 )
 from ddsmetrics.metrics import (
+    MAX_PIECES,
+    CapExceeded,
     DegenerateSignalError,
-    DftCapExceeded,
     SamplingPlan,
     evaluate,
     max_abs_error,
@@ -232,7 +234,7 @@ class TestSpectrumDft:
         assert spectrum.sample_mean_square == float(np.mean(samples**2))
 
     def test_size_cap(self):
-        with pytest.raises(DftCapExceeded) as exc_info:
+        with pytest.raises(CapExceeded) as exc_info:
             spectrum_dft(held_model(100_000), 256, dft_cap=1 << 20)
         assert exc_info.value.p == 100_000
         assert exc_info.value.q == 1
@@ -348,7 +350,7 @@ class TestThd:
 
 class TestEvaluate:
     def test_target_report(self):
-        report = evaluate(target_model(), SamplingPlan(samples_per_period=1024))
+        report = evaluate(target_model())
         assert report.model == "target"
         assert report.max_abs_error == 0.0
         assert report.thd_ratio < 1e-9
@@ -356,31 +358,25 @@ class TestEvaluate:
         assert report.strict_bound == 0.0
 
     def test_digitized_within_printed_bound(self):
-        report = evaluate(digitized_model(64, 8), SamplingPlan(samples_per_period=8192))
+        report = evaluate(digitized_model(64, 8))
         assert report.paper_bound == pytest.approx(0.1058296, abs=1e-6)
         assert report.max_abs_error <= report.paper_bound
         assert report.max_abs_error <= report.strict_bound
 
     def test_held_odd_multiplier_beats_estimate(self):
-        report = evaluate(
-            WaveformModel.held(SPEC, TimingConfig(5)),
-            SamplingPlan(samples_per_period=8192),
-        )
+        report = evaluate(WaveformModel.held(SPEC, TimingConfig(5)))
         assert report.max_abs_error > 0.9510565
         assert report.max_abs_error <= 1.1755705045849463 + 1e-6
         assert report.max_abs_error <= report.strict_bound
 
     def test_degenerate_thd_reported_absent(self):
-        report = evaluate(held_model(2), SamplingPlan(samples_per_period=1024))
+        report = evaluate(held_model(2))
         assert report.thd_ratio is None
         assert report.thd_db is None
         assert report.max_abs_error == 1.0
 
     def test_report_echo(self):
-        report = evaluate(
-            digitized_model(8, 3, mode=QuantizationMode.ROUND),
-            SamplingPlan(samples_per_period=1024),
-        )
+        report = evaluate(digitized_model(8, 3, mode=QuantizationMode.ROUND))
         assert report.model == "digitized"
         assert report.bits == 3
         assert report.mode == "round"
@@ -397,9 +393,7 @@ class TestEvaluate:
         model = WaveformModel.digitized(
             SPEC, TimingConfig(p, q), QuantizerConfig(bits, QuantizationMode.FLOOR)
         )
-        report = evaluate(
-            model, SamplingPlan(samples_per_period=4096), with_thd=False
-        )
+        report = evaluate(model)
         assert report.max_abs_error <= report.strict_bound
 
 
@@ -447,10 +441,39 @@ class TestExactEngine:
         assert fast.argmax_time_s == pytest.approx(slow.argmax_time_s / 50.0, rel=1e-12)
 
     def test_dft_cap_checked_before_any_work(self):
-        with pytest.raises(DftCapExceeded):
+        with pytest.raises(CapExceeded):
             evaluate(held_model(10**15))
-        with pytest.raises(ValueError):
-            evaluate(held_model(4), samples_per_step=17)
+
+    def test_piece_cap_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded) as exc_info:
+                evaluate(held_model(MAX_PIECES + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert exc_info.value.p == MAX_PIECES + 1
+        assert "pieces" in str(exc_info.value)
+        assert evaluate(held_model(4, 1 + 4 * MAX_PIECES)).m_num == 4
+
+    def test_held_thd_past_the_old_dft_cap(self):
+        # 300001 pieces took 19.2 M samples at 64 per step, over the old
+        # 2**24-sample cap. The reference evaluates sqrt(1/sinc**2 - 1)
+        # as sqrt((x - sin x)*(x + sin x))/sin x, with x - sin x from its
+        # series, free of cancellation. The harmonic power is 3.7e-11 of
+        # the signal power, so the Parseval difference of unit-size float
+        # terms limits the reported ratio to about 1e-6 relative.
+        p = 300_001
+        x = math.pi / p
+        sin_x = math.sin(x)
+        x_minus_sin = math.fsum(
+            (-1) ** (n + 1) * x ** (2 * n + 1) / math.factorial(2 * n + 1)
+            for n in range(1, 6)
+        )
+        expected = math.sqrt(x_minus_sin * (x + sin_x)) / sin_x
+        report = evaluate(held_model(p))
+        assert report.thd_ratio == pytest.approx(expected, rel=2e-6)
 
     @given(
         p=st.integers(min_value=1, max_value=200),
@@ -462,7 +485,7 @@ class TestExactEngine:
     @settings(max_examples=150, deadline=None)
     def test_supremum_between_probe_estimate_and_strict_bound(self, p, q, bits, mode, freq):
         model = stepped_model(p, q, bits, mode, SignalSpec(freq))
-        report = evaluate(model, with_thd=False)
+        report = evaluate(model)
         probe, _ = max_abs_error(model, SamplingPlan(samples_per_period=4096))
         assert probe <= report.max_abs_error <= report.strict_bound
 
@@ -475,7 +498,7 @@ class TestExactEngine:
     @settings(max_examples=100, deadline=None)
     def test_stepped_thd_matches_both_spectra(self, p, q, bits, mode):
         model = stepped_model(p, q, bits, mode)
-        report = evaluate(model, samples_per_step=256)
+        report = evaluate(model)
         try:
             _, dft_db = thd(spectrum_dft(model, 256))
         except DegenerateSignalError:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ddsmetrics.metrics import MetricsReport, SamplingPlan
+from ddsmetrics.metrics import MetricsReport
 from ddsmetrics.reporting import (
     BITS_HEADER,
     GRID_HEADER,
@@ -19,8 +19,6 @@ from ddsmetrics.reporting import (
     sweep_to_csv,
 )
 from ddsmetrics.sweeps import SweepSpec, sweep_bits, sweep_grid, sweep_multiplier
-
-FAST_PLAN = SamplingPlan(samples_per_period=2048)
 
 
 def sample_report(**overrides):
@@ -122,7 +120,7 @@ class TestReportSerialization:
 
 class TestSweepCsv:
     def test_bits_schema(self):
-        result = sweep_bits(SweepSpec(bits_from=1, bits_to=4, plan=FAST_PLAN))
+        result = sweep_bits(SweepSpec(bits_from=1, bits_to=4))
         comments, header, rows = parse_csv(sweep_to_csv(result))
         assert header == BITS_HEADER.split(",")
         assert len(rows) == 4
@@ -132,7 +130,7 @@ class TestSweepCsv:
         assert bounds == [1.0, 0.5, 0.25, 0.125]
 
     def test_multiplier_schema_and_flags(self):
-        spec = SweepSpec(multipliers=(1.5, 4.0), plan=FAST_PLAN)
+        spec = SweepSpec(multipliers=(1.5, 4.0))
         result = sweep_multiplier(spec)
         _, header, rows = parse_csv(sweep_to_csv(result))
         assert header == MULTIPLIER_HEADER.split(",")
@@ -143,7 +141,7 @@ class TestSweepCsv:
         assert [row[2] for row in rows] == ["2", "1"]
 
     def test_grid_schema(self):
-        spec = SweepSpec(bits_from=2, bits_to=3, multipliers=(4.0, 8.0), plan=FAST_PLAN)
+        spec = SweepSpec(bits_from=2, bits_to=3, multipliers=(4.0, 8.0))
         result = sweep_grid(spec)
         _, header, rows = parse_csv(sweep_to_csv(result))
         assert header == GRID_HEADER.split(",")
@@ -151,7 +149,7 @@ class TestSweepCsv:
 
     def test_numeric_round_trip(self):
         spec = SweepSpec(
-            decades_from=0.5, decades_to=1.5, points_per_decade=4, plan=FAST_PLAN
+            decades_from=0.5, decades_to=1.5, points_per_decade=4
         )
         result = sweep_multiplier(spec)
         _, _, rows = parse_csv(sweep_to_csv(result))
@@ -164,12 +162,12 @@ class TestSweepCsv:
             assert float(parsed[7]) == row.report.thd_db
 
     def test_absent_thd_serializes_empty(self):
-        spec = SweepSpec(multipliers=(2.0,), plan=FAST_PLAN)
+        spec = SweepSpec(multipliers=(2.0,))
         result = sweep_multiplier(spec)  # identically-zero staircase
         _, _, rows = parse_csv(sweep_to_csv(result))
         assert rows[0][6] == ""
         assert rows[0][7] == ""
 
     def test_byte_determinism(self):
-        spec = SweepSpec(bits_from=2, bits_to=4, plan=FAST_PLAN)
+        spec = SweepSpec(bits_from=2, bits_to=4)
         assert sweep_to_csv(sweep_bits(spec)) == sweep_to_csv(sweep_bits(spec))

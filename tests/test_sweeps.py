@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import best_rational_by_exhaustion, linear_fit
-from ddsmetrics.metrics import SamplingPlan
 from ddsmetrics.reporting import sweep_to_csv
 from ddsmetrics.signals import QuantizationMode
+from ddsmetrics import sweeps
+from ddsmetrics.metrics import MAX_PIECES, CapExceeded
 from ddsmetrics.sweeps import (
-    FLAG_DFT_CAP,
     FLAG_SUBNYQUIST,
     SweepSpec,
     multiplier_axis,
@@ -19,8 +19,6 @@ from ddsmetrics.sweeps import (
     sweep_grid,
     sweep_multiplier,
 )
-
-FAST_PLAN = SamplingPlan(samples_per_period=2048)
 
 
 class TestSnapMultiplier:
@@ -75,7 +73,7 @@ class TestMultiplierAxis:
 
 class TestSweepBits:
     def test_rows_and_bound_column(self):
-        spec = SweepSpec(bits_from=1, bits_to=16, plan=FAST_PLAN)
+        spec = SweepSpec(bits_from=1, bits_to=16)
         result = sweep_bits(spec)
         assert result.kind == "bits"
         assert len(result.rows) == 16
@@ -83,18 +81,18 @@ class TestSweepBits:
         assert all(b2 == b1 / 2 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_four_bit_error_within_bound(self):
-        spec = SweepSpec(bits_from=4, bits_to=4, plan=FAST_PLAN)
+        spec = SweepSpec(bits_from=4, bits_to=4)
         row = sweep_bits(spec).rows[0]
         assert row.report.max_abs_error <= 0.125
 
     def test_thd_improves_with_bits(self):
-        spec = SweepSpec(bits_from=4, bits_to=8, bits_step=4, plan=FAST_PLAN)
+        spec = SweepSpec(bits_from=4, bits_to=8, bits_step=4)
         rows = sweep_bits(spec).rows
         assert rows[1].report.thd_db < rows[0].report.thd_db
 
     def test_round_mode_fit(self):
         spec = SweepSpec(
-            bits_from=4, bits_to=12, mode=QuantizationMode.ROUND, plan=FAST_PLAN
+            bits_from=4, bits_to=12, mode=QuantizationMode.ROUND
         )
         rows = sweep_bits(spec).rows
         slope, _, r2 = linear_fit(
@@ -108,7 +106,7 @@ class TestSweepBits:
 class TestSweepMultiplier:
     def test_row_per_requested_value(self):
         spec = SweepSpec(
-            decades_from=1.0, decades_to=2.0, points_per_decade=5, plan=FAST_PLAN
+            decades_from=1.0, decades_to=2.0, points_per_decade=5
         )
         result = sweep_multiplier(spec)
         assert result.kind == "multiplier"
@@ -117,50 +115,58 @@ class TestSweepMultiplier:
         assert requested == sorted(requested)
 
     def test_four_step_row_thd(self):
-        spec = SweepSpec(multipliers=(4.0,), plan=FAST_PLAN)
+        spec = SweepSpec(multipliers=(4.0,))
         row = sweep_multiplier(spec).rows[0]
         assert row.report.thd_db == pytest.approx(-6.3134, abs=0.05)
 
     def test_large_multiplier_strict_bound(self):
-        spec = SweepSpec(multipliers=(1000.0,), plan=FAST_PLAN)
+        spec = SweepSpec(multipliers=(1000.0,))
         row = sweep_multiplier(spec).rows[0]
         assert row.report.max_abs_error <= 2 * math.sin(math.pi / 1000)
         assert row.report.strict_bound == pytest.approx(2 * math.sin(math.pi / 1000))
 
     def test_decade_spacing_of_thd(self):
-        spec = SweepSpec(multipliers=(10.0, 100.0, 1000.0), plan=FAST_PLAN)
+        spec = SweepSpec(multipliers=(10.0, 100.0, 1000.0))
         rows = sweep_multiplier(spec).rows
         for first, second in zip(rows, rows[1:]):
             delta = second.report.thd_db - first.report.thd_db
             assert delta == pytest.approx(-20.0, abs=0.5)
 
     def test_subnyquist_flag(self):
-        spec = SweepSpec(multipliers=(1.5, 4.0), plan=FAST_PLAN)
+        spec = SweepSpec(multipliers=(1.5, 4.0))
         rows = sweep_multiplier(spec).rows
         assert FLAG_SUBNYQUIST in rows[0].flags
         assert FLAG_SUBNYQUIST not in rows[1].flags
 
-    def test_dft_cap_flag_keeps_row(self):
-        spec = SweepSpec(
-            multipliers=(4.0, 100_000.0), plan=FAST_PLAN, dft_cap=1 << 16
+    @pytest.mark.parametrize(
+        "sweep", [sweep_multiplier, sweep_grid], ids=["multiplier", "grid"]
+    )
+    def test_over_cap_multiplier_refuses_the_sweep(self, sweep, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(
+            sweeps, "evaluate", lambda model: evaluated.append(model)
         )
-        rows = sweep_multiplier(spec).rows
-        assert len(rows) == 2
-        capped = rows[1]
-        assert FLAG_DFT_CAP in capped.flags
-        assert capped.report.thd_ratio is None
-        assert capped.report.max_abs_error > 0
-        assert FLAG_DFT_CAP not in rows[0].flags
+        spec = SweepSpec(bits_from=2, bits_to=3, multipliers=(4.0, MAX_PIECES + 1.0))
+        with pytest.raises(CapExceeded) as exc_info:
+            sweep(spec, workers=2)
+        assert exc_info.value.p == MAX_PIECES + 1
+        assert evaluated == []
+
+    def test_under_cap_rows_keep_thd(self):
+        # 300001 pieces was past the old 2**24-sample DFT cap at 64 per step
+        row = sweep_multiplier(SweepSpec(multipliers=(300_001.0,))).rows[0]
+        assert row.flags == ()
+        assert row.report.thd_ratio > 0
 
     def test_every_row_within_strict_bound(self):
         spec = SweepSpec(
-            decades_from=0.5, decades_to=2.0, points_per_decade=4, plan=FAST_PLAN
+            decades_from=0.5, decades_to=2.0, points_per_decade=4
         )
         for row in sweep_multiplier(spec).rows:
             assert row.report.max_abs_error <= row.report.strict_bound
 
     def test_snapped_values_recorded(self):
-        spec = SweepSpec(multipliers=(3.1623,), plan=FAST_PLAN)
+        spec = SweepSpec(multipliers=(3.1623,))
         row = sweep_multiplier(spec).rows[0]
         assert row.requested_multiplier == 3.1623
         assert (row.report.m_num, row.report.m_den) == (19, 6)
@@ -171,7 +177,6 @@ class TestSweepMultiplier:
             decades_to=4.0,
             points_per_decade=6,
             q_max=1,
-            plan=FAST_PLAN,
         )
         rows = sweep_multiplier(spec).rows
         slope, _, r2 = linear_fit(
@@ -185,7 +190,7 @@ class TestSweepMultiplier:
 class TestSweepGrid:
     def test_row_major_order(self):
         spec = SweepSpec(
-            bits_from=2, bits_to=4, multipliers=(4.0, 8.0), plan=FAST_PLAN
+            bits_from=2, bits_to=4, multipliers=(4.0, 8.0)
         )
         result = sweep_grid(spec)
         assert result.kind == "grid"
@@ -197,7 +202,7 @@ class TestSweepGrid:
     def test_corner_comparison(self):
         spec = SweepSpec(
             bits_from=2, bits_to=12, bits_step=10,
-            multipliers=(4.0, 4096.0), plan=FAST_PLAN
+            multipliers=(4.0, 4096.0)
         )
         rows = sweep_grid(spec).rows
         by_key = {
@@ -209,7 +214,7 @@ class TestSweepGrid:
 
     def test_low_bit_plateau(self):
         spec = SweepSpec(
-            bits_from=2, bits_to=2, multipliers=(64.0, 4096.0), plan=FAST_PLAN
+            bits_from=2, bits_to=2, multipliers=(64.0, 4096.0)
         )
         rows = sweep_grid(spec).rows
         for row in rows:
@@ -218,7 +223,7 @@ class TestSweepGrid:
     def test_every_cell_within_strict_bound(self):
         spec = SweepSpec(
             bits_from=2, bits_to=6, bits_step=2,
-            multipliers=(4.0, 32.0, 256.0), plan=FAST_PLAN
+            multipliers=(4.0, 32.0, 256.0)
         )
         for row in sweep_grid(spec).rows:
             assert row.report.max_abs_error <= row.report.strict_bound
@@ -227,7 +232,7 @@ class TestSweepGrid:
 class TestDeterminism:
     def test_parallel_matches_sequential(self):
         spec = SweepSpec(
-            bits_from=2, bits_to=5, multipliers=(4.0, 16.0, 64.0), plan=FAST_PLAN
+            bits_from=2, bits_to=5, multipliers=(4.0, 16.0, 64.0)
         )
         sequential = sweep_grid(spec, workers=1)
         parallel = sweep_grid(spec, workers=4)
@@ -235,7 +240,7 @@ class TestDeterminism:
 
     def test_repeat_runs_are_identical(self):
         spec = SweepSpec(
-            decades_from=0.5, decades_to=1.5, points_per_decade=3, plan=FAST_PLAN
+            decades_from=0.5, decades_to=1.5, points_per_decade=3
         )
         assert sweep_to_csv(sweep_multiplier(spec)) == sweep_to_csv(
             sweep_multiplier(spec)
