@@ -45,7 +45,10 @@ class UsageError(Exception):
 def _parse_multiplier(text: str, q_max: int) -> TimingConfig:
     try:
         if "/" in text:
-            return TimingConfig.from_exact(Fraction(text))
+            timing = TimingConfig.from_exact(Fraction(text))
+            if max(timing.multiplier_num, timing.multiplier_den) > sys.float_info.max:
+                raise ValueError("numerator and denominator must each fit a float")
+            return timing
         value = float(text)
         if not math.isfinite(value):
             raise ValueError("the multiplier must be finite")
@@ -59,6 +62,16 @@ def _parse_multiplier(text: str, q_max: int) -> TimingConfig:
 def _check_freq(freq: float) -> None:
     if not (math.isfinite(freq) and freq > 0):
         raise UsageError(f"--freq must be positive and finite, got {freq!r}")
+
+
+def _check_decade(flag: str, value: float) -> None:
+    # the multiplier axis runs over 10**value between the two ends
+    try:
+        usable = math.isfinite(value) and 10.0**value > 0.0
+    except OverflowError:
+        usable = False
+    if not usable:
+        raise UsageError(f"{flag} must give a positive finite 10**value, got {value!r}")
 
 
 def _add_retired_flags(parser: argparse.ArgumentParser) -> None:
@@ -264,6 +277,11 @@ def cmd_sweep(args) -> int:
             multipliers = tuple(float(v) for v in args.multipliers.split(","))
         except ValueError as exc:
             raise UsageError(f"--multipliers: {exc}") from exc
+        for value in multipliers:
+            if not (math.isfinite(value) and value > 0):
+                raise UsageError(f"--multipliers must be positive and finite, got {value!r}")
+    _check_decade("--decades-from", args.decades_from)
+    _check_decade("--decades-to", args.decades_to)
     try:
         spec = SweepSpec(
             bits_from=args.bits_from,

@@ -2,17 +2,21 @@
 check them.
 
 :func:`evaluate` reports both metrics in closed form. Every degraded
-model is a step function over one combined period, so a row costs
-O(pieces) and needs no FFT and no probe grid:
+model is a step function over one combined period, so no row needs an
+FFT or a probe grid. A held row costs O(1); a digitized row O(pieces):
 
 * maximum absolute error is the exact supremum, taken piece by piece:
   on each piece the larger of the two one-sided endpoint limits, or the
-  distance to a sine extremum (phase 1/4 or 3/4) inside the piece;
+  distance to a sine extremum (phase 1/4 or 3/4) inside the piece. A
+  digitized row examines all p pieces; a held row only the few that can
+  attain it, with the same floats, so it reports the all-piece values
+  bit for bit;
 * THD follows from Parseval's theorem. Harmonic power is the AC power of
   the levels less the fundamental's, and the fundamental is one DFT bin
-  of the step levels times the zero-order-hold factor (held and
-  digitized models), or a sum over the quantizer thresholds (quantized
-  model).
+  of the step levels times the zero-order-hold factor (digitized model),
+  or a sum over the quantizer thresholds (quantized model). The held
+  model's start phases k*q mod p run over every residue mod p, which
+  leaves the zero-order-hold closed form sqrt(1/sinc(q/p)**2 - 1).
 
 The numerical estimators stay as independent oracles for the tests.
 :func:`max_abs_error` samples a probe grid that combines uniform coverage
@@ -432,29 +436,30 @@ def _parseval_thd(
     return 0.0, None
 
 
-def _stepped_exact(
-    model: WaveformModel,
-) -> tuple[float, float, tuple[float | None, float | None]]:
-    """Exact supremum, its earliest time, and THD of a held or digitized
-    model: p pieces of q/p turns each, piece k starting at phase r/p with
-    r = k*q mod p."""
+def _half_swing(model: WaveformModel) -> float:
+    """sin(pi*q/p), half the sine's swing across a piece. Up to f*dt = 1/2
+    it is the very float the strict bound doubles, so that the swing
+    2*cos(...)*half can never round above the bound."""
     f = model.spec.frequency_hz
     p, q = _model_pq(model)
-    k = np.arange(p, dtype=np.int64)
-    # q meets the int64 arrays only reduced, so any exact multiplier fits
-    r = (k * (q % p)) % p
-    level = staircase_values(model)
-    # the sine at the start of each piece; the levels themselves when held
-    start = level if model.kind is ModelKind.HELD else sin_turns_array(_turns(r, p))
-
-    # sin(pi*q/p), half the sine's swing across a piece. Up to f*dt = 1/2
-    # it is the very float the strict bound doubles, so that the swing
-    # 2*cos(...)*half below can never round above the bound.
     x = f * model.timing.time_gap_s(f)
-    half = sin_turns(x / 2.0) if x <= 0.5 else sin_turns(q % (2 * p) / (2 * p))
+    return sin_turns(x / 2.0) if x <= 0.5 else sin_turns(q % (2 * p) / (2 * p))
+
+
+def _supremum(
+    model: WaveformModel, k: np.ndarray, r: np.ndarray, level: np.ndarray, start: np.ndarray
+) -> tuple[float, float]:
+    """Exact supremum of a held or digitized model over the pieces ``k``
+    (ascending indices; piece k has start residue r = k*q mod p, value
+    ``level`` and the sine ``start`` at its start), and the earliest time
+    it is attained."""
+    f = model.spec.frequency_hz
+    p, q = _model_pq(model)
+    # q meets the int64 arrays only reduced, so any exact multiplier fits.
     # sin(a + w) - sin(a) = 2*cos(a + w/2)*sin(w/2): the sine's change
     # from the start of each piece to the end, without cancellation.
-    swing = 2.0 * sin_turns_array(_turns(4 * r + 2 * (q % (2 * p)) + p, 4 * p)) * half
+    cosine = sin_turns_array(_turns(4 * r + 2 * (q % (2 * p)) + p, 4 * p))
+    swing = 2.0 * cosine * _half_swing(model)
     offset = level - start  # 0 for held; the quantization error at the start
     # Phase 1/4 (3/4) lies in [r/p, (r+q)/p] iff (p - 4r) mod 4p <= 4q
     # (resp. 3p - 4r), exact in integers; the offsets put it in time.
@@ -473,16 +478,106 @@ def _stepped_exact(
     # Pieces follow each other in time, so the earliest attainment lies in
     # the first piece that attains the supremum at all.
     hit = errors == sup
-    first = int(np.argmax(hit.any(axis=0)))
-    offsets = (0, 4 * q, int(to_peak[first]), int(to_trough[first]))
-    tick = 4 * first * q + min(o for o, h in zip(offsets, hit[:, first]) if h)
-    argmax_t = tick / (4 * p) / f
+    j = int(np.argmax(hit.any(axis=0)))
+    offsets = (0, 4 * q, int(to_peak[j]), int(to_trough[j]))
+    tick = 4 * int(k[j]) * q + min(o for o, h in zip(offsets, hit[:, j]) if h)
+    return sup, tick / (4 * p) / f
 
+
+def _held_supremum(model: WaveformModel, k: np.ndarray) -> tuple[float, float]:
+    """:func:`_supremum` of a held model over its pieces ``k``
+    (ascending), whose levels are the sine at their starts."""
+    p, q = _model_pq(model)
+    r = (k * (q % p)) % p
+    level = sin_turns_array(_turns(r, p))
+    return _supremum(model, k, r, level, level)
+
+
+def _held_pieces(p: int, q: int) -> np.ndarray:
+    """Indices, ascending, of the few held pieces that can attain the
+    supremum; a superset of every piece whose candidate error (see
+    :func:`_supremum`) equals the maximum of its kind.
+
+    * The swing 2*cos(pi*(2r + q)/p)*sin(pi*q/p) is largest where 2r + q
+      is nearest a multiple of p; residues within 2 of one are kept.
+    * The peak error 1 - level grows with the distance back from phase
+      1/4, so within the pieces that contain 1/4 it is largest at the far
+      end of that window, r = ceil(p/4 - q), or, if the window reaches
+      past 3/4, beside 3p/4. Likewise for the trough, mirrored.
+
+    Piece k starts at residue r = k*q mod p, so k = r * q**-1 mod p.
+    """
+    twice_q = q % (2 * p)
+    reach = min(q, p)
+    # (n + 3) // 4 is ceil(n/4), negative n included
+    residues = {
+        (p - 4 * reach + 3) // 4,
+        (3 * p - 4 * reach + 3) // 4,
+        p // 4, (p + 3) // 4, 3 * p // 4, (3 * p + 3) // 4,
+    }
+    # 2r + (q mod 2p) lies in [0, 4p), so the multiples 0..4p bracket it
+    for multiple in range(0, 4 * p + 1, p):
+        for gap in range(-2, 3):
+            twice_r = multiple + gap - twice_q
+            if twice_r % 2 == 0 and 0 <= twice_r < 2 * p:
+                residues.add(twice_r // 2)
+    inverse = pow(q % p, -1, p)
+    return np.array(sorted(r % p * inverse % p for r in residues), dtype=np.int64)
+
+
+def _x_minus_sin(x: float) -> float:
+    """x - sin(x) for 0 <= x < 1 from its Taylor series, free of the
+    cancellation of the direct difference; the terms past x**21/21! are
+    below an ulp."""
+    terms, term = [], x
+    for n in range(2, 22, 2):
+        term *= -x * x / (n * (n + 1))
+        terms.append(term)
+    return -math.fsum(terms)
+
+
+def _held_thd(p: int, q: int) -> tuple[float | None, float | None]:
+    """THD of the held model in closed form, sqrt(1/sinc(q/p)**2 - 1).
+
+    Since gcd(p, q) = 1 the start residues k*q mod p run over 0..p-1, so
+    for p >= 3 the levels have mean 0, mean square 1/2 and fundamental
+    bin p/2; Parseval then leaves sqrt((x - h)*(x + h))/h with
+    x = pi*q/p and h = |sin x|. Below p = 3 every level is 0.
+    """
+    if p < 3:
+        return None, None
+    x = math.pi * (q / p)
+    # |sin x| = sin(pi*near/p), near the distance from q to the closest
+    # multiple of p: a turn below 1/4, so a sine near its zero keeps its
+    # digits
+    near = min(q % p, -q % p)
+    h = sin_turns(near / (2 * p))
+    ratio = math.sqrt((_x_minus_sin(x) if x < 1.0 else x - h) * (x + h)) / h
+    return ratio, 20.0 * math.log10(ratio)
+
+
+def _stepped_exact(
+    model: WaveformModel,
+) -> tuple[float, float, tuple[float | None, float | None]]:
+    """Exact supremum, its earliest time, and THD of a held or digitized
+    model: p pieces of q/p turns each, piece k starting at phase r/p with
+    r = k*q mod p. A held row costs O(1): its THD is closed-form and only
+    the pieces of :func:`_held_pieces` are examined."""
+    p, q = _model_pq(model)
+    if model.kind is ModelKind.HELD:
+        sup, argmax_t = _held_supremum(model, _held_pieces(p, q))
+        return sup, argmax_t, _held_thd(p, q)
+
+    k = np.arange(p, dtype=np.int64)
+    r = (k * (q % p)) % p
+    level = staircase_values(model)
+    start = sin_turns_array(_turns(r, p))
+    sup, argmax_t = _supremum(model, k, r, level, start)
     # One DFT bin of the levels at their start phases, times the
     # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
     cosine = sin_turns_array(_turns(4 * r + p, 4 * p))
     bin_1 = math.hypot(float(level @ cosine), float(level @ start))
-    fundamental = 2.0 * bin_1 * abs(half) / (math.pi * q)
+    fundamental = 2.0 * bin_1 * abs(_half_swing(model)) / (math.pi * q)
     thd_result = _parseval_thd(
         float(np.mean(level)), float(np.mean(level * level)), fundamental
     )
@@ -542,13 +637,15 @@ def _bounds_for(model: WaveformModel) -> tuple[float, float]:
 def evaluate(model: WaveformModel) -> MetricsReport:
     """Run both metrics on one model and attach the matching bounds.
 
-    Max error is the exact supremum and THD the exact Parseval value,
-    both in O(pieces); ``thd_db`` is None when the ratio is 0 (target
-    model) and both THD fields are None when the signal has no
-    fundamental. :class:`CapExceeded` is raised before anything is
-    allocated when the model has more than ``MAX_PIECES`` pieces. A
-    quantizer above ``_MAX_CROSSING_BITS`` bits takes its THD from the
-    DFT oracle.
+    Max error is the exact supremum and THD the exact Parseval value: in
+    O(1) for a held model (closed-form THD, a constant-size set of
+    candidate pieces), in O(pieces) for a digitized one. ``thd_db`` is
+    None when the ratio is 0 (target model) and both THD fields are None
+    when the signal has no fundamental (such as a held model with
+    p <= 2, whose levels are all 0). :class:`CapExceeded` is raised before anything is allocated
+    when the model has more than ``MAX_PIECES`` pieces, held rows
+    included. A quantizer above ``_MAX_CROSSING_BITS`` bits takes its
+    THD from the DFT oracle.
     """
     check_pieces(*_model_pq(model))
     f = model.spec.frequency_hz

@@ -322,6 +322,41 @@ class TestBoundaryInputs:
         assert not os.path.isfile(os.devnull)
 
 
+_HUGE_DENOMINATOR = "1/1" + "0" * 400
+
+
+class TestOutOfRangeInputs:
+    """Values past the float range exit 2 with one line naming the flag,
+    where an OverflowError or an unnamed message used to surface."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["eval", "--model", "held", "--multiplier", _HUGE_DENOMINATOR], "--multiplier"),
+            (["bounds", "--multiplier", _HUGE_DENOMINATOR], "--multiplier"),
+            (["sweep", "multiplier", "--multipliers", "4,inf"], "--multipliers"),
+            (["sweep", "multiplier", "--multipliers", "4,1e400"], "--multipliers"),
+            (["sweep", "multiplier", "--decades-to", "400"], "--decades-to"),
+            (["sweep", "multiplier", "--decades-to", "inf"], "--decades-to"),
+            (["sweep", "multiplier", "--multipliers", "4,nan"], "--multipliers"),
+            (["sweep", "multiplier", "--decades-to", "nan"], "--decades-to"),
+            (["sweep", "multiplier", "--decades-from", "-400", "--decades-to", "-399"],
+             "--decades-from"),
+        ],
+        ids=[
+            "eval-denominator-1e400", "bounds-denominator-1e400",
+            "multipliers-inf", "multipliers-1e400", "decades-to-400", "decades-to-inf",
+            "multipliers-nan", "decades-to-nan", "decades-underflow",
+        ],
+    )
+    def test_usage_error_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag}")
+        assert err.count("\n") == 1
+
+
 class TestRetiredFlags:
     """--samples and --samples-per-step are parsed and ignored, so the
     command lines of the benchmark (perfbench/run.py) keep running."""

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -17,6 +17,7 @@ from ddsmetrics.metrics import (
     CapExceeded,
     DegenerateSignalError,
     SamplingPlan,
+    _held_supremum,
     evaluate,
     max_abs_error,
     probe_times,
@@ -517,3 +518,79 @@ class TestExactEngine:
         model = quantized_model(bits, mode)
         _, dft_db = thd(spectrum_dft(model))
         assert abs(evaluate(model).thd_db - dft_db) <= 0.02
+
+
+FREQUENCIES = [1.0, 0.3, 7.0, 1e3, 2.5e-4]
+
+
+def assert_held_supremum_exact(p, q, freq):
+    """The held row's supremum and its time, taken from a few candidate
+    pieces, equal the evaluation of every piece bit for bit."""
+    model = held_model(p, q, SignalSpec(freq))
+    every_piece = np.arange(model.timing.multiplier_num, dtype=np.int64)
+    report = evaluate(model)
+    expected = _held_supremum(model, every_piece)
+    assert (report.max_abs_error, report.argmax_time_s) == expected
+
+
+class TestHeldClosedForm:
+    """A held row costs O(1): closed-form THD and a constant-size set of
+    candidate pieces for the supremum."""
+
+    def test_supremum_equals_every_piece_for_small_multipliers(self):
+        for freq in FREQUENCIES:
+            for p in range(1, 65):
+                for q in range(1, 65):
+                    if math.gcd(p, q) == 1:
+                        assert_held_supremum_exact(p, q, freq)
+
+    @given(
+        p=st.integers(min_value=1, max_value=4096),
+        q=st.integers(min_value=1, max_value=64),
+        freq=st.sampled_from(FREQUENCIES),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_supremum_equals_every_piece(self, p, q, freq):
+        assert_held_supremum_exact(p, q, freq)
+
+    @given(
+        p=st.integers(min_value=1, max_value=4096),
+        q=st.integers(min_value=1, max_value=10**20),
+        freq=st.sampled_from(FREQUENCIES),
+    )
+    @example(p=4096, q=10**20 + 1, freq=1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_supremum_equals_every_piece_for_huge_denominators(self, p, q, freq):
+        assert_held_supremum_exact(p, q, freq)
+
+    @given(
+        p=st.integers(min_value=3, max_value=MAX_PIECES),
+        q=st.integers(min_value=1, max_value=10**20),
+    )
+    @example(p=MAX_PIECES, q=1)
+    @example(p=MAX_PIECES - 3, q=10**20)
+    @example(p=300_001, q=1)
+    @example(p=3, q=10**20)
+    @example(p=22, q=7)  # x = pi*q/p just below 1, where the series ends
+    @example(p=113, q=36)  # and just above
+    @settings(max_examples=200, deadline=None)
+    def test_thd_matches_mpmath(self, p, q):
+        mpmath = pytest.importorskip("mpmath")
+        assume(math.gcd(p, q) == 1)
+        with mpmath.workdps(50):
+            x = mpmath.pi * q / p
+            expected = mpmath.sqrt((x / mpmath.sin(x)) ** 2 - 1)
+        report = evaluate(held_model(p, q))
+        assert report.thd_ratio == pytest.approx(float(expected), rel=1e-13)
+
+    def test_row_at_the_piece_cap_allocates_no_pieces(self):
+        # building all 2**24 pieces took about 2.4 GB
+        tracemalloc.start()
+        try:
+            report = evaluate(held_model(MAX_PIECES))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert 0.0 < report.max_abs_error <= report.strict_bound
+        assert report.thd_ratio > 0.0
