@@ -17,7 +17,6 @@ import math
 import os
 import stat
 import sys
-from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import charts, reporting
@@ -29,7 +28,15 @@ from .signals import (
     TimingConfig,
     WaveformModel,
 )
-from .sweeps import SweepSpec, snap_multiplier, sweep_bits, sweep_grid, sweep_multiplier
+from .sweeps import (
+    MAX_AXIS_POINTS,
+    SweepSpec,
+    axis_length,
+    snap_multiplier,
+    sweep_bits,
+    sweep_grid,
+    sweep_multiplier,
+)
 
 __all__ = ["main", "run"]
 
@@ -45,18 +52,18 @@ class UsageError(Exception):
 def _parse_multiplier(text: str, q_max: int) -> TimingConfig:
     try:
         if "/" in text:
-            timing = TimingConfig.from_exact(Fraction(text))
-            if max(timing.multiplier_num, timing.multiplier_den) > sys.float_info.max:
-                raise ValueError("numerator and denominator must each fit a float")
-            return timing
+            return TimingConfig.from_exact(text)
         value = float(text)
         if not math.isfinite(value):
             raise ValueError("the multiplier must be finite")
-        if value != int(value):
-            return snap_multiplier(value, q_max)
-        return TimingConfig.from_exact(int(value))
+        return snap_multiplier(value, q_max)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--multiplier: cannot parse {text!r}: {exc}") from exc
+
+
+def _check_at_least_one(flag: str, value: int) -> None:
+    if value < 1:
+        raise UsageError(f"{flag} must be >= 1, got {value}")
 
 
 def _check_freq(freq: float) -> None:
@@ -185,6 +192,7 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> None:
 def _resolve_timing(args) -> TimingConfig:
     if args.multiplier is not None and args.dt is not None:
         raise UsageError("--multiplier and --dt are mutually exclusive")
+    _check_at_least_one("--qmax", args.qmax)
     if args.multiplier is not None:
         return _parse_multiplier(args.multiplier, args.qmax)
     if args.dt is not None:
@@ -269,8 +277,13 @@ def _sweep_svg(result, metric_choice: str) -> str:
 
 
 def cmd_sweep(args) -> int:
-    if args.workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    for flag, value in (
+        ("--workers", args.workers),
+        ("--bits-step", args.bits_step),
+        ("--points-per-decade", args.points_per_decade),
+        ("--qmax", args.qmax),
+    ):
+        _check_at_least_one(flag, value)
     multipliers = None
     if args.multipliers is not None:
         try:
@@ -282,6 +295,13 @@ def cmd_sweep(args) -> int:
                 raise UsageError(f"--multipliers must be positive and finite, got {value!r}")
     _check_decade("--decades-from", args.decades_from)
     _check_decade("--decades-to", args.decades_to)
+    if args.axis != "bits" and multipliers is None:
+        length = axis_length(args.decades_from, args.decades_to, args.points_per_decade)
+        if length > MAX_AXIS_POINTS:
+            raise UsageError(
+                "--points-per-decade: the multiplier axis would have more than "
+                f"{MAX_AXIS_POINTS} points"
+            )
     try:
         spec = SweepSpec(
             bits_from=args.bits_from,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -152,6 +153,9 @@ class TimingConfig:
         if g > 1:
             object.__setattr__(self, "multiplier_num", p // g)
             object.__setattr__(self, "multiplier_den", q // g)
+        # time_gap_s converts both to floats
+        if max(self.multiplier_num, self.multiplier_den) > sys.float_info.max:
+            raise ValueError("numerator and denominator must each fit a float")
 
     @classmethod
     def from_exact(cls, value: Union[int, str, Fraction]) -> "TimingConfig":

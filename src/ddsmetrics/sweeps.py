@@ -6,13 +6,15 @@ limit), and the full two-dimensional grid (digitized model). Frequency
 is fixed at 1 Hz; every metric depends on the product f*dt only, so this
 loses no generality and scale invariance is covered by tests.
 
-Requested multipliers are snapped to nearby rationals with a bounded
-denominator so spectra stay coherent; both the requested and the snapped
-values are reported. A sweep snaps its axis once, before any row runs,
-and refuses the whole sweep if a snapped multiplier has more pieces than
-``MAX_PIECES``. Rows are independent and may be evaluated by a thread
-pool, but the result order is fixed by the parameter axes, never by
-completion order.
+Requested multipliers are snapped to the nearest rational p/q with
+q <= q_max, the best rational approximation found from the continued
+fraction in O(log q_max) steps, so spectra stay coherent; both the
+requested and the snapped values are reported. A sweep snaps its axis
+once, before any row runs, and refuses the whole sweep if a snapped
+multiplier has more pieces than ``MAX_PIECES``. An axis given by decades
+and points per decade holds at most ``MAX_AXIS_POINTS`` points. Rows are
+independent and may be evaluated by a thread pool, but the result order
+is fixed by the parameter axes, never by completion order.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ __all__ = [
     "SweepSpec",
     "SweepRow",
     "SweepResult",
+    "MAX_AXIS_POINTS",
     "snap_multiplier",
+    "axis_length",
     "multiplier_axis",
     "sweep_bits",
     "sweep_multiplier",
@@ -50,6 +54,9 @@ FLAG_SUBNYQUIST = "subnyquist"
 
 # All sweeps run at 1 Hz; the metrics depend on f*dt = 1/M only.
 _SWEEP_FREQUENCY_HZ = 1.0
+
+# Longest multiplier axis built from decades and points per decade.
+MAX_AXIS_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -91,14 +98,30 @@ class SweepSpec:
         )
 
 
+def axis_length(
+    decades_from: float, decades_to: float, points_per_decade: int
+) -> int:
+    """Number of points :func:`multiplier_axis` gives, found without
+    building them."""
+    span = decades_to - decades_from
+    try:
+        return round(span * points_per_decade) + 1
+    except OverflowError:  # points_per_decade is past the float range
+        return round(Fraction(span) * points_per_decade) + 1
+
+
 def multiplier_axis(
     decades_from: float, decades_to: float, points_per_decade: int
 ) -> list[float]:
-    """Log-spaced multiplier values, endpoints inclusive."""
-    count = round((decades_to - decades_from) * points_per_decade)
-    return [
-        10.0 ** (decades_from + k / points_per_decade) for k in range(count + 1)
-    ]
+    """Log-spaced multiplier values, endpoints inclusive. Raises
+    ``ValueError`` before building anything if there would be more than
+    ``MAX_AXIS_POINTS`` of them."""
+    count = axis_length(decades_from, decades_to, points_per_decade)
+    if count > MAX_AXIS_POINTS:
+        raise ValueError(
+            f"the multiplier axis would have more than {MAX_AXIS_POINTS} points"
+        )
+    return [10.0 ** (decades_from + k / points_per_decade) for k in range(count)]
 
 
 @dataclass(frozen=True)
@@ -117,25 +140,46 @@ class SweepResult:
 
 
 def snap_multiplier(requested: float, q_max: int) -> TimingConfig:
-    """Nearest rational p/q with q <= q_max to the requested multiplier.
+    """Nearest rational p/q with p >= 1 and q <= q_max to the requested
+    multiplier: the best rational approximation by continued fractions,
+    in O(log q_max) steps.
 
-    Ties go to the smaller denominator, then the smaller numerator. The
-    comparison runs in exact rational arithmetic, so the winner never
-    depends on float rounding.
+    The nearest p/q is one of two one-sided bounds: the last convergent
+    p1/q1 of the request with q1 <= q_max, and the semiconvergent
+    (p0 + k*p1)/(q0 + k*q1) with the largest k that keeps the denominator
+    within q_max, which lies on the other side. Ties go to the smaller
+    denominator, then the smaller numerator. A request below
+    1/(2*q_max) snaps to 1/q_max, since p is at least 1. The distances
+    are compared in exact integer arithmetic, so the winner never depends
+    on float rounding.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     r = Fraction(requested)
     if r <= 0:
         raise ValueError(f"requested multiplier must be positive, got {requested!r}")
-    best_key: tuple[Fraction, int, int] | None = None
-    for q in range(1, q_max + 1):
-        floor_p = (r.numerator * q) // r.denominator
-        for p in {max(1, floor_p), max(1, floor_p + 1)}:
-            key = (abs(Fraction(p, q) - r), q, p)
-            if best_key is None or key < best_key:
-                best_key = key
-    return TimingConfig(best_key[2], best_key[1])
+    n, d = r.numerator, r.denominator
+    if d <= q_max:
+        return TimingConfig(n, d)
+    # convergents p0/q0 and p1/q1 of n/d; the loop ends before the
+    # denominator passes q_max, which happens before the expansion ends
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a, rest = divmod(num, den)
+        if q0 + a * q1 > q_max:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        num, den = den, rest
+    k = (q_max - q0) // q1
+    ps, qs = p0 + k * p1, q0 + k * q1
+    if p1 == 0:  # p >= 1 excludes the lower bound 0/1
+        return TimingConfig(ps, qs)
+    # |p1/q1 - r| against |ps/qs - r|, both scaled by d*q1*qs
+    gap1, gaps = abs(p1 * d - n * q1) * qs, abs(ps * d - n * qs) * q1
+    if (gap1, q1, p1) < (gaps, qs, ps):
+        return TimingConfig(p1, q1)
+    return TimingConfig(ps, qs)
 
 
 def _run_ordered(

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -355,6 +356,47 @@ class TestOutOfRangeInputs:
         assert out == ""
         assert err.startswith(f"error: {flag}")
         assert err.count("\n") == 1
+
+
+class TestCountFlags:
+    """Counts below 1, and a multiplier axis longer than MAX_AXIS_POINTS,
+    exit 2 with one line naming the flag."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["eval", "--model", "held", "--multiplier", "3.7", "--qmax", "0"], "--qmax"),
+            (["bounds", "--multiplier", "3.7", "--qmax", "0"], "--qmax"),
+            (["sweep", "multiplier", "--qmax", "-3"], "--qmax"),
+            (["sweep", "multiplier", "--points-per-decade", "0"], "--points-per-decade"),
+            (["sweep", "bits", "--bits-step", "0"], "--bits-step"),
+            (["sweep", "multiplier", "--points-per-decade", "1" + "0" * 400],
+             "--points-per-decade"),
+        ],
+        ids=[
+            "eval-qmax-0", "bounds-qmax-0", "sweep-qmax-negative",
+            "points-per-decade-0", "bits-step-0", "points-per-decade-1e400",
+        ],
+    )
+    def test_usage_error_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag}")
+        assert err.count("\n") == 1
+
+    def test_long_axis_is_refused_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "grid", "--points-per-decade", str(10**9)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --points-per-decade")
+        assert peak < 1 << 20
 
 
 class TestRetiredFlags:

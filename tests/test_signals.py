@@ -232,6 +232,15 @@ class TestConfigs:
         with pytest.raises(ValueError):
             TimingConfig(3, 0)
 
+    def test_timing_rejects_values_past_the_float_range(self):
+        for p, q in ((1, 10**400), (10**400, 1)):
+            with pytest.raises(ValueError, match="must each fit a float"):
+                TimingConfig(p, q)
+        # the check applies to the reduced fraction
+        timing = TimingConfig(10**400, 3 * 10**400)
+        assert (timing.multiplier_num, timing.multiplier_den) == (1, 3)
+        assert timing.time_gap_s(1.0) == 3.0
+
     def test_timing_from_exact(self):
         timing = TimingConfig.from_exact("41/13")
         assert (timing.multiplier_num, timing.multiplier_den) == (41, 13)

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -56,6 +60,70 @@ class TestSnapMultiplier:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             snap_multiplier(0.0, 16)
+
+
+def neighbour_midpoints(q_max, lo, hi):
+    """Exact midpoints of neighbouring fractions p/q with q <= q_max in
+    [lo, hi]: the requests that tie between two candidates."""
+    grid = sorted(
+        {
+            Fraction(p, q)
+            for q in range(1, q_max + 1)
+            for p in range(math.ceil(lo * q), math.floor(hi * q) + 1)
+        }
+    )
+    return [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+
+
+class TestContinuedFractionSnapping:
+    @pytest.mark.parametrize("q_max", range(1, 65))
+    def test_matches_exhaustion_on_dense_requests(self, q_max):
+        # The midpoints cover all of [0, 2] at small q_max and a 1/16
+        # window that moves with q_max above it, so the exhaustive search
+        # stays cheap; the float grid shifts with q_max too.
+        if q_max <= 16:
+            lo, hi = Fraction(0), Fraction(2)
+        else:
+            lo = Fraction(q_max % 16, 16) + q_max % 3
+            hi = lo + Fraction(1, 16)
+        midpoints = neighbour_midpoints(q_max, lo, hi)
+        requests = (
+            [10.0 ** ((k + q_max / 64) / 4) for k in range(-16, 21)]
+            + midpoints
+            + [Fraction(99, 200 * q_max), 1 / (2 * q_max) * 0.999, 1e-300, 5e-324]
+            + [1.7e308, math.nextafter(1.7e308, 0), sys.float_info.max]
+        )
+        for requested in requests:
+            timing = snap_multiplier(requested, q_max)
+            assert (timing.multiplier_num, timing.multiplier_den) == (
+                best_rational_by_exhaustion(requested, q_max)
+            ), requested
+
+    def test_worst_case_qmax_takes_a_few_steps(self):
+        # The exhaustive search would take 10**12 steps here: a subprocess
+        # with a timeout fails instead of hanging.
+        code = (
+            "import math\n"
+            "from fractions import Fraction\n"
+            "from ddsmetrics.sweeps import snap_multiplier\n"
+            "t = snap_multiplier(3.7, 10**12)\n"
+            "u = snap_multiplier(math.pi, 10**12)\n"
+            "v = Fraction(math.pi).limit_denominator(10**12)\n"
+            "print(t.multiplier_num, t.multiplier_den, u.multiplier_num,"
+            " u.multiplier_den, v.numerator, v.denominator)\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        p, q, p_pi, q_pi, p_ref, q_ref = map(int, proc.stdout.split())
+        assert (p, q) == (37, 10)
+        assert (p_pi, q_pi) == (p_ref, q_ref)
+        assert q_pi > 10**11
 
 
 class TestMultiplierAxis:
