@@ -22,6 +22,7 @@ from . import bounds as bounds_mod
 from . import charts, reporting
 from .metrics import CapExceeded, evaluate
 from .signals import (
+    MAX_BITS,
     QuantizationMode,
     QuantizerConfig,
     SignalSpec,
@@ -64,6 +65,11 @@ def _parse_multiplier(text: str, q_max: int) -> TimingConfig:
 def _check_at_least_one(flag: str, value: int) -> None:
     if value < 1:
         raise UsageError(f"{flag} must be >= 1, got {value}")
+
+
+def _check_bits(flag: str, value: int) -> None:
+    if not 1 <= value <= MAX_BITS:
+        raise UsageError(f"{flag} must be in [1, {MAX_BITS}], got {value}")
 
 
 def _check_freq(freq: float) -> None:
@@ -225,6 +231,7 @@ def _eval_model(args) -> WaveformModel:
     if needs_bits:
         if args.bits is None:
             raise UsageError(f"--bits is required for model '{model}'")
+        _check_bits("--bits", args.bits)
         quantizer = QuantizerConfig(
             args.bits, QuantizationMode(args.mode or "floor")
         )
@@ -284,6 +291,12 @@ def cmd_sweep(args) -> int:
         ("--qmax", args.qmax),
     ):
         _check_at_least_one(flag, value)
+    _check_bits("--bits-from", args.bits_from)
+    _check_bits("--bits-to", args.bits_to)
+    if args.bits_to < args.bits_from:
+        raise UsageError(
+            f"--bits-to must be >= --bits-from, got {args.bits_to} < {args.bits_from}"
+        )
     multipliers = None
     if args.multipliers is not None:
         try:
@@ -295,6 +308,11 @@ def cmd_sweep(args) -> int:
                 raise UsageError(f"--multipliers must be positive and finite, got {value!r}")
     _check_decade("--decades-from", args.decades_from)
     _check_decade("--decades-to", args.decades_to)
+    if multipliers is None and args.decades_to < args.decades_from:
+        raise UsageError(
+            "--decades-to must be >= --decades-from, "
+            f"got {args.decades_to!r} < {args.decades_from!r}"
+        )
     if args.axis != "bits" and multipliers is None:
         length = axis_length(args.decades_from, args.decades_to, args.points_per_decade)
         if length > MAX_AXIS_POINTS:
@@ -327,6 +345,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_bounds(args) -> int:
     _check_freq(args.freq)
+    if args.bits is not None:
+        _check_bits("--bits", args.bits)
     timing = None
     if args.multiplier is not None or args.dt is not None:
         args.model = "bounds"  # for the usage message in _resolve_timing

@@ -3,7 +3,8 @@ check them.
 
 :func:`evaluate` reports both metrics in closed form. Every degraded
 model is a step function over one combined period, so no row needs an
-FFT or a probe grid. A held row costs O(1); a digitized row O(pieces):
+FFT or a probe grid. A quantized or held row costs O(1); a digitized row
+O(pieces):
 
 * maximum absolute error is the exact supremum, taken piece by piece:
   on each piece the larger of the two one-sided endpoint limits, or the
@@ -11,12 +12,15 @@ FFT or a probe grid. A held row costs O(1); a digitized row O(pieces):
   digitized row examines all p pieces; a held row only the few that can
   attain it, with the same floats, so it reports the all-piece values
   bit for bit;
-* THD follows from Parseval's theorem. Harmonic power is the AC power of
-  the levels less the fundamental's, and the fundamental is one DFT bin
-  of the step levels times the zero-order-hold factor (digitized model),
-  or a sum over the quantizer thresholds (quantized model). The held
-  model's start phases k*q mod p run over every residue mod p, which
-  leaves the zero-order-hold closed form sqrt(1/sinc(q/p)**2 - 1).
+* THD follows from Parseval's theorem. For a digitized model, harmonic
+  power is the AC power of the levels less the fundamental's, and the
+  fundamental is one DFT bin of the step levels times the zero-order-hold
+  factor. The held model's start phases k*q mod p run over every residue
+  mod p, which leaves the zero-order-hold closed form
+  sqrt(1/sinc(q/p)**2 - 1). The quantized model's error is a sawtooth in
+  the sine, whose power and fundamental are Bessel series (Blachman,
+  1985); at the quantizer's whole-turn arguments Hankel's expansion sums
+  them into a few zeta values.
 
 The numerical estimators stay as independent oracles for the tests.
 :func:`max_abs_error` samples a probe grid that combines uniform coverage
@@ -25,9 +29,7 @@ discontinuity, so it approaches the supremum from below.
 :func:`spectrum_dft` takes a coherent capture of exactly one combined
 period, so the DFT has no leakage and needs no window, and
 :func:`spectrum_exact_staircase` is the truncated continuous-time Fourier
-series of a staircase. :func:`evaluate` falls back on the DFT only for
-the THD of a quantizer above ``_MAX_CROSSING_BITS`` bits, where there are
-too many level intervals to enumerate.
+series of a staircase. :func:`evaluate` calls none of them.
 """
 
 from __future__ import annotations
@@ -70,10 +72,25 @@ DFT_SIZE_CAP = 1 << 24
 # under about 2.4 GB.
 MAX_PIECES = 1 << 24
 
-# Level-crossing probes and the exact quantized THD enumerate every
-# quantizer level; beyond this many bits the enumeration is intractable,
-# so the probe grid goes uniform and THD comes from the DFT.
+# The probe grid of max_abs_error adds probes beside every quantizer
+# level up to this many bits; beyond, it stays uniform.
 _MAX_CROSSING_BITS = 20
+
+# Up to this many bits quantized THD sums over the at most 8 thresholds:
+# the Hankel series of _bessel_sums is only asymptotic and falls short
+# there (3e-7 off at 1 bit). From the next bit on it is exact to float
+# precision.
+_MAX_THRESHOLD_BITS = 3
+
+# zeta(s) at s = 3/2, 5/2, ..., 27/2, correctly rounded: _bessel_sums
+# keeps the 12 terms of Hankel's expansion that these cover.
+_ZETA_HALF_INTEGERS = (
+    2.612375348685488, 1.341487257250917, 1.1267338673170566,
+    1.0547075107614543, 1.0252045799546856, 1.0120058998885249,
+    1.005826727536523, 1.0028592508824157, 1.0014125906121736,
+    1.000700842641736, 1.0003486558834918, 1.000173751733643,
+    1.0000866867274623,
+)
 
 
 class CapExceeded(RuntimeError):
@@ -597,7 +614,7 @@ def _quantized_supremum(quantizer: QuantizerConfig, f: float) -> tuple[float, fl
     return step, 0.0
 
 
-def _quantized_thd(quantizer: QuantizerConfig) -> tuple[float | None, float | None]:
+def _threshold_thd(quantizer: QuantizerConfig) -> tuple[float | None, float | None]:
     """Parseval THD of the quantized sine, summed over its thresholds.
 
     The level rises by one step at each threshold c inside (-1, 1); the
@@ -621,6 +638,57 @@ def _quantized_thd(quantizer: QuantizerConfig) -> tuple[float | None, float | No
     return _parseval_thd(mean, mean_square, fundamental)
 
 
+def _bessel_sums(scale: int, alternating: bool) -> tuple[float, float]:
+    """sum_n s_n*J0(2*pi*n*S)/n**2 and sum_n s_n*J1(2*pi*n*S)/n over
+    n >= 1, with S = ``scale`` and s_n = (-1)**n if ``alternating``, else 1.
+
+    z = 2*pi*n*S is a whole number of turns, so Hankel's expansion
+    collapses to J0(z) = (P0 + Q0)/sqrt(pi*z) and J1(z) = (Q1 - P1)/sqrt(pi*z).
+    Its term a_k(nu)/z**k, summed over n, leaves zeta(5/2 + k) for J0 and
+    zeta(3/2 + k) for J1, or -(1 - 2**(1 - s))*zeta(s) when alternating.
+    """
+    z = 2.0 * math.pi * scale
+    a0 = a1 = 1.0  # Hankel's a_k(0) and a_k(1)
+    terms0, terms1 = [], []
+    for k in range(len(_ZETA_HALF_INTEGERS) - 1):
+        zeta0, zeta1 = _ZETA_HALF_INTEGERS[k + 1], _ZETA_HALF_INTEGERS[k]
+        if alternating:
+            zeta0 *= 2.0 ** (-1.5 - k) - 1.0
+            zeta1 *= 2.0 ** (-0.5 - k) - 1.0
+        # P + Q has the signs + + - - + + ...; Q - P flips the even terms
+        weight = (-1.0 if k & 2 else 1.0) / z**k
+        terms0.append(weight * a0 * zeta0)
+        terms1.append((weight if k % 2 else -weight) * a1 * zeta1)
+        a0 *= -(2 * k + 1) ** 2 / (8 * (k + 1))
+        a1 *= (4 - (2 * k + 1) ** 2) / (8 * (k + 1))
+    root = math.pi * math.sqrt(2.0 * scale)  # sqrt(pi*z) at n = 1
+    return math.fsum(terms0) / root, math.fsum(terms1) / root
+
+
+def _quantized_thd(quantizer: QuantizerConfig) -> tuple[float | None, float | None]:
+    """Parseval THD of the quantized sine from its error u = Q(s) - s.
+
+    With S = 2**(bits-1) levels per unit and step h = 1/S, u is a
+    sawtooth in S*s whose Fourier series, averaged over s = sin(theta),
+    gives var(u) = h**2*(1/12 + sum_n s_n*J0(2*pi*n*S)/(pi*n)**2) and the
+    fundamental E1 = (2*h/pi)*sum_n s_n*J1(2*pi*n*S)/n, with s_n = 1 for
+    floor and ceiling and (-1)**n for round; the mean of u drops out.
+    THD is sqrt(2*var(u) - E1**2)/(1 + E1), whose terms are all O(h**2),
+    so nothing cancels. Up to ``_MAX_THRESHOLD_BITS`` bits the thresholds
+    are summed instead.
+    """
+    if quantizer.bits <= _MAX_THRESHOLD_BITS:
+        return _threshold_thd(quantizer)
+    sum0, sum1 = _bessel_sums(
+        quantizer.scale, quantizer.mode is QuantizationMode.ROUND
+    )
+    step = quantizer.step
+    error_1 = 2.0 / math.pi * sum1  # E1 in steps
+    harmonic = 2.0 * (1.0 / 12.0 + sum0 / math.pi**2) - error_1 * error_1
+    ratio = step * math.sqrt(harmonic) / (1.0 + step * error_1)
+    return ratio, 20.0 * math.log10(ratio)
+
+
 def _bounds_for(model: WaveformModel) -> tuple[float, float]:
     """The paper and strict bounds of the model's own kind."""
     if model.kind is ModelKind.TARGET:
@@ -638,14 +706,14 @@ def evaluate(model: WaveformModel) -> MetricsReport:
     """Run both metrics on one model and attach the matching bounds.
 
     Max error is the exact supremum and THD the exact Parseval value: in
-    O(1) for a held model (closed-form THD, a constant-size set of
+    O(1) for a quantized model (a closed-form supremum and Bessel-series
+    THD) and a held one (closed-form THD, a constant-size set of
     candidate pieces), in O(pieces) for a digitized one. ``thd_db`` is
     None when the ratio is 0 (target model) and both THD fields are None
     when the signal has no fundamental (such as a held model with
-    p <= 2, whose levels are all 0). :class:`CapExceeded` is raised before anything is allocated
-    when the model has more than ``MAX_PIECES`` pieces, held rows
-    included. A quantizer above ``_MAX_CROSSING_BITS`` bits takes its
-    THD from the DFT oracle.
+    p <= 2, whose levels are all 0). :class:`CapExceeded` is raised
+    before anything is allocated when the model has more than
+    ``MAX_PIECES`` pieces, held rows included.
     """
     check_pieces(*_model_pq(model))
     f = model.spec.frequency_hz
@@ -653,10 +721,7 @@ def evaluate(model: WaveformModel) -> MetricsReport:
         err, argmax_t, (ratio, db) = 0.0, 0.0, (0.0, None)
     elif model.kind is ModelKind.QUANTIZED:
         err, argmax_t = _quantized_supremum(model.quantizer, f)
-        if model.quantizer.bits <= _MAX_CROSSING_BITS:
-            ratio, db = _quantized_thd(model.quantizer)
-        else:
-            ratio, db = thd(spectrum_dft(model))
+        ratio, db = _quantized_thd(model.quantizer)
     else:
         err, argmax_t, (ratio, db) = _stepped_exact(model)
     paper, strict = _bounds_for(model)

@@ -399,6 +399,47 @@ class TestCountFlags:
         assert peak < 1 << 20
 
 
+class TestRangeFlags:
+    """Bit counts outside [1, MAX_BITS] and reversed ranges exit 2 with one
+    line naming the flag, where the message of SweepSpec or
+    QuantizerConfig used to surface."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["sweep", "multiplier", "--decades-from", "2", "--decades-to", "1"],
+             "--decades-to"),
+            (["sweep", "bits", "--bits-from", "0"], "--bits-from"),
+            (["sweep", "bits", "--bits-to", "53"], "--bits-to"),
+            (["sweep", "bits", "--bits-from", "5", "--bits-to", "3"], "--bits-to"),
+            (["sweep", "grid", "--bits-from", "0"], "--bits-from"),
+            (["eval", "--model", "quantized", "--bits", "0"], "--bits"),
+            (["eval", "--model", "digitized", "--bits", "53", "--multiplier", "4"],
+             "--bits"),
+            (["bounds", "--bits", "0"], "--bits"),
+        ],
+        ids=[
+            "decades-reversed", "bits-from-0", "bits-to-53", "bits-reversed",
+            "grid-bits-from-0", "eval-quantized-bits-0", "eval-digitized-bits-53",
+            "bounds-bits-0",
+        ],
+    )
+    def test_usage_error_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} ")
+        assert err.count("\n") == 1
+
+    def test_explicit_multipliers_ignore_the_decades(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "multiplier", "--multipliers", "4,5",
+            "--decades-from", "2", "--decades-to", "1",
+        )
+        assert code == 0, err
+        assert len(parse_csv(out)[2]) == 2
+
+
 class TestRetiredFlags:
     """--samples and --samples-per-step are parsed and ignored, so the
     command lines of the benchmark (perfbench/run.py) keep running."""

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ddsmetrics.metrics import (
     CapExceeded,
     DegenerateSignalError,
     SamplingPlan,
+    _ZETA_HALF_INTEGERS,
     _held_supremum,
     evaluate,
     max_abs_error,
@@ -594,3 +596,123 @@ class TestHeldClosedForm:
         assert peak < 1 << 20
         assert 0.0 < report.max_abs_error <= report.strict_bound
         assert report.thd_ratio > 0.0
+
+
+@lru_cache(maxsize=None)
+def _mpmath_threshold_sums(bits, rounding):
+    """50-digit sums over the quantizer's thresholds c_i (ascending):
+    sum acos(c_i)/pi, sum i*acos(c_i)/pi and sum sqrt(1 - c_i**2)."""
+    mpmath = pytest.importorskip("mpmath")
+    scale = 1 << (bits - 1)
+    with mpmath.workdps(50):
+        if rounding:
+            thresholds = [mpmath.mpf(2 * j - 1) / (2 * scale) for j in range(1 - scale, scale + 1)]
+        else:
+            thresholds = [mpmath.mpf(j) / scale for j in range(1 - scale, scale)]
+        shares = [mpmath.acos(c) / mpmath.pi for c in thresholds]
+        return (
+            mpmath.fsum(shares),
+            mpmath.fsum(i * share for i, share in enumerate(shares)),
+            mpmath.fsum(mpmath.sqrt(1 - c * c) for c in thresholds),
+        )
+
+
+def mpmath_threshold_thd(bits, mode):
+    """Parseval THD of the quantized sine, to 50 digits, from the level
+    steps at its thresholds: independent of the Bessel series."""
+    mpmath = pytest.importorskip("mpmath")
+    share, weighted, root = _mpmath_threshold_sums(bits, mode is QuantizationMode.ROUND)
+    with mpmath.workdps(50):
+        step = mpmath.mpf(1) / (1 << (bits - 1))
+        bottom = -1 + step if mode is QuantizationMode.CEILING else mpmath.mpf(-1)
+        mean = bottom + step * share
+        mean_square = bottom**2 + step * ((2 * bottom + step) * share + 2 * step * weighted)
+        fundamental = 2 * step / mpmath.pi * root
+        return mpmath.sqrt(2 * (mean_square - mean**2) - fundamental**2) / fundamental
+
+
+def mpmath_bessel_round_thd(bits):
+    """Round-mode THD from mpmath.nsum over mpmath.besselj, 20 digits:
+    the error's power and fundamental as Bessel series, summed directly."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        step = mpmath.mpf(2) ** (1 - bits)
+        z = 2 * mpmath.pi / step
+        n_range = [1, mpmath.inf]
+        sum0 = mpmath.nsum(lambda n: (-1) ** int(n) * mpmath.besselj(0, z * n) / n**2, n_range)
+        sum1 = mpmath.nsum(lambda n: (-1) ** int(n) * mpmath.besselj(1, z * n) / n, n_range)
+        variance = step**2 * (mpmath.mpf(1) / 12 + sum0 / mpmath.pi**2)
+        error_1 = 2 * step / mpmath.pi * sum1
+        return mpmath.sqrt(2 * variance - error_1**2) / (1 + error_1)
+
+
+class TestQuantizedClosedForm:
+    """A quantized row costs O(1): THD from the Bessel series of the
+    quantization error, summed in closed form over zeta values."""
+
+    def test_zeta_table_within_an_ulp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for k, value in enumerate(_ZETA_HALF_INTEGERS):
+                expected = float(mpmath.zeta(mpmath.mpf(2 * k + 3) / 2))
+                assert abs(value - expected) <= math.ulp(expected)
+
+    @pytest.mark.parametrize("mode", list(QuantizationMode))
+    @pytest.mark.parametrize("bits", range(1, 15))
+    def test_thd_matches_mpmath_threshold_sums(self, bits, mode):
+        expected = mpmath_threshold_thd(bits, mode)
+        report = evaluate(quantized_model(bits, mode))
+        assert report.thd_ratio == pytest.approx(float(expected), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize(
+        "mode,expected",
+        [
+            # 50-digit threshold sums over the 65535 or 65536 thresholds
+            (QuantizationMode.FLOOR, 1.247121728562769204028533e-05),
+            (QuantizationMode.ROUND, 1.245056561151623224798343e-05),
+            (QuantizationMode.CEILING, 1.247121728562769204028533e-05),
+        ],
+    )
+    def test_sixteen_bits(self, mode, expected):
+        report = evaluate(quantized_model(16, mode))
+        assert report.thd_ratio == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("bits", range(1, 53))
+    def test_round_matches_mpmath_bessel_series(self, bits):
+        expected = mpmath_bessel_round_thd(bits)
+        report = evaluate(quantized_model(bits, QuantizationMode.ROUND))
+        assert report.thd_ratio == pytest.approx(float(expected), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("bits", range(4, 53))
+    def test_floor_and_ceiling_agree(self, bits):
+        # ceil(x) - floor(x) = 1 almost everywhere: the error differs by a
+        # constant, which leaves THD alone
+        floor = evaluate(quantized_model(bits, QuantizationMode.FLOOR))
+        ceiling = evaluate(quantized_model(bits, QuantizationMode.CEILING))
+        assert floor.thd_ratio == ceiling.thd_ratio
+
+    @pytest.mark.parametrize("bits", [20, 52])
+    def test_row_allocates_nothing_per_threshold(self, bits):
+        # the threshold sum held 2**20 floats at a time at 20 bits
+        tracemalloc.start()
+        try:
+            report = evaluate(quantized_model(bits, QuantizationMode.ROUND))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert report.thd_ratio > 0.0
+
+    def test_evaluate_calls_no_oracle(self, monkeypatch):
+        import ddsmetrics.metrics as metrics_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate called spectrum_dft")
+
+        monkeypatch.setattr(metrics_module, "spectrum_dft", refuse)
+        for mode in QuantizationMode:
+            previous = math.inf
+            for bits in range(1, 53):
+                report = evaluate(quantized_model(bits, mode))
+                assert 0.0 < report.thd_ratio < previous
+                previous = report.thd_ratio
