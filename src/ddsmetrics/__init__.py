@@ -24,22 +24,7 @@ from .bounds import (
     min_clock_frequency,
     quantization_error_bound,
 )
-from .metrics import (
-    DFT_SIZE_CAP,
-    MAX_PIECES,
-    CapExceeded,
-    DegenerateSignalError,
-    MetricsReport,
-    SamplingPlan,
-    Spectrum,
-    evaluate,
-    max_abs_error,
-    probe_times,
-    spectrum_dft,
-    spectrum_exact_staircase,
-    staircase_values,
-    thd,
-)
+from .metrics import MAX_PIECES, CapExceeded, MetricsReport, evaluate
 from .sweeps import (
     SweepResult,
     SweepRow,

@@ -1,5 +1,4 @@
-"""The two comparison metrics, exact, plus the numerical oracles that
-check them.
+"""The two comparison metrics, computed exactly.
 
 :func:`evaluate` reports both metrics in closed form. Every degraded
 model is a step function over one combined period, so no row needs an
@@ -22,14 +21,9 @@ O(pieces):
   1985); at the quantizer's whole-turn arguments Hankel's expansion sums
   them into a few zeta values.
 
-The numerical estimators stay as independent oracles for the tests.
-:func:`max_abs_error` samples a probe grid that combines uniform coverage
-of one combined period with probes a hair before and after every
-discontinuity, so it approaches the supremum from below.
-:func:`spectrum_dft` takes a coherent capture of exactly one combined
-period, so the DFT has no leakage and needs no window, and
-:func:`spectrum_exact_staircase` is the truncated continuous-time Fourier
-series of a staircase. :func:`evaluate` calls none of them.
+The step levels come from :func:`ddsmetrics.signals.step_levels`, the
+definition the pointwise models use. The probe-grid and DFT estimators
+that check this engine live with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,36 +39,23 @@ from .signals import (
     QuantizationMode,
     QuantizerConfig,
     WaveformModel,
+    quantize,
     sin_turns,
     sin_turns_array,
+    step_levels,
 )
 
 __all__ = [
-    "DFT_SIZE_CAP",
     "MAX_PIECES",
-    "SamplingPlan",
-    "Spectrum",
     "MetricsReport",
     "CapExceeded",
-    "DegenerateSignalError",
-    "probe_times",
-    "max_abs_error",
-    "staircase_values",
-    "spectrum_dft",
-    "spectrum_exact_staircase",
-    "thd",
     "check_pieces",
     "evaluate",
 ]
 
-DFT_SIZE_CAP = 1 << 24
 # evaluate() holds about 140 bytes per piece at its peak, so a row stays
 # under about 2.4 GB.
 MAX_PIECES = 1 << 24
-
-# The probe grid of max_abs_error adds probes beside every quantizer
-# level up to this many bits; beyond, it stays uniform.
-_MAX_CROSSING_BITS = 20
 
 # Up to this many bits quantized THD sums over the at most 8 thresholds:
 # the Hankel series of _bessel_sums is only asymptotic and falls short
@@ -94,9 +75,8 @@ _ZETA_HALF_INTEGERS = (
 
 
 class CapExceeded(RuntimeError):
-    """A multiplier needs more work than a cap allows: more pieces than
-    ``MAX_PIECES`` in :func:`evaluate`, or more samples than the DFT cap
-    in :func:`spectrum_dft`."""
+    """A multiplier needs more work than a cap allows, such as more
+    pieces than ``MAX_PIECES`` in :func:`evaluate`."""
 
     def __init__(self, p: int, q: int, count: int, cap: int, unit: str):
         super().__init__(
@@ -106,53 +86,6 @@ class CapExceeded(RuntimeError):
         self.q = q
         self.count = count
         self.cap = cap
-
-
-class DegenerateSignalError(ValueError):
-    """The spectrum has no energy at the fundamental; THD is undefined."""
-
-
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Probe-grid controls for the max-error estimator."""
-
-    samples_per_period: int = 100_000
-    epsilon_fraction: float = 1e-9
-    probe_discontinuities: bool = True
-
-    def __post_init__(self) -> None:
-        n = self.samples_per_period
-        if not isinstance(n, int) or isinstance(n, bool) or n < 64:
-            raise ValueError(f"samples_per_period must be an integer >= 64, got {n!r}")
-        eps = self.epsilon_fraction
-        if not (isinstance(eps, (int, float)) and 0 < eps <= 1e-6):
-            raise ValueError(f"epsilon_fraction must lie in (0, 1e-6], got {eps!r}")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """DC plus harmonic peak amplitudes on the combined-period grid.
-
-    Bin n corresponds to frequency n * base_frequency_hz; the target sine
-    sits at ``fundamental_index``. Amplitudes are peak values, so
-    dc**2 + sum(A**2)/2 reproduces the signal's mean square.
-    """
-
-    base_frequency_hz: float
-    fundamental_index: int
-    dc: float
-    bins: np.ndarray
-    amplitudes: np.ndarray
-    method: str
-    # mean square of the captured samples (DFT) or step values (exact),
-    # accumulated in the time domain so Parseval checks stay independent
-    sample_mean_square: float
-
-    def fundamental_amplitude(self) -> float:
-        idx = np.searchsorted(self.bins, self.fundamental_index)
-        if idx >= len(self.bins) or self.bins[idx] != self.fundamental_index:
-            return 0.0
-        return float(self.amplitudes[idx])
 
 
 @dataclass(frozen=True)
@@ -182,248 +115,6 @@ def _model_pq(model: WaveformModel) -> tuple[int, int]:
     if model.timing is not None:
         return model.timing.multiplier_num, model.timing.multiplier_den
     return 1, 1
-
-
-@dataclass(frozen=True)
-class _ProbeSet:
-    times: np.ndarray  # seconds, sorted, unique, within [0, q*T)
-    fracs: np.ndarray  # exact-reduced phase of f*t, in [0, 1)
-    steps: np.ndarray | None  # hold-step index for stepped models
-
-
-def _quantize_array(x: np.ndarray, config: QuantizerConfig) -> np.ndarray:
-    scale = config.scale
-    y = x * scale
-    if config.mode is QuantizationMode.FLOOR:
-        levels = np.floor(y)
-    elif config.mode is QuantizationMode.ROUND:
-        levels = np.floor(y + 0.5)
-    else:
-        levels = np.ceil(y)
-    return levels / scale
-
-
-def staircase_values(model: WaveformModel) -> np.ndarray:
-    """Step values of a held or digitized model over one combined period.
-
-    Step k spans [k*dt, (k+1)*dt); there are exactly p steps when the
-    multiplier is p/q in lowest terms.
-    """
-    if model.kind not in (ModelKind.HELD, ModelKind.DIGITIZED):
-        raise ValueError(f"model kind {model.kind.value!r} has no staircase")
-    p, q = _model_pq(model)
-    k = np.arange(p, dtype=np.int64)
-    values = sin_turns_array(_turns(k * (q % p), p))
-    if model.kind is ModelKind.DIGITIZED:
-        values = _quantize_array(values, model.quantizer)
-    return values
-
-
-def _probe_set(model: WaveformModel, plan: SamplingPlan) -> _ProbeSet:
-    f = model.spec.frequency_hz
-    n = plan.samples_per_period
-    p, q = _model_pq(model)
-    stepped = model.kind in (ModelKind.HELD, ModelKind.DIGITIZED)
-
-    i = np.arange(n, dtype=np.int64)
-    times = [(i * q).astype(np.float64) / n / f]
-    fracs = [((i * q) % n).astype(np.float64) / n]
-    steps = [(i * p) // n] if stepped else None
-
-    if stepped and plan.probe_discontinuities:
-        # One probe at each boundary k*dt, one just inside the step's end.
-        k = np.arange(p, dtype=np.int64)
-        times.append((k * q).astype(np.float64) / p / f)
-        fracs.append(((k * q) % p).astype(np.float64) / p)
-        steps.append(k)
-        # Keep the offset strictly inside the step even for extreme plans.
-        eps = min(plan.epsilon_fraction * q, 0.5 * q / p)
-        r_next = ((k + 1) * q) % p
-        times.append((((k + 1) * q).astype(np.float64) / p - eps) / f)
-        fracs.append(np.where(r_next == 0, 1.0 - eps, r_next.astype(np.float64) / p - eps))
-        steps.append(k)
-
-    if (
-        model.kind is ModelKind.QUANTIZED
-        and plan.probe_discontinuities
-        and model.quantizer.bits <= _MAX_CROSSING_BITS
-    ):
-        scale = model.quantizer.scale
-        j = np.arange(-scale, scale + 1, dtype=np.int64)
-        x0 = np.arcsin(j.astype(np.float64) / scale) / (2.0 * np.pi)
-        crossings = np.concatenate([np.mod(x0, 1.0), np.mod(0.5 - x0, 1.0)])
-        eps = plan.epsilon_fraction
-        x = np.mod(
-            np.concatenate([crossings - eps, crossings + eps]), 1.0
-        )
-        times.append(x / f)
-        fracs.append(x)
-
-    all_times = np.concatenate(times)
-    all_fracs = np.concatenate(fracs)
-    uniq_times, idx = np.unique(all_times, return_index=True)
-    probe = _ProbeSet(
-        times=uniq_times,
-        fracs=all_fracs[idx],
-        steps=np.concatenate(steps)[idx] if stepped else None,
-    )
-    return probe
-
-
-def probe_times(model: WaveformModel, plan: SamplingPlan) -> np.ndarray:
-    """Sorted, deduplicated probe times covering one combined period."""
-    return _probe_set(model, plan).times
-
-
-def _model_values(model: WaveformModel, probes: _ProbeSet, target: np.ndarray) -> np.ndarray:
-    if model.kind is ModelKind.TARGET:
-        return target
-    if model.kind is ModelKind.QUANTIZED:
-        return _quantize_array(target, model.quantizer)
-    return staircase_values(model)[probes.steps]
-
-
-def max_abs_error(model: WaveformModel, plan: SamplingPlan) -> tuple[float, float]:
-    """Supremum estimate of |model(t) - target(t)| and the first probe
-    achieving it. Deterministic for fixed inputs; exactly 0 for the
-    target model."""
-    probes = _probe_set(model, plan)
-    target = sin_turns_array(probes.fracs)
-    values = _model_values(model, probes, target)
-    errors = np.abs(values - target)
-    i = int(np.argmax(errors))
-    return float(errors[i]), float(probes.times[i])
-
-
-def _dft_size(model: WaveformModel, samples_per_step: int) -> int:
-    p, q = _model_pq(model)
-    if model.kind in (ModelKind.HELD, ModelKind.DIGITIZED):
-        return p * samples_per_step
-    return max(1 << 18, 4096 * q)
-
-
-def spectrum_dft(
-    model: WaveformModel,
-    samples_per_step: int = 64,
-    dft_cap: int = DFT_SIZE_CAP,
-) -> Spectrum:
-    """Coherent DFT spectrum over exactly one combined period.
-
-    Stepped models are sampled ``samples_per_step`` times per hold step
-    (must be even so the Nyquist bin is exactly empty); the smooth models
-    get a fixed dense grid. No window is applied: the capture is coherent,
-    so leakage is identically zero.
-    """
-    m = samples_per_step
-    if not isinstance(m, int) or isinstance(m, bool) or m < 16 or m % 2:
-        raise ValueError(f"samples_per_step must be an even integer >= 16, got {m!r}")
-    f = model.spec.frequency_hz
-    p, q = _model_pq(model)
-    n_total = _dft_size(model, m)
-    if n_total > dft_cap:
-        raise CapExceeded(p, q, n_total, dft_cap, "DFT samples")
-
-    if model.kind in (ModelKind.HELD, ModelKind.DIGITIZED):
-        samples = np.repeat(staircase_values(model), m)
-        base = f / q
-        fundamental = q
-    else:
-        i = np.arange(n_total, dtype=np.int64)
-        samples = sin_turns_array(i.astype(np.float64) / n_total)
-        if model.kind is ModelKind.QUANTIZED:
-            samples = _quantize_array(samples, model.quantizer)
-        base = f
-        fundamental = 1
-
-    transform = np.fft.rfft(samples)
-    dc = float(transform[0].real) / n_total
-    amplitudes = 2.0 * np.abs(transform[1 : n_total // 2]) / n_total
-    return Spectrum(
-        base_frequency_hz=base,
-        fundamental_index=fundamental,
-        dc=dc,
-        bins=np.arange(1, n_total // 2, dtype=np.int64),
-        amplitudes=amplitudes,
-        method="dft",
-        sample_mean_square=float(np.mean(samples * samples)),
-    )
-
-
-def spectrum_exact_staircase(
-    model: WaveformModel, n_max: int | None = None
-) -> Spectrum:
-    """Closed-form Fourier series of a piecewise-constant model.
-
-    With step values v_k on [k/p, (k+1)/p) of the combined period, the
-    n-th coefficient is V[n mod p] * (1 - exp(-2i*pi*n/p)) / (2i*pi*n)
-    where V is the length-p DFT of the step values. Emission stops at
-    ``n_max`` (default max(8192*q, 128*p), sized so the truncated tail
-    cannot disturb THD comparisons at the 0.05 dB level) or as soon as
-    the captured power reaches (1 - 1e-10) of the time-domain mean
-    square, whichever comes first.
-    """
-    if model.kind not in (ModelKind.HELD, ModelKind.DIGITIZED):
-        raise ValueError(
-            f"exact staircase spectrum requires a held or digitized model, "
-            f"got {model.kind.value!r}"
-        )
-    p, q = _model_pq(model)
-    if n_max is None:
-        n_max = max(8192 * q, 128 * p)
-    values = staircase_values(model)
-    mean_square = float(np.mean(values * values))
-    dc = float(np.mean(values))
-    base = model.spec.frequency_hz / q
-
-    if mean_square == 0.0:
-        return Spectrum(
-            base_frequency_hz=base,
-            fundamental_index=q,
-            dc=dc,
-            bins=np.arange(1, 1, dtype=np.int64),
-            amplitudes=np.zeros(0),
-            method="exact_staircase",
-            sample_mean_square=mean_square,
-        )
-
-    v_dft = np.abs(np.fft.fft(values))
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    residue = n % p
-    # |sin(pi*n/p)| evaluated from the residue so multiples of p are exact zeros
-    gain = np.sin(np.pi * residue.astype(np.float64) / p)
-    amplitudes = 2.0 * v_dft[residue] * gain / (np.pi * n.astype(np.float64))
-
-    captured = dc * dc + np.cumsum(amplitudes * amplitudes) / 2.0
-    reached = np.nonzero(captured >= (1.0 - 1e-10) * mean_square)[0]
-    stop = int(reached[0]) + 1 if len(reached) else n_max
-    return Spectrum(
-        base_frequency_hz=base,
-        fundamental_index=q,
-        dc=dc,
-        bins=n[:stop],
-        amplitudes=amplitudes[:stop],
-        method="exact_staircase",
-        sample_mean_square=mean_square,
-    )
-
-
-def thd(spectrum: Spectrum) -> tuple[float, float | None]:
-    """Total distortion ratio and its dB value (None when the ratio is 0).
-
-    The numerator gathers every non-DC bin except the fundamental,
-    including sub- and inter-harmonics that appear when the combined
-    period spans several sine periods.
-    """
-    fundamental = spectrum.fundamental_amplitude()
-    if fundamental == 0.0:
-        raise DegenerateSignalError(
-            "spectrum has no fundamental component; THD is undefined"
-        )
-    mask = spectrum.bins != spectrum.fundamental_index
-    ratio = float(np.sqrt(np.sum(spectrum.amplitudes[mask] ** 2))) / fundamental
-    if ratio > 0.0:
-        return ratio, 20.0 * math.log10(ratio)
-    return 0.0, None
 
 
 def _turns(num: np.ndarray, den: int) -> np.ndarray:
@@ -506,7 +197,7 @@ def _held_supremum(model: WaveformModel, k: np.ndarray) -> tuple[float, float]:
     (ascending), whose levels are the sine at their starts."""
     p, q = _model_pq(model)
     r = (k * (q % p)) % p
-    level = sin_turns_array(_turns(r, p))
+    level = step_levels(r, p)
     return _supremum(model, k, r, level, level)
 
 
@@ -587,8 +278,8 @@ def _stepped_exact(
 
     k = np.arange(p, dtype=np.int64)
     r = (k * (q % p)) % p
-    level = staircase_values(model)
-    start = sin_turns_array(_turns(r, p))
+    start = step_levels(r, p)
+    level = quantize(start, model.quantizer)
     sup, argmax_t = _supremum(model, k, r, level, start)
     # One DFT bin of the levels at their start phases, times the
     # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.

@@ -6,6 +6,13 @@ quantizes the amplitude onto a grid of levels, and the update clock holds
 each computed value constant for a fixed time gap. The four models here
 (target, quantized, held, digitized) evaluate those effects pointwise.
 
+A held or digitized model is a step function: the step that starts at
+phase r/p holds the sine's value there, quantized for the digitized
+model. :func:`step_levels` is the one definition of those levels and
+:func:`quantize` the one definition of the three level rules; the
+pointwise models and the exact engine in :mod:`ddsmetrics.metrics` both
+read them, so the two cannot disagree.
+
 All evaluators are pure functions of their arguments. Phase is reduced
 modulo one period in exact rational arithmetic before the sine is
 evaluated, so probe times placed nanoseconds before a step boundary keep
@@ -34,6 +41,8 @@ __all__ = [
     "WaveformModel",
     "sin_turns",
     "sin_turns_array",
+    "quantize",
+    "step_levels",
     "target_sample",
     "quantize_sample",
     "held_sample",
@@ -173,16 +182,6 @@ class TimingConfig:
         """Update gap in seconds for the given target frequency."""
         return self.multiplier_den / (self.multiplier_num * frequency_hz)
 
-    @property
-    def steps_per_combined_period(self) -> int:
-        """Number of hold steps in one combined period q*T."""
-        return self.multiplier_num
-
-    @property
-    def periods_per_combined_period(self) -> int:
-        """Number of sine periods in one combined period."""
-        return self.multiplier_den
-
 
 class ModelKind(enum.Enum):
     TARGET = "target"
@@ -250,35 +249,60 @@ def target_sample(spec: SignalSpec, t: TimeLike) -> float:
     return sin_turns(float(_phase_frac(spec, t)))
 
 
-def quantize_sample(x: float, config: QuantizerConfig) -> float:
-    """Map an amplitude in [-1, 1] onto the converter's level grid.
+def quantize(x: np.ndarray, config: QuantizerConfig) -> np.ndarray:
+    """Map amplitudes onto the converter's level grid, elementwise.
 
     Floor, half-up rounding (floor(y + 1/2)), and ceiling are applied to
-    y = x * 2**(bits-1); the result is an exact multiple of 2**-(bits-1).
+    y = x * 2**(bits-1); each result is an exact multiple of 2**-(bits-1).
     There is no clamping to a signed code range, so x = 1.0 maps to 1.0.
     """
+    scale = config.scale
+    y = np.asarray(x, dtype=np.float64) * scale
+    if config.mode is QuantizationMode.FLOOR:
+        levels = np.floor(y)
+    elif config.mode is QuantizationMode.ROUND:
+        levels = np.floor(y + 0.5)
+    else:
+        levels = np.ceil(y)
+    # + 0.0 turns the -0.0 of, say, ceil(-0.3) into the code-0 level 0.0
+    return levels / scale + 0.0
+
+
+def step_levels(
+    residues: np.ndarray, p: int, quantizer: QuantizerConfig | None = None
+) -> np.ndarray:
+    """Level of each hold step that starts at phase r/p turns, for the
+    residues r in [0, p): the sine there, quantized when ``quantizer`` is
+    given.
+
+    The phase r/p is rounded once: int64 residues are exact in float64
+    while p <= 2**53, and an object array of Python ints divides exactly
+    at any size.
+    """
+    levels = sin_turns_array(np.true_divide(residues, p))
+    return levels if quantizer is None else quantize(levels, quantizer)
+
+
+def quantize_sample(x: float, config: QuantizerConfig) -> float:
+    """:func:`quantize` for one amplitude, which must lie in [-1, 1]."""
     if not math.isfinite(x):
         raise ValueError(f"amplitude must be finite, got {x!r}")
     if abs(x) > 1.0:
         raise ValueError(f"amplitude must lie in [-1, 1], got {x!r}")
-    scale = config.scale
-    y = x * scale
-    mode = config.mode
-    if mode is QuantizationMode.FLOOR:
-        level = math.floor(y)
-    elif mode is QuantizationMode.ROUND:
-        level = math.floor(y + 0.5)
-    else:
-        level = math.ceil(y)
-    return level / scale
+    return float(quantize(x, config))
 
 
-def held_sample(spec: SignalSpec, timing: TimingConfig, t: TimeLike) -> float:
-    """Sample-hold model: the sine value at the most recent update instant.
+def _step_level(
+    spec: SignalSpec,
+    timing: TimingConfig,
+    quantizer: QuantizerConfig | None,
+    t: TimeLike,
+) -> float:
+    """:func:`step_levels` at the step that holds at time t.
 
-    Constant on every interval [k*dt, (k+1)*dt). The step index
-    k = floor(t/dt) is computed through the exact rational multiplier so a
-    t sitting exactly on a boundary always lands in the new step.
+    The step index k = floor(t/dt) is computed through the exact rational
+    multiplier, so a t sitting exactly on a boundary always lands in the
+    new step, and the step's residue k*q mod p is an exact integer.
     """
     p, q = timing.multiplier_num, timing.multiplier_den
     tf = _as_fraction(t, "t")
@@ -287,9 +311,16 @@ def held_sample(spec: SignalSpec, timing: TimingConfig, t: TimeLike) -> float:
     ft = _as_fraction(spec.frequency_hz, "frequency_hz") * tf
     ratio = ft * p / q  # = t / dt, exact
     k = ratio.numerator // ratio.denominator
-    phase = Fraction(k * q, p)
-    frac = phase - (phase.numerator // phase.denominator)
-    return sin_turns(float(frac))
+    residue = np.array([k * q % p], dtype=object)
+    return float(step_levels(residue, p, quantizer)[0])
+
+
+def held_sample(spec: SignalSpec, timing: TimingConfig, t: TimeLike) -> float:
+    """Sample-hold model: the sine value at the most recent update instant.
+
+    Constant on every interval [k*dt, (k+1)*dt).
+    """
+    return _step_level(spec, timing, None, t)
 
 
 def digitized_sample(
@@ -298,6 +329,6 @@ def digitized_sample(
     quantizer: QuantizerConfig,
     t: TimeLike,
 ) -> float:
-    """Both effects combined: quantize the held sample. Exactly the
+    """Both effects combined: the held sample, quantized. Equal to the
     composition ``quantize_sample(held_sample(...))``."""
-    return quantize_sample(held_sample(spec, timing, t), quantizer)
+    return _step_level(spec, timing, quantizer, t)

@@ -28,7 +28,7 @@ from ddsmetrics.bounds import (
     quantization_error_bound,
 )
 from ddsmetrics.charts import ChartKind, ChartStyle, render_heatmap
-from ddsmetrics.metrics import (
+from oracles import (
     SamplingPlan,
     max_abs_error,
     spectrum_dft,

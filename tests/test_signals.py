@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from ddsmetrics.signals import (
     held_sample,
     quantize_sample,
     sin_turns,
+    step_levels,
     target_sample,
 )
 
@@ -279,3 +281,29 @@ class TestSinTurns:
     @given(x=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
     def test_matches_library_sine(self, x):
         assert sin_turns(x) == pytest.approx(math.sin(2 * math.pi * x), abs=1e-12)
+
+
+class TestStepLevels:
+    @pytest.mark.parametrize("freq", [1.0, 7.0])
+    @pytest.mark.parametrize(
+        "bits,mode",
+        [(None, None)] + [(bits, mode) for bits in (1, 4, 12) for mode in MODES],
+    )
+    def test_pointwise_models_match_the_engine_levels(self, bits, mode, freq):
+        # the scalar models against the array levels the exact engine reads
+        spec = SignalSpec(freq)
+        quantizer = None if bits is None else qc(bits, mode)
+        for p in range(1, 33):
+            for q in range(1, 33):
+                if math.gcd(p, q) != 1:
+                    continue
+                timing = TimingConfig(p, q)
+                model = (
+                    WaveformModel.held(spec, timing)
+                    if quantizer is None
+                    else WaveformModel.digitized(spec, timing, quantizer)
+                )
+                levels = step_levels(np.arange(p) * q % p, p, quantizer)
+                half_step = Fraction(q, 2 * p) / Fraction(freq)
+                for k in range(p):
+                    assert model.sample((2 * k + 1) * half_step) == levels[k], (p, q, k)
