@@ -24,7 +24,7 @@ from .bounds import (
     min_clock_frequency,
     quantization_error_bound,
 )
-from .metrics import MAX_PIECES, CapExceeded, MetricsReport, evaluate
+from .metrics import MAX_PIECES, CapExceeded, MetricsReport, evaluate, evaluate_column
 from .sweeps import (
     SweepResult,
     SweepRow,
@@ -35,7 +35,7 @@ from .sweeps import (
     sweep_grid,
     sweep_multiplier,
 )
-from .charts import ChartKind, ChartStyle, render_heatmap, render_line_chart
+from .charts import ChartKind, ChartStyle, EmptyChart, render_heatmap, render_line_chart
 from . import reporting
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from .sweeps import SweepResult, SweepRow
 __all__ = [
     "ChartKind",
     "ChartStyle",
+    "EmptyChart",
     "render_line_chart",
     "render_heatmap",
 ]
@@ -35,6 +36,10 @@ SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd")
 BLUE_ANCHOR = (0, 0, 255)
 YELLOW_ANCHOR = (255, 255, 0)
 MISSING_FILL = "#bbbbbb"
+
+
+class EmptyChart(ValueError):
+    """The selected metric has no plottable value in the sweep."""
 
 
 class ChartKind(enum.Enum):
@@ -163,7 +168,7 @@ def render_line_chart(
         points[name] = pts
     all_pts = [p for pts in points.values() for p in pts]
     if not all_pts:
-        raise ValueError("selected series contain no plottable values")
+        raise EmptyChart("selected series contain no plottable values")
 
     x_lo = min(p[0] for p in all_pts)
     x_hi = max(p[0] for p in all_pts)
@@ -289,7 +294,7 @@ def render_heatmap(result: SweepResult, style: ChartStyle, metric: str) -> str:
     values = {key: _metric(row, metric) for key, row in cells.items()}
     present = [v for v in values.values() if v is not None]
     if not present:
-        raise ValueError(f"metric {metric!r} has no values on this grid")
+        raise EmptyChart(f"metric {metric!r} has no values on this grid")
     if metric in ("max_err", "max_err_pct"):
         lo = 0.0
         hi = 1.0 if metric == "max_err" else 100.0

@@ -23,6 +23,7 @@ from . import charts, reporting
 from .metrics import CapExceeded, evaluate
 from .signals import (
     MAX_BITS,
+    ModelKind,
     QuantizationMode,
     QuantizerConfig,
     SignalSpec,
@@ -75,6 +76,17 @@ def _check_bits(flag: str, value: int) -> None:
 def _check_freq(freq: float) -> None:
     if not (math.isfinite(freq) and freq > 0):
         raise UsageError(f"--freq must be positive and finite, got {freq!r}")
+
+
+def _check_times(freq: float, timing: TimingConfig | None) -> None:
+    """The combined period q/f (1/f without timing) bounds every reported
+    time, and the bounds divide by the update gap q/(p*f): both must be
+    positive finite floats."""
+    p, q = (timing.multiplier_num, timing.multiplier_den) if timing else (1, 1)
+    period = "combined period q/f" if timing else "period 1/f"
+    for name, seconds in ((period, q / freq), ("update gap q/(p*f)", q / (p * freq))):
+        if not 0.0 < seconds < math.inf:
+            raise UsageError(f"--freq {freq!r} is out of range: the {name} is {seconds!r} s")
 
 
 def _check_decade(flag: str, value: float) -> None:
@@ -195,6 +207,22 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> None:
             sys.stdout.write(text)
 
 
+def _check_outputs(paths: list[str]) -> None:
+    """Fail before any row is computed where :func:`_write_outputs` could
+    not write: a new or regular file needs a writable directory, any other
+    target write access."""
+    for path in (p for p in paths if p != "-"):
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = stat.S_IFREG  # new, so staged like a regular file
+        if stat.S_ISDIR(mode):
+            raise OSError(f"cannot write {path!r}: it is a directory")
+        target = os.path.dirname(os.path.realpath(path)) if stat.S_ISREG(mode) else path
+        if not os.access(target, os.W_OK):
+            raise OSError(f"cannot write {path!r}: {target!r} is missing or read-only")
+
+
 def _resolve_timing(args) -> TimingConfig:
     if args.multiplier is not None and args.dt is not None:
         raise UsageError("--multiplier and --dt are mutually exclusive")
@@ -204,10 +232,10 @@ def _resolve_timing(args) -> TimingConfig:
     if args.dt is not None:
         if not (math.isfinite(args.dt) and args.dt > 0):
             raise UsageError(f"--dt must be positive and finite, got {args.dt!r}")
-        requested = 1.0 / (args.freq * args.dt)
-        if not math.isfinite(requested):
-            raise UsageError(f"--dt {args.dt!r} is too small: 1/(freq*dt) overflows")
-        return snap_multiplier(requested, args.qmax)
+        turns = args.freq * args.dt  # per update; 1/turns is the multiplier
+        if not (0.0 < turns < math.inf and 1.0 / turns < math.inf):
+            raise UsageError(f"--dt {args.dt!r} is out of range: freq*dt is {turns!r} turns")
+        return snap_multiplier(1.0 / turns, args.qmax)
     raise UsageError(f"--multiplier (or --dt) is required for model {args.model!r}")
 
 
@@ -226,8 +254,7 @@ def _eval_model(args) -> WaveformModel:
         flag = "--multiplier" if args.multiplier is not None else "--dt"
         raise UsageError(f"{flag} not valid for model '{model}'")
 
-    if model == "target":
-        return WaveformModel.target(spec)
+    quantizer = timing = None
     if needs_bits:
         if args.bits is None:
             raise UsageError(f"--bits is required for model '{model}'")
@@ -235,16 +262,16 @@ def _eval_model(args) -> WaveformModel:
         quantizer = QuantizerConfig(
             args.bits, QuantizationMode(args.mode or "floor")
         )
-    if model == "quantized":
-        return WaveformModel.quantized(spec, quantizer)
-    timing = _resolve_timing(args)
-    if model == "held":
-        return WaveformModel.held(spec, timing)
-    return WaveformModel.digitized(spec, timing, quantizer)
+    if needs_timing:
+        timing = _resolve_timing(args)
+    _check_times(args.freq, timing)
+    return WaveformModel(ModelKind(model), spec, quantizer=quantizer, timing=timing)
 
 
 def cmd_eval(args) -> int:
-    report = evaluate(_eval_model(args))
+    model = _eval_model(args)
+    _check_outputs([args.out])
+    report = evaluate(model)
     if args.format == "json":
         text = reporting.report_to_json(report)
     else:
@@ -334,11 +361,15 @@ def cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    _check_outputs([args.out, args.svg or "-"])
     runner = {"bits": sweep_bits, "multiplier": sweep_multiplier, "grid": sweep_grid}
     result = runner[args.axis](spec, workers=args.workers)
     outputs = [(args.out, reporting.sweep_to_csv(result))]
     if args.svg is not None:
-        outputs.append((args.svg, _sweep_svg(result, args.svg_metric)))
+        try:
+            outputs.append((args.svg, _sweep_svg(result, args.svg_metric)))
+        except charts.EmptyChart as exc:
+            raise UsageError(f"--svg-metric {args.svg_metric}: {exc}") from exc
     _write_outputs(outputs)
     return EXIT_OK
 
@@ -351,8 +382,10 @@ def cmd_bounds(args) -> int:
     if args.multiplier is not None or args.dt is not None:
         args.model = "bounds"  # for the usage message in _resolve_timing
         timing = _resolve_timing(args)
+    _check_times(args.freq, timing)
+    _check_outputs([args.out])
     data = bounds_mod.report(args.freq, timing, args.bits)
-    _write_outputs([(args.out, json.dumps(data, indent=2) + "\n")])
+    _write_outputs([(args.out, json.dumps(data, indent=2, allow_nan=False) + "\n")])
     return EXIT_OK
 
 

@@ -21,6 +21,9 @@ O(pieces):
   1985); at the quantizer's whole-turn arguments Hankel's expansion sums
   them into a few zeta values.
 
+:func:`evaluate_column` evaluates the digitized rows of one timing, one
+per quantizer, building what depends on the timing alone only once.
+
 The step levels come from :func:`ddsmetrics.signals.step_levels`, the
 definition the pointwise models use. The probe-grid and DFT estimators
 that check this engine live with the tests, in ``tests/oracles.py``.
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +42,8 @@ from .signals import (
     ModelKind,
     QuantizationMode,
     QuantizerConfig,
+    SignalSpec,
+    TimingConfig,
     WaveformModel,
     quantize,
     sin_turns,
@@ -51,10 +57,12 @@ __all__ = [
     "CapExceeded",
     "check_pieces",
     "evaluate",
+    "evaluate_column",
 ]
 
-# evaluate() holds about 140 bytes per piece at its peak, so a row stays
-# under about 2.4 GB.
+# evaluate_column() holds about 122 bytes per piece at its peak, one row's
+# temporaries beside the arrays its rows share, so a column stays under
+# about 2.1 GB.
 MAX_PIECES = 1 << 24
 
 # Up to this many bits quantized THD sums over the at most 8 thresholds:
@@ -144,67 +152,80 @@ def _parseval_thd(
     return 0.0, None
 
 
-def _half_swing(model: WaveformModel) -> float:
+def _half_swing(f: float, timing: TimingConfig) -> float:
     """sin(pi*q/p), half the sine's swing across a piece. Up to f*dt = 1/2
     it is the very float the strict bound doubles, so that the swing
     2*cos(...)*half can never round above the bound."""
-    f = model.spec.frequency_hz
-    p, q = _model_pq(model)
-    x = f * model.timing.time_gap_s(f)
+    p, q = timing.multiplier_num, timing.multiplier_den
+    x = f * timing.time_gap_s(f)
     return sin_turns(x / 2.0) if x <= 0.5 else sin_turns(q % (2 * p) / (2 * p))
 
 
-def _supremum(
-    model: WaveformModel, k: np.ndarray, r: np.ndarray, level: np.ndarray, start: np.ndarray
-) -> tuple[float, float]:
-    """Exact supremum of a held or digitized model over the pieces ``k``
-    (ascending indices; piece k has start residue r = k*q mod p, value
-    ``level`` and the sine ``start`` at its start), and the earliest time
-    it is attained."""
-    f = model.spec.frequency_hz
-    p, q = _model_pq(model)
-    # q meets the int64 arrays only reduced, so any exact multiplier fits.
-    # sin(a + w) - sin(a) = 2*cos(a + w/2)*sin(w/2): the sine's change
-    # from the start of each piece to the end, without cancellation.
-    cosine = sin_turns_array(_turns(4 * r + 2 * (q % (2 * p)) + p, 4 * p))
-    swing = 2.0 * cosine * _half_swing(model)
-    offset = level - start  # 0 for held; the quantization error at the start
-    # Phase 1/4 (3/4) lies in [r/p, (r+q)/p] iff (p - 4r) mod 4p <= 4q
-    # (resp. 3p - 4r), exact in integers; the offsets put it in time.
-    to_peak = (p - 4 * r) % (4 * p)
-    to_trough = (3 * p - 4 * r) % (4 * p)
-    reach = 4 * min(q, p)  # both offsets are below 4p
-    # Candidate suprema per piece, and their offsets into the piece in
-    # units of 1/(4*p*f).
-    errors = np.stack([
-        np.abs(offset),
-        np.abs(offset - swing),
-        np.where(to_peak <= reach, np.abs(level - 1.0), 0.0),
-        np.where(to_trough <= reach, np.abs(level + 1.0), 0.0),
-    ])
-    sup = float(np.max(errors))
-    # Pieces follow each other in time, so the earliest attainment lies in
-    # the first piece that attains the supremum at all.
-    hit = errors == sup
-    j = int(np.argmax(hit.any(axis=0)))
-    offsets = (0, 4 * q, int(to_peak[j]), int(to_trough[j]))
-    tick = 4 * int(k[j]) * q + min(o for o, h in zip(offsets, hit[:, j]) if h)
-    return sup, tick / (4 * p) / f
+def _windows(r, p: int):
+    """Offsets from residue r (an int or an int64 array) to phase 1/4 and
+    3/4, in units of 1/(4*p) turn."""
+    return (p - 4 * r) % (4 * p), (3 * p - 4 * r) % (4 * p)
+
+
+class _Pieces:
+    """The pieces ``k`` (ascending indices) of a held or digitized model,
+    and what every quantizer shares about them: piece k starts at residue
+    r = k*q mod p, where the sine is ``start``; the sine changes by
+    ``swing`` across it; it holds phase 1/4 (3/4) iff ``at_peak``
+    (``at_trough``)."""
+
+    def __init__(self, f: float, timing: TimingConfig, k: np.ndarray):
+        p, q = timing.multiplier_num, timing.multiplier_den
+        self.f, self.p, self.q, self.k = f, p, q, k
+        # q meets the int64 arrays only reduced, so any exact multiplier fits.
+        self.r = (k * (q % p)) % p
+        self.start = step_levels(self.r, p)
+        self.half = _half_swing(f, timing)
+        # sin(a + w) - sin(a) = 2*cos(a + w/2)*sin(w/2): the sine's change
+        # from the start of each piece to the end, without cancellation.
+        cosine = sin_turns_array(_turns(4 * self.r + 2 * (q % (2 * p)) + p, 4 * p))
+        self.swing = 2.0 * cosine * self.half
+        # Phase 1/4 (3/4) lies in [r/p, (r+q)/p] iff its offset from r/p
+        # is at most 4q, exact in integers.
+        to_peak, to_trough = _windows(self.r, p)
+        reach = 4 * min(q, p)  # both offsets are below 4p
+        self.at_peak, self.at_trough = to_peak <= reach, to_trough <= reach
+
+    def supremum(self, level: np.ndarray) -> tuple[float, float]:
+        """Exact supremum of the model whose pieces hold ``level``, and the
+        earliest time it is attained."""
+        p, q = self.p, self.q
+        offset = level - self.start  # 0 for held; the quantization error at the start
+        # Candidate suprema per piece: at its two ends and at the extrema
+        # inside it.
+        errors = np.stack([
+            np.abs(offset),
+            np.abs(offset - self.swing),
+            np.where(self.at_peak, np.abs(level - 1.0), 0.0),
+            np.where(self.at_trough, np.abs(level + 1.0), 0.0),
+        ])
+        sup = float(np.max(errors))
+        # Pieces follow each other in time, so the earliest attainment lies in
+        # the first piece that attains the supremum at all.
+        hit = errors == sup
+        j = int(np.argmax(hit.any(axis=0)))
+        # the candidates' offsets into the piece, in units of 1/(4*p*f)
+        offsets = (0, 4 * q, *_windows(int(self.r[j]), p))
+        tick = 4 * int(self.k[j]) * q + min(o for o, h in zip(offsets, hit[:, j]) if h)
+        return sup, tick / (4 * p) / self.f
 
 
 def _held_supremum(model: WaveformModel, k: np.ndarray) -> tuple[float, float]:
-    """:func:`_supremum` of a held model over its pieces ``k``
+    """:meth:`_Pieces.supremum` of a held model over its pieces ``k``
     (ascending), whose levels are the sine at their starts."""
-    p, q = _model_pq(model)
-    r = (k * (q % p)) % p
-    level = step_levels(r, p)
-    return _supremum(model, k, r, level, level)
+    pieces = _Pieces(model.spec.frequency_hz, model.timing, k)
+    return pieces.supremum(pieces.start)
 
 
 def _held_pieces(p: int, q: int) -> np.ndarray:
     """Indices, ascending, of the few held pieces that can attain the
     supremum; a superset of every piece whose candidate error (see
-    :func:`_supremum`) equals the maximum of its kind.
+    :class:`_Pieces`) equals the maximum of its kind.
 
     * The swing 2*cos(pi*(2r + q)/p)*sin(pi*q/p) is largest where 2r + q
       is nearest a multiple of p; residues within 2 of one are kept.
@@ -262,34 +283,6 @@ def _held_thd(p: int, q: int) -> tuple[float | None, float | None]:
     h = sin_turns(near / (2 * p))
     ratio = math.sqrt((_x_minus_sin(x) if x < 1.0 else x - h) * (x + h)) / h
     return ratio, 20.0 * math.log10(ratio)
-
-
-def _stepped_exact(
-    model: WaveformModel,
-) -> tuple[float, float, tuple[float | None, float | None]]:
-    """Exact supremum, its earliest time, and THD of a held or digitized
-    model: p pieces of q/p turns each, piece k starting at phase r/p with
-    r = k*q mod p. A held row costs O(1): its THD is closed-form and only
-    the pieces of :func:`_held_pieces` are examined."""
-    p, q = _model_pq(model)
-    if model.kind is ModelKind.HELD:
-        sup, argmax_t = _held_supremum(model, _held_pieces(p, q))
-        return sup, argmax_t, _held_thd(p, q)
-
-    k = np.arange(p, dtype=np.int64)
-    r = (k * (q % p)) % p
-    start = step_levels(r, p)
-    level = quantize(start, model.quantizer)
-    sup, argmax_t = _supremum(model, k, r, level, start)
-    # One DFT bin of the levels at their start phases, times the
-    # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
-    cosine = sin_turns_array(_turns(4 * r + p, 4 * p))
-    bin_1 = math.hypot(float(level @ cosine), float(level @ start))
-    fundamental = 2.0 * bin_1 * abs(_half_swing(model)) / (math.pi * q)
-    thd_result = _parseval_thd(
-        float(np.mean(level)), float(np.mean(level * level)), fundamental
-    )
-    return sup, argmax_t, thd_result
 
 
 def _quantized_supremum(quantizer: QuantizerConfig, f: float) -> tuple[float, float]:
@@ -393,34 +386,17 @@ def _bounds_for(model: WaveformModel) -> tuple[float, float]:
     return pair[bounds.BoundVariant.PAPER], pair[bounds.BoundVariant.STRICT]
 
 
-def evaluate(model: WaveformModel) -> MetricsReport:
-    """Run both metrics on one model and attach the matching bounds.
-
-    Max error is the exact supremum and THD the exact Parseval value: in
-    O(1) for a quantized model (a closed-form supremum and Bessel-series
-    THD) and a held one (closed-form THD, a constant-size set of
-    candidate pieces), in O(pieces) for a digitized one. ``thd_db`` is
-    None when the ratio is 0 (target model) and both THD fields are None
-    when the signal has no fundamental (such as a held model with
-    p <= 2, whose levels are all 0). :class:`CapExceeded` is raised
-    before anything is allocated when the model has more than
-    ``MAX_PIECES`` pieces, held rows included.
-    """
-    check_pieces(*_model_pq(model))
-    f = model.spec.frequency_hz
-    if model.kind is ModelKind.TARGET:
-        err, argmax_t, (ratio, db) = 0.0, 0.0, (0.0, None)
-    elif model.kind is ModelKind.QUANTIZED:
-        err, argmax_t = _quantized_supremum(model.quantizer, f)
-        ratio, db = _quantized_thd(model.quantizer)
-    else:
-        err, argmax_t, (ratio, db) = _stepped_exact(model)
+def _report(
+    model: WaveformModel, err: float, argmax_t: float, thd_result: tuple
+) -> MetricsReport:
+    """The report of ``model`` with its metrics and the matching bounds."""
     paper, strict = _bounds_for(model)
     timing = model.timing
     quantizer = model.quantizer
+    ratio, db = thd_result
     return MetricsReport(
         model=model.kind.value,
-        freq_hz=f,
+        freq_hz=model.spec.frequency_hz,
         bits=quantizer.bits if quantizer else None,
         mode=quantizer.mode.value if quantizer else None,
         m_num=timing.multiplier_num if timing else None,
@@ -432,3 +408,62 @@ def evaluate(model: WaveformModel) -> MetricsReport:
         paper_bound=paper,
         strict_bound=strict,
     )
+
+
+def evaluate(model: WaveformModel) -> MetricsReport:
+    """Run both metrics on one model and attach the matching bounds.
+
+    Max error is the exact supremum and THD the exact Parseval value: in
+    O(1) for a quantized model (a closed-form supremum and Bessel-series
+    THD) and a held one (closed-form THD, a constant-size set of
+    candidate pieces), in O(pieces) for a digitized one, which is a
+    column of one row (:func:`evaluate_column`). ``thd_db`` is None when
+    the ratio is 0 (target model) and both THD fields are None when the
+    signal has no fundamental (such as a held model with p <= 2, whose
+    levels are all 0). :class:`CapExceeded` is raised before anything is
+    allocated when the model has more than ``MAX_PIECES`` pieces, held
+    rows included.
+    """
+    if model.kind is ModelKind.DIGITIZED:
+        return evaluate_column(model.spec, model.timing, [model.quantizer])[0]
+    check_pieces(*_model_pq(model))
+    if model.kind is ModelKind.TARGET:
+        err, argmax_t, thd_result = 0.0, 0.0, (0.0, None)
+    elif model.kind is ModelKind.QUANTIZED:
+        err, argmax_t = _quantized_supremum(model.quantizer, model.spec.frequency_hz)
+        thd_result = _quantized_thd(model.quantizer)
+    else:
+        p, q = _model_pq(model)
+        err, argmax_t = _held_supremum(model, _held_pieces(p, q))
+        thd_result = _held_thd(p, q)
+    return _report(model, err, argmax_t, thd_result)
+
+
+def evaluate_column(
+    spec: SignalSpec, timing: TimingConfig, quantizers: Sequence[QuantizerConfig]
+) -> list[MetricsReport]:
+    """:func:`evaluate` of the digitized models of one timing, one report
+    per quantizer, in their order. The pieces' residues, start sines,
+    swings and extremum windows and the THD bin's cosine are computed once;
+    each quantizer adds its levels, candidate errors, two dot products and
+    two means, one row's temporaries at a time. :class:`CapExceeded` is
+    raised before anything is allocated when p > ``MAX_PIECES``.
+    """
+    p, q = timing.multiplier_num, timing.multiplier_den
+    check_pieces(p, q)
+    pieces = _Pieces(spec.frequency_hz, timing, np.arange(p, dtype=np.int64))
+    # One DFT bin of the levels at their start phases, times the
+    # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
+    cosine = sin_turns_array(_turns(4 * pieces.r + p, 4 * p))
+    reports = []
+    for quantizer in quantizers:
+        level = quantize(pieces.start, quantizer)
+        err, argmax_t = pieces.supremum(level)
+        bin_1 = math.hypot(float(level @ cosine), float(level @ pieces.start))
+        fundamental = 2.0 * bin_1 * abs(pieces.half) / (math.pi * q)
+        thd_result = _parseval_thd(
+            float(np.mean(level)), float(np.mean(level * level)), fundamental
+        )
+        model = WaveformModel.digitized(spec, timing, quantizer)
+        reports.append(_report(model, err, argmax_t, thd_result))
+    return reports

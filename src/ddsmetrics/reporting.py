@@ -107,7 +107,7 @@ def report_to_json(report: MetricsReport, schema_version: int = SCHEMA_VERSION) 
         "strict_bound": report.strict_bound,
         "schema_version": schema_version,
     }
-    return json.dumps(data, indent=2) + "\n"
+    return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
 
 def report_to_csv(report: MetricsReport, schema_version: int = SCHEMA_VERSION) -> str:

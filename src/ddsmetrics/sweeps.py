@@ -12,9 +12,12 @@ fraction in O(log q_max) steps, so spectra stay coherent; both the
 requested and the snapped values are reported. A sweep snaps its axis
 once, before any row runs, and refuses the whole sweep if a snapped
 multiplier has more pieces than ``MAX_PIECES``. An axis given by decades
-and points per decade holds at most ``MAX_AXIS_POINTS`` points. Rows are
-independent and may be evaluated by a thread pool, but the result order
-is fixed by the parameter axes, never by completion order.
+and points per decade holds at most ``MAX_AXIS_POINTS`` points. The bits
+and multiplier sweeps evaluate one row per task; the grid evaluates one
+multiplier's column of bit counts per task, sharing the work that
+depends on the multiplier alone. Tasks are independent and may be run by
+a thread pool, but the result order is fixed by the parameter axes,
+never by completion order.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .metrics import MetricsReport, check_pieces, evaluate
+from .metrics import MetricsReport, check_pieces, evaluate, evaluate_column
 from .signals import (
     QuantizationMode,
     QuantizerConfig,
@@ -235,18 +238,18 @@ def sweep_multiplier(spec: SweepSpec, workers: int = 1) -> SweepResult:
 
 def sweep_grid(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """One row per (bits, multiplier) pair for the digitized model,
-    row-major with bits outermost, both axes ascending."""
+    row-major with bits outermost, both axes ascending. Each multiplier's
+    column of bit counts is evaluated in one pass over its pieces."""
     signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
-    axis = _snapped_axis(spec)
-    cells = [(bits, point) for bits in spec.bits_axis() for point in axis]
+    quantizers = [QuantizerConfig(bits, spec.mode) for bits in spec.bits_axis()]
 
-    def one(cell: tuple[int, _AxisPoint]) -> SweepRow:
-        bits, (requested, timing, flags) = cell
-        model = WaveformModel.digitized(
-            signal, timing, QuantizerConfig(bits, spec.mode)
-        )
-        report = evaluate(model)
-        return SweepRow(requested_multiplier=requested, report=report, flags=flags)
+    def column(point: _AxisPoint) -> list[SweepRow]:
+        requested, timing, flags = point
+        return [
+            SweepRow(requested_multiplier=requested, report=report, flags=flags)
+            for report in evaluate_column(signal, timing, quantizers)
+        ]
 
-    rows = _run_ordered(cells, one, workers)
+    columns = _run_ordered(_snapped_axis(spec), column, workers)
+    rows = [row for bits_rows in zip(*columns) for row in bits_rows]
     return SweepResult("grid", tuple(rows), spec)

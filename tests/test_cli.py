@@ -495,3 +495,71 @@ class TestModuleEntryPoints:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 2
+
+
+class TestFloatRangeOfTimes:
+    """A --freq or --dt whose times leave the float range exits 2 with one
+    line naming the flag, where a ZeroDivisionError traceback, an unnamed
+    message or a JSON report holding Infinity used to come out."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["eval", "--model", "held", "--freq", "1e-200", "--dt", "1e-200"], "--dt"),
+            (["bounds", "--freq", "1e-200", "--dt", "1e-200"], "--dt"),
+            (["eval", "--model", "held", "--freq", "1e200", "--dt", "1e200"], "--dt"),
+            (["eval", "--model", "quantized", "--bits", "4", "--freq", "1e-320"], "--freq"),
+            (["eval", "--model", "held", "--multiplier", "11/10", "--freq", "1e-308"],
+             "--freq"),
+            (["eval", "--model", "held", "--multiplier", "3", "--freq", "1e-320"], "--freq"),
+            (["eval", "--model", "held", "--multiplier", "3", "--freq", "1e308"], "--freq"),
+        ],
+        ids=[
+            "eval-freq-dt-underflow", "bounds-freq-dt-underflow", "eval-freq-dt-overflow",
+            "quantized-period-overflow", "held-period-overflow",
+            "multiplier-period-overflow", "multiplier-gap-underflow",
+        ],
+    )
+    def test_usage_error_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag}")
+        assert err.count("\n") == 1
+
+
+class TestOutputsCheckedFirst:
+    def test_missing_directory_fails_before_any_row(self, capsys, tmp_path, monkeypatch):
+        from ddsmetrics import sweeps
+
+        def no_rows(*args):
+            raise AssertionError("a row was evaluated")
+
+        monkeypatch.setattr(sweeps, "evaluate_column", no_rows)
+        path = str(tmp_path / "missing" / "x.csv")
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "grid", "--multipliers", "1000003", "--bits-from", "1",
+            "--bits-to", "16", "--out", path,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert repr(path) in err and ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestEmptyCharts:
+    @pytest.mark.parametrize("axis", ["grid", "multiplier"])
+    def test_metric_without_values_names_the_flag(self, capsys, tmp_path, axis):
+        # multipliers 1 and 2 hold every level at 0: no THD anywhere
+        svg = tmp_path / "x.svg"
+        code, out, err = run_cli(
+            capsys, "sweep", axis, "--multipliers", "1,2", "--bits-to", "2",
+            "--svg-metric", "thd", "--svg", str(svg),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --svg-metric thd: ")
+        assert err.count("\n") == 1
+        assert not svg.exists()

@@ -19,6 +19,7 @@ from ddsmetrics.metrics import (
     _ZETA_HALF_INTEGERS,
     _held_supremum,
     evaluate,
+    evaluate_column,
 )
 from oracles import (
     DegenerateSignalError,
@@ -727,3 +728,57 @@ class TestQuantizedClosedForm:
                 report = evaluate(quantized_model(bits, mode))
                 assert 0.0 < report.thd_ratio < previous
                 previous = report.thd_ratio
+
+
+def traced_peak(fn):
+    """Peak traced bytes of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestEvaluateColumn:
+    """A digitized column shares the work that depends on the timing alone
+    among its quantizers; each report equals the row evaluated alone."""
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 3), (7, 1), (17, 4), (4099, 7)])
+    @pytest.mark.parametrize("freq", [1.0, 0.37])
+    def test_unordered_and_repeated_quantizers_equal_single_rows(self, p, q, freq):
+        # a level array or the start sines mutated in place by one row
+        # would change the rows after it
+        spec, timing = SignalSpec(freq), TimingConfig(p, q)
+        quantizers = [
+            QuantizerConfig(bits, mode)
+            for bits, mode in [
+                (8, QuantizationMode.ROUND), (1, QuantizationMode.CEILING),
+                (52, QuantizationMode.FLOOR), (8, QuantizationMode.ROUND),
+                (3, QuantizationMode.FLOOR), (1, QuantizationMode.CEILING),
+                (12, QuantizationMode.CEILING), (8, QuantizationMode.FLOOR),
+            ]
+        ]
+        column = evaluate_column(spec, timing, quantizers)
+        assert column == [
+            evaluate(WaveformModel.digitized(spec, timing, quantizer))
+            for quantizer in quantizers
+        ]
+
+    def test_piece_cap_raises_before_allocating(self):
+        quantizers = [QuantizerConfig(bits) for bits in range(1, 17)]
+
+        def over_cap():
+            with pytest.raises(CapExceeded):
+                evaluate_column(SPEC, TimingConfig(MAX_PIECES + 1), quantizers)
+
+        assert traced_peak(over_cap) < 1 << 20
+
+    def test_column_peak_memory_is_one_rows(self):
+        timing = TimingConfig(1 << 20, 7)
+        quantizers = [QuantizerConfig(bits) for bits in range(1, 17)]
+        model = WaveformModel.digitized(SPEC, timing, quantizers[-1])
+        row = traced_peak(lambda: evaluate(model))
+        column = traced_peak(lambda: evaluate_column(SPEC, timing, quantizers))
+        assert column <= 1.05 * row

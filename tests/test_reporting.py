@@ -171,3 +171,11 @@ class TestSweepCsv:
     def test_byte_determinism(self):
         spec = SweepSpec(bits_from=2, bits_to=4)
         assert sweep_to_csv(sweep_bits(spec)) == sweep_to_csv(sweep_bits(spec))
+
+
+class TestJsonIsStrict:
+    @pytest.mark.parametrize("field", ["argmax_time_s", "max_abs_error", "thd_db"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_are_refused(self, field, value):
+        with pytest.raises(ValueError):
+            report_to_json(sample_report(**{field: value}))

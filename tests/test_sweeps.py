@@ -11,11 +11,17 @@ from hypothesis import strategies as st
 
 from conftest import best_rational_by_exhaustion, linear_fit
 from ddsmetrics.reporting import sweep_to_csv
-from ddsmetrics.signals import QuantizationMode
+from ddsmetrics.signals import (
+    QuantizationMode,
+    QuantizerConfig,
+    SignalSpec,
+    WaveformModel,
+)
 from ddsmetrics import sweeps
-from ddsmetrics.metrics import MAX_PIECES, CapExceeded
+from ddsmetrics.metrics import MAX_PIECES, CapExceeded, evaluate
 from ddsmetrics.sweeps import (
     FLAG_SUBNYQUIST,
+    SweepRow,
     SweepSpec,
     multiplier_axis,
     snap_multiplier,
@@ -327,3 +333,41 @@ class TestSweepSpecValidation:
     def test_points_per_decade(self):
         with pytest.raises(ValueError):
             SweepSpec(points_per_decade=0)
+
+
+def per_cell_rows(spec):
+    """The grid's rows evaluated one cell at a time, row-major with bits
+    outermost: the reference for the column engine."""
+    signal = SignalSpec(1.0)
+    axis = []
+    for requested in spec.multiplier_axis():
+        timing = snap_multiplier(requested, spec.q_max)
+        flags = (FLAG_SUBNYQUIST,) if timing.multiplier < 2 else ()
+        axis.append((requested, timing, flags))
+    return [
+        SweepRow(requested, evaluate(WaveformModel.digitized(
+            signal, timing, QuantizerConfig(bits, spec.mode)
+        )), flags)
+        for bits in spec.bits_axis()
+        for requested, timing, flags in axis
+    ]
+
+
+class TestGridColumns:
+    """The grid evaluates one multiplier's column of bit counts at a time
+    and puts the rows back in row-major order, equal to evaluating every
+    cell alone."""
+
+    @pytest.mark.parametrize("mode", list(QuantizationMode))
+    @pytest.mark.parametrize("bits_step", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_per_cell_evaluate(self, mode, bits_step, workers):
+        # 4 three times, and 3.001 and 3.002, which both snap to 3/1;
+        # 0.5 is sub-Nyquist and 1.5 has a denominator
+        spec = SweepSpec(
+            bits_from=1, bits_to=13, bits_step=bits_step, mode=mode, q_max=100,
+            multipliers=(4.0, 0.5, 1.5, 4.0, 3.001, 3.002, 97.0, 1000.0, 4.0),
+        )
+        assert snap_multiplier(3.001, 100) == snap_multiplier(3.002, 100)
+        rows = sweep_grid(spec, workers=workers).rows
+        assert list(rows) == per_cell_rows(spec)
