@@ -17,6 +17,7 @@ import math
 import os
 import stat
 import sys
+from collections import Counter
 
 from . import bounds as bounds_mod
 from . import charts, reporting
@@ -361,6 +362,12 @@ def cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.axis == "grid" and args.svg is not None:
+        # the chart has one cell per bit count and requested multiplier
+        repeated = [m for m, n in Counter(spec.multiplier_axis()).items() if n > 1]
+        if repeated:
+            flag = "--multipliers" if multipliers is not None else "--points-per-decade"
+            raise UsageError(f"{flag}: the grid chart needs {repeated[0]!r} only once")
     _check_outputs([args.out, args.svg or "-"])
     runner = {"bits": sweep_bits, "multiplier": sweep_multiplier, "grid": sweep_grid}
     result = runner[args.axis](spec, workers=args.workers)

@@ -23,6 +23,9 @@ O(pieces):
 
 :func:`evaluate_column` evaluates the digitized rows of one timing, one
 per quantizer, building what depends on the timing alone only once.
+:func:`evaluate_held` evaluates a batch of held rows, their candidate
+pieces end to end in one set of arrays, so that a row of a sweep costs a
+few Python-level steps rather than a few dozen numpy calls.
 
 The step levels come from :func:`ddsmetrics.signals.step_levels`, the
 definition the pointwise models use. The probe-grid and DFT estimators
@@ -58,6 +61,7 @@ __all__ = [
     "check_pieces",
     "evaluate",
     "evaluate_column",
+    "evaluate_held",
 ]
 
 # evaluate_column() holds about 122 bytes per piece at its peak, one row's
@@ -168,33 +172,48 @@ def _windows(r, p: int):
 
 
 class _Pieces:
-    """The pieces ``k`` (ascending indices) of a held or digitized model,
-    and what every quantizer shares about them: piece k starts at residue
-    r = k*q mod p, where the sine is ``start``; the sine changes by
-    ``swing`` across it; it holds phase 1/4 (3/4) iff ``at_peak``
-    (``at_trough``)."""
+    """The pieces of one or more held or digitized rows at frequency f,
+    and what every quantizer shares about them. Row i has the timing
+    ``timings[i]`` and the pieces ``ks[i]`` (ascending indices), which
+    follow those of row i - 1 in the flat arrays. Piece k of a row p/q
+    starts at residue r = k*q mod p, where the sine is ``start``; the sine
+    changes by ``swing`` across it; it holds phase 1/4 (3/4) iff
+    ``at_peak`` (``at_trough``)."""
 
-    def __init__(self, f: float, timing: TimingConfig, k: np.ndarray):
-        p, q = timing.multiplier_num, timing.multiplier_den
-        self.f, self.p, self.q, self.k = f, p, q, k
+    def __init__(
+        self, f: float, timings: Sequence[TimingConfig], ks: Sequence[np.ndarray]
+    ):
+        self.f, self.timings = f, timings
+        self.counts = [len(k) for k in ks]
+        self.starts = np.cumsum([0, *self.counts[:-1]])
+        self.k = ks[0] if len(ks) == 1 else np.concatenate(ks)
+        rows = [(t.multiplier_num, t.multiplier_den) for t in timings]
+        p = self._spread([p for p, _ in rows])
         # q meets the int64 arrays only reduced, so any exact multiplier fits.
-        self.r = (k * (q % p)) % p
+        self.r = (self.k * self._spread([q % p for p, q in rows])) % p
         self.start = step_levels(self.r, p)
-        self.half = _half_swing(f, timing)
+        self.half = self._spread([_half_swing(f, t) for t in timings])
         # sin(a + w) - sin(a) = 2*cos(a + w/2)*sin(w/2): the sine's change
         # from the start of each piece to the end, without cancellation.
-        cosine = sin_turns_array(_turns(4 * self.r + 2 * (q % (2 * p)) + p, 4 * p))
+        twice_q = self._spread([q % (2 * p) for p, q in rows])
+        cosine = sin_turns_array(_turns(4 * self.r + 2 * twice_q + p, 4 * p))
         self.swing = 2.0 * cosine * self.half
         # Phase 1/4 (3/4) lies in [r/p, (r+q)/p] iff its offset from r/p
         # is at most 4q, exact in integers.
         to_peak, to_trough = _windows(self.r, p)
-        reach = 4 * min(q, p)  # both offsets are below 4p
+        reach = self._spread([4 * min(q, p) for p, q in rows])  # both offsets are below 4p
         self.at_peak, self.at_trough = to_peak <= reach, to_trough <= reach
 
-    def supremum(self, level: np.ndarray) -> tuple[float, float]:
-        """Exact supremum of the model whose pieces hold ``level``, and the
+    def _spread(self, values: list):
+        """One value per row, repeated for each of its pieces; the value
+        of a single row stays a scalar."""
+        if len(self.counts) == 1:
+            return values[0]
+        return np.repeat(np.array(values), self.counts)
+
+    def supremum(self, level: np.ndarray) -> list[tuple[float, float]]:
+        """Exact supremum of each row whose pieces hold ``level``, and the
         earliest time it is attained."""
-        p, q = self.p, self.q
         offset = level - self.start  # 0 for held; the quantization error at the start
         # Candidate suprema per piece: at its two ends and at the extrema
         # inside it.
@@ -204,22 +223,31 @@ class _Pieces:
             np.where(self.at_peak, np.abs(level - 1.0), 0.0),
             np.where(self.at_trough, np.abs(level + 1.0), 0.0),
         ])
-        sup = float(np.max(errors))
-        # Pieces follow each other in time, so the earliest attainment lies in
-        # the first piece that attains the supremum at all.
-        hit = errors == sup
-        j = int(np.argmax(hit.any(axis=0)))
-        # the candidates' offsets into the piece, in units of 1/(4*p*f)
-        offsets = (0, 4 * q, *_windows(int(self.r[j]), p))
-        tick = 4 * int(self.k[j]) * q + min(o for o, h in zip(offsets, hit[:, j]) if h)
-        return sup, tick / (4 * p) / self.f
+        largest = errors.max(axis=0)
+        sups = np.maximum.reduceat(largest, self.starts)
+        # Pieces follow each other in time, so a row's earliest attainment
+        # lies in the first of its pieces that attains its supremum at all.
+        attaining = (largest == self._spread(sups)).nonzero()[0]
+        firsts = attaining[attaining.searchsorted(self.starts)]
+        suprema = []
+        for timing, sup, k, candidates in zip(
+            self.timings, sups.tolist(), self.k[firsts].tolist(),
+            errors[:, firsts].T.tolist(),
+        ):
+            p, q = timing.multiplier_num, timing.multiplier_den
+            # the candidates' offsets into the piece, in units of
+            # 1/(4*p*f); Python ints, since q may exceed int64
+            offsets = (0, 4 * q, *_windows(k * q % p, p))
+            tick = 4 * k * q + min(o for o, e in zip(offsets, candidates) if e == sup)
+            suprema.append((sup, tick / (4 * p) / self.f))
+        return suprema
 
 
 def _held_supremum(model: WaveformModel, k: np.ndarray) -> tuple[float, float]:
     """:meth:`_Pieces.supremum` of a held model over its pieces ``k``
     (ascending), whose levels are the sine at their starts."""
-    pieces = _Pieces(model.spec.frequency_hz, model.timing, k)
-    return pieces.supremum(pieces.start)
+    pieces = _Pieces(model.spec.frequency_hz, [model.timing], [k])
+    return pieces.supremum(pieces.start)[0]
 
 
 def _held_pieces(p: int, q: int) -> np.ndarray:
@@ -416,7 +444,8 @@ def evaluate(model: WaveformModel) -> MetricsReport:
     Max error is the exact supremum and THD the exact Parseval value: in
     O(1) for a quantized model (a closed-form supremum and Bessel-series
     THD) and a held one (closed-form THD, a constant-size set of
-    candidate pieces), in O(pieces) for a digitized one, which is a
+    candidate pieces), which is a batch of one row
+    (:func:`evaluate_held`), in O(pieces) for a digitized one, which is a
     column of one row (:func:`evaluate_column`). ``thd_db`` is None when
     the ratio is 0 (target model) and both THD fields are None when the
     signal has no fundamental (such as a held model with p <= 2, whose
@@ -426,17 +455,41 @@ def evaluate(model: WaveformModel) -> MetricsReport:
     """
     if model.kind is ModelKind.DIGITIZED:
         return evaluate_column(model.spec, model.timing, [model.quantizer])[0]
-    check_pieces(*_model_pq(model))
+    if model.kind is ModelKind.HELD:
+        return evaluate_held(model.spec, [model.timing])[0]
     if model.kind is ModelKind.TARGET:
         err, argmax_t, thd_result = 0.0, 0.0, (0.0, None)
-    elif model.kind is ModelKind.QUANTIZED:
+    else:
         err, argmax_t = _quantized_supremum(model.quantizer, model.spec.frequency_hz)
         thd_result = _quantized_thd(model.quantizer)
-    else:
-        p, q = _model_pq(model)
-        err, argmax_t = _held_supremum(model, _held_pieces(p, q))
-        thd_result = _held_thd(p, q)
     return _report(model, err, argmax_t, thd_result)
+
+
+def evaluate_held(
+    spec: SignalSpec, timings: Sequence[TimingConfig]
+) -> list[MetricsReport]:
+    """:func:`evaluate` of the held models of the timings, one report per
+    timing, in their order. The candidate pieces of every row (see
+    :func:`_held_pieces`) go through one pass of array operations, so a
+    row costs a few Python-level steps instead of a few dozen numpy calls;
+    the argmax tick, the THD and the bounds stay per row, in Python
+    integers and floats. :class:`CapExceeded` is raised before any pieces
+    are built when some timing has more than ``MAX_PIECES`` pieces.
+    """
+    rows = [(t.multiplier_num, t.multiplier_den) for t in timings]
+    for p, q in rows:
+        check_pieces(p, q)
+    if not rows:
+        return []
+    pieces = _Pieces(
+        spec.frequency_hz, timings, [_held_pieces(p, q) for p, q in rows]
+    )
+    return [
+        _report(WaveformModel.held(spec, timing), err, argmax_t, _held_thd(p, q))
+        for timing, (p, q), (err, argmax_t) in zip(
+            timings, rows, pieces.supremum(pieces.start)
+        )
+    ]
 
 
 def evaluate_column(
@@ -451,14 +504,14 @@ def evaluate_column(
     """
     p, q = timing.multiplier_num, timing.multiplier_den
     check_pieces(p, q)
-    pieces = _Pieces(spec.frequency_hz, timing, np.arange(p, dtype=np.int64))
+    pieces = _Pieces(spec.frequency_hz, [timing], [np.arange(p, dtype=np.int64)])
     # One DFT bin of the levels at their start phases, times the
     # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
     cosine = sin_turns_array(_turns(4 * pieces.r + p, 4 * p))
     reports = []
     for quantizer in quantizers:
         level = quantize(pieces.start, quantizer)
-        err, argmax_t = pieces.supremum(level)
+        [(err, argmax_t)] = pieces.supremum(level)
         bin_1 = math.hypot(float(level @ cosine), float(level @ pieces.start))
         fundamental = 2.0 * bin_1 * abs(pieces.half) / (math.pi * q)
         thd_result = _parseval_thd(

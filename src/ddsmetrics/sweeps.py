@@ -12,12 +12,15 @@ fraction in O(log q_max) steps, so spectra stay coherent; both the
 requested and the snapped values are reported. A sweep snaps its axis
 once, before any row runs, and refuses the whole sweep if a snapped
 multiplier has more pieces than ``MAX_PIECES``. An axis given by decades
-and points per decade holds at most ``MAX_AXIS_POINTS`` points. The bits
-and multiplier sweeps evaluate one row per task; the grid evaluates one
-multiplier's column of bit counts per task, sharing the work that
-depends on the multiplier alone. Tasks are independent and may be run by
-a thread pool, but the result order is fixed by the parameter axes,
-never by completion order.
+and points per decade holds at most ``MAX_AXIS_POINTS`` points. Each
+distinct snapped multiplier is evaluated once, and its report (or
+column) serves every axis point that snaps to it. The bits sweep
+evaluates one row per task; the multiplier sweep a batch of up to
+``_HELD_CHUNK`` held rows per task, whose candidate pieces share one
+pass of array operations; the grid one multiplier's column of bit counts
+per task, sharing the work that depends on the multiplier alone. Tasks
+are independent and may be run by a thread pool, but the result order is
+fixed by the parameter axes, never by completion order.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .metrics import MetricsReport, check_pieces, evaluate, evaluate_column
+from .metrics import MetricsReport, check_pieces, evaluate, evaluate_column, evaluate_held
 from .signals import (
     QuantizationMode,
     QuantizerConfig,
@@ -60,6 +63,11 @@ _SWEEP_FREQUENCY_HZ = 1.0
 
 # Longest multiplier axis built from decades and points per decade.
 MAX_AXIS_POINTS = 1 << 20
+
+# Held rows per task of a multiplier sweep. A batch's temporaries take
+# about 1.6 KB per row, so a task holds about 1.6 MB at most, whatever the
+# length of the axis.
+_HELD_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -223,33 +231,46 @@ def sweep_bits(spec: SweepSpec, workers: int = 1) -> SweepResult:
     return SweepResult("bits", tuple(rows), spec)
 
 
+def _distinct_timings(axis: list[_AxisPoint]) -> list[TimingConfig]:
+    """The snapped timings of the axis, each once, in order of first
+    appearance: repeated and snapped-equal multipliers share one row
+    evaluation."""
+    return list(dict.fromkeys(timing for _, timing, _ in axis))
+
+
 def sweep_multiplier(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """One row per requested multiplier for the held model, ascending."""
+    """One row per requested multiplier for the held model, ascending.
+    The distinct snapped timings are evaluated in batches of
+    ``_HELD_CHUNK`` rows, one batch per task."""
     signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
-
-    def one(point: _AxisPoint) -> SweepRow:
-        requested, timing, flags = point
-        report = evaluate(WaveformModel.held(signal, timing))
-        return SweepRow(requested_multiplier=requested, report=report, flags=flags)
-
-    rows = _run_ordered(_snapped_axis(spec), one, workers)
+    axis = _snapped_axis(spec)
+    timings = _distinct_timings(axis)
+    chunks = [timings[i:i + _HELD_CHUNK] for i in range(0, len(timings), _HELD_CHUNK)]
+    batches = _run_ordered(chunks, lambda chunk: evaluate_held(signal, chunk), workers)
+    reports = dict(zip(timings, (report for batch in batches for report in batch)))
+    rows = [
+        SweepRow(requested_multiplier=requested, report=reports[timing], flags=flags)
+        for requested, timing, flags in axis
+    ]
     return SweepResult("multiplier", tuple(rows), spec)
 
 
 def sweep_grid(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """One row per (bits, multiplier) pair for the digitized model,
-    row-major with bits outermost, both axes ascending. Each multiplier's
-    column of bit counts is evaluated in one pass over its pieces."""
+    row-major with bits outermost, both axes ascending. Each distinct
+    snapped multiplier's column of bit counts is evaluated once, in one
+    pass over its pieces."""
     signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
     quantizers = [QuantizerConfig(bits, spec.mode) for bits in spec.bits_axis()]
-
-    def column(point: _AxisPoint) -> list[SweepRow]:
-        requested, timing, flags = point
-        return [
-            SweepRow(requested_multiplier=requested, report=report, flags=flags)
-            for report in evaluate_column(signal, timing, quantizers)
-        ]
-
-    columns = _run_ordered(_snapped_axis(spec), column, workers)
-    rows = [row for bits_rows in zip(*columns) for row in bits_rows]
+    axis = _snapped_axis(spec)
+    timings = _distinct_timings(axis)
+    columns = _run_ordered(
+        timings, lambda timing: evaluate_column(signal, timing, quantizers), workers
+    )
+    by_timing = dict(zip(timings, columns))
+    rows = [
+        SweepRow(requested_multiplier=requested, report=by_timing[timing][i], flags=flags)
+        for i in range(len(quantizers))
+        for requested, timing, flags in axis
+    ]
     return SweepResult("grid", tuple(rows), spec)

@@ -563,3 +563,33 @@ class TestEmptyCharts:
         assert err.startswith("error: --svg-metric thd: ")
         assert err.count("\n") == 1
         assert not svg.exists()
+
+
+class TestRepeatedGridMultipliers:
+    @pytest.mark.parametrize("multipliers", ["4,4", "4,7,4.0"])
+    def test_chart_refused_before_any_row(self, capsys, tmp_path, monkeypatch, multipliers):
+        from ddsmetrics import sweeps
+
+        def no_rows(*args):
+            raise AssertionError("a row was evaluated")
+
+        monkeypatch.setattr(sweeps, "evaluate_column", no_rows)
+        csv_path, svg = tmp_path / "x.csv", tmp_path / "x.svg"
+        code, out, err = run_cli(
+            capsys, "sweep", "grid", "--multipliers", multipliers, "--bits-to", "2",
+            "--out", str(csv_path), "--svg", str(svg),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --multipliers")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_alone_keeps_every_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "grid", "--multipliers", "4,4", "--bits-to", "2",
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 4
+        assert rows[0] == rows[1] and rows[2] == rows[3]

@@ -13,6 +13,7 @@ from conftest import (
     fourier_peak_amplitude_by_quadrature,
     held_thd_closed_form,
 )
+from ddsmetrics import metrics, sweeps
 from ddsmetrics.metrics import (
     MAX_PIECES,
     CapExceeded,
@@ -20,6 +21,7 @@ from ddsmetrics.metrics import (
     _held_supremum,
     evaluate,
     evaluate_column,
+    evaluate_held,
 )
 from oracles import (
     DegenerateSignalError,
@@ -782,3 +784,95 @@ class TestEvaluateColumn:
         row = traced_peak(lambda: evaluate(model))
         column = traced_peak(lambda: evaluate_column(SPEC, timing, quantizers))
         assert column <= 1.05 * row
+
+
+def batch_of_one_each(spec, timings):
+    return [evaluate_held(spec, [timing])[0] for timing in timings]
+
+
+class TestEvaluateHeld:
+    """A batch of held rows shares one pass of array operations; each
+    report equals the row evaluated alone, which equals every piece
+    evaluated (see TestHeldClosedForm)."""
+
+    @given(
+        multipliers=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=MAX_PIECES),
+                st.integers(min_value=1, max_value=10**20),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        freq=st.sampled_from(FREQUENCIES),
+    )
+    @example(multipliers=[(MAX_PIECES, 10**20 + 1), (1, 1), (MAX_PIECES, 1)], freq=1.0)
+    @settings(max_examples=100, deadline=None)
+    def test_random_batches_equal_batches_of_one(self, multipliers, freq):
+        spec = SignalSpec(freq)
+        timings = [TimingConfig(p, q) for p, q in multipliers]
+        assert evaluate_held(spec, timings) == batch_of_one_each(spec, timings)
+
+    @pytest.mark.parametrize("freq", FREQUENCIES)
+    def test_rows_without_fundamental_mixed_with_ordinary_rows(self, freq):
+        spec = SignalSpec(freq)
+        timings = [
+            TimingConfig(p, q)
+            for p, q in [(1, 1), (7, 3), (2, 1), (1, 10**20), (4099, 7), (2, 3), (3, 1), (1, 5)]
+        ]
+        reports = evaluate_held(spec, timings)
+        assert reports == batch_of_one_each(spec, timings)
+        for timing, report in zip(timings, reports):
+            degenerate = timing.multiplier_num <= 2
+            assert (report.thd_ratio is None) == degenerate
+            assert (report.thd_db is None) == degenerate
+
+    @pytest.mark.parametrize(
+        "size", [1, sweeps._HELD_CHUNK - 1, sweeps._HELD_CHUNK, sweeps._HELD_CHUNK + 1]
+    )
+    def test_batches_around_the_sweep_chunk(self, size):
+        rng = np.random.default_rng(size)
+        timings = [
+            TimingConfig(int(p), int(q))
+            for p, q in zip(rng.integers(1, 1 << 20, size), rng.integers(1, 17, size))
+        ]
+        assert evaluate_held(SPEC, timings) == [
+            evaluate(WaveformModel.held(SPEC, timing)) for timing in timings
+        ]
+
+    def test_empty_batch(self):
+        assert evaluate_held(SPEC, []) == []
+
+    @pytest.mark.parametrize("freq", [1.0, 0.3])
+    def test_argmax_is_the_earliest_attaining_piece(self, freq):
+        # each piece evaluated alone is the reference; many of these rows
+        # attain their supremum on more than one piece
+        spec = SignalSpec(freq)
+        timings = [
+            TimingConfig(p, q)
+            for p in range(1, 25) for q in range(1, 25) if math.gcd(p, q) == 1
+        ]
+        tied = 0
+        for timing, report in zip(timings, evaluate_held(spec, timings)):
+            model = WaveformModel.held(spec, timing)
+            alone = [
+                _held_supremum(model, np.array([k]))
+                for k in range(timing.multiplier_num)
+            ]
+            sup = max(err for err, _ in alone)
+            assert report.max_abs_error == sup
+            assert report.argmax_time_s == min(t for err, t in alone if err == sup)
+            tied += sum(err == sup for err, _ in alone) > 1
+        assert tied > 100
+
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    def test_over_cap_timing_raises_before_any_pieces(self, position, monkeypatch):
+        built = []
+        monkeypatch.setattr(metrics, "_held_pieces", lambda *args: built.append(args))
+        monkeypatch.setattr(metrics, "_Pieces", lambda *args: built.append(args))
+        timings = [TimingConfig(p, 3) for p in (4, 5, 7, 11, 13, 17)]
+        timings.insert(position, TimingConfig(MAX_PIECES + 1, 3))
+        with pytest.raises(CapExceeded) as exc_info:
+            evaluate_held(SPEC, timings)
+        assert exc_info.value.p == MAX_PIECES + 1
+        assert built == []

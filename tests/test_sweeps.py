@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from ddsmetrics.signals import (
     QuantizationMode,
     QuantizerConfig,
     SignalSpec,
+    TimingConfig,
     WaveformModel,
 )
 from ddsmetrics import sweeps
@@ -371,3 +373,84 @@ class TestGridColumns:
         assert snap_multiplier(3.001, 100) == snap_multiplier(3.002, 100)
         rows = sweep_grid(spec, workers=workers).rows
         assert list(rows) == per_cell_rows(spec)
+
+    def test_repeated_multipliers_evaluate_one_column(self, monkeypatch):
+        calls = []
+        original = sweeps.evaluate_column
+
+        def counted(signal, timing, quantizers):
+            calls.append(timing)
+            return original(signal, timing, quantizers)
+
+        monkeypatch.setattr(sweeps, "evaluate_column", counted)
+        spec = SweepSpec(
+            bits_from=1, bits_to=6, q_max=100,
+            multipliers=(4.0, 3.001, 3.002, 4.0, 97.0, 4.0),
+        )
+        rows = sweep_grid(spec).rows
+        assert calls == [TimingConfig(4), TimingConfig(3), TimingConfig(97)]
+        assert list(rows) == per_cell_rows(spec)
+
+
+def per_row_multiplier_rows(spec):
+    """The multiplier sweep's rows evaluated one at a time: the reference
+    for the held batches."""
+    signal = SignalSpec(1.0)
+    rows = []
+    for requested in spec.multiplier_axis():
+        timing = snap_multiplier(requested, spec.q_max)
+        flags = (FLAG_SUBNYQUIST,) if timing.multiplier < 2 else ()
+        rows.append(SweepRow(requested, evaluate(WaveformModel.held(signal, timing)), flags))
+    return rows
+
+
+class TestHeldBatches:
+    """The multiplier sweep evaluates its distinct snapped timings in
+    batches of ``_HELD_CHUNK`` rows, equal to evaluating every row alone."""
+
+    @pytest.mark.parametrize(
+        "size", [1, sweeps._HELD_CHUNK - 1, sweeps._HELD_CHUNK, sweeps._HELD_CHUNK + 1]
+    )
+    def test_rows_around_the_chunk_equal_per_row_evaluate(self, size):
+        spec = SweepSpec(multipliers=tuple(3.0 + k / 7.0 for k in range(size)))
+        assert list(sweep_multiplier(spec).rows) == per_row_multiplier_rows(spec)
+
+    def test_workers_give_identical_rows(self):
+        # q_max 1000 keeps about 2200 distinct timings: three chunks
+        spec = SweepSpec(
+            decades_from=0.5, decades_to=2.5, points_per_decade=1100, q_max=1000
+        )
+        serial = sweep_multiplier(spec, workers=1).rows
+        assert sweep_multiplier(spec, workers=2).rows == serial
+        assert list(serial) == per_row_multiplier_rows(spec)
+
+    def test_repeated_multipliers_evaluate_one_row(self, monkeypatch):
+        batches = []
+        original = sweeps.evaluate_held
+
+        def counted(signal, timings):
+            batches.append(list(timings))
+            return original(signal, timings)
+
+        monkeypatch.setattr(sweeps, "evaluate_held", counted)
+        spec = SweepSpec(
+            q_max=100, multipliers=(4.0, 0.5, 1.5, 4.0, 3.001, 3.002, 97.0, 1000.0, 4.0)
+        )
+        rows = sweep_multiplier(spec).rows
+        assert batches == [[
+            TimingConfig(4), TimingConfig(1, 2), TimingConfig(3, 2),
+            TimingConfig(3), TimingConfig(97), TimingConfig(1000),
+        ]]
+        assert list(rows) == per_row_multiplier_rows(spec)
+
+    def test_peak_memory_is_one_chunks(self):
+        # about 1.6 KB per row of a batch: 13 MB if the axis were one batch
+        spec = SweepSpec(multipliers=tuple(multiplier_axis(0.5, 4.5, 2048)[:8192]))
+        tracemalloc.start()
+        try:
+            result = sweep_multiplier(spec)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.rows) == 8192
+        assert peak - kept < 4 << 20
