@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
+from typing import Iterable
 
 from .signals import MAX_BITS, TimingConfig, sin_turns
 
@@ -25,6 +26,8 @@ __all__ = [
     "max_phase_shift",
     "held_error_bound",
     "digitized_error_bound",
+    "held_bounds",
+    "digitized_bounds",
     "variant_bounds",
     "report",
 ]
@@ -81,6 +84,47 @@ def _sin_two_pi(x: float) -> float:
     return sin_turns(float(frac))
 
 
+def held_bounds(
+    frequency_hz: float, dts: Iterable[float]
+) -> list[tuple[float, float]]:
+    """The paper and strict hold bounds (see :func:`held_error_bound`) at
+    each gap of ``dts``, with the frequency checked once."""
+    _check_positive("frequency_hz", frequency_hz)
+    pairs = []
+    for dt in dts:
+        _check_positive("dt", dt)
+        x = frequency_hz * dt
+        paper = sin_turns(x) if x <= 0.25 else ERROR_CAP
+        strict = min(ERROR_CAP, 2.0 * sin_turns(x / 2.0)) if x <= 0.5 else ERROR_CAP
+        pairs.append((paper, strict))
+    return pairs
+
+
+def digitized_bounds(
+    frequency_hz: float, dt: float, bits: Iterable[int]
+) -> list[tuple[float, float]]:
+    """The paper and strict combined bounds (see
+    :func:`digitized_error_bound`) of each bit count of ``bits`` at one
+    gap. The frequency and gap are checked, and the sine and strict hold
+    terms computed, once."""
+    [(_, hold)] = held_bounds(frequency_hz, [dt])
+    s = _sin_two_pi(frequency_hz * dt)
+    pairs = []
+    for b in bits:
+        level = quantization_error_bound(b)
+        scale = 1 << (b - 1)
+        pairs.append(((1.0 + abs(scale * s)) / scale, level + hold))
+    return pairs
+
+
+def _variant(pair: tuple[float, float], variant: BoundVariant) -> float:
+    if variant is BoundVariant.PAPER:
+        return pair[0]
+    if variant is BoundVariant.STRICT:
+        return pair[1]
+    raise ValueError(f"unknown bound variant {variant!r}")
+
+
 def held_error_bound(frequency_hz: float, dt: float, variant: BoundVariant) -> float:
     """Worst-case amplitude error of the sample-hold model.
 
@@ -92,18 +136,8 @@ def held_error_bound(frequency_hz: float, dt: float, variant: BoundVariant) -> f
     true supremum of |sin(theta + delta) - sin(theta)| over all phases for
     lags delta up to 2*pi*f*dt, hence sound for every step alignment.
     """
-    _check_positive("frequency_hz", frequency_hz)
-    _check_positive("dt", dt)
-    x = frequency_hz * dt
-    if variant is BoundVariant.PAPER:
-        if x <= 0.25:
-            return sin_turns(x)
-        return ERROR_CAP
-    if variant is BoundVariant.STRICT:
-        if x <= 0.5:
-            return min(ERROR_CAP, 2.0 * sin_turns(x / 2.0))
-        return ERROR_CAP
-    raise ValueError(f"unknown bound variant {variant!r}")
+    [pair] = held_bounds(frequency_hz, [dt])
+    return _variant(pair, variant)
 
 
 def digitized_error_bound(
@@ -115,18 +149,8 @@ def digitized_error_bound(
     combined formula. STRICT: the quantization level plus the strict hold
     bound, sound for any alignment.
     """
-    _check_positive("frequency_hz", frequency_hz)
-    _check_positive("dt", dt)
-    _check_bits(bits)
-    if variant is BoundVariant.PAPER:
-        scale = 1 << (bits - 1)
-        s = _sin_two_pi(frequency_hz * dt)
-        return (1.0 + abs(scale * s)) / scale
-    if variant is BoundVariant.STRICT:
-        return quantization_error_bound(bits) + held_error_bound(
-            frequency_hz, dt, BoundVariant.STRICT
-        )
-    raise ValueError(f"unknown bound variant {variant!r}")
+    [pair] = digitized_bounds(frequency_hz, dt, [bits])
+    return _variant(pair, variant)
 
 
 def variant_bounds(
@@ -135,8 +159,10 @@ def variant_bounds(
     """Each variant's hold bound, or its combined bound when ``bits`` is
     given."""
     if bits is None:
-        return {v: held_error_bound(frequency_hz, dt, v) for v in BoundVariant}
-    return {v: digitized_error_bound(frequency_hz, dt, bits, v) for v in BoundVariant}
+        [pair] = held_bounds(frequency_hz, [dt])
+    else:
+        [pair] = digitized_bounds(frequency_hz, dt, [bits])
+    return dict(zip(BoundVariant, pair))
 
 
 def report(

@@ -224,6 +224,21 @@ def _check_outputs(paths: list[str]) -> None:
             raise OSError(f"cannot write {path!r}: {target!r} is missing or read-only")
 
 
+def _same_output(first: str, second: str) -> bool:
+    """Whether two output paths name one stdout, or one file that
+    :func:`_write_outputs` would stage twice (a new or regular file,
+    symlinks followed)."""
+    if "-" in (first, second):
+        return first == second
+    target = os.path.realpath(first)
+    if target != os.path.realpath(second):
+        return False
+    try:
+        return stat.S_ISREG(os.stat(target).st_mode)
+    except FileNotFoundError:
+        return True
+
+
 def _resolve_timing(args) -> TimingConfig:
     if args.multiplier is not None and args.dt is not None:
         raise UsageError("--multiplier and --dt are mutually exclusive")
@@ -368,6 +383,8 @@ def cmd_sweep(args) -> int:
         if repeated:
             flag = "--multipliers" if multipliers is not None else "--points-per-decade"
             raise UsageError(f"{flag}: the grid chart needs {repeated[0]!r} only once")
+    if args.svg is not None and _same_output(args.out, args.svg):
+        raise UsageError(f"--svg {args.svg!r} names the same output as --out {args.out!r}")
     _check_outputs([args.out, args.svg or "-"])
     runner = {"bits": sweep_bits, "multiplier": sweep_multiplier, "grid": sweep_grid}
     result = runner[args.axis](spec, workers=args.workers)

@@ -22,10 +22,12 @@ O(pieces):
   them into a few zeta values.
 
 :func:`evaluate_column` evaluates the digitized rows of one timing, one
-per quantizer, building what depends on the timing alone only once.
-:func:`evaluate_held` evaluates a batch of held rows, their candidate
-pieces end to end in one set of arrays, so that a row of a sweep costs a
-few Python-level steps rather than a few dozen numpy calls.
+per quantizer, building what depends on the timing alone, bounds
+included, only once; its quantizers go through whole-matrix calls, a
+group of level rows at a time. :func:`evaluate_held` evaluates a batch
+of held rows, their candidate pieces end to end in one set of arrays.
+Either way a row of a sweep costs a few Python-level steps rather than
+a few dozen numpy calls.
 
 The step levels come from :func:`ddsmetrics.signals.step_levels`, the
 definition the pointwise models use. The probe-grid and DFT estimators
@@ -64,10 +66,15 @@ __all__ = [
     "evaluate_held",
 ]
 
-# evaluate_column() holds about 122 bytes per piece at its peak, one row's
-# temporaries beside the arrays its rows share, so a column stays under
-# about 2.1 GB.
+# evaluate_column() holds about 75 bytes per piece at its peak, one row's
+# temporaries beside the arrays its rows share (a column this long runs
+# one row per group), so a column stays under about 1.3 GB.
 MAX_PIECES = 1 << 24
+
+# evaluate_column() evaluates its quantizers in groups of at most this
+# many level-matrix elements, at least one row per group: a group of
+# small rows costs a few whole-matrix calls instead of a few per row.
+_COLUMN_CHUNK = 1 << 16
 
 # Up to this many bits quantized THD sums over the at most 8 thresholds:
 # the Hankel series of _bessel_sums is only asymptotic and falls short
@@ -171,6 +178,18 @@ def _windows(r, p: int):
     return (p - 4 * r) % (4 * p), (3 * p - 4 * r) % (4 * p)
 
 
+def _errors(level, start, swing, at_peak, at_trough) -> tuple:
+    """The candidate suprema of pieces that hold ``level``: at their two
+    ends and at the sine extrema inside them."""
+    offset = level - start  # 0 for held; the quantization error at the start
+    return (
+        np.abs(offset),
+        np.abs(offset - swing),
+        np.where(at_peak, np.abs(level - 1.0), 0.0),
+        np.where(at_trough, np.abs(level + 1.0), 0.0),
+    )
+
+
 class _Pieces:
     """The pieces of one or more held or digitized rows at frequency f,
     and what every quantizer shares about them. Row i has the timing
@@ -213,26 +232,40 @@ class _Pieces:
 
     def supremum(self, level: np.ndarray) -> list[tuple[float, float]]:
         """Exact supremum of each row whose pieces hold ``level``, and the
-        earliest time it is attained."""
-        offset = level - self.start  # 0 for held; the quantization error at the start
-        # Candidate suprema per piece: at its two ends and at the extrema
-        # inside it.
-        errors = np.stack([
-            np.abs(offset),
-            np.abs(offset - self.swing),
-            np.where(self.at_peak, np.abs(level - 1.0), 0.0),
-            np.where(self.at_trough, np.abs(level + 1.0), 0.0),
-        ])
-        largest = errors.max(axis=0)
-        sups = np.maximum.reduceat(largest, self.starts)
+        earliest time it is attained. ``level`` has one value per piece,
+        or, for a single timing, a row of them per row of a matrix."""
+        # The largest of each piece's _errors, folded in place into one
+        # array: the same floats, without four arrays alive at once.
+        buffer = level - self.start
+        largest = np.abs(buffer)
+        np.subtract(buffer, self.swing, out=buffer)
+        np.maximum(largest, np.abs(buffer, out=buffer), out=largest)
+        np.subtract(level, 1.0, out=buffer)
+        np.maximum(largest, np.abs(buffer, out=buffer), out=largest, where=self.at_peak)
+        np.add(level, 1.0, out=buffer)
+        np.maximum(largest, np.abs(buffer, out=buffer), out=largest, where=self.at_trough)
         # Pieces follow each other in time, so a row's earliest attainment
         # lies in the first of its pieces that attains its supremum at all.
-        attaining = (largest == self._spread(sups)).nonzero()[0]
-        firsts = attaining[attaining.searchsorted(self.starts)]
+        if level.ndim == 2:
+            timings = self.timings * len(level)
+            sups = largest.max(axis=1)
+            firsts = (largest == sups[:, None]).argmax(axis=1)
+            at = (np.arange(len(level)), firsts)
+        else:
+            timings = self.timings
+            sups = np.maximum.reduceat(largest, self.starts)
+            attaining = (largest == self._spread(sups)).nonzero()[0]
+            firsts = attaining[attaining.searchsorted(self.starts)]
+            at = firsts
+        # the four candidates, now only at the first attaining pieces
+        at_first = _errors(
+            level[at], self.start[firsts], self.swing[firsts],
+            self.at_peak[firsts], self.at_trough[firsts],
+        )
         suprema = []
         for timing, sup, k, candidates in zip(
-            self.timings, sups.tolist(), self.k[firsts].tolist(),
-            errors[:, firsts].T.tolist(),
+            timings, sups.tolist(), self.k[firsts].tolist(),
+            zip(*(errors.tolist() for errors in at_first)),
         ):
             p, q = timing.multiplier_num, timing.multiplier_den
             # the candidates' offsets into the piece, in units of
@@ -401,27 +434,19 @@ def _quantized_thd(quantizer: QuantizerConfig) -> tuple[float | None, float | No
     return ratio, 20.0 * math.log10(ratio)
 
 
-def _bounds_for(model: WaveformModel) -> tuple[float, float]:
-    """The paper and strict bounds of the model's own kind."""
-    if model.kind is ModelKind.TARGET:
-        return 0.0, 0.0
-    if model.kind is ModelKind.QUANTIZED:
-        b = bounds.quantization_error_bound(model.quantizer.bits)
-        return b, b
-    f = model.spec.frequency_hz
-    bits = model.quantizer.bits if model.quantizer else None
-    pair = bounds.variant_bounds(f, model.timing.time_gap_s(f), bits)
-    return pair[bounds.BoundVariant.PAPER], pair[bounds.BoundVariant.STRICT]
-
-
 def _report(
-    model: WaveformModel, err: float, argmax_t: float, thd_result: tuple
+    model: WaveformModel,
+    err: float,
+    argmax_t: float,
+    thd_result: tuple,
+    bound_pair: tuple[float, float],
 ) -> MetricsReport:
-    """The report of ``model`` with its metrics and the matching bounds."""
-    paper, strict = _bounds_for(model)
+    """The report of ``model`` with its metrics and its paper and strict
+    bounds."""
     timing = model.timing
     quantizer = model.quantizer
     ratio, db = thd_result
+    paper, strict = bound_pair
     return MetricsReport(
         model=model.kind.value,
         freq_hz=model.spec.frequency_hz,
@@ -458,11 +483,10 @@ def evaluate(model: WaveformModel) -> MetricsReport:
     if model.kind is ModelKind.HELD:
         return evaluate_held(model.spec, [model.timing])[0]
     if model.kind is ModelKind.TARGET:
-        err, argmax_t, thd_result = 0.0, 0.0, (0.0, None)
-    else:
-        err, argmax_t = _quantized_supremum(model.quantizer, model.spec.frequency_hz)
-        thd_result = _quantized_thd(model.quantizer)
-    return _report(model, err, argmax_t, thd_result)
+        return _report(model, 0.0, 0.0, (0.0, None), (0.0, 0.0))
+    err, argmax_t = _quantized_supremum(model.quantizer, model.spec.frequency_hz)
+    bound = bounds.quantization_error_bound(model.quantizer.bits)
+    return _report(model, err, argmax_t, _quantized_thd(model.quantizer), (bound, bound))
 
 
 def evaluate_held(
@@ -481,13 +505,13 @@ def evaluate_held(
         check_pieces(p, q)
     if not rows:
         return []
-    pieces = _Pieces(
-        spec.frequency_hz, timings, [_held_pieces(p, q) for p, q in rows]
-    )
+    f = spec.frequency_hz
+    bound_pairs = bounds.held_bounds(f, [t.time_gap_s(f) for t in timings])
+    pieces = _Pieces(f, timings, [_held_pieces(p, q) for p, q in rows])
     return [
-        _report(WaveformModel.held(spec, timing), err, argmax_t, _held_thd(p, q))
-        for timing, (p, q), (err, argmax_t) in zip(
-            timings, rows, pieces.supremum(pieces.start)
+        _report(WaveformModel.held(spec, timing), err, argmax_t, _held_thd(p, q), pair)
+        for timing, (p, q), (err, argmax_t), pair in zip(
+            timings, rows, pieces.supremum(pieces.start), bound_pairs
         )
     ]
 
@@ -497,26 +521,42 @@ def evaluate_column(
 ) -> list[MetricsReport]:
     """:func:`evaluate` of the digitized models of one timing, one report
     per quantizer, in their order. The pieces' residues, start sines,
-    swings and extremum windows and the THD bin's cosine are computed once;
-    each quantizer adds its levels, candidate errors, two dot products and
-    two means, one row's temporaries at a time. :class:`CapExceeded` is
-    raised before anything is allocated when p > ``MAX_PIECES``.
+    swings and extremum windows, the THD bin's cosine and the bounds' sine
+    and hold terms are computed once. The quantizers then go in groups of
+    up to ``_COLUMN_CHUNK`` level-matrix elements, at least one row each:
+    a group's levels, candidate errors, suprema and means are whole-matrix
+    calls, and only the two dot products and the argmax tick stay per
+    row. :class:`CapExceeded` is raised before anything is allocated when
+    p > ``MAX_PIECES``.
     """
     p, q = timing.multiplier_num, timing.multiplier_den
     check_pieces(p, q)
-    pieces = _Pieces(spec.frequency_hz, [timing], [np.arange(p, dtype=np.int64)])
+    f = spec.frequency_hz
+    bound_pairs = bounds.digitized_bounds(
+        f, timing.time_gap_s(f), [quantizer.bits for quantizer in quantizers]
+    )
+    pieces = _Pieces(f, [timing], [np.arange(p, dtype=np.int64)])
     # One DFT bin of the levels at their start phases, times the
     # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
     cosine = sin_turns_array(_turns(4 * pieces.r + p, 4 * p))
+    group_rows = max(1, _COLUMN_CHUNK // p)
     reports = []
-    for quantizer in quantizers:
-        level = quantize(pieces.start, quantizer)
-        [(err, argmax_t)] = pieces.supremum(level)
-        bin_1 = math.hypot(float(level @ cosine), float(level @ pieces.start))
-        fundamental = 2.0 * bin_1 * abs(pieces.half) / (math.pi * q)
-        thd_result = _parseval_thd(
-            float(np.mean(level)), float(np.mean(level * level)), fundamental
-        )
-        model = WaveformModel.digitized(spec, timing, quantizer)
-        reports.append(_report(model, err, argmax_t, thd_result))
+    for first in range(0, len(quantizers), group_rows):
+        group = quantizers[first:first + group_rows]
+        level = np.empty((len(group), p))
+        for row, quantizer in zip(level, group):
+            row[:] = quantize(pieces.start, quantizer)
+        # the rows reduce along their contiguous axis as np.mean reduces
+        # one row, and each dot is one row's own
+        means = (np.add.reduce(level, axis=1) / p).tolist()
+        mean_squares = (np.add.reduce(level * level, axis=1) / p).tolist()
+        for quantizer, row, (err, argmax_t), mean, mean_square, pair in zip(
+            group, level, pieces.supremum(level), means, mean_squares,
+            bound_pairs[first:],
+        ):
+            bin_1 = math.hypot(float(row @ cosine), float(row @ pieces.start))
+            fundamental = 2.0 * bin_1 * abs(pieces.half) / (math.pi * q)
+            thd_result = _parseval_thd(mean, mean_square, fundamental)
+            model = WaveformModel.digitized(spec, timing, quantizer)
+            reports.append(_report(model, err, argmax_t, thd_result, pair))
     return reports

@@ -8,6 +8,8 @@ period, so the DFT has no leakage and needs no window, and
 :func:`spectrum_exact_staircase` is the truncated continuous-time Fourier
 series of a staircase; :func:`thd` reads either spectrum. The exact
 engine, :func:`ddsmetrics.metrics.evaluate`, calls none of them.
+:func:`column_rows` is the exact engine's digitized column one quantizer
+at a time, the byte reference for its quantizer groups.
 """
 
 from __future__ import annotations
@@ -17,7 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ddsmetrics.metrics import CapExceeded, _model_pq
+from ddsmetrics import bounds
+from ddsmetrics.metrics import (
+    CapExceeded,
+    _model_pq,
+    _parseval_thd,
+    _Pieces,
+    _turns,
+    _windows,
+    check_pieces,
+)
+from ddsmetrics.metrics import _report as _engine_report
 from ddsmetrics.signals import (
     ModelKind,
     WaveformModel,
@@ -305,3 +317,58 @@ def thd(spectrum: Spectrum) -> tuple[float, float | None]:
     if ratio > 0.0:
         return ratio, 20.0 * math.log10(ratio)
     return 0.0, None
+
+
+def _row_supremum(pieces: _Pieces, level: np.ndarray) -> list[tuple[float, float]]:
+    """The exact supremum of one digitized row and the earliest time it
+    is attained: the four candidate errors of every piece stacked, and the
+    first piece that attains their maximum."""
+    offset = level - pieces.start
+    errors = np.stack([
+        np.abs(offset),
+        np.abs(offset - pieces.swing),
+        np.where(pieces.at_peak, np.abs(level - 1.0), 0.0),
+        np.where(pieces.at_trough, np.abs(level + 1.0), 0.0),
+    ])
+    largest = errors.max(axis=0)
+    sup = float(largest.max())
+    [timing] = pieces.timings
+    p, q = timing.multiplier_num, timing.multiplier_den
+    first = int((largest == sup).nonzero()[0][0])
+    k = int(pieces.k[first])
+    offsets = (0, 4 * q, *_windows(k * q % p, p))
+    candidates = errors[:, first].tolist()
+    tick = 4 * k * q + min(o for o, e in zip(offsets, candidates) if e == sup)
+    return [(sup, tick / (4 * p) / pieces.f)]
+
+
+def _report(model, err, argmax_t, thd_result):
+    """The engine's report with the model's digitized bounds, each
+    variant taken alone."""
+    f = model.spec.frequency_hz
+    dt, bits = model.timing.time_gap_s(f), model.quantizer.bits
+    pair = tuple(bounds.digitized_error_bound(f, dt, bits, v) for v in bounds.BoundVariant)
+    return _engine_report(model, err, argmax_t, thd_result, pair)
+
+
+def column_rows(spec, timing, quantizers) -> list:
+    """The digitized reports of one timing, one quantizer at a time: the
+    byte reference for :func:`ddsmetrics.metrics.evaluate_column`."""
+    p, q = timing.multiplier_num, timing.multiplier_den
+    check_pieces(p, q)
+    pieces = _Pieces(spec.frequency_hz, [timing], [np.arange(p, dtype=np.int64)])
+    # One DFT bin of the levels at their start phases, times the
+    # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
+    cosine = sin_turns_array(_turns(4 * pieces.r + p, 4 * p))
+    reports = []
+    for quantizer in quantizers:
+        level = quantize(pieces.start, quantizer)
+        [(err, argmax_t)] = _row_supremum(pieces, level)
+        bin_1 = math.hypot(float(level @ cosine), float(level @ pieces.start))
+        fundamental = 2.0 * bin_1 * abs(pieces.half) / (math.pi * q)
+        thd_result = _parseval_thd(
+            float(np.mean(level)), float(np.mean(level * level)), fundamental
+        )
+        model = WaveformModel.digitized(spec, timing, quantizer)
+        reports.append(_report(model, err, argmax_t, thd_result))
+    return reports

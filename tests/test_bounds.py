@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from conftest import brute_force_held_max_error
 from ddsmetrics.bounds import (
     BoundVariant,
+    digitized_bounds,
     digitized_error_bound,
     full_scale_range,
+    held_bounds,
     held_error_bound,
     max_phase_shift,
     min_clock_frequency,
@@ -166,3 +168,43 @@ class TestDigitizedErrorBound:
     def test_dominates_quantization_bound(self, fdt, bits):
         value = digitized_error_bound(1.0, fdt, bits, PAPER)
         assert value >= quantization_error_bound(bits)
+
+
+GAPS = [1e-12, 0.01, 1 / 64, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0, 3.3, 1e9]
+
+
+class TestBatchBounds:
+    """held_bounds and digitized_bounds check their shared inputs once and
+    give the bytes of the single-variant functions."""
+
+    @pytest.mark.parametrize("freq", [1.0, 0.37, 3.0])
+    def test_held_pairs_equal_each_variant(self, freq):
+        assert held_bounds(freq, GAPS) == [
+            (held_error_bound(freq, dt, PAPER), held_error_bound(freq, dt, STRICT))
+            for dt in GAPS
+        ]
+
+    @given(
+        freq=st.floats(min_value=1e-3, max_value=1e3),
+        dt=st.floats(min_value=1e-9, max_value=10.0),
+    )
+    def test_digitized_pairs_equal_each_variant(self, freq, dt):
+        bits = list(range(1, 53))
+        assert digitized_bounds(freq, dt, bits) == [
+            (digitized_error_bound(freq, dt, b, PAPER), digitized_error_bound(freq, dt, b, STRICT))
+            for b in bits
+        ]
+
+    @pytest.mark.parametrize(
+        "freq,dt,bits", [(0.0, 0.1, 8), (1.0, 0.0, 8), (1.0, math.nan, 8), (1.0, 0.1, 0)]
+    )
+    def test_refuse_what_each_variant_refuses(self, freq, dt, bits):
+        with pytest.raises(ValueError) as single:
+            digitized_error_bound(freq, dt, bits, PAPER)
+        with pytest.raises(ValueError) as batch:
+            digitized_bounds(freq, dt, [8, bits])
+        assert str(batch.value) == str(single.value)
+        if bits == 8:
+            with pytest.raises(ValueError) as held:
+                held_bounds(freq, [0.1, dt])
+            assert str(held.value) == str(single.value)

@@ -593,3 +593,45 @@ class TestRepeatedGridMultipliers:
         _, _, rows = parse_csv(out)
         assert len(rows) == 4
         assert rows[0] == rows[1] and rows[2] == rows[3]
+
+
+class TestOneOutputForCsvAndSvg:
+    """``--out`` and ``--svg`` naming one stdout or one file exit 2 before
+    any row runs, and leave every file as it was."""
+
+    @pytest.fixture
+    def no_rows(self, monkeypatch):
+        from ddsmetrics import sweeps
+
+        def refuse(*args):
+            raise AssertionError("a row was evaluated")
+
+        monkeypatch.setattr(sweeps, "evaluate", refuse)
+
+    def refused(self, capsys, out, svg):
+        code, stdout, err = run_cli(
+            capsys, "sweep", "bits", "--bits-to", "4", "--out", out, "--svg", svg,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: --svg")
+        assert err.count("\n") == 1
+
+    def test_same_path(self, capsys, tmp_path, no_rows):
+        path = str(tmp_path / "same.out")
+        self.refused(capsys, path, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_symlink_to_the_csv(self, capsys, tmp_path, no_rows):
+        target = tmp_path / "rows.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.svg"
+        link.symlink_to(target)
+        self.refused(capsys, str(target), str(link))
+        assert target.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.svg", "rows.csv"]
+
+    def test_both_on_stdout(self, capsys, tmp_path, monkeypatch, no_rows):
+        monkeypatch.chdir(tmp_path)
+        self.refused(capsys, "-", "-")
+        assert list(tmp_path.iterdir()) == []

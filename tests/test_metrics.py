@@ -25,6 +25,7 @@ from ddsmetrics.metrics import (
 )
 from oracles import (
     DegenerateSignalError,
+    column_rows,
     SamplingPlan,
     max_abs_error,
     probe_times,
@@ -784,6 +785,81 @@ class TestEvaluateColumn:
         row = traced_peak(lambda: evaluate(model))
         column = traced_peak(lambda: evaluate_column(SPEC, timing, quantizers))
         assert column <= 1.05 * row
+
+
+class TestColumnGroups:
+    """A column evaluates its quantizers in groups of up to
+    ``_COLUMN_CHUNK`` level-matrix elements; each report is byte-equal to
+    the column evaluated one quantizer at a time."""
+
+    @pytest.mark.parametrize("freq", [1.0, 0.37])
+    def test_small_columns_equal_rows_one_at_a_time(self, freq):
+        spec = SignalSpec(freq)
+        quantizers = [
+            QuantizerConfig(bits, mode)
+            for mode in QuantizationMode for bits in (1, 2, 3, 4, 8, 12, 16, 52)
+        ]
+        for p in range(1, 33):
+            for q in range(1, 33):
+                if math.gcd(p, q) == 1:
+                    timing = TimingConfig(p, q)
+                    assert evaluate_column(spec, timing, quantizers) == column_rows(
+                        spec, timing, quantizers
+                    )
+
+    @pytest.mark.parametrize(
+        "p,q", [(3, 1), (7, 2), (17, 4), (1009, 13), (4099, 16), (11, 5), (1, 1), (2, 1), (1, 3)]
+    )
+    def test_every_bit_count_in_every_mode(self, p, q):
+        quantizers = [
+            QuantizerConfig(bits, mode) for mode in QuantizationMode for bits in range(1, 53)
+        ]
+        for spec in (SPEC, SignalSpec(0.37)):
+            timing = TimingConfig(p, q)
+            assert evaluate_column(spec, timing, quantizers) == column_rows(
+                spec, timing, quantizers
+            )
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("freq", [1.0, 0.37])
+    def test_columns_around_one_group(self, offset, freq):
+        # bits 1-52 in every mode, mixed, with repeats: at p = chunk // rows
+        # and below, one group holds every row; above, the last row spills
+        # into a second group
+        modes = list(QuantizationMode)
+        quantizers = [
+            QuantizerConfig(bits, modes[(bits + k) % 3]) for k in range(3) for bits in range(1, 53)
+        ] + [QuantizerConfig(8, QuantizationMode.ROUND), QuantizerConfig(1, QuantizationMode.FLOOR)]
+        p = metrics._COLUMN_CHUNK // len(quantizers) + offset
+        spec, timing = SignalSpec(freq), TimingConfig(p, 11)
+        assert timing.multiplier_num == p
+        assert evaluate_column(spec, timing, quantizers) == column_rows(
+            spec, timing, quantizers
+        )
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_columns_around_one_row_per_group(self, offset):
+        quantizers = [QuantizerConfig(bits, mode) for mode in QuantizationMode for bits in (1, 9, 52)]
+        timing = TimingConfig(metrics._COLUMN_CHUNK // 2 + offset, 3)
+        assert evaluate_column(SPEC, timing, quantizers) == column_rows(
+            SPEC, timing, quantizers
+        )
+
+    def test_default_grid_peak_is_its_largest_columns(self):
+        spec = sweeps.SweepSpec()
+        timings = [sweeps.snap_multiplier(m, spec.q_max) for m in spec.multiplier_axis()]
+        largest = max(timings, key=lambda timing: timing.multiplier_num)
+        quantizers = [QuantizerConfig(bits, spec.mode) for bits in spec.bits_axis()]
+        column = traced_peak(lambda: evaluate_column(SPEC, largest, quantizers))
+        tracemalloc.start()
+        try:
+            result = sweeps.sweep_grid(spec)
+            kept, grid = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.rows) == 1696
+        # beside its largest column the grid holds only the reports it keeps
+        assert grid <= column + kept
 
 
 def batch_of_one_each(spec, timings):
