@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
 from typing import Iterable
 
 from .signals import MAX_BITS, TimingConfig, sin_turns
@@ -78,10 +77,9 @@ def max_phase_shift(frequency_hz: float, dt: float) -> float:
 
 
 def _sin_two_pi(x: float) -> float:
-    """sin(2*pi*x) with the argument reduced exactly, any x >= 0."""
-    frac = Fraction(x)
-    frac -= frac.numerator // frac.denominator
-    return sin_turns(float(frac))
+    """sin(2*pi*x) with the argument reduced exactly, any x >= 0: the
+    fractional part of a float is a float, so the difference is exact."""
+    return sin_turns(x - math.floor(x))
 
 
 def held_bounds(

@@ -225,11 +225,18 @@ def _check_outputs(paths: list[str]) -> None:
 
 
 def _same_output(first: str, second: str) -> bool:
-    """Whether two output paths name one stdout, or one file that
+    """Whether two output paths name one stdout, reached as ``-`` or
+    through a path such as ``/dev/stdout``, or one file that
     :func:`_write_outputs` would stage twice (a new or regular file,
     symlinks followed)."""
     if "-" in (first, second):
-        return first == second
+        if first == second:
+            return True
+        try:
+            out, other = os.fstat(1), os.stat(first if second == "-" else second)
+        except OSError:  # stdout closed, or the other path is new
+            return False
+        return (out.st_dev, out.st_ino) == (other.st_dev, other.st_ino)
     target = os.path.realpath(first)
     if target != os.path.realpath(second):
         return False

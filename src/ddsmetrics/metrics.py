@@ -25,7 +25,8 @@ O(pieces):
 per quantizer, building what depends on the timing alone, bounds
 included, only once; its quantizers go through whole-matrix calls, a
 group of level rows at a time. :func:`evaluate_held` evaluates a batch
-of held rows, their candidate pieces end to end in one set of arrays.
+of held rows, their candidate pieces built as one matrix and laid end
+to end in one set of arrays.
 Either way a row of a sweep costs a few Python-level steps rather than
 a few dozen numpy calls.
 
@@ -194,18 +195,25 @@ class _Pieces:
     """The pieces of one or more held or digitized rows at frequency f,
     and what every quantizer shares about them. Row i has the timing
     ``timings[i]`` and the pieces ``ks[i]`` (ascending indices), which
-    follow those of row i - 1 in the flat arrays. Piece k of a row p/q
-    starts at residue r = k*q mod p, where the sine is ``start``; the sine
-    changes by ``swing`` across it; it holds phase 1/4 (3/4) iff
-    ``at_peak`` (``at_trough``)."""
+    follow those of row i - 1 in the flat arrays; with ``counts``, ``ks``
+    is that flat array already, row i holding ``counts[i]`` pieces. Piece
+    k of a row p/q starts at residue r = k*q mod p, where the sine is
+    ``start``; the sine changes by ``swing`` across it; it holds phase
+    1/4 (3/4) iff ``at_peak`` (``at_trough``)."""
 
     def __init__(
-        self, f: float, timings: Sequence[TimingConfig], ks: Sequence[np.ndarray]
+        self,
+        f: float,
+        timings: Sequence[TimingConfig],
+        ks: Sequence[np.ndarray] | np.ndarray,
+        counts: list[int] | None = None,
     ):
         self.f, self.timings = f, timings
-        self.counts = [len(k) for k in ks]
-        self.starts = np.cumsum([0, *self.counts[:-1]])
-        self.k = ks[0] if len(ks) == 1 else np.concatenate(ks)
+        if counts is None:
+            counts = [len(k) for k in ks]
+            ks = ks[0] if len(ks) == 1 else np.concatenate(ks)
+        self.counts, self.k = counts, ks
+        self.starts = np.cumsum([0, *counts[:-1]])
         rows = [(t.multiplier_num, t.multiplier_den) for t in timings]
         p = self._spread([p for p, _ in rows])
         # q meets the int64 arrays only reduced, so any exact multiplier fits.
@@ -283,10 +291,23 @@ def _held_supremum(model: WaveformModel, k: np.ndarray) -> tuple[float, float]:
     return pieces.supremum(pieces.start)[0]
 
 
-def _held_pieces(p: int, q: int) -> np.ndarray:
-    """Indices, ascending, of the few held pieces that can attain the
-    supremum; a superset of every piece whose candidate error (see
-    :class:`_Pieces`) equals the maximum of its kind.
+# The candidate residues of a held row p/q (see _held_pieces). Its six
+# window residues are (a*p - b*min(q, p) + c) // 4 for these (a, b, c):
+# ceil(p/4 - q), ceil(3p/4 - q), and the floor and ceiling of p/4 and 3p/4.
+_WINDOW_P = np.array([1, 3, 1, 1, 3, 3], dtype=np.int64)
+_WINDOW_REACH = np.array([4, 4, 0, 0, 0, 0], dtype=np.int64)
+_WINDOW_CEIL = np.array([3, 3, 0, 3, 0, 3], dtype=np.int64)
+# Beside its swing maxima 2r + (q mod 2p) is at most 2 from a multiple m*p
+# of p, m = 0..4, so 2r is m*p + gap - (q mod 2p) for these (m, gap).
+_SWING_MULTIPLES = np.repeat(np.arange(5, dtype=np.int64), 5)
+_SWING_GAPS = np.tile(np.arange(-2, 3, dtype=np.int64), 5)
+
+
+def _held_pieces(rows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
+    """Indices of the few held pieces of each row p/q that can attain the
+    supremum, ascending and each once, the rows end to end, and how many
+    each row has; for each row a superset of every piece whose candidate
+    error (see :class:`_Pieces`) equals the maximum of its kind.
 
     * The swing 2*cos(pi*(2r + q)/p)*sin(pi*q/p) is largest where 2r + q
       is nearest a multiple of p; residues within 2 of one are kept.
@@ -295,33 +316,40 @@ def _held_pieces(p: int, q: int) -> np.ndarray:
       end of that window, r = ceil(p/4 - q), or, if the window reaches
       past 3/4, beside 3p/4. Likewise for the trough, mirrored.
 
-    Piece k starts at residue r = k*q mod p, so k = r * q**-1 mod p.
+    Piece k starts at residue r = k*q mod p, so k = r * q**-1 mod p. The
+    candidates of all rows form one int64 matrix, 6 window residues and
+    25 swing candidates a row: p <= 2**24 keeps 4*p and every product
+    r * q**-1 far inside int64, and q meets the arrays only reduced.
     """
-    twice_q = q % (2 * p)
-    reach = min(q, p)
+    columns = zip(*((p, q % (2 * p), min(q, p), pow(q % p, -1, p)) for p, q in rows))
+    p, twice_q, reach, inverse = (np.array(c, dtype=np.int64)[:, None] for c in columns)
     # (n + 3) // 4 is ceil(n/4), negative n included
-    residues = {
-        (p - 4 * reach + 3) // 4,
-        (3 * p - 4 * reach + 3) // 4,
-        p // 4, (p + 3) // 4, 3 * p // 4, (3 * p + 3) // 4,
-    }
-    # 2r + (q mod 2p) lies in [0, 4p), so the multiples 0..4p bracket it
-    for multiple in range(0, 4 * p + 1, p):
-        for gap in range(-2, 3):
-            twice_r = multiple + gap - twice_q
-            if twice_r % 2 == 0 and 0 <= twice_r < 2 * p:
-                residues.add(twice_r // 2)
-    inverse = pow(q % p, -1, p)
-    return np.array(sorted(r % p * inverse % p for r in residues), dtype=np.int64)
+    windows = (_WINDOW_P * p - _WINDOW_REACH * reach + _WINDOW_CEIL) // 4
+    # 2r + (q mod 2p) lies in [0, 4p), so the multiples 0..4p bracket it;
+    # an odd or out-of-range 2r gives way to the first window residue, a
+    # repeat that is dropped below
+    twice_r = _SWING_MULTIPLES * p + _SWING_GAPS - twice_q
+    valid = (twice_r % 2 == 0) & (twice_r >= 0) & (twice_r < 2 * p)
+    swing = np.where(valid, twice_r // 2, windows[:, :1])
+    k = np.hstack((windows, swing)) % p * inverse % p
+    k.sort(axis=1)
+    kept = np.ones(k.shape, dtype=bool)
+    kept[:, 1:] = k[:, 1:] != k[:, :-1]
+    return k[kept], kept.sum(axis=1).tolist()
+
+
+# n*(n + 1) for n = 2, 4, ..., 20: term n + 1 of the sine's Taylor series
+# is term n - 1 times -x**2/(n*(n + 1)).
+_TAYLOR_DIVISORS = tuple(n * (n + 1) for n in range(2, 22, 2))
 
 
 def _x_minus_sin(x: float) -> float:
     """x - sin(x) for 0 <= x < 1 from its Taylor series, free of the
     cancellation of the direct difference; the terms past x**21/21! are
     below an ulp."""
-    terms, term = [], x
-    for n in range(2, 22, 2):
-        term *= -x * x / (n * (n + 1))
+    step, terms, term = -x * x, [], x
+    for divisor in _TAYLOR_DIVISORS:
+        term *= step / divisor
         terms.append(term)
     return -math.fsum(terms)
 
@@ -494,11 +522,12 @@ def evaluate_held(
 ) -> list[MetricsReport]:
     """:func:`evaluate` of the held models of the timings, one report per
     timing, in their order. The candidate pieces of every row (see
-    :func:`_held_pieces`) go through one pass of array operations, so a
-    row costs a few Python-level steps instead of a few dozen numpy calls;
-    the argmax tick, the THD and the bounds stay per row, in Python
-    integers and floats. :class:`CapExceeded` is raised before any pieces
-    are built when some timing has more than ``MAX_PIECES`` pieces.
+    :func:`_held_pieces`) are built as one matrix and go through one pass
+    of array operations, so a row costs a few Python-level steps instead
+    of a few dozen numpy calls; the modular inverse, the argmax tick, the
+    THD and the bounds stay per row, in Python integers and floats.
+    :class:`CapExceeded` is raised before any pieces are built when some
+    timing has more than ``MAX_PIECES`` pieces.
     """
     rows = [(t.multiplier_num, t.multiplier_den) for t in timings]
     for p, q in rows:
@@ -507,11 +536,12 @@ def evaluate_held(
         return []
     f = spec.frequency_hz
     bound_pairs = bounds.held_bounds(f, [t.time_gap_s(f) for t in timings])
-    pieces = _Pieces(f, timings, [_held_pieces(p, q) for p, q in rows])
+    pieces = _Pieces(f, timings, *_held_pieces(rows))
+    kind = ModelKind.HELD.value
     return [
-        _report(WaveformModel.held(spec, timing), err, argmax_t, _held_thd(p, q), pair)
-        for timing, (p, q), (err, argmax_t), pair in zip(
-            timings, rows, pieces.supremum(pieces.start), bound_pairs
+        MetricsReport(kind, f, None, None, p, q, err, argmax_t, *_held_thd(p, q), *pair)
+        for (p, q), (err, argmax_t), pair in zip(
+            rows, pieces.supremum(pieces.start), bound_pairs
         )
     ]
 
@@ -556,7 +586,8 @@ def evaluate_column(
         ):
             bin_1 = math.hypot(float(row @ cosine), float(row @ pieces.start))
             fundamental = 2.0 * bin_1 * abs(pieces.half) / (math.pi * q)
-            thd_result = _parseval_thd(mean, mean_square, fundamental)
-            model = WaveformModel.digitized(spec, timing, quantizer)
-            reports.append(_report(model, err, argmax_t, thd_result, pair))
+            reports.append(MetricsReport(
+                ModelKind.DIGITIZED.value, f, quantizer.bits, quantizer.mode.value, p, q,
+                err, argmax_t, *_parseval_thd(mean, mean_square, fundamental), *pair,
+            ))
     return reports

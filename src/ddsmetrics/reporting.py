@@ -11,12 +11,12 @@ numbers.
 
 from __future__ import annotations
 
-import decimal
 import json
 import math
+from operator import attrgetter
 
 from .metrics import MetricsReport
-from .sweeps import SCHEMA_VERSION, SweepResult, SweepRow
+from .sweeps import SCHEMA_VERSION, SweepResult
 
 __all__ = [
     "fmt_float",
@@ -60,14 +60,13 @@ def fmt_float(x: float) -> str:
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     if x == 0.0:
         return "0"
-    ax = abs(x)
-    if 1e-4 <= ax < 1e6:
-        s = repr(x)
-        if "e" not in s and "E" not in s:
-            return s
-        s = format(decimal.Decimal(s), "f")
-        return s if float(s) == x else repr(x)
-    for precision in range(17):
+    shortest = repr(x)  # plain decimal for magnitudes in [1e-4, 1e16)
+    if 1e-4 <= abs(x) < 1e6:
+        return shortest
+    # repr has the fewest significant digits that round-trip, so no
+    # shorter precision can; the search starts at its digit count
+    digits = shortest.partition("e")[0].replace(".", "").lstrip("-").strip("0")
+    for precision in range(len(digits) - 1, 17):
         s = f"{x:.{precision}e}"
         if float(s) == x:
             return s
@@ -76,14 +75,12 @@ def fmt_float(x: float) -> str:
 
 def csv_field(value) -> str:
     """One CSV cell: empty for None, exact text for numbers."""
+    if isinstance(value, float):
+        return fmt_float(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         raise TypeError("booleans have no CSV representation here")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return fmt_float(value)
     return str(value)
 
 
@@ -145,7 +142,7 @@ def _spec_echo_lines(result: SweepResult) -> list[str]:
         lines.append(f"# mode={spec.mode.value}")
     if result.kind in ("multiplier", "grid"):
         if spec.multipliers is not None:
-            axis = " ".join(fmt_float(m) for m in spec.multipliers)
+            axis = " ".join(_cells(list(spec.multipliers), fmt_float))
             lines.append(f"# multipliers={axis}")
         else:
             lines.append(
@@ -157,69 +154,67 @@ def _spec_echo_lines(result: SweepResult) -> list[str]:
     return lines
 
 
-def _bits_row(row: SweepRow) -> str:
-    r = row.report
-    return ",".join(
-        (
-            csv_field(r.bits),
-            csv_field(r.mode),
-            csv_field(r.max_abs_error),
-            csv_field(r.max_err_pct),
-            csv_field(r.paper_bound),
-            csv_field(r.thd_ratio),
-            csv_field(r.thd_db),
-        )
-    )
+def _cells(values: list, fallback) -> list[str]:
+    """The text of each value, computed once per distinct object (the
+    rows of snapped-equal multipliers share one report, and so its
+    values). A float in [1e-4, 1e6) is its repr, which is what
+    :func:`fmt_float` returns there; any other value goes to
+    ``fallback``."""
+    keys = list(map(id, values))
+    text = dict(zip(keys, values))
+    for key, value in text.items():
+        if type(value) is float and 1e-4 <= abs(value) < 1e6:
+            text[key] = repr(value)
+        else:
+            text[key] = fallback(value)
+    return list(map(text.__getitem__, keys))
 
 
-def _multiplier_row(row: SweepRow) -> str:
-    r = row.report
-    return ",".join(
-        (
-            csv_field(row.requested_multiplier),
-            csv_field(r.m_num),
-            csv_field(r.m_den),
-            csv_field(r.max_abs_error),
-            csv_field(r.paper_bound),
-            csv_field(r.strict_bound),
-            csv_field(r.thd_ratio),
-            csv_field(r.thd_db),
-            _flags_field(row.flags),
-        )
-    )
-
-
-def _grid_row(row: SweepRow) -> str:
-    r = row.report
-    return ",".join(
-        (
-            csv_field(r.bits),
-            csv_field(row.requested_multiplier),
-            csv_field(r.m_num),
-            csv_field(r.m_den),
-            csv_field(r.max_abs_error),
-            csv_field(r.paper_bound),
-            csv_field(r.strict_bound),
-            csv_field(r.thd_ratio),
-            csv_field(r.thd_db),
-            _flags_field(row.flags),
-        )
-    )
-
-
+# Each sweep kind's header and its columns, each an attribute of the row
+# or of its report.
 _SWEEP_FORMATS = {
-    "bits": (BITS_HEADER, _bits_row),
-    "multiplier": (MULTIPLIER_HEADER, _multiplier_row),
-    "grid": (GRID_HEADER, _grid_row),
+    "bits": (
+        BITS_HEADER,
+        ("report.bits", "report.mode", "report.max_abs_error", "report.max_err_pct",
+         "report.paper_bound", "report.thd_ratio", "report.thd_db"),
+    ),
+    "multiplier": (
+        MULTIPLIER_HEADER,
+        ("requested_multiplier", "report.m_num", "report.m_den", "report.max_abs_error",
+         "report.paper_bound", "report.strict_bound", "report.thd_ratio", "report.thd_db",
+         "flags"),
+    ),
+    "grid": (
+        GRID_HEADER,
+        ("report.bits", "requested_multiplier", "report.m_num", "report.m_den",
+         "report.max_abs_error", "report.paper_bound", "report.strict_bound",
+         "report.thd_ratio", "report.thd_db", "flags"),
+    ),
 }
+
+# Rows formatted per pass: only one chunk's cells are alive at a time.
+_CSV_CHUNK = 256
+
+
+def _data_lines(result: SweepResult):
+    """The sweep's data lines, formatted a column of a chunk of rows at a
+    time."""
+    _, fields = _SWEEP_FORMATS[result.kind]
+    columns = [
+        (attrgetter(name), _flags_field if name == "flags" else csv_field) for name in fields
+    ]
+    for first in range(0, len(result.rows), _CSV_CHUNK):
+        chunk = result.rows[first:first + _CSV_CHUNK]
+        cells = [_cells(list(map(get, chunk)), fallback) for get, fallback in columns]
+        yield from map(",".join, zip(*cells))
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    header, row_fn = _SWEEP_FORMATS[result.kind]
     lines = _spec_echo_lines(result)
-    lines.append(header)
-    lines.extend(row_fn(row) for row in result.rows)
-    return "\n".join(lines) + "\n"
+    lines.append(_SWEEP_FORMATS[result.kind][0])
+    lines.extend(_data_lines(result))
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def parse_csv(text: str) -> tuple[list[str], list[str], list[list[str]]]:

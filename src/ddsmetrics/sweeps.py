@@ -166,10 +166,11 @@ def snap_multiplier(requested: float, q_max: int) -> TimingConfig:
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    r = Fraction(requested)
-    if r <= 0:
+    # the exact value n/d in lowest terms, d > 0: the integers Fraction
+    # would hold
+    n, d = requested.as_integer_ratio()
+    if n <= 0:
         raise ValueError(f"requested multiplier must be positive, got {requested!r}")
-    n, d = r.numerator, r.denominator
     if d <= q_max:
         return TimingConfig(n, d)
     # convergents p0/q0 and p1/q1 of n/d; the loop ends before the
@@ -213,9 +214,9 @@ def _snapped_axis(spec: SweepSpec) -> list[_AxisPoint]:
     axis = []
     for requested in spec.multiplier_axis():
         timing = snap_multiplier(requested, spec.q_max)
-        check_pieces(timing.multiplier_num, timing.multiplier_den)
-        subnyquist = timing.multiplier < 2
-        axis.append((requested, timing, (FLAG_SUBNYQUIST,) if subnyquist else ()))
+        p, q = timing.multiplier_num, timing.multiplier_den
+        check_pieces(p, q)
+        axis.append((requested, timing, (FLAG_SUBNYQUIST,) if p < 2 * q else ()))
     return axis
 
 
@@ -248,10 +249,7 @@ def sweep_multiplier(spec: SweepSpec, workers: int = 1) -> SweepResult:
     chunks = [timings[i:i + _HELD_CHUNK] for i in range(0, len(timings), _HELD_CHUNK)]
     batches = _run_ordered(chunks, lambda chunk: evaluate_held(signal, chunk), workers)
     reports = dict(zip(timings, (report for batch in batches for report in batch)))
-    rows = [
-        SweepRow(requested_multiplier=requested, report=reports[timing], flags=flags)
-        for requested, timing, flags in axis
-    ]
+    rows = [SweepRow(requested, reports[timing], flags) for requested, timing, flags in axis]
     return SweepResult("multiplier", tuple(rows), spec)
 
 

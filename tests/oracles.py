@@ -9,13 +9,17 @@ period, so the DFT has no leakage and needs no window, and
 series of a staircase; :func:`thd` reads either spectrum. The exact
 engine, :func:`ddsmetrics.metrics.evaluate`, calls none of them.
 :func:`column_rows` is the exact engine's digitized column one quantizer
-at a time, the byte reference for its quantizer groups.
+at a time, the byte reference for its quantizer groups; :func:`held_rows`
+its held batch one row at a time, from the candidate pieces of
+:func:`held_pieces_by_row`. :func:`snap_by_fraction` snaps a multiplier
+from its ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from ddsmetrics import bounds
 from ddsmetrics.metrics import (
     CapExceeded,
     _model_pq,
+    _held_thd,
     _parseval_thd,
     _Pieces,
     _turns,
@@ -32,6 +37,7 @@ from ddsmetrics.metrics import (
 from ddsmetrics.metrics import _report as _engine_report
 from ddsmetrics.signals import (
     ModelKind,
+    TimingConfig,
     WaveformModel,
     quantize,
     sin_turns_array,
@@ -372,3 +378,71 @@ def column_rows(spec, timing, quantizers) -> list:
         model = WaveformModel.digitized(spec, timing, quantizer)
         reports.append(_report(model, err, argmax_t, thd_result))
     return reports
+
+
+def held_pieces_by_row(p: int, q: int) -> np.ndarray:
+    """The held candidate pieces of one row p/q, gathered as a set of
+    residues (see :func:`ddsmetrics.metrics._held_pieces`). Residues
+    that differ by p land on one piece, which then appears twice."""
+    twice_q = q % (2 * p)
+    reach = min(q, p)
+    residues = {
+        (p - 4 * reach + 3) // 4,
+        (3 * p - 4 * reach + 3) // 4,
+        p // 4, (p + 3) // 4, 3 * p // 4, (3 * p + 3) // 4,
+    }
+    for multiple in range(0, 4 * p + 1, p):
+        for gap in range(-2, 3):
+            twice_r = multiple + gap - twice_q
+            if twice_r % 2 == 0 and 0 <= twice_r < 2 * p:
+                residues.add(twice_r // 2)
+    inverse = pow(q % p, -1, p)
+    return np.array(sorted(r % p * inverse % p for r in residues), dtype=np.int64)
+
+
+def held_rows(spec, timings) -> list:
+    """The held reports of the timings one row at a time, each from the
+    pieces of :func:`held_pieces_by_row` and its bounds taken a variant
+    at a time: the byte reference for
+    :func:`ddsmetrics.metrics.evaluate_held`."""
+    f = spec.frequency_hz
+    reports = []
+    for timing in timings:
+        p, q = timing.multiplier_num, timing.multiplier_den
+        check_pieces(p, q)
+        pieces = _Pieces(f, [timing], [held_pieces_by_row(p, q)])
+        [(err, argmax_t)] = pieces.supremum(pieces.start)
+        dt = timing.time_gap_s(f)
+        pair = tuple(bounds.held_error_bound(f, dt, v) for v in bounds.BoundVariant)
+        model = WaveformModel.held(spec, timing)
+        reports.append(_engine_report(model, err, argmax_t, _held_thd(p, q), pair))
+    return reports
+
+
+def snap_by_fraction(requested, q_max: int) -> TimingConfig:
+    """The continued-fraction snap of
+    :func:`ddsmetrics.sweeps.snap_multiplier`, on ``Fraction(requested)``."""
+    if q_max < 1:
+        raise ValueError("q_max must be >= 1")
+    r = Fraction(requested)
+    if r <= 0:
+        raise ValueError(f"requested multiplier must be positive, got {requested!r}")
+    n, d = r.numerator, r.denominator
+    if d <= q_max:
+        return TimingConfig(n, d)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a, rest = divmod(num, den)
+        if q0 + a * q1 > q_max:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        num, den = den, rest
+    k = (q_max - q0) // q1
+    ps, qs = p0 + k * p1, q0 + k * q1
+    if p1 == 0:
+        return TimingConfig(ps, qs)
+    gap1, gaps = abs(p1 * d - n * q1) * qs, abs(ps * d - n * qs) * q1
+    if (gap1, q1, p1) < (gaps, qs, ps):
+        return TimingConfig(p1, q1)
+    return TimingConfig(ps, qs)

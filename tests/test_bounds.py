@@ -1,4 +1,8 @@
 import math
+import random
+import struct
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_held_max_error
 from ddsmetrics.bounds import (
     BoundVariant,
+    _sin_two_pi,
     digitized_bounds,
     digitized_error_bound,
     full_scale_range,
@@ -16,6 +21,7 @@ from ddsmetrics.bounds import (
     min_clock_frequency,
     quantization_error_bound,
 )
+from ddsmetrics.signals import sin_turns
 
 PAPER = BoundVariant.PAPER
 STRICT = BoundVariant.STRICT
@@ -208,3 +214,32 @@ class TestBatchBounds:
             with pytest.raises(ValueError) as held:
                 held_bounds(freq, [0.1, dt])
             assert str(held.value) == str(single.value)
+
+
+def sin_two_pi_by_fraction(x):
+    """sin(2*pi*x) with x reduced modulo 1 as a Fraction."""
+    frac = Fraction(x)
+    frac -= frac.numerator // frac.denominator
+    return sin_turns(float(frac))
+
+
+class TestSinTwoPi:
+    """The paper bound's sine reduces its argument in floats, with the
+    bytes of the exact Fraction reduction."""
+
+    def test_equals_the_fraction_reduction(self):
+        rng = random.Random(11)
+        bits = (rng.getrandbits(63) for _ in range(20000))  # sign bit 0: x >= 0
+        xs = [x for x in (struct.unpack("<d", struct.pack("<Q", b))[0] for b in bits)
+              if math.isfinite(x)]
+        xs += [rng.uniform(0.0, 8.0) for _ in range(20000)] + [1 / m for m in range(1, 5000)]
+        xs += [0.0, 5e-324, 0.25, 0.5, 0.75, 1.0, 2.0**52 + 0.5, 2.0**53, sys.float_info.max]
+        xs += [2.0**e for e in range(-1074, 1024, 7)]
+        assert [_sin_two_pi(x) for x in xs] == [sin_two_pi_by_fraction(x) for x in xs]
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_refuses_what_the_fraction_refuses(self, x):
+        with pytest.raises((ValueError, OverflowError)) as exact:
+            sin_two_pi_by_fraction(x)
+        with pytest.raises(exact.type):
+            _sin_two_pi(x)

@@ -635,3 +635,53 @@ class TestOneOutputForCsvAndSvg:
         monkeypatch.chdir(tmp_path)
         self.refused(capsys, "-", "-")
         assert list(tmp_path.iterdir()) == []
+
+
+def cli_process(argv, stdout):
+    """Run ``python -m ddsmetrics`` with ``argv``, its stdout given."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ddsmetrics", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+class TestStdoutThroughAPath:
+    """``-`` and a path that reaches the same stdout, such as
+    ``/dev/stdout``, are one output: exit 2 naming ``--svg``."""
+
+    SWEEP = ["sweep", "bits", "--bits-to", "3"]
+
+    @pytest.mark.parametrize(
+        "out,svg", [("/dev/stdout", "-"), ("-", "/dev/stdout")], ids=["out", "svg"]
+    )
+    def test_redirected_to_a_file(self, tmp_path, out, svg):
+        target = tmp_path / "f.txt"
+        with open(target, "w") as handle:
+            proc = cli_process([*self.SWEEP, "--out", out, "--svg", svg], handle)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: --svg")
+        assert proc.stderr.count("\n") == 1
+        assert target.read_text() == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    @pytest.mark.parametrize(
+        "out,svg", [("/dev/stdout", "-"), ("-", "/dev/stdout")], ids=["out", "svg"]
+    )
+    def test_piped(self, out, svg):
+        proc = cli_process([*self.SWEEP, "--out", out, "--svg", svg], subprocess.PIPE)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: --svg")
+        assert proc.stdout == ""
+
+    def test_stdout_beside_another_file_still_writes_both(self, tmp_path):
+        svg = tmp_path / "chart.svg"
+        argv = [*self.SWEEP, "--out", "/dev/stdout", "--svg", str(svg)]
+        proc = cli_process(argv, subprocess.PIPE)
+        assert proc.returncode == 0, proc.stderr
+        _, header, rows = parse_csv(proc.stdout)
+        assert header[0] == "bits" and len(rows) == 3
+        assert svg.read_text().startswith("<svg")

@@ -18,6 +18,7 @@ from ddsmetrics.metrics import (
     MAX_PIECES,
     CapExceeded,
     _ZETA_HALF_INTEGERS,
+    _held_pieces,
     _held_supremum,
     evaluate,
     evaluate_column,
@@ -26,6 +27,8 @@ from ddsmetrics.metrics import (
 from oracles import (
     DegenerateSignalError,
     column_rows,
+    held_pieces_by_row,
+    held_rows,
     SamplingPlan,
     max_abs_error,
     probe_times,
@@ -952,3 +955,66 @@ class TestEvaluateHeld:
             evaluate_held(SPEC, timings)
         assert exc_info.value.p == MAX_PIECES + 1
         assert built == []
+
+
+COPRIME_TO_64 = [
+    TimingConfig(p, q) for p in range(1, 65) for q in range(1, 65) if math.gcd(p, q) == 1
+]
+
+
+class TestHeldPieceMatrix:
+    """_held_pieces builds the candidate pieces of a whole batch as one
+    matrix; each row keeps the pieces of the per-row set oracle, each
+    once, and every report equals the row evaluated from that oracle."""
+
+    def test_rows_keep_the_oracle_pieces_once_each(self):
+        rows = [(t.multiplier_num, t.multiplier_den) for t in COPRIME_TO_64]
+        rows += [(MAX_PIECES, 10**20 + 1), (MAX_PIECES - 3, 1), (4099, 10**19 + 7)]
+        k, counts = _held_pieces(rows)
+        assert sum(counts) == len(k)
+        duplicated = 0
+        for (p, q), row in zip(rows, np.split(k, np.cumsum(counts)[:-1])):
+            expected = held_pieces_by_row(p, q)
+            assert row.tolist() == np.unique(expected).tolist()
+            duplicated += len(expected) > len(row)
+        assert duplicated > 100
+
+    @pytest.mark.parametrize("freq", [1.0, 3.7e5])
+    def test_every_small_coprime_row_equals_the_row_oracle(self, freq):
+        spec = SignalSpec(freq)
+        assert evaluate_held(spec, COPRIME_TO_64) == held_rows(spec, COPRIME_TO_64)
+
+    @given(
+        multipliers=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=MAX_PIECES),
+                st.integers(min_value=1, max_value=10**20),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        freq=st.sampled_from([1.0, 3.7e5, 0.3]),
+    )
+    @example(multipliers=[(MAX_PIECES, 10**20), (1, 1), (2, 3), (MAX_PIECES, 1)], freq=3.7e5)
+    @settings(max_examples=100, deadline=None)
+    def test_random_batches_equal_the_row_oracle(self, multipliers, freq):
+        spec = SignalSpec(freq)
+        timings = [TimingConfig(p, q) for p, q in multipliers]
+        assert evaluate_held(spec, timings) == held_rows(spec, timings)
+
+
+def x_minus_sin_by_loop(x):
+    """x - sin(x) from the Taylor terms, each divisor n*(n + 1) formed in
+    the loop: the reference for metrics._x_minus_sin."""
+    terms, term = [], x
+    for n in range(2, 22, 2):
+        term *= -x * x / (n * (n + 1))
+        terms.append(term)
+    return -math.fsum(terms)
+
+
+def test_x_minus_sin_equals_the_loop():
+    rng = np.random.default_rng(9)
+    xs = [math.pi * q / p for p in range(4, 400) for q in range(1, p) if math.pi * q / p < 1.0]
+    xs += rng.random(20000).tolist() + [0.0, 5e-324, 1e-300, 1e-8, math.nextafter(1.0, 0.0)]
+    assert [metrics._x_minus_sin(x) for x in xs] == [x_minus_sin_by_loop(x) for x in xs]

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import struct
 
 import pytest
 from hypothesis import given
@@ -18,7 +20,16 @@ from ddsmetrics.reporting import (
     report_to_json,
     sweep_to_csv,
 )
-from ddsmetrics.sweeps import SweepSpec, sweep_bits, sweep_grid, sweep_multiplier
+from ddsmetrics import reporting
+from ddsmetrics.signals import QuantizationMode
+from ddsmetrics.sweeps import (
+    SweepResult,
+    SweepRow,
+    SweepSpec,
+    sweep_bits,
+    sweep_grid,
+    sweep_multiplier,
+)
 
 
 def sample_report(**overrides):
@@ -179,3 +190,100 @@ class TestJsonIsStrict:
     def test_non_finite_values_are_refused(self, field, value):
         with pytest.raises(ValueError):
             report_to_json(sample_report(**{field: value}))
+
+
+def fmt_float_from_precision_zero(x):
+    """fmt_float with its exponent-form search started at precision 0."""
+    x = float(x)
+    if x == 0.0:
+        return "0"
+    if 1e-4 <= abs(x) < 1e6:
+        return repr(x)
+    for precision in range(17):
+        text = f"{x:.{precision}e}"
+        if float(text) == x:
+            return text
+    return f"{x:.17e}"
+
+
+class TestFmtFloatSearch:
+    """The exponent form's search starts at repr's digit count; no
+    shorter precision round-trips, so the text is the same."""
+
+    def test_powers_of_two_subnormals_and_random_bits(self):
+        rng = random.Random(5)
+        xs = [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0] for _ in range(20000)]
+        xs += [2.0**e for e in range(-1074, 1024)]
+        xs += [math.nextafter(2.0**e, 0.0) for e in range(-1073, 1024)]
+        xs += [5e-324, 1e-323, 2.2250738585072014e-308, 9.999999999999999e-05, 1e6, 1e16, 1e22]
+        xs += [k * 10.0**e for k in (1, 3, 7, 99, 123456789) for e in range(-320, 300, 13)]
+        xs = [x for x in xs if math.isfinite(x)]
+        for x in xs + [-x for x in xs]:
+            assert fmt_float(x) == fmt_float_from_precision_zero(x), x
+
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_float(self, x):
+        assert fmt_float(x) == fmt_float_from_precision_zero(x)
+
+
+def csv_row_by_row(result):
+    """The sweep's CSV written a row at a time, every cell through
+    csv_field: the byte reference for the column-wise sweep_to_csv."""
+    lines = sweep_to_csv(result).splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    head = comments + [lines[len(comments)]]  # the header line
+    for row in result.rows:
+        r = row.report
+        if result.kind == "bits":
+            values = [r.bits, r.mode, r.max_abs_error, r.max_err_pct, r.paper_bound,
+                      r.thd_ratio, r.thd_db]
+            head.append(",".join(map(csv_field, values)))
+            continue
+        values = [row.requested_multiplier, r.m_num, r.m_den, r.max_abs_error,
+                  r.paper_bound, r.strict_bound, r.thd_ratio, r.thd_db]
+        if result.kind == "grid":
+            values.insert(0, r.bits)
+        flags = ";".join(row.flags) if row.flags else "-"
+        head.append(",".join([*map(csv_field, values), flags]))
+    return "\n".join(head) + "\n"
+
+
+class TestSweepCsvColumns:
+    """sweep_to_csv formats a column of a chunk of rows at a time, each
+    distinct value once, with the bytes of a row-at-a-time csv_field."""
+
+    @pytest.mark.parametrize("mode", list(QuantizationMode))
+    def test_bits(self, mode):
+        result = sweep_bits(SweepSpec(bits_from=1, bits_to=52, mode=mode))
+        assert sweep_to_csv(result) == csv_row_by_row(result)
+
+    def test_multiplier_axis_longer_than_a_chunk_with_repeats(self):
+        spec = SweepSpec(decades_from=-1.0, decades_to=2.0, points_per_decade=300, q_max=8)
+        result = sweep_multiplier(spec)
+        assert len(result.rows) > 2 * reporting._CSV_CHUNK
+        reports = {id(row.report) for row in result.rows}
+        assert len(reports) < len(result.rows)  # snapped-equal rows share a report
+        assert any(row.report.thd_ratio is None for row in result.rows)
+        assert sweep_to_csv(result) == csv_row_by_row(result)
+
+    def test_grid(self):
+        spec = SweepSpec(bits_from=1, bits_to=12, multipliers=(0.7, 1.0, 2.0, 3.3, 3.3, 1e4, 2e5))
+        result = sweep_grid(spec)
+        assert sweep_to_csv(result) == csv_row_by_row(result)
+
+    def test_values_outside_the_plain_range_and_equal_values_of_two_types(self):
+        shared = sample_report(max_abs_error=1e-7, thd_ratio=2e6, thd_db=-0.0, paper_bound=1e-4)
+        rows = [
+            SweepRow(4, shared),
+            SweepRow(4.0, shared, ("subnyquist",)),
+            SweepRow(4.0, sample_report(strict_bound=999999.9999999999, thd_ratio=None)),
+            SweepRow(5e-324, sample_report(max_abs_error=-1.5e-5, thd_db=None)),
+        ]
+        for kind in ("multiplier", "grid"):
+            result = SweepResult(kind, tuple(rows), SweepSpec(multipliers=(4.0,)))
+            text = sweep_to_csv(result)
+            assert text == csv_row_by_row(result)
+            _, _, parsed = parse_csv(text)
+            assert [row[1 if kind == "grid" else 0] for row in parsed] == [
+                "4", "4.0", "4.0", "5e-324"
+            ]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import best_rational_by_exhaustion, linear_fit
+from oracles import snap_by_fraction
 from ddsmetrics.reporting import sweep_to_csv
 from ddsmetrics.signals import (
     QuantizationMode,
@@ -132,6 +133,63 @@ class TestContinuedFractionSnapping:
         assert (p, q) == (37, 10)
         assert (p_pi, q_pi) == (p_ref, q_ref)
         assert q_pi > 10**11
+
+
+QMAXES = [1, 2, 3, 16, 64, 1000, 65537, 10**6, 2**31 + 11, 10**12]
+
+
+def farey_midpoints(q_max):
+    """Exact midpoints between a/b and its right neighbour c/d among the
+    fractions with denominators up to q_max (b*c - a*d = 1, d the largest
+    such denominator): the requests that tie between two candidates."""
+    points = []
+    for a, b in [(0, 1), (1, 1), (3, 1), (1, 3), (7, 5), (22, 7), (355, 113), (10**6 + 1, 7)]:
+        if b <= q_max:
+            low = -pow(a, -1, b) % b  # d = -a**-1 mod b
+            d = low + (q_max - low) // b * b
+            c = (1 + a * d) // b
+            points.append((Fraction(a, b) + Fraction(c, d)) / 2)
+    return points
+
+
+class TestSnapWithoutFraction:
+    """snap_multiplier walks the continued fraction of the request's
+    integer ratio; the result equals the walk on ``Fraction(request)``."""
+
+    @pytest.mark.parametrize("q_max", QMAXES)
+    def test_dense_requests(self, q_max):
+        requests = [10.0 ** (k / 977) for k in range(-4000, 4001)]
+        requests += [m * (1 + 2.0**-52 * j) for m in (0.5, 1.0, 3.0, 7.5) for j in range(-8, 9)]
+        for requested in requests:
+            assert snap_multiplier(requested, q_max) == snap_by_fraction(requested, q_max)
+
+    @pytest.mark.parametrize("q_max", QMAXES)
+    def test_exact_midpoints(self, q_max):
+        midpoints = farey_midpoints(q_max) + [k + 0.5 for k in range(50)]
+        midpoints += [(2 * k + 1) / 2.0**j for j in range(1, 12) for k in range(40)]
+        midpoints += [float(m) for m in farey_midpoints(q_max) if Fraction(float(m)) == m]
+        for requested in midpoints:
+            assert snap_multiplier(requested, q_max) == snap_by_fraction(requested, q_max)
+
+    @pytest.mark.parametrize("q_max", QMAXES)
+    def test_subnormal_and_extreme_requests(self, q_max):
+        requests = [5e-324, 1e-323, 2.0**-1060 * 3, 2.2250738585072009e-308,
+                    2.2250738585072014e-308, 1e-300, 1 / (2 * q_max), sys.float_info.max]
+        for requested in requests:
+            assert snap_multiplier(requested, q_max) == snap_by_fraction(requested, q_max)
+
+    def test_ints_and_fractions(self):
+        for requested in (3, 10**30 + 1, Fraction(22, 7), Fraction(10**20 + 1, 3 * 10**19)):
+            for q_max in QMAXES:
+                assert snap_multiplier(requested, q_max) == snap_by_fraction(requested, q_max)
+
+    @pytest.mark.parametrize("requested", [0.0, -0.0, -1.5, math.inf, -math.inf, math.nan])
+    def test_refuses_what_the_oracle_refuses(self, requested):
+        with pytest.raises((ValueError, OverflowError)) as oracle:
+            snap_by_fraction(requested, 16)
+        with pytest.raises(oracle.type) as snapped:
+            snap_multiplier(requested, 16)
+        assert str(snapped.value) == str(oracle.value)
 
 
 class TestMultiplierAxis:
