@@ -20,7 +20,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from ddsmetrics.charts import ChartKind, ChartStyle, render_heatmap, render_line_chart
+from ddsmetrics.charts import render_sweep
 from ddsmetrics.reporting import sweep_to_csv
 from ddsmetrics.signals import QuantizationMode
 from ddsmetrics.sweeps import SweepSpec, sweep_bits, sweep_grid, sweep_multiplier
@@ -53,30 +53,22 @@ def main() -> int:
 
     result = sweep_bits(bits_floor, workers=args.workers)
     write(out / "fig1_bits_error.csv", sweep_to_csv(result))
-    style = ChartStyle(ChartKind.LINEAR_LINE, "bits", "max abs error", log_y=True)
-    write(out / "fig1_bits_error.svg",
-          render_line_chart(result, style, ["max_err", "eq5_bound"]))
+    write(out / "fig1_bits_error.svg", render_sweep(result, "error"))
 
     result = sweep_bits(bits_round, workers=args.workers)
     write(out / "fig2_bits_thd.csv", sweep_to_csv(result))
-    style = ChartStyle(ChartKind.LINEAR_LINE, "bits", "THD [dB]")
-    write(out / "fig2_bits_thd.svg", render_line_chart(result, style, ["thd_db"]))
+    write(out / "fig2_bits_thd.svg", render_sweep(result, "thd"))
 
     result = sweep_multiplier(mult, workers=args.workers)
     write(out / "fig3_multiplier_error.csv", sweep_to_csv(result))
-    style = ChartStyle(ChartKind.LOG_X_LINE, "frequency multiplier", "max abs error")
-    write(out / "fig3_multiplier_error.svg",
-          render_line_chart(result, style, ["max_err", "eq14_bound", "strict_bound"]))
-    style = ChartStyle(ChartKind.LOG_X_LINE, "frequency multiplier", "THD [dB]")
-    write(out / "fig4_multiplier_thd.svg",
-          render_line_chart(result, style, ["thd_db"]))
+    write(out / "fig3_multiplier_error.svg", render_sweep(result, "error"))
+    write(out / "fig4_multiplier_thd.svg", render_sweep(result, "thd"))
     write(out / "fig4_multiplier_thd.csv", sweep_to_csv(result))
 
     result = sweep_grid(grid, workers=args.workers)
     write(out / "fig5_grid_error.csv", sweep_to_csv(result))
-    style = ChartStyle(ChartKind.HEATMAP, "frequency multiplier", "bits")
-    write(out / "fig5_grid_error.svg", render_heatmap(result, style, "max_err"))
-    write(out / "fig6_grid_thd.svg", render_heatmap(result, style, "thd_db"))
+    write(out / "fig5_grid_error.svg", render_sweep(result, "error"))
+    write(out / "fig6_grid_thd.svg", render_sweep(result, "thd"))
     write(out / "fig6_grid_thd.csv", sweep_to_csv(result))
     return 0
 

@@ -27,7 +27,6 @@ __all__ = [
     "digitized_error_bound",
     "held_bounds",
     "digitized_bounds",
-    "variant_bounds",
     "report",
 ]
 
@@ -73,7 +72,9 @@ def max_phase_shift(frequency_hz: float, dt: float) -> float:
     _check_positive("frequency_hz", frequency_hz)
     if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt >= 0):
         raise ValueError(f"dt must be nonnegative and finite, got {dt!r}")
-    return 2.0 * math.pi * frequency_hz * dt
+    shift = 2.0 * math.pi * frequency_hz * dt
+    # 2*pi*f alone overflows past about 2.9e307 Hz, where f*dt may not
+    return shift if shift < math.inf else 2.0 * math.pi * (frequency_hz * dt)
 
 
 def _sin_two_pi(x: float) -> float:
@@ -151,18 +152,6 @@ def digitized_error_bound(
     return _variant(pair, variant)
 
 
-def variant_bounds(
-    frequency_hz: float, dt: float, bits: int | None = None
-) -> dict[BoundVariant, float]:
-    """Each variant's hold bound, or its combined bound when ``bits`` is
-    given."""
-    if bits is None:
-        [pair] = held_bounds(frequency_hz, [dt])
-    else:
-        [pair] = digitized_bounds(frequency_hz, dt, [bits])
-    return dict(zip(BoundVariant, pair))
-
-
 def report(
     frequency_hz: float, timing: TimingConfig | None = None, bits: int | None = None
 ) -> dict:
@@ -183,9 +172,11 @@ def report(
     data["dt_s"] = dt
     data["min_clock_hz"] = min_clock_frequency(dt)
     data["max_phase_shift_rad"] = max_phase_shift(f, dt)
-    for variant, value in variant_bounds(f, dt).items():
+    [held] = held_bounds(f, [dt])
+    for variant, value in zip(BoundVariant, held):
         data[f"held_bound_{variant.value}"] = value
     if bits is not None:
-        for variant, value in variant_bounds(f, dt, bits).items():
+        [combined] = digitized_bounds(f, dt, [bits])
+        for variant, value in zip(BoundVariant, combined):
             data[f"digitized_bound_{variant.value}"] = value
     return data

@@ -22,6 +22,7 @@ __all__ = [
     "EmptyChart",
     "render_line_chart",
     "render_heatmap",
+    "render_sweep",
 ]
 
 WIDTH = 800
@@ -54,8 +55,6 @@ class ChartStyle:
     x_label: str = ""
     y_label: str = ""
     log_y: bool = False
-    low_color: tuple[int, int, int] = BLUE_ANCHOR
-    high_color: tuple[int, int, int] = YELLOW_ANCHOR
 
 
 _METRIC_GETTERS = {
@@ -262,9 +261,9 @@ def render_line_chart(
     return "\n".join(lines) + "\n"
 
 
-def _ramp_color(t: float, low: tuple[int, int, int], high: tuple[int, int, int]) -> str:
+def _ramp_color(t: float) -> str:
     t = min(1.0, max(0.0, t))
-    rgb = tuple(round(lo + t * (hi - lo)) for lo, hi in zip(low, high))
+    rgb = tuple(round(lo + t * (hi - lo)) for lo, hi in zip(BLUE_ANCHOR, YELLOW_ANCHOR))
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
@@ -310,8 +309,7 @@ def render_heatmap(result: SweepResult, style: ChartStyle, metric: str) -> str:
     lines: list[str] = []
     _svg_open(lines)
     meta = {"metric": metric, "low": lo, "high": hi,
-            "low_color": _ramp_color(0.0, style.low_color, style.high_color),
-            "high_color": _ramp_color(1.0, style.low_color, style.high_color)}
+            "low_color": _ramp_color(0.0), "high_color": _ramp_color(1.0)}
     lines.append(f"<metadata>{json.dumps(meta, sort_keys=True)}</metadata>")
 
     for bi, bits in enumerate(bits_axis):
@@ -323,9 +321,9 @@ def render_heatmap(result: SweepResult, style: ChartStyle, metric: str) -> str:
             if v is None:
                 fill = MISSING_FILL
             elif hi == lo:
-                fill = _ramp_color(0.0, style.low_color, style.high_color)
+                fill = _ramp_color(0.0)
             else:
-                fill = _ramp_color((v - lo) / (hi - lo), style.low_color, style.high_color)
+                fill = _ramp_color((v - lo) / (hi - lo))
             lines.append(
                 f'<rect class="cell" x="{x:.2f}" y="{y:.2f}" width="{cell_w:.2f}" '
                 f'height="{cell_h:.2f}" fill="{fill}"/>'
@@ -351,3 +349,37 @@ def render_heatmap(result: SweepResult, style: ChartStyle, metric: str) -> str:
     _axis_labels(lines, style, left, right, top, bottom)
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+# The chart of each (sweep kind, metric), as the CLI and the figure script
+# draw it: its style, and the series of a line chart or the metric of a
+# heatmap.
+_SWEEP_CHARTS = {
+    ("bits", "error"): (
+        ChartStyle(ChartKind.LINEAR_LINE, "bits", "max abs error", log_y=True),
+        ("max_err", "eq5_bound"),
+    ),
+    ("bits", "thd"): (ChartStyle(ChartKind.LINEAR_LINE, "bits", "THD [dB]"), ("thd_db",)),
+    ("multiplier", "error"): (
+        ChartStyle(ChartKind.LOG_X_LINE, "frequency multiplier", "max abs error"),
+        ("max_err", "eq14_bound", "strict_bound"),
+    ),
+    ("multiplier", "thd"): (
+        ChartStyle(ChartKind.LOG_X_LINE, "frequency multiplier", "THD [dB]"),
+        ("thd_db",),
+    ),
+    ("grid", "error"): (
+        ChartStyle(ChartKind.HEATMAP, "frequency multiplier", "bits"), "max_err"
+    ),
+    ("grid", "thd"): (ChartStyle(ChartKind.HEATMAP, "frequency multiplier", "bits"), "thd_db"),
+}
+
+
+def render_sweep(result: SweepResult, metric: str) -> str:
+    """The standard chart of a sweep's ``metric``, ``"error"`` (max error
+    against its bounds) or ``"thd"``: a line chart of a bits or multiplier
+    sweep, a heatmap of a grid sweep."""
+    style, selection = _SWEEP_CHARTS[result.kind, metric]
+    if style.kind is ChartKind.HEATMAP:
+        return render_heatmap(result, style, selection)
+    return render_line_chart(result, style, selection)

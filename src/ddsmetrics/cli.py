@@ -52,31 +52,65 @@ class UsageError(Exception):
     pass
 
 
-def _parse_multiplier(text: str, q_max: int) -> TimingConfig:
-    try:
-        if "/" in text:
-            return TimingConfig.from_exact(text)
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError("the multiplier must be finite")
-        return snap_multiplier(value, q_max)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"--multiplier: cannot parse {text!r}: {exc}") from exc
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # argparse's own errors (a bad choice, an unknown flag, a missing
+        # argument) print as one line, as the flag checks do, instead of a
+        # usage block; "argument --flag: ..." becomes "--flag: ..."
+        raise UsageError(message.removeprefix("argument "))
 
 
-def _check_at_least_one(flag: str, value: int) -> None:
-    if value < 1:
-        raise UsageError(f"{flag} must be >= 1, got {value}")
+def _flag(name: str, convert, valid, need: str):
+    """The argparse ``type=`` of flag ``name``: its text through
+    ``convert``, then ``valid``. Text that does not convert and a value
+    out of range raise a :class:`UsageError` naming the flag."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"{name}: cannot parse {text!r}: {exc}") from exc
+        if not valid(value):
+            raise UsageError(f"{name} must be {need}, got {value!r}")
+        return value
+
+    return parse
 
 
-def _check_bits(flag: str, value: int) -> None:
-    if not 1 <= value <= MAX_BITS:
-        raise UsageError(f"{flag} must be in [1, {MAX_BITS}], got {value}")
+def _is_positive(value: float) -> bool:
+    return 0.0 < value < math.inf
 
 
-def _check_freq(freq: float) -> None:
-    if not (math.isfinite(freq) and freq > 0):
-        raise UsageError(f"--freq must be positive and finite, got {freq!r}")
+def _count(name: str):
+    return _flag(name, int, lambda value: value >= 1, ">= 1")
+
+
+def _bits(name: str):
+    return _flag(name, int, lambda value: 1 <= value <= MAX_BITS, f"in [1, {MAX_BITS}]")
+
+
+def _positive(name: str):
+    return _flag(name, float, _is_positive, "positive and finite")
+
+
+def _decades(name: str):
+    def usable(value: float) -> bool:
+        # the multiplier axis runs over 10**value between the two ends
+        try:
+            return _is_positive(10.0**value)
+        except OverflowError:
+            return False
+
+    return _flag(name, float, usable, "an exponent with 10**value positive and finite")
+
+
+def _multiplier(text: str) -> TimingConfig | float:
+    # a "p/q" text is exact; a float is snapped once --qmax is known
+    return TimingConfig.from_exact(text) if "/" in text else float(text)
+
+
+def _multipliers(text: str) -> tuple[float, ...]:
+    return tuple(float(value) for value in text.split(","))
 
 
 def _check_times(freq: float, timing: TimingConfig | None) -> None:
@@ -90,16 +124,6 @@ def _check_times(freq: float, timing: TimingConfig | None) -> None:
             raise UsageError(f"--freq {freq!r} is out of range: the {name} is {seconds!r} s")
 
 
-def _check_decade(flag: str, value: float) -> None:
-    # the multiplier axis runs over 10**value between the two ends
-    try:
-        usable = math.isfinite(value) and 10.0**value > 0.0
-    except OverflowError:
-        usable = False
-    if not usable:
-        raise UsageError(f"{flag} must give a positive finite 10**value, got {value!r}")
-
-
 def _add_retired_flags(parser: argparse.ArgumentParser) -> None:
     # Unused since the metrics are exact; kept so the benchmark's argv still parses.
     for flag in ("--samples", "--samples-per-step"):
@@ -107,60 +131,69 @@ def _add_retired_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ddsmetrics",
         description="Worst-case error and THD metrology for clocked sine synthesis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("eval", help="evaluate one model configuration")
+    ev.set_defaults(func=cmd_eval)
+    sw = sub.add_parser("sweep", help="run a parameter sweep, write CSV/SVG")
+    sw.set_defaults(func=cmd_sweep)
+    bd = sub.add_parser("bounds", help="closed-form bounds for a parameter point")
+    bd.set_defaults(func=cmd_bounds)
+
+    for point in (ev, bd):
+        point.add_argument("--freq", type=_positive("--freq"), default=1.0)
+        point.add_argument("--bits", type=_bits("--bits"), default=None)
+        point.add_argument(
+            "--multiplier",
+            type=_flag(
+                "--multiplier", _multiplier,
+                lambda m: isinstance(m, TimingConfig) or _is_positive(m),
+                "positive and finite",
+            ),
+            default=None,
+        )
+        point.add_argument("--dt", type=_positive("--dt"), default=None)
+        point.add_argument("--qmax", type=_count("--qmax"), default=16)
+        point.add_argument("--out", type=str, default="-")
     ev.add_argument(
         "--model",
         required=True,
         choices=["target", "quantized", "held", "digitized"],
     )
-    ev.add_argument("--freq", type=float, default=1.0)
-    ev.add_argument("--bits", type=int, default=None)
     ev.add_argument("--mode", choices=["floor", "round", "ceiling"], default=None)
-    ev.add_argument("--multiplier", type=str, default=None)
-    ev.add_argument("--dt", type=float, default=None)
-    ev.add_argument("--qmax", type=int, default=16)
     _add_retired_flags(ev)
     ev.add_argument("--format", choices=["json", "csv"], default="json")
-    ev.add_argument("--out", type=str, default="-")
-    ev.set_defaults(func=cmd_eval)
 
-    sw = sub.add_parser("sweep", help="run a parameter sweep, write CSV/SVG")
     sw.add_argument("axis", choices=["bits", "multiplier", "grid"])
-    sw.add_argument("--bits-from", type=int, default=1)
-    sw.add_argument("--bits-to", type=int, default=16)
-    sw.add_argument("--bits-step", type=int, default=1)
-    sw.add_argument("--decades-from", type=float, default=0.5)
-    sw.add_argument("--decades-to", type=float, default=4.0)
-    sw.add_argument("--points-per-decade", type=int, default=30)
+    sw.add_argument("--bits-from", type=_bits("--bits-from"), default=1)
+    sw.add_argument("--bits-to", type=_bits("--bits-to"), default=16)
+    sw.add_argument("--bits-step", type=_count("--bits-step"), default=1)
+    sw.add_argument("--decades-from", type=_decades("--decades-from"), default=0.5)
+    sw.add_argument("--decades-to", type=_decades("--decades-to"), default=4.0)
+    sw.add_argument(
+        "--points-per-decade", type=_count("--points-per-decade"), default=30
+    )
     sw.add_argument(
         "--multipliers",
-        type=str,
+        type=_flag(
+            "--multipliers", _multipliers,
+            lambda values: all(map(_is_positive, values)),
+            "positive and finite numbers",
+        ),
         default=None,
         help="comma-separated explicit multiplier axis, overrides decades",
     )
     sw.add_argument("--mode", choices=["floor", "round", "ceiling"], default="floor")
-    sw.add_argument("--qmax", type=int, default=16)
+    sw.add_argument("--qmax", type=_count("--qmax"), default=16)
     _add_retired_flags(sw)
-    sw.add_argument("--workers", type=int, default=1)
+    sw.add_argument("--workers", type=_count("--workers"), default=1)
     sw.add_argument("--out", type=str, default="-")
     sw.add_argument("--svg", type=str, default=None)
     sw.add_argument("--svg-metric", choices=["error", "thd"], default="error")
-    sw.set_defaults(func=cmd_sweep)
-
-    bd = sub.add_parser("bounds", help="closed-form bounds for a parameter point")
-    bd.add_argument("--freq", type=float, default=1.0)
-    bd.add_argument("--bits", type=int, default=None)
-    bd.add_argument("--multiplier", type=str, default=None)
-    bd.add_argument("--dt", type=float, default=None)
-    bd.add_argument("--qmax", type=int, default=16)
-    bd.add_argument("--out", type=str, default="-")
-    bd.set_defaults(func=cmd_bounds)
 
     return parser
 
@@ -249,12 +282,11 @@ def _same_output(first: str, second: str) -> bool:
 def _resolve_timing(args) -> TimingConfig:
     if args.multiplier is not None and args.dt is not None:
         raise UsageError("--multiplier and --dt are mutually exclusive")
-    _check_at_least_one("--qmax", args.qmax)
+    if isinstance(args.multiplier, TimingConfig):
+        return args.multiplier
     if args.multiplier is not None:
-        return _parse_multiplier(args.multiplier, args.qmax)
+        return snap_multiplier(args.multiplier, args.qmax)
     if args.dt is not None:
-        if not (math.isfinite(args.dt) and args.dt > 0):
-            raise UsageError(f"--dt must be positive and finite, got {args.dt!r}")
         turns = args.freq * args.dt  # per update; 1/turns is the multiplier
         if not (0.0 < turns < math.inf and 1.0 / turns < math.inf):
             raise UsageError(f"--dt {args.dt!r} is out of range: freq*dt is {turns!r} turns")
@@ -263,7 +295,6 @@ def _resolve_timing(args) -> TimingConfig:
 
 
 def _eval_model(args) -> WaveformModel:
-    _check_freq(args.freq)
     spec = SignalSpec(args.freq)
     model = args.model
     needs_bits = model in ("quantized", "digitized")
@@ -281,7 +312,6 @@ def _eval_model(args) -> WaveformModel:
     if needs_bits:
         if args.bits is None:
             raise UsageError(f"--bits is required for model '{model}'")
-        _check_bits("--bits", args.bits)
         quantizer = QuantizerConfig(
             args.bits, QuantizationMode(args.mode or "floor")
         )
@@ -303,61 +333,12 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _sweep_svg(result, metric_choice: str) -> str:
-    if result.kind == "bits":
-        if metric_choice == "thd":
-            style = charts.ChartStyle(
-                charts.ChartKind.LINEAR_LINE, "bits", "THD [dB]"
-            )
-            return charts.render_line_chart(result, style, ["thd_db"])
-        style = charts.ChartStyle(
-            charts.ChartKind.LINEAR_LINE, "bits", "max abs error", log_y=True
-        )
-        return charts.render_line_chart(result, style, ["max_err", "eq5_bound"])
-    if result.kind == "multiplier":
-        if metric_choice == "thd":
-            style = charts.ChartStyle(
-                charts.ChartKind.LOG_X_LINE, "frequency multiplier", "THD [dB]"
-            )
-            return charts.render_line_chart(result, style, ["thd_db"])
-        style = charts.ChartStyle(
-            charts.ChartKind.LOG_X_LINE, "frequency multiplier", "max abs error"
-        )
-        return charts.render_line_chart(
-            result, style, ["max_err", "eq14_bound", "strict_bound"]
-        )
-    style = charts.ChartStyle(
-        charts.ChartKind.HEATMAP, "frequency multiplier", "bits"
-    )
-    metric = "max_err" if metric_choice == "error" else "thd_db"
-    return charts.render_heatmap(result, style, metric)
-
-
 def cmd_sweep(args) -> int:
-    for flag, value in (
-        ("--workers", args.workers),
-        ("--bits-step", args.bits_step),
-        ("--points-per-decade", args.points_per_decade),
-        ("--qmax", args.qmax),
-    ):
-        _check_at_least_one(flag, value)
-    _check_bits("--bits-from", args.bits_from)
-    _check_bits("--bits-to", args.bits_to)
     if args.bits_to < args.bits_from:
         raise UsageError(
             f"--bits-to must be >= --bits-from, got {args.bits_to} < {args.bits_from}"
         )
-    multipliers = None
-    if args.multipliers is not None:
-        try:
-            multipliers = tuple(float(v) for v in args.multipliers.split(","))
-        except ValueError as exc:
-            raise UsageError(f"--multipliers: {exc}") from exc
-        for value in multipliers:
-            if not (math.isfinite(value) and value > 0):
-                raise UsageError(f"--multipliers must be positive and finite, got {value!r}")
-    _check_decade("--decades-from", args.decades_from)
-    _check_decade("--decades-to", args.decades_to)
+    multipliers = args.multipliers
     if multipliers is None and args.decades_to < args.decades_from:
         raise UsageError(
             "--decades-to must be >= --decades-from, "
@@ -370,20 +351,17 @@ def cmd_sweep(args) -> int:
                 "--points-per-decade: the multiplier axis would have more than "
                 f"{MAX_AXIS_POINTS} points"
             )
-    try:
-        spec = SweepSpec(
-            bits_from=args.bits_from,
-            bits_to=args.bits_to,
-            bits_step=args.bits_step,
-            decades_from=args.decades_from,
-            decades_to=args.decades_to,
-            points_per_decade=args.points_per_decade,
-            multipliers=multipliers,
-            mode=QuantizationMode(args.mode),
-            q_max=args.qmax,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = SweepSpec(
+        bits_from=args.bits_from,
+        bits_to=args.bits_to,
+        bits_step=args.bits_step,
+        decades_from=args.decades_from,
+        decades_to=args.decades_to,
+        points_per_decade=args.points_per_decade,
+        multipliers=multipliers,
+        mode=QuantizationMode(args.mode),
+        q_max=args.qmax,
+    )
     if args.axis == "grid" and args.svg is not None:
         # the chart has one cell per bit count and requested multiplier
         repeated = [m for m, n in Counter(spec.multiplier_axis()).items() if n > 1]
@@ -398,7 +376,7 @@ def cmd_sweep(args) -> int:
     outputs = [(args.out, reporting.sweep_to_csv(result))]
     if args.svg is not None:
         try:
-            outputs.append((args.svg, _sweep_svg(result, args.svg_metric)))
+            outputs.append((args.svg, charts.render_sweep(result, args.svg_metric)))
         except charts.EmptyChart as exc:
             raise UsageError(f"--svg-metric {args.svg_metric}: {exc}") from exc
     _write_outputs(outputs)
@@ -406,12 +384,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    _check_freq(args.freq)
-    if args.bits is not None:
-        _check_bits("--bits", args.bits)
     timing = None
     if args.multiplier is not None or args.dt is not None:
-        args.model = "bounds"  # for the usage message in _resolve_timing
         timing = _resolve_timing(args)
     _check_times(args.freq, timing)
     _check_outputs([args.out])
@@ -421,24 +395,15 @@ def cmd_bounds(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if exc.code is not None else 0
-        return int(code)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -462,35 +462,6 @@ def _quantized_thd(quantizer: QuantizerConfig) -> tuple[float | None, float | No
     return ratio, 20.0 * math.log10(ratio)
 
 
-def _report(
-    model: WaveformModel,
-    err: float,
-    argmax_t: float,
-    thd_result: tuple,
-    bound_pair: tuple[float, float],
-) -> MetricsReport:
-    """The report of ``model`` with its metrics and its paper and strict
-    bounds."""
-    timing = model.timing
-    quantizer = model.quantizer
-    ratio, db = thd_result
-    paper, strict = bound_pair
-    return MetricsReport(
-        model=model.kind.value,
-        freq_hz=model.spec.frequency_hz,
-        bits=quantizer.bits if quantizer else None,
-        mode=quantizer.mode.value if quantizer else None,
-        m_num=timing.multiplier_num if timing else None,
-        m_den=timing.multiplier_den if timing else None,
-        max_abs_error=err,
-        argmax_time_s=argmax_t,
-        thd_ratio=ratio,
-        thd_db=db,
-        paper_bound=paper,
-        strict_bound=strict,
-    )
-
-
 def evaluate(model: WaveformModel) -> MetricsReport:
     """Run both metrics on one model and attach the matching bounds.
 
@@ -510,11 +481,18 @@ def evaluate(model: WaveformModel) -> MetricsReport:
         return evaluate_column(model.spec, model.timing, [model.quantizer])[0]
     if model.kind is ModelKind.HELD:
         return evaluate_held(model.spec, [model.timing])[0]
+    f = model.spec.frequency_hz
     if model.kind is ModelKind.TARGET:
-        return _report(model, 0.0, 0.0, (0.0, None), (0.0, 0.0))
-    err, argmax_t = _quantized_supremum(model.quantizer, model.spec.frequency_hz)
-    bound = bounds.quantization_error_bound(model.quantizer.bits)
-    return _report(model, err, argmax_t, _quantized_thd(model.quantizer), (bound, bound))
+        return MetricsReport(
+            ModelKind.TARGET.value, f, None, None, None, None, 0.0, 0.0, 0.0, None, 0.0, 0.0
+        )
+    quantizer = model.quantizer
+    err, argmax_t = _quantized_supremum(quantizer, f)
+    bound = bounds.quantization_error_bound(quantizer.bits)
+    return MetricsReport(
+        ModelKind.QUANTIZED.value, f, quantizer.bits, quantizer.mode.value, None, None,
+        err, argmax_t, *_quantized_thd(quantizer), bound, bound,
+    )
 
 
 def evaluate_held(

@@ -88,45 +88,21 @@ def _flags_field(flags: tuple[str, ...]) -> str:
     return ";".join(flags) if flags else "-"
 
 
-def report_to_json(report: MetricsReport, schema_version: int = SCHEMA_VERSION) -> str:
-    data = {
-        "model": report.model,
-        "freq_hz": report.freq_hz,
-        "bits": report.bits,
-        "mode": report.mode,
-        "m_num": report.m_num,
-        "m_den": report.m_den,
-        "max_abs_error": report.max_abs_error,
-        "argmax_time_s": report.argmax_time_s,
-        "thd_ratio": report.thd_ratio,
-        "thd_db": report.thd_db,
-        "paper_bound": report.paper_bound,
-        "strict_bound": report.strict_bound,
-        "schema_version": schema_version,
-    }
+_REPORT_FIELDS = attrgetter(*JSON_KEYS[:-1])  # every key but schema_version
+
+
+def _report_values(report: MetricsReport) -> tuple:
+    return (*_REPORT_FIELDS(report), SCHEMA_VERSION)
+
+
+def report_to_json(report: MetricsReport) -> str:
+    data = dict(zip(JSON_KEYS, _report_values(report)))
     return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
 
-def report_to_csv(report: MetricsReport, schema_version: int = SCHEMA_VERSION) -> str:
+def report_to_csv(report: MetricsReport) -> str:
     header = ",".join(JSON_KEYS)
-    row = ",".join(
-        csv_field(v)
-        for v in (
-            report.model,
-            report.freq_hz,
-            report.bits,
-            report.mode,
-            report.m_num,
-            report.m_den,
-            report.max_abs_error,
-            report.argmax_time_s,
-            report.thd_ratio,
-            report.thd_db,
-            report.paper_bound,
-            report.strict_bound,
-            schema_version,
-        )
-    )
+    row = ",".join(map(csv_field, _report_values(report)))
     return f"{header}\n{row}\n"
 
 

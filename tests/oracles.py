@@ -26,6 +26,7 @@ import numpy as np
 from ddsmetrics import bounds
 from ddsmetrics.metrics import (
     CapExceeded,
+    MetricsReport,
     _model_pq,
     _held_thd,
     _parseval_thd,
@@ -34,7 +35,6 @@ from ddsmetrics.metrics import (
     _windows,
     check_pieces,
 )
-from ddsmetrics.metrics import _report as _engine_report
 from ddsmetrics.signals import (
     ModelKind,
     TimingConfig,
@@ -351,10 +351,13 @@ def _row_supremum(pieces: _Pieces, level: np.ndarray) -> list[tuple[float, float
 def _report(model, err, argmax_t, thd_result):
     """The engine's report with the model's digitized bounds, each
     variant taken alone."""
-    f = model.spec.frequency_hz
-    dt, bits = model.timing.time_gap_s(f), model.quantizer.bits
+    f, timing, quantizer = model.spec.frequency_hz, model.timing, model.quantizer
+    dt, bits = timing.time_gap_s(f), quantizer.bits
     pair = tuple(bounds.digitized_error_bound(f, dt, bits, v) for v in bounds.BoundVariant)
-    return _engine_report(model, err, argmax_t, thd_result, pair)
+    return MetricsReport(
+        model.kind.value, f, bits, quantizer.mode.value, timing.multiplier_num,
+        timing.multiplier_den, err, argmax_t, *thd_result, *pair,
+    )
 
 
 def column_rows(spec, timing, quantizers) -> list:
@@ -414,8 +417,9 @@ def held_rows(spec, timings) -> list:
         [(err, argmax_t)] = pieces.supremum(pieces.start)
         dt = timing.time_gap_s(f)
         pair = tuple(bounds.held_error_bound(f, dt, v) for v in bounds.BoundVariant)
-        model = WaveformModel.held(spec, timing)
-        reports.append(_engine_report(model, err, argmax_t, _held_thd(p, q), pair))
+        reports.append(MetricsReport(
+            ModelKind.HELD.value, f, None, None, p, q, err, argmax_t, *_held_thd(p, q), *pair
+        ))
     return reports
 
 

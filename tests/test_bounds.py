@@ -89,6 +89,10 @@ class TestMaxPhaseShift:
         with pytest.raises(ValueError):
             max_phase_shift(1.0, -0.1)
 
+    def test_finite_where_two_pi_f_overflows(self):
+        # 2*pi*1e308 is past the float range; the shift is 2*pi*16
+        assert max_phase_shift(1e308, 1.6e-307) == pytest.approx(32 * math.pi, rel=1e-15)
+
 
 class TestHeldErrorBound:
     def test_estimate_small_gap(self):

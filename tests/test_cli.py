@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -7,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from ddsmetrics import cli
 from ddsmetrics.cli import main
 from ddsmetrics.reporting import parse_csv
 
@@ -216,6 +219,11 @@ class TestBounds:
         assert data["quantization_bound"] == 4.8828125e-4
         assert "held_bound_paper" not in data
 
+    def test_gap_at_the_top_of_the_float_range(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--freq", "1e308", "--dt", "0.01")
+        assert code == 0, err
+        assert json.loads(out)["max_phase_shift_rad"] == pytest.approx(32 * math.pi)
+
     def test_no_arguments_still_reports_range(self, capsys):
         code, out, _ = run_cli(capsys, "bounds")
         assert code == 0
@@ -228,6 +236,57 @@ class TestExitCodes:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestParserErrors:
+    """argparse's own errors (a bad choice, a non-integer count, an
+    unknown flag, a missing subcommand) exit 2 with one line, as the flag
+    checks do, instead of a usage block."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "grid", "--mode", "bogus"],
+            ["sweep", "bits", "--workers", "1.5"],
+            ["sweep", "bits", "--frobnicate"],
+            ["bounds", "--qmax"],
+            ["frobnicate"],
+            [],
+        ],
+        ids=["bad-choice", "workers-1.5", "unknown-flag", "missing-value",
+             "unknown-command", "no-command"],
+    )
+    def test_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
+class TestFlagSet:
+    """The option strings of each subcommand, the hidden retired flags
+    included: the benchmark's argv (perfbench/run.py) passes several."""
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("eval", ["--bits", "--dt", "--format", "--freq", "--help", "--mode", "--model",
+                      "--multiplier", "--out", "--qmax", "--samples", "--samples-per-step",
+                      "-h"]),
+            ("sweep", ["--bits-from", "--bits-step", "--bits-to", "--decades-from",
+                       "--decades-to", "--help", "--mode", "--multipliers", "--out",
+                       "--points-per-decade", "--qmax", "--samples", "--samples-per-step",
+                       "--svg", "--svg-metric", "--workers", "-h"]),
+            ("bounds", ["--bits", "--dt", "--freq", "--help", "--multiplier", "--out",
+                        "--qmax", "-h"]),
+        ],
+    )
+    def test_option_strings(self, command, flags):
+        parser = cli._build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = sub.choices[command]._actions
+        assert sorted(s for a in actions for s in a.option_strings) == flags
 
 
 class TestBoundaryInputs:
@@ -372,10 +431,14 @@ class TestCountFlags:
             (["sweep", "bits", "--bits-step", "0"], "--bits-step"),
             (["sweep", "multiplier", "--points-per-decade", "1" + "0" * 400],
              "--points-per-decade"),
+            (["eval", "--model", "target", "--qmax", "0"], "--qmax"),
+            (["bounds", "--qmax", "0"], "--qmax"),
+            (["sweep", "bits", "--qmax", "abc"], "--qmax"),
         ],
         ids=[
             "eval-qmax-0", "bounds-qmax-0", "sweep-qmax-negative",
             "points-per-decade-0", "bits-step-0", "points-per-decade-1e400",
+            "eval-target-qmax-0", "bounds-qmax-0-without-timing", "sweep-qmax-not-a-number",
         ],
     )
     def test_usage_error_names_the_flag(self, capsys, argv, flag):
