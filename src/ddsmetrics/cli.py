@@ -10,7 +10,6 @@ output file is written.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
@@ -18,6 +17,7 @@ import os
 import stat
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 from . import bounds as bounds_mod
 from . import charts, reporting
@@ -52,20 +52,12 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):
-        # argparse's own errors (a bad choice, an unknown flag, a missing
-        # argument) print as one line, as the flag checks do, instead of a
-        # usage block; "argument --flag: ..." becomes "--flag: ..."
-        raise UsageError(message.removeprefix("argument "))
+def _flag(convert, valid, need: str):
+    """The parse function of a flag: its text through ``convert``, then
+    ``valid``. Text that does not convert and a value out of range raise
+    a :class:`UsageError` naming the flag."""
 
-
-def _flag(name: str, convert, valid, need: str):
-    """The argparse ``type=`` of flag ``name``: its text through
-    ``convert``, then ``valid``. Text that does not convert and a value
-    out of range raise a :class:`UsageError` naming the flag."""
-
-    def parse(text: str):
+    def parse(name: str, text: str):
         try:
             value = convert(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -81,27 +73,20 @@ def _is_positive(value: float) -> bool:
     return 0.0 < value < math.inf
 
 
-def _count(name: str):
-    return _flag(name, int, lambda value: value >= 1, ">= 1")
+def _is_decade(value: float) -> bool:
+    # the multiplier axis runs over 10**value between the two ends
+    try:
+        return _is_positive(10.0**value)
+    except OverflowError:
+        return False
 
 
-def _bits(name: str):
-    return _flag(name, int, lambda value: 1 <= value <= MAX_BITS, f"in [1, {MAX_BITS}]")
-
-
-def _positive(name: str):
-    return _flag(name, float, _is_positive, "positive and finite")
-
-
-def _decades(name: str):
-    def usable(value: float) -> bool:
-        # the multiplier axis runs over 10**value between the two ends
-        try:
-            return _is_positive(10.0**value)
-        except OverflowError:
-            return False
-
-    return _flag(name, float, usable, "an exponent with 10**value positive and finite")
+_count = _flag(int, lambda value: value >= 1, ">= 1")
+_bits = _flag(int, lambda value: 1 <= value <= MAX_BITS, f"in [1, {MAX_BITS}]")
+_positive = _flag(float, _is_positive, "positive and finite")
+_decades = _flag(float, _is_decade, "an exponent with 10**value positive and finite")
+# an empty path would stage the working directory itself as the output
+_path = _flag(str, bool, "a path or -")
 
 
 def _multiplier(text: str) -> TimingConfig | float:
@@ -122,80 +107,6 @@ def _check_times(freq: float, timing: TimingConfig | None) -> None:
     for name, seconds in ((period, q / freq), ("update gap q/(p*f)", q / (p * freq))):
         if not 0.0 < seconds < math.inf:
             raise UsageError(f"--freq {freq!r} is out of range: the {name} is {seconds!r} s")
-
-
-def _add_retired_flags(parser: argparse.ArgumentParser) -> None:
-    # Unused since the metrics are exact; kept so the benchmark's argv still parses.
-    for flag in ("--samples", "--samples-per-step"):
-        parser.add_argument(flag, type=int, help=argparse.SUPPRESS)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="ddsmetrics",
-        description="Worst-case error and THD metrology for clocked sine synthesis",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    ev = sub.add_parser("eval", help="evaluate one model configuration")
-    ev.set_defaults(func=cmd_eval)
-    sw = sub.add_parser("sweep", help="run a parameter sweep, write CSV/SVG")
-    sw.set_defaults(func=cmd_sweep)
-    bd = sub.add_parser("bounds", help="closed-form bounds for a parameter point")
-    bd.set_defaults(func=cmd_bounds)
-
-    for point in (ev, bd):
-        point.add_argument("--freq", type=_positive("--freq"), default=1.0)
-        point.add_argument("--bits", type=_bits("--bits"), default=None)
-        point.add_argument(
-            "--multiplier",
-            type=_flag(
-                "--multiplier", _multiplier,
-                lambda m: isinstance(m, TimingConfig) or _is_positive(m),
-                "positive and finite",
-            ),
-            default=None,
-        )
-        point.add_argument("--dt", type=_positive("--dt"), default=None)
-        point.add_argument("--qmax", type=_count("--qmax"), default=16)
-        point.add_argument("--out", type=str, default="-")
-    ev.add_argument(
-        "--model",
-        required=True,
-        choices=["target", "quantized", "held", "digitized"],
-    )
-    ev.add_argument("--mode", choices=["floor", "round", "ceiling"], default=None)
-    _add_retired_flags(ev)
-    ev.add_argument("--format", choices=["json", "csv"], default="json")
-
-    sw.add_argument("axis", choices=["bits", "multiplier", "grid"])
-    sw.add_argument("--bits-from", type=_bits("--bits-from"), default=1)
-    sw.add_argument("--bits-to", type=_bits("--bits-to"), default=16)
-    sw.add_argument("--bits-step", type=_count("--bits-step"), default=1)
-    sw.add_argument("--decades-from", type=_decades("--decades-from"), default=0.5)
-    sw.add_argument("--decades-to", type=_decades("--decades-to"), default=4.0)
-    sw.add_argument(
-        "--points-per-decade", type=_count("--points-per-decade"), default=30
-    )
-    sw.add_argument(
-        "--multipliers",
-        type=_flag(
-            "--multipliers", _multipliers,
-            lambda values: all(map(_is_positive, values)),
-            "positive and finite numbers",
-        ),
-        default=None,
-        help="comma-separated explicit multiplier axis, overrides decades",
-    )
-    sw.add_argument("--mode", choices=["floor", "round", "ceiling"], default="floor")
-    sw.add_argument("--qmax", type=_count("--qmax"), default=16)
-    _add_retired_flags(sw)
-    sw.add_argument("--workers", type=_count("--workers"), default=1)
-    sw.add_argument("--out", type=str, default="-")
-    sw.add_argument("--svg", type=str, default=None)
-    sw.add_argument("--svg-metric", choices=["error", "thd"], default="error")
-
-    return parser
 
 
 def _write_outputs(outputs: list[tuple[str, str]]) -> None:
@@ -394,12 +305,180 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+_REQUIRED = object()  # the default of an entry that argv must give
+
+# Each command's table maps a flag (or, without dashes, a positional) to
+# how its text is read and its default: a tuple of the choices, or a
+# parse function from _flag. -h and --help read no text.
+_HELP = {"-h": (None, None), "--help": (None, None)}
+_POINT = {
+    "--freq": (_positive, 1.0),
+    "--bits": (_bits, None),
+    "--multiplier": (
+        _flag(
+            _multiplier,
+            lambda m: isinstance(m, TimingConfig) or _is_positive(m),
+            "positive and finite",
+        ),
+        None,
+    ),
+    "--dt": (_positive, None),
+    "--qmax": (_count, 16),
+    "--out": (_path, "-"),
+}
+# Unused since the metrics are exact; kept so older command lines (the
+# benchmark's among them) still parse. Hidden from --help.
+_RETIRED = dict.fromkeys(
+    ("--samples", "--samples-per-step"), (_flag(int, lambda value: True, "an int"), None)
+)
+_MODES = ("floor", "round", "ceiling")
+_COMMANDS = {
+    "eval": (cmd_eval, "evaluate one model configuration", {
+        **_HELP,
+        **_POINT,
+        "--model": (("target", "quantized", "held", "digitized"), _REQUIRED),
+        "--mode": (_MODES, None),
+        **_RETIRED,
+        "--format": (("json", "csv"), "json"),
+    }),
+    "sweep": (cmd_sweep, "run a parameter sweep, write CSV/SVG", {
+        **_HELP,
+        "axis": (("bits", "multiplier", "grid"), _REQUIRED),
+        "--bits-from": (_bits, 1),
+        "--bits-to": (_bits, 16),
+        "--bits-step": (_count, 1),
+        "--decades-from": (_decades, 0.5),
+        "--decades-to": (_decades, 4.0),
+        "--points-per-decade": (_count, 30),
+        "--multipliers": (
+            _flag(
+                _multipliers,
+                lambda values: all(map(_is_positive, values)),
+                "positive and finite numbers",
+            ),
+            None,
+        ),
+        "--mode": (_MODES, "floor"),
+        "--qmax": (_count, 16),
+        **_RETIRED,
+        "--workers": (_count, 1),
+        "--out": (_path, "-"),
+        "--svg": (_path, None),
+        "--svg-metric": (("error", "thd"), "error"),
+    }),
+    "bounds": (cmd_bounds, "closed-form bounds for a parameter point", {**_HELP, **_POINT}),
+}
+
+
+def _option(token: str, table: dict) -> str | None:
+    """The entry of ``table`` that ``token`` names as a flag: the text
+    before any ``=``, matched exactly or as the prefix of one flag only.
+    ``None`` when the token is a value: it does not start with ``-``, is
+    ``-``, or names no flag and looks like a negative number or holds a
+    space. ``""`` for an unknown flag."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name = token.partition("=")[0]
+    if name in table:
+        return name
+    if name.startswith("--") and name != "--":
+        matches = [flag for flag in table if flag.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {name} could match {', '.join(matches)}")
+        if matches:
+            return matches[0]
+    if token[1] in "0123456789." or " " in token:
+        return None
+    return ""
+
+
+def _convert(name: str, spec, text: str):
+    if not isinstance(spec, tuple):
+        return spec(name, text)
+    if text not in spec:
+        choices = ", ".join(map(repr, spec))
+        raise UsageError(f"{name}: invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _parse(table: dict, argv: list[str]) -> dict | None:
+    """The value of every entry of ``table``: its default, or what
+    ``argv`` gives it (``--flag value`` or ``--flag=value``; the last one
+    wins; after ``--`` every token is a positional). ``None`` for help."""
+    values = {name: default for name, (spec, default) in table.items() if spec is not None}
+    positionals = [name for name in table if not name.startswith("-")]
+    tokens = iter(argv)
+    only_positionals = False
+    for token in tokens:
+        if token == "--" and not only_positionals:
+            only_positionals = True
+            continue
+        flag = None if only_positionals else _option(token, table)
+        if flag is None and positionals:
+            name = positionals.pop(0)
+            values[name] = _convert(name, table[name][0], token)
+            continue
+        if not flag:
+            raise UsageError(f"unrecognized arguments: {token}")
+        spec = table[flag][0]
+        if spec is None:
+            return None
+        _, given, text = token.partition("=")
+        if not given:
+            text = next(tokens, None)
+            if text is None or _option(text, table) is not None:
+                raise UsageError(f"{flag}: expected one argument")
+        values[flag] = _convert(flag, spec, text)
+    missing = [name for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return values
+
+
+def _help(command: str | None) -> str:
+    """The ``--help`` text of ``command`` (of the program for ``None``):
+    every entry of its table but the retired flags, with its choices or
+    its default."""
+    if command is None:
+        usage = "ddsmetrics {" + ",".join(_COMMANDS) + "} ..."
+        about = "Worst-case error and THD metrology for clocked sine synthesis"
+        heading = "commands:"
+        rows = [(name, text) for name, (_, text, _) in _COMMANDS.items()]
+    else:
+        usage = f"ddsmetrics {command} [options]"
+        _, about, table = _COMMANDS[command]
+        heading = "options:"
+        rows = [("-h, --help", "show this help and exit")]
+        for name, (spec, default) in table.items():
+            if spec is None or name in _RETIRED:
+                continue
+            if isinstance(spec, tuple):
+                meta = "{" + ",".join(spec) + "}"
+            else:
+                meta = name.lstrip("-").upper().replace("-", "_")
+            note = "required" if default is _REQUIRED else f"default: {default}"
+            rows.append((f"{name} {meta}", note))
+    width = max(len(left) for left, _ in rows)
+    lines = [f"usage: {usage}", "", about, "", heading]
+    lines += [f"  {left:<{width}}  {right}" for left, right in rows]
+    return "\n".join(lines) + "\n"
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+        if not argv:
+            raise UsageError("the following arguments are required: command")
+        if _option(argv[0], _HELP):
+            sys.stdout.write(_help(None))
+            return EXIT_OK
+        command, _, table = _COMMANDS[_convert("command", tuple(_COMMANDS), argv[0])]
+        values = _parse(table, argv[1:])
+        if values is None:
+            sys.stdout.write(_help(argv[0]))
+            return EXIT_OK
+        args = {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
+        return command(SimpleNamespace(**args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,4 +1,3 @@
-import argparse
 import json
 import math
 import os
@@ -239,7 +238,7 @@ class TestExitCodes:
 
 
 class TestParserErrors:
-    """argparse's own errors (a bad choice, a non-integer count, an
+    """The parse step's own errors (a bad choice, a non-integer count, an
     unknown flag, a missing subcommand) exit 2 with one line, as the flag
     checks do, instead of a usage block."""
 
@@ -283,10 +282,195 @@ class TestFlagSet:
         ],
     )
     def test_option_strings(self, command, flags):
-        parser = cli._build_parser()
-        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        actions = sub.choices[command]._actions
-        assert sorted(s for a in actions for s in a.option_strings) == flags
+        _, _, table = cli._COMMANDS[command]
+        assert sorted(name for name in table if name.startswith("-")) == flags
+
+
+class TestParseRules:
+    """argv reads as argparse read it: ``--flag=value``, unique prefixes,
+    values that start with ``-``, the last of a repeated flag, the
+    positional anywhere (or after ``--``)."""
+
+    SWEEP = ["sweep", "bits", "--bits-to", "3"]
+
+    def outputs(self, capsys, tmp_path, command, *argv):
+        svg = tmp_path / "chart.svg"
+        code, out, err = run_cli(capsys, command, "--svg", str(svg), *argv)
+        assert code == 0, err
+        return out, svg.read_text()
+
+    @pytest.mark.parametrize(
+        "argv,same_as",
+        [
+            (["sweep", "bits", "--bits-to=3"], SWEEP),
+            (["sweep", "bits", "--bits-t", "3"], SWEEP),
+            (["sweep", "bits", "--bits-t=3"], SWEEP),
+            (["sweep", "--bits-to", "3", "bits"], SWEEP),
+            (["sweep", "--bits-to", "3", "--", "bits"], SWEEP),
+            (["sweep", "bits", "--bits-to", "9", "--bits-to", "3"], SWEEP),
+            (["sweep", "bits", "--bits-to", "3", "--svg-m", "thd"],
+             SWEEP + ["--svg-metric", "thd"]),
+            (["sweep", "bits", "--bits-to", "3", "--mode", "round", "--mode", "ceiling"],
+             SWEEP + ["--mode", "ceiling"]),
+            (["sweep", "bits", "--bits-to", "3", "--out", "-"], SWEEP),
+        ],
+        ids=["equals", "prefix", "prefix-equals", "axis-last", "dashes", "repeated",
+             "prefix-choice", "repeated-choice", "dash-value"],
+    )
+    def test_same_outputs(self, capsys, tmp_path, argv, same_as):
+        assert self.outputs(capsys, tmp_path, *argv) == self.outputs(capsys, tmp_path, *same_as)
+
+    def test_exact_name_beats_prefix(self, capsys, tmp_path):
+        # --svg is a prefix of --svg-metric, --samples of --samples-per-step
+        svg = tmp_path / "chart.svg"
+        code, out, err = run_cli(
+            capsys, *self.SWEEP, "--samples", "5", "--svg", str(svg), "--svg-metric", "thd"
+        )
+        assert code == 0, err
+        assert svg.read_text().startswith("<svg ")
+        assert len(parse_csv(out)[2]) == 3
+
+    def test_dash_value_with_a_space(self, capsys, tmp_path, monkeypatch):
+        # a token that starts with "-" but holds a space is a value
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, "bounds", "--bits", "8", "--out", "-a b")
+        assert code == 0, err
+        assert json.loads((tmp_path / "-a b").read_text())["quantization_bound"] == 0.0078125
+
+    def test_negative_decades_give_the_library_csv(self, capsys):
+        from ddsmetrics import reporting
+        from ddsmetrics.sweeps import SweepSpec, sweep_multiplier
+
+        code, out, err = run_cli(
+            capsys, "sweep", "multiplier", "--decades-from", "-1", "--decades-to", "1",
+            "--points-per-decade", "5",
+        )
+        assert code == 0, err
+        spec = SweepSpec(decades_from=-1.0, decades_to=1.0, points_per_decade=5)
+        assert out == reporting.sweep_to_csv(sweep_multiplier(spec))
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "bits", "--s", "x"],
+             "ambiguous option: --s could match --samples, --samples-per-step, --svg, "
+             "--svg-metric"),
+            (["sweep", "bits", "--workers", "-3"], "--workers must be >= 1, got -3"),
+            (["sweep", "bits", "--workers=-3"], "--workers must be >= 1, got -3"),
+            (["bounds", "--qmax"], "--qmax: expected one argument"),
+            (["bounds", "--out", "--qmax", "3"], "--out: expected one argument"),
+            (["sweep", "--bits-to", "3"], "the following arguments are required: axis"),
+            (["eval", "--format", "csv"], "the following arguments are required: --model"),
+            (["sweep", "bits", "grid"], "unrecognized arguments: grid"),
+            (["sweep", "bits", "--bogus", "1"], "unrecognized arguments: --bogus"),
+            (["sweep", "bogus"],
+             "axis: invalid choice: 'bogus' (choose from 'bits', 'multiplier', 'grid')"),
+        ],
+        ids=["ambiguous", "negative-count", "negative-count-equals", "missing-value",
+             "flag-as-value", "missing-axis", "missing-model", "extra-positional",
+             "unknown-flag", "bad-axis"],
+    )
+    def test_one_line_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestHelp:
+    """Help is generated from each command's table: every flag but the
+    retired ones, on stdout, exit 0."""
+
+    def test_program_help_lists_the_commands(self, capsys):
+        for flag in ("--help", "-h"):
+            code, out, err = run_cli(capsys, flag)
+            assert code == 0 and err == ""
+            assert out.startswith("usage: ddsmetrics ")
+            for command in ("eval", "sweep", "bounds"):
+                assert f"\n  {command} " in out
+
+    @pytest.mark.parametrize("command", ["eval", "sweep", "bounds"])
+    @pytest.mark.parametrize("flag", ["--help", "-h", "--he"])
+    def test_command_help_shows_every_visible_flag(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, flag)
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: ddsmetrics {command} ")
+        lines = out.splitlines()
+        _, _, table = cli._COMMANDS[command]
+        for name, (spec, default) in table.items():
+            if spec is None:
+                continue
+            shown = [line for line in lines if line.startswith(f"  {name} ")]
+            if name in cli._RETIRED:
+                assert shown == []
+                continue
+            [line] = shown
+            if isinstance(spec, tuple):
+                assert "{" + ",".join(spec) + "}" in line
+            if default is cli._REQUIRED:
+                assert line.endswith("required")
+            else:
+                assert line.endswith(f"default: {default}")
+
+    def test_help_wins_over_later_flags(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "bits", "--help", "--bogus")
+        assert code == 0
+        assert "--svg-metric {error,thd}" in out
+
+
+class TestNoArgparse:
+    def test_a_command_loads_no_argparse(self, tmp_path):
+        # the cold cost of argparse: its import pulls in gettext, and its
+        # messages load locale
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys\n"
+            "import ddsmetrics.cli\n"
+            f"assert ddsmetrics.cli.main(['bounds', '--bits', '8', '--out', {str(tmp_path / 'b.json')!r}]) == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+        assert json.loads((tmp_path / "b.json").read_text())["quantization_bound"] == 0.0078125
+
+
+class TestEmptyOutputPath:
+    """An empty path once passed the output check (``os.stat('')`` is a
+    missing file), ran every row, then tried to replace the working
+    directory with a temp file beside it. Now it exits 2 naming the flag,
+    before any row runs."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["eval", "--model", "target", "--out", ""], "--out"),
+            (["bounds", "--bits", "8", "--out="], "--out"),
+            (["sweep", "bits", "--bits-to", "3", "--out", ""], "--out"),
+            (["sweep", "bits", "--bits-to", "3", "--svg", ""], "--svg"),
+        ],
+        ids=["eval", "bounds", "sweep-out", "sweep-svg"],
+    )
+    def test_exits_2_before_any_row(self, capsys, tmp_path, monkeypatch, argv, flag):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was evaluated")
+
+        for name in ("evaluate", "sweep_bits"):
+            monkeypatch.setattr(cli, name, no_rows)
+        monkeypatch.setattr(cli.bounds_mod, "report", no_rows)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be a path or -, got ''\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["work"]
+        assert list(work.iterdir()) == []
 
 
 class TestBoundaryInputs:
@@ -530,6 +714,12 @@ class TestRetiredFlags:
         assert code == 0, err
         assert len(parse_csv(csv_path.read_text())[2]) == rows
         assert svg_path.read_text().startswith("<svg ")
+
+    @pytest.mark.parametrize("value", ["-5", "0", "10" + "0" * 30])
+    def test_any_int_changes_nothing(self, capsys, value):
+        argv = ["sweep", "bits", "--bits-to", "3"]
+        flagged = run_cli(capsys, *argv, "--samples", value, "--samples-per-step", value)
+        assert flagged == run_cli(capsys, *argv)
 
     def test_flags_change_nothing_and_stay_hidden(self, capsys):
         argv = ["eval", "--model", "held", "--multiplier", "19/6"]
