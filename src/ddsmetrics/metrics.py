@@ -21,14 +21,16 @@ O(pieces):
   1985); at the quantizer's whole-turn arguments Hankel's expansion sums
   them into a few zeta values.
 
-:func:`evaluate_column` evaluates the digitized rows of one timing, one
-per quantizer, building what depends on the timing alone, bounds
-included, only once; its quantizers go through whole-matrix calls, a
-group of level rows at a time. :func:`evaluate_held` evaluates a batch
-of held rows, their candidate pieces built as one matrix and laid end
-to end in one set of arrays.
-Either way a row of a sweep costs a few Python-level steps rather than
-a few dozen numpy calls.
+:func:`evaluate_columns` evaluates the digitized rows of many timings,
+one column of quantizers per timing. Consecutive columns go in batches
+whose pieces lie end to end in one set of arrays, so what depends on the
+timings alone, bounds included, is built once per batch; the quantizers
+go through whole-matrix calls, a group of level rows at a time, each
+row spanning the whole batch. :func:`evaluate_held` evaluates a batch of
+held rows, their candidate pieces built as one matrix and laid end to
+end in the same way. Both take their suprema from one segmented pass,
+:meth:`_Pieces.supremum`. Either way a row of a sweep costs a few
+Python-level steps rather than a few dozen numpy calls.
 
 The step levels come from :func:`ddsmetrics.signals.step_levels`, the
 definition the pointwise models use. The probe-grid and DFT estimators
@@ -62,20 +64,28 @@ __all__ = [
     "MetricsReport",
     "CapExceeded",
     "check_pieces",
+    "column_batches",
     "evaluate",
     "evaluate_column",
+    "evaluate_columns",
     "evaluate_held",
 ]
 
-# evaluate_column() holds about 75 bytes per piece at its peak, one row's
-# temporaries beside the arrays its rows share (a column this long runs
-# one row per group), so a column stays under about 1.3 GB.
+# A column this long is a batch of its own and runs one row per group;
+# evaluate_columns() then holds about 75 bytes per piece at its peak, one
+# row's temporaries beside the arrays its rows share, so it stays under
+# about 1.3 GB.
 MAX_PIECES = 1 << 24
 
-# evaluate_column() evaluates its quantizers in groups of at most this
+# evaluate_columns() evaluates its quantizers in groups of at most this
 # many level-matrix elements, at least one row per group: a group of
 # small rows costs a few whole-matrix calls instead of a few per row.
 _COLUMN_CHUNK = 1 << 16
+
+# evaluate_columns() lays the pieces of consecutive timings end to end,
+# up to this many in all (see column_batches), so that a batch of small
+# columns shares one set of array calls and a group holds at least 4 rows.
+_BATCH_PIECES = _COLUMN_CHUNK // 4
 
 # Up to this many bits quantized THD sums over the at most 8 thresholds:
 # the Hankel series of _bessel_sums is only asymptotic and falls short
@@ -192,11 +202,11 @@ def _errors(level, start, swing, at_peak, at_trough) -> tuple:
 
 
 class _Pieces:
-    """The pieces of one or more held or digitized rows at frequency f,
-    and what every quantizer shares about them. Row i has the timing
-    ``timings[i]`` and the pieces ``ks[i]`` (ascending indices), which
-    follow those of row i - 1 in the flat arrays; with ``counts``, ``ks``
-    is that flat array already, row i holding ``counts[i]`` pieces. Piece
+    """The pieces of one or more held or digitized timings at frequency f,
+    and what every quantizer shares about them. Timing ``timings[i]`` has
+    the pieces ``ks[i]`` (ascending indices), its segment, which follows
+    that of timing i - 1 in the flat arrays; with ``counts``, ``ks`` is
+    that flat array already, segment i holding ``counts[i]`` pieces. Piece
     k of a row p/q starts at residue r = k*q mod p, where the sine is
     ``start``; the sine changes by ``swing`` across it; it holds phase
     1/4 (3/4) iff ``at_peak`` (``at_trough``)."""
@@ -215,11 +225,12 @@ class _Pieces:
         self.counts, self.k = counts, ks
         self.starts = np.cumsum([0, *counts[:-1]])
         rows = [(t.multiplier_num, t.multiplier_den) for t in timings]
-        p = self._spread([p for p, _ in rows])
+        self.p = p = self._spread([p for p, _ in rows])
         # q meets the int64 arrays only reduced, so any exact multiplier fits.
         self.r = (self.k * self._spread([q % p for p, q in rows])) % p
         self.start = step_levels(self.r, p)
-        self.half = self._spread([_half_swing(f, t) for t in timings])
+        self.halves = [_half_swing(f, t) for t in timings]
+        self.half = self._spread(self.halves)
         # sin(a + w) - sin(a) = 2*cos(a + w/2)*sin(w/2): the sine's change
         # from the start of each piece to the end, without cancellation.
         twice_q = self._spread([q % (2 * p) for p, q in rows])
@@ -232,16 +243,19 @@ class _Pieces:
         self.at_peak, self.at_trough = to_peak <= reach, to_trough <= reach
 
     def _spread(self, values: list):
-        """One value per row, repeated for each of its pieces; the value
-        of a single row stays a scalar."""
+        """One value per timing, repeated for each of its pieces; the
+        value of a single timing stays a scalar."""
         if len(self.counts) == 1:
             return values[0]
         return np.repeat(np.array(values), self.counts)
 
     def supremum(self, level: np.ndarray) -> list[tuple[float, float]]:
-        """Exact supremum of each row whose pieces hold ``level``, and the
-        earliest time it is attained. ``level`` has one value per piece,
-        or, for a single timing, a row of them per row of a matrix."""
+        """Exact supremum of each segment of each row of ``level`` (a
+        matrix, or one row, of one level per piece), and the earliest time
+        it is attained: one pair per row and segment, row by row. A held
+        batch is one row of many segments, a column many rows of one, and
+        a batch of columns many rows of many."""
+        level = level.reshape(-1, len(self.k))
         # The largest of each piece's _errors, folded in place into one
         # array: the same floats, without four arrays alive at once.
         buffer = level - self.start
@@ -252,27 +266,25 @@ class _Pieces:
         np.maximum(largest, np.abs(buffer, out=buffer), out=largest, where=self.at_peak)
         np.add(level, 1.0, out=buffer)
         np.maximum(largest, np.abs(buffer, out=buffer), out=largest, where=self.at_trough)
-        # Pieces follow each other in time, so a row's earliest attainment
-        # lies in the first of its pieces that attains its supremum at all.
-        if level.ndim == 2:
-            timings = self.timings * len(level)
-            sups = largest.max(axis=1)
-            firsts = (largest == sups[:, None]).argmax(axis=1)
-            at = (np.arange(len(level)), firsts)
-        else:
-            timings = self.timings
-            sups = np.maximum.reduceat(largest, self.starts)
-            attaining = (largest == self._spread(sups)).nonzero()[0]
-            firsts = attaining[attaining.searchsorted(self.starts)]
-            at = firsts
+        del buffer  # so the comparison below does not add to the peak
+        # max is exact in any order, so the segments reduce side by side
+        sups = np.maximum.reduceat(largest, self.starts, axis=1)
+        spread = sups if len(self.counts) == 1 else np.repeat(sups, self.counts, axis=1)
+        # Pieces follow each other in time, so a segment's earliest
+        # attainment lies in the first of its pieces that attains its
+        # supremum at all: the first flat hit at or after its start.
+        attaining = np.flatnonzero(largest == spread)
+        width = len(self.k)
+        segment_starts = (np.arange(len(level))[:, None] * width + self.starts).ravel()
+        rows, firsts = np.divmod(attaining[attaining.searchsorted(segment_starts)], width)
         # the four candidates, now only at the first attaining pieces
         at_first = _errors(
-            level[at], self.start[firsts], self.swing[firsts],
+            level[rows, firsts], self.start[firsts], self.swing[firsts],
             self.at_peak[firsts], self.at_trough[firsts],
         )
         suprema = []
         for timing, sup, k, candidates in zip(
-            timings, sups.tolist(), self.k[firsts].tolist(),
+            self.timings * len(level), sups.ravel().tolist(), self.k[firsts].tolist(),
             zip(*(errors.tolist() for errors in at_first)),
         ):
             p, q = timing.multiplier_num, timing.multiplier_den
@@ -470,7 +482,7 @@ def evaluate(model: WaveformModel) -> MetricsReport:
     THD) and a held one (closed-form THD, a constant-size set of
     candidate pieces), which is a batch of one row
     (:func:`evaluate_held`), in O(pieces) for a digitized one, which is a
-    column of one row (:func:`evaluate_column`). ``thd_db`` is None when
+    batch of one column of one row (:func:`evaluate_columns`). ``thd_db`` is None when
     the ratio is 0 (target model) and both THD fields are None when the
     signal has no fundamental (such as a held model with p <= 2, whose
     levels are all 0). :class:`CapExceeded` is raised before anything is
@@ -478,7 +490,7 @@ def evaluate(model: WaveformModel) -> MetricsReport:
     rows included.
     """
     if model.kind is ModelKind.DIGITIZED:
-        return evaluate_column(model.spec, model.timing, [model.quantizer])[0]
+        return evaluate_columns(model.spec, [model.timing], [model.quantizer])[0][0]
     if model.kind is ModelKind.HELD:
         return evaluate_held(model.spec, [model.timing])[0]
     f = model.spec.frequency_hz
@@ -524,48 +536,112 @@ def evaluate_held(
     ]
 
 
+def column_batches(timings: Sequence[TimingConfig]) -> list[list[TimingConfig]]:
+    """The timings in order, cut into runs of consecutive timings whose
+    pieces number at most ``_BATCH_PIECES`` in all; a timing of more
+    pieces is a batch of its own."""
+    batches, size = [], 0
+    for timing in timings:
+        p = timing.multiplier_num
+        if not batches or size + p > _BATCH_PIECES:
+            batches.append([])
+            size = 0
+        batches[-1].append(timing)
+        size += p
+    return batches
+
+
+def evaluate_columns(
+    spec: SignalSpec, timings: Sequence[TimingConfig], quantizers: Sequence[QuantizerConfig]
+) -> list[list[MetricsReport]]:
+    """:func:`evaluate` of the digitized models of each timing and
+    quantizer: for each timing, in their order, one report per quantizer,
+    in theirs. The timings go in the batches of :func:`column_batches`,
+    their pieces end to end, so that what depends on the timings alone
+    (see :class:`_Pieces`, the THD bin's cosine, the bounds' sine and
+    hold terms) is a few array calls per batch. The quantizers then go
+    in groups of up to ``_COLUMN_CHUNK`` level-matrix elements, at least
+    one row each: a group's levels, candidate errors and suprema are
+    whole-matrix calls, its means one call per column, and only the two
+    dot products and the argmax tick stay per row and column.
+    :class:`CapExceeded` is raised before anything is allocated when some
+    timing has more than ``MAX_PIECES`` pieces.
+    """
+    for timing in timings:
+        check_pieces(timing.multiplier_num, timing.multiplier_den)
+    if not quantizers:
+        return [[] for _ in timings]
+    return [
+        column
+        for batch in column_batches(timings)
+        for column in _evaluate_batch(spec, batch, quantizers)
+    ]
+
+
+def _evaluate_batch(
+    spec: SignalSpec, timings: list[TimingConfig], quantizers: Sequence[QuantizerConfig]
+) -> list[list[MetricsReport]]:
+    """:func:`evaluate_columns` of one batch of timings."""
+    f = spec.frequency_hz
+    bits = [quantizer.bits for quantizer in quantizers]
+    bound_pairs = [bounds.digitized_bounds(f, t.time_gap_s(f), bits) for t in timings]
+    counts = [timing.multiplier_num for timing in timings]
+    width = sum(counts)
+    starts = np.cumsum([0, *counts[:-1]])
+    pieces = _Pieces(f, timings, np.arange(width) - np.repeat(starts, counts), counts)
+    # One DFT bin of the levels at their start phases, times the
+    # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
+    cosine = sin_turns_array(_turns(4 * pieces.r + pieces.p, 4 * pieces.p))
+    # Each column is a slice of the batch: its means reduce each row's
+    # slice as np.mean reduces one row, and its dots are each row's own,
+    # since neither a segmented sum nor a matrix product sums in that order.
+    spans = [(a, a + p) for a, p in zip(starts.tolist(), counts)]
+    columns = [
+        (t.multiplier_num, t.multiplier_den, abs(half), pairs)
+        for t, half, pairs in zip(timings, pieces.halves, bound_pairs)
+    ]
+    kind = ModelKind.DIGITIZED.value
+    group_rows = max(1, _COLUMN_CHUNK // width)
+    reports = [[] for _ in timings]
+    for first in range(0, len(quantizers), group_rows):
+        group = quantizers[first:first + group_rows]
+        level = np.empty((len(group), width))
+        for i, quantizer in enumerate(group):
+            quantize(pieces.start, quantizer, out=level[i])
+        square = level * level
+        sums = [
+            (np.add.reduce(level[:, a:b], axis=1).tolist(),
+             np.add.reduce(square[:, a:b], axis=1).tolist())
+            for a, b in spans
+        ]
+        del square
+        bins = [
+            [
+                math.hypot(row[a:b].dot(cosine[a:b]), row[a:b].dot(pieces.start[a:b]))
+                for a, b in spans
+            ]
+            for row in level
+        ]
+        suprema = iter(pieces.supremum(level))
+        for i, quantizer in enumerate(group):
+            echo = (kind, f, quantizer.bits, quantizer.mode.value)
+            for (p, q, half, pairs), (total, total_square), bin_1, column in zip(
+                columns, sums, bins[i], reports
+            ):
+                fundamental = 2.0 * bin_1 * half / (math.pi * q)
+                column.append(MetricsReport(
+                    *echo, p, q, *next(suprema),
+                    *_parseval_thd(total[i] / p, total_square[i] / p, fundamental),
+                    *pairs[first + i],
+                ))
+        # free the group's levels before the next group's are allocated
+        del level
+    return reports
+
+
 def evaluate_column(
     spec: SignalSpec, timing: TimingConfig, quantizers: Sequence[QuantizerConfig]
 ) -> list[MetricsReport]:
-    """:func:`evaluate` of the digitized models of one timing, one report
-    per quantizer, in their order. The pieces' residues, start sines,
-    swings and extremum windows, the THD bin's cosine and the bounds' sine
-    and hold terms are computed once. The quantizers then go in groups of
-    up to ``_COLUMN_CHUNK`` level-matrix elements, at least one row each:
-    a group's levels, candidate errors, suprema and means are whole-matrix
-    calls, and only the two dot products and the argmax tick stay per
-    row. :class:`CapExceeded` is raised before anything is allocated when
-    p > ``MAX_PIECES``.
-    """
-    p, q = timing.multiplier_num, timing.multiplier_den
-    check_pieces(p, q)
-    f = spec.frequency_hz
-    bound_pairs = bounds.digitized_bounds(
-        f, timing.time_gap_s(f), [quantizer.bits for quantizer in quantizers]
-    )
-    pieces = _Pieces(f, [timing], [np.arange(p, dtype=np.int64)])
-    # One DFT bin of the levels at their start phases, times the
-    # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
-    cosine = sin_turns_array(_turns(4 * pieces.r + p, 4 * p))
-    group_rows = max(1, _COLUMN_CHUNK // p)
-    reports = []
-    for first in range(0, len(quantizers), group_rows):
-        group = quantizers[first:first + group_rows]
-        level = np.empty((len(group), p))
-        for row, quantizer in zip(level, group):
-            row[:] = quantize(pieces.start, quantizer)
-        # the rows reduce along their contiguous axis as np.mean reduces
-        # one row, and each dot is one row's own
-        means = (np.add.reduce(level, axis=1) / p).tolist()
-        mean_squares = (np.add.reduce(level * level, axis=1) / p).tolist()
-        for quantizer, row, (err, argmax_t), mean, mean_square, pair in zip(
-            group, level, pieces.supremum(level), means, mean_squares,
-            bound_pairs[first:],
-        ):
-            bin_1 = math.hypot(float(row @ cosine), float(row @ pieces.start))
-            fundamental = 2.0 * bin_1 * abs(pieces.half) / (math.pi * q)
-            reports.append(MetricsReport(
-                ModelKind.DIGITIZED.value, f, quantizer.bits, quantizer.mode.value, p, q,
-                err, argmax_t, *_parseval_thd(mean, mean_square, fundamental), *pair,
-            ))
-    return reports
+    """:func:`evaluate_columns` of one timing: its digitized reports, one
+    per quantizer, in their order."""
+    return evaluate_columns(spec, [timing], quantizers)[0]

@@ -249,23 +249,30 @@ def target_sample(spec: SignalSpec, t: TimeLike) -> float:
     return sin_turns(float(_phase_frac(spec, t)))
 
 
-def quantize(x: np.ndarray, config: QuantizerConfig) -> np.ndarray:
+def quantize(
+    x: np.ndarray, config: QuantizerConfig, out: np.ndarray | None = None
+) -> np.ndarray:
     """Map amplitudes onto the converter's level grid, elementwise.
 
     Floor, half-up rounding (floor(y + 1/2)), and ceiling are applied to
     y = x * 2**(bits-1); each result is an exact multiple of 2**-(bits-1).
     There is no clamping to a signed code range, so x = 1.0 maps to 1.0.
+    The levels are written to ``out`` (a float64 array of x's shape) when
+    it is given, and to a new array otherwise.
     """
     scale = config.scale
-    y = np.asarray(x, dtype=np.float64) * scale
-    if config.mode is QuantizationMode.FLOOR:
-        levels = np.floor(y)
-    elif config.mode is QuantizationMode.ROUND:
-        levels = np.floor(y + 0.5)
+    if out is None:
+        out = np.empty(np.shape(x))
+    y = np.multiply(np.asarray(x, dtype=np.float64), scale, out=out)
+    if config.mode is QuantizationMode.ROUND:
+        np.add(y, 0.5, out=y)
+    if config.mode is QuantizationMode.CEILING:
+        np.ceil(y, out=y)
     else:
-        levels = np.ceil(y)
+        np.floor(y, out=y)
+    np.divide(y, scale, out=y)
     # + 0.0 turns the -0.0 of, say, ceil(-0.3) into the code-0 level 0.0
-    return levels / scale + 0.0
+    return np.add(y, 0.0, out=y)
 
 
 def step_levels(

@@ -17,8 +17,10 @@ distinct snapped multiplier is evaluated once, and its report (or
 column) serves every axis point that snaps to it. The bits sweep
 evaluates one row per task; the multiplier sweep a batch of up to
 ``_HELD_CHUNK`` held rows per task, whose candidate pieces share one
-pass of array operations; the grid one multiplier's column of bit counts
-per task, sharing the work that depends on the multiplier alone. Tasks
+pass of array operations; the grid a batch of consecutive multipliers'
+columns of bit counts per task (see
+:func:`~ddsmetrics.metrics.column_batches`), whose pieces likewise share
+one pass, the work that depends on the multipliers alone included. Tasks
 are independent and may be run by a thread pool, but the result order is
 fixed by the parameter axes, never by completion order.
 """
@@ -30,7 +32,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .metrics import MetricsReport, check_pieces, evaluate, evaluate_column, evaluate_held
+from .metrics import (
+    MetricsReport,
+    check_pieces,
+    column_batches,
+    evaluate,
+    evaluate_columns,
+    evaluate_held,
+)
 from .signals import (
     QuantizationMode,
     QuantizerConfig,
@@ -256,16 +265,20 @@ def sweep_multiplier(spec: SweepSpec, workers: int = 1) -> SweepResult:
 def sweep_grid(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """One row per (bits, multiplier) pair for the digitized model,
     row-major with bits outermost, both axes ascending. Each distinct
-    snapped multiplier's column of bit counts is evaluated once, in one
-    pass over its pieces."""
+    snapped multiplier's column of bit counts is evaluated once; a task
+    is a batch of consecutive columns (see
+    :func:`~ddsmetrics.metrics.column_batches`) whose pieces share one
+    pass of array operations."""
     signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
     quantizers = [QuantizerConfig(bits, spec.mode) for bits in spec.bits_axis()]
     axis = _snapped_axis(spec)
     timings = _distinct_timings(axis)
-    columns = _run_ordered(
-        timings, lambda timing: evaluate_column(signal, timing, quantizers), workers
+    batches = _run_ordered(
+        column_batches(timings),
+        lambda batch: evaluate_columns(signal, batch, quantizers),
+        workers,
     )
-    by_timing = dict(zip(timings, columns))
+    by_timing = dict(zip(timings, (column for batch in batches for column in batch)))
     rows = [
         SweepRow(requested_multiplier=requested, report=by_timing[timing][i], flags=flags)
         for i in range(len(quantizers))

@@ -788,7 +788,7 @@ class TestOutputsCheckedFirst:
         def no_rows(*args):
             raise AssertionError("a row was evaluated")
 
-        monkeypatch.setattr(sweeps, "evaluate_column", no_rows)
+        monkeypatch.setattr(sweeps, "evaluate_columns", no_rows)
         path = str(tmp_path / "missing" / "x.csv")
         code, out, err = run_cli(
             capsys,
@@ -826,7 +826,7 @@ class TestRepeatedGridMultipliers:
         def no_rows(*args):
             raise AssertionError("a row was evaluated")
 
-        monkeypatch.setattr(sweeps, "evaluate_column", no_rows)
+        monkeypatch.setattr(sweeps, "evaluate_columns", no_rows)
         csv_path, svg = tmp_path / "x.csv", tmp_path / "x.svg"
         code, out, err = run_cli(
             capsys, "sweep", "grid", "--multipliers", multipliers, "--bits-to", "2",

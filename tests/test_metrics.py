@@ -20,8 +20,10 @@ from ddsmetrics.metrics import (
     _ZETA_HALF_INTEGERS,
     _held_pieces,
     _held_supremum,
+    column_batches,
     evaluate,
     evaluate_column,
+    evaluate_columns,
     evaluate_held,
 )
 from oracles import (
@@ -863,6 +865,138 @@ class TestColumnGroups:
         assert len(result.rows) == 1696
         # beside its largest column the grid holds only the reports it keeps
         assert grid <= column + kept
+
+
+# bits 1 and 52 and a few between, in every mode, mixed and repeated
+MIXED_QUANTIZERS = [
+    QuantizerConfig(bits, mode)
+    for bits, mode in [
+        (1, QuantizationMode.FLOOR), (52, QuantizationMode.ROUND), (8, QuantizationMode.CEILING),
+        (12, QuantizationMode.ROUND), (1, QuantizationMode.CEILING), (52, QuantizationMode.FLOOR),
+        (3, QuantizationMode.ROUND), (8, QuantizationMode.CEILING), (52, QuantizationMode.CEILING),
+        (1, QuantizationMode.ROUND),
+    ]
+]
+
+
+def cells_alone(spec, timings, quantizers):
+    """Every cell evaluated alone: the reference for evaluate_columns."""
+    return [
+        [evaluate(WaveformModel.digitized(spec, timing, quantizer)) for quantizer in quantizers]
+        for timing in timings
+    ]
+
+
+class TestColumnBatches:
+    """evaluate_columns lays the pieces of consecutive columns end to end,
+    up to ``_BATCH_PIECES`` of them in all; each report is byte-equal to
+    its cell evaluated alone and to the one-quantizer-at-a-time oracle."""
+
+    def check(self, spec, timings, quantizers=MIXED_QUANTIZERS):
+        columns = evaluate_columns(spec, timings, quantizers)
+        assert columns == cells_alone(spec, timings, quantizers)
+        assert columns == [column_rows(spec, timing, quantizers) for timing in timings]
+
+    @pytest.mark.parametrize("spill", [0, 1])
+    @pytest.mark.parametrize("freq", [1.0, 0.37])
+    def test_batch_budget_exactly_and_one_over(self, spill, freq):
+        budget = metrics._BATCH_PIECES
+        timings = [TimingConfig(1), TimingConfig(budget - 1000, 7), TimingConfig(999 + spill, 11)]
+        assert sum(t.multiplier_num for t in timings) == budget + spill
+        assert [len(batch) for batch in column_batches(timings)] == ([3] if spill == 0 else [2, 1])
+        self.check(SignalSpec(freq), timings)
+
+    @pytest.mark.parametrize("freq", [1.0, 0.37])
+    def test_a_column_over_the_budget_is_a_batch_alone(self, freq):
+        budget = metrics._BATCH_PIECES
+        timings = [TimingConfig(2, 3), TimingConfig(budget + 1, 3), TimingConfig(5, 2)]
+        assert column_batches(timings) == [[timings[0]], [timings[1]], [timings[2]]]
+        self.check(SignalSpec(freq), timings)
+
+    @pytest.mark.parametrize("freq", [1.0, 0.37])
+    def test_columns_without_fundamental_beside_large_ones(self, freq):
+        # p = 1 and p = 2 hold every level at 0 or a constant: no THD
+        big_q = 10**20 + 1
+        timings = [
+            TimingConfig(1), TimingConfig(4099, big_q), TimingConfig(2, 3),
+            TimingConfig(1, big_q), TimingConfig(6007, 13), TimingConfig(2, big_q),
+            TimingConfig(3, 1),
+        ]
+        assert timings[1].multiplier_den == big_q
+        assert len(column_batches(timings)) == 1
+        self.check(SignalSpec(freq), timings)
+        columns = evaluate_columns(SignalSpec(freq), timings, MIXED_QUANTIZERS)
+        for timing, column in zip(timings, columns):
+            if timing.multiplier_num <= 2:
+                assert all(report.thd_ratio is None for report in column)
+
+    @given(
+        multipliers=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=6000),
+                st.integers(min_value=1, max_value=10**20),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        freq=st.sampled_from([1.0, 0.37]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_batches_equal_the_column_oracle(self, multipliers, freq):
+        spec = SignalSpec(freq)
+        timings = [TimingConfig(p, q) for p, q in multipliers]
+        quantizers = MIXED_QUANTIZERS[:4]
+        assert evaluate_columns(spec, timings, quantizers) == [
+            column_rows(spec, timing, quantizers) for timing in timings
+        ]
+
+    def test_batches_are_consecutive_runs_within_the_budget(self):
+        budget = metrics._BATCH_PIECES
+        rng = np.random.default_rng(5)
+        timings = [TimingConfig(int(p)) for p in rng.integers(1, budget // 3, 200)]
+        timings += [TimingConfig(budget), TimingConfig(1), TimingConfig(3 * budget)]
+        batches = column_batches(timings)
+        assert [t for batch in batches for t in batch] == timings
+        for batch, after in zip(batches, batches[1:] + [[]]):
+            size = sum(t.multiplier_num for t in batch)
+            assert size <= budget or len(batch) == 1
+            if after:  # each batch takes every column that still fits
+                assert size + after[0].multiplier_num > budget
+        assert column_batches([]) == []
+
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    def test_over_cap_timing_raises_before_any_pieces(self, position, monkeypatch):
+        built = []
+        monkeypatch.setattr(metrics, "_Pieces", lambda *args: built.append(args))
+        timings = [TimingConfig(p, 3) for p in (4, 5, 7, 11, 13, 17)]
+        timings.insert(position, TimingConfig(MAX_PIECES + 1, 3))
+        with pytest.raises(CapExceeded) as exc_info:
+            evaluate_columns(SPEC, timings, MIXED_QUANTIZERS)
+        assert exc_info.value.p == MAX_PIECES + 1
+        assert built == []
+
+    def test_no_quantizers_build_no_pieces(self):
+        timing = TimingConfig((1 << 22) - 3, 7)
+        columns = []
+        peak = traced_peak(lambda: columns.append(evaluate_column(SPEC, timing, [])))
+        assert columns == [[]]
+        assert peak < 1 << 20
+        assert evaluate_columns(SPEC, [timing, TimingConfig(5)], []) == [[], []]
+
+    def test_peak_memory_does_not_grow_with_the_columns(self):
+        # 4 columns of about 4000 pieces to a batch: 64 columns are 16
+        # batches, 16 columns 4, and only the reports they keep differ
+        quantizers = [
+            QuantizerConfig(bits, mode)
+            for bits in (1, 4, 8, 12) for mode in (QuantizationMode.FLOOR, QuantizationMode.ROUND)
+        ]
+        peaks = {
+            n: traced_peak(lambda: evaluate_columns(
+                SPEC, [TimingConfig(3990 + k, 7) for k in range(n)], quantizers
+            ))
+            for n in (16, 64)
+        }
+        assert peaks[64] <= 1.1 * peaks[16]
 
 
 def batch_of_one_each(spec, timings):

@@ -414,9 +414,9 @@ def per_cell_rows(spec):
 
 
 class TestGridColumns:
-    """The grid evaluates one multiplier's column of bit counts at a time
-    and puts the rows back in row-major order, equal to evaluating every
-    cell alone."""
+    """The grid evaluates its distinct multipliers' columns of bit counts
+    in batches of consecutive columns and puts the rows back in row-major
+    order, equal to evaluating every cell alone."""
 
     @pytest.mark.parametrize("mode", list(QuantizationMode))
     @pytest.mark.parametrize("bits_step", [1, 3])
@@ -433,21 +433,39 @@ class TestGridColumns:
         assert list(rows) == per_cell_rows(spec)
 
     def test_repeated_multipliers_evaluate_one_column(self, monkeypatch):
-        calls = []
-        original = sweeps.evaluate_column
+        batches = []
+        original = sweeps.evaluate_columns
 
-        def counted(signal, timing, quantizers):
-            calls.append(timing)
-            return original(signal, timing, quantizers)
+        def counted(signal, timings, quantizers):
+            batches.append(list(timings))
+            return original(signal, timings, quantizers)
 
-        monkeypatch.setattr(sweeps, "evaluate_column", counted)
+        monkeypatch.setattr(sweeps, "evaluate_columns", counted)
+        # 3.001 and 3.002 both snap to 3/1; 20000 is a batch of its own
         spec = SweepSpec(
             bits_from=1, bits_to=6, q_max=100,
-            multipliers=(4.0, 3.001, 3.002, 4.0, 97.0, 4.0),
+            multipliers=(4.0, 3.001, 3.002, 4.0, 97.0, 4.0, 20000.0, 1.5, 97.0),
         )
         rows = sweep_grid(spec).rows
-        assert calls == [TimingConfig(4), TimingConfig(3), TimingConfig(97)]
+        assert [timing for batch in batches for timing in batch] == [
+            TimingConfig(4), TimingConfig(3), TimingConfig(97), TimingConfig(20000),
+            TimingConfig(3, 2),
+        ]
+        assert len(batches) == 3
         assert list(rows) == per_cell_rows(spec)
+
+    def test_batches_on_workers_equal_per_cell_evaluate(self):
+        # 20000 and 17000 are batches of their own and cut the smaller
+        # columns into three more
+        spec = SweepSpec(
+            bits_from=1, bits_to=4, q_max=16,
+            multipliers=(5.0, 20000.0, 3.5, 17000.0, 1.0, 2.0, 6000.0, 9000.0),
+        )
+        batches = sweeps.column_batches(sweeps._distinct_timings(sweeps._snapped_axis(spec)))
+        assert len(batches) == 5
+        serial = sweep_grid(spec, workers=1).rows
+        assert sweep_grid(spec, workers=2).rows == serial
+        assert list(serial) == per_cell_rows(spec)
 
 
 def per_row_multiplier_rows(spec):
