@@ -100,20 +100,20 @@ def held_bounds(
 
 
 def digitized_bounds(
-    frequency_hz: float, dt: float, bits: Iterable[int]
-) -> list[tuple[float, float]]:
+    frequency_hz: float, dts: Iterable[float], bits: Iterable[int]
+) -> list[list[tuple[float, float]]]:
     """The paper and strict combined bounds (see
-    :func:`digitized_error_bound`) of each bit count of ``bits`` at one
-    gap. The frequency and gap are checked, and the sine and strict hold
-    terms computed, once."""
-    [(_, hold)] = held_bounds(frequency_hz, [dt])
-    s = _sin_two_pi(frequency_hz * dt)
-    pairs = []
-    for b in bits:
-        level = quantization_error_bound(b)
-        scale = 1 << (b - 1)
-        pairs.append(((1.0 + abs(scale * s)) / scale, level + hold))
-    return pairs
+    :func:`digitized_error_bound`) of each bit count of ``bits`` at each
+    gap of ``dts``: one list of pairs per gap. The frequency and each gap
+    are checked, and each gap's sine and strict hold terms computed, once;
+    so are the bit terms, whatever the number of gaps."""
+    dts = list(dts)
+    holds = held_bounds(frequency_hz, dts)
+    levels = [(quantization_error_bound(b), 1 << (b - 1)) for b in bits]
+    return [
+        [((1.0 + abs(scale * s)) / scale, level + hold) for level, scale in levels]
+        for (_, hold), s in zip(holds, (_sin_two_pi(frequency_hz * dt) for dt in dts))
+    ]
 
 
 def _variant(pair: tuple[float, float], variant: BoundVariant) -> float:
@@ -148,7 +148,7 @@ def digitized_error_bound(
     combined formula. STRICT: the quantization level plus the strict hold
     bound, sound for any alignment.
     """
-    [pair] = digitized_bounds(frequency_hz, dt, [bits])
+    [[pair]] = digitized_bounds(frequency_hz, [dt], [bits])
     return _variant(pair, variant)
 
 
@@ -176,7 +176,7 @@ def report(
     for variant, value in zip(BoundVariant, held):
         data[f"held_bound_{variant.value}"] = value
     if bits is not None:
-        [combined] = digitized_bounds(f, dt, [bits])
+        [[combined]] = digitized_bounds(f, [dt], [bits])
         for variant, value in zip(BoundVariant, combined):
             data[f"digitized_bound_{variant.value}"] = value
     return data

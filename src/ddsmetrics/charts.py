@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .sweeps import SweepResult, SweepRow
+import numpy as np
+
+from .sweeps import SweepResult
 
 __all__ = [
     "ChartKind",
@@ -57,30 +59,35 @@ class ChartStyle:
     log_y: bool = False
 
 
-_METRIC_GETTERS = {
-    "max_err": lambda row: row.report.max_abs_error,
-    "max_err_pct": lambda row: row.report.max_err_pct,
-    "paper_bound": lambda row: row.report.paper_bound,
-    "eq5_bound": lambda row: row.report.paper_bound,
-    "eq14_bound": lambda row: row.report.paper_bound,
-    "eq16_bound": lambda row: row.report.paper_bound,
-    "strict_bound": lambda row: row.report.strict_bound,
-    "thd_ratio": lambda row: row.report.thd_ratio,
-    "thd_db": lambda row: row.report.thd_db,
+# The report field each metric name reads.
+_METRIC_FIELDS = {
+    "max_err": "max_abs_error",
+    "max_err_pct": "max_err_pct",
+    "paper_bound": "paper_bound",
+    "eq5_bound": "paper_bound",
+    "eq14_bound": "paper_bound",
+    "eq16_bound": "paper_bound",
+    "strict_bound": "strict_bound",
+    "thd_ratio": "thd_ratio",
+    "thd_db": "thd_db",
 }
 
 
-def _metric(row: SweepRow, name: str):
+def _metric(result: SweepResult, name: str) -> list:
+    """The metric ``name`` of each distinct report of the sweep."""
     try:
-        return _METRIC_GETTERS[name](row)
+        field = _METRIC_FIELDS[name]
     except KeyError:
         raise ValueError(f"unknown metric {name!r}") from None
+    return result.report_column(field)
 
 
-def _row_x(result_kind: str, row: SweepRow) -> float:
-    if result_kind == "bits":
-        return float(row.report.bits)
-    return float(row.requested_multiplier)
+def _on_axis(values: list, log: bool) -> np.ndarray:
+    """Each value as a float on a linear or a log axis; NaN where it has
+    no place there (None, or not positive on a log axis)."""
+    if log:
+        return np.array([math.log10(v) if v is not None and v > 0 else math.nan for v in values])
+    return np.array([math.nan if v is None else float(v) for v in values])
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -105,6 +112,12 @@ def _fmt_tick(v: float) -> str:
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return f"{v:.6g}"
+
+
+def _coordinates(values: np.ndarray) -> np.ndarray:
+    """The SVG text of each pixel coordinate, as an object array, which
+    picks the texts of many points without copying them."""
+    return np.array(list(map("{:.2f}".format, values.tolist())), dtype=object)
 
 
 def _svg_open(lines: list[str]) -> None:
@@ -140,39 +153,32 @@ def render_line_chart(
         raise ValueError(f"line charts need a bits or multiplier sweep, got {result.kind!r}")
     if not series:
         raise ValueError("series selection is empty")
-    if not result.rows:
+    if not result.report_index:
         raise ValueError("sweep result has no rows")
 
     log_x = style.kind is ChartKind.LOG_X_LINE
-
-    def tx(x: float) -> float:
-        return math.log10(x) if log_x else x
-
-    def ty(y: float) -> float:
-        return math.log10(y) if style.log_y else y
-
-    points: dict[str, list[tuple[float, float]]] = {}
+    row_x = _on_axis(
+        result.row_column("bits") if result.kind == "bits" else result.requested_multipliers,
+        log_x,
+    )
+    index = np.array(result.report_index, dtype=np.intp)
+    # each series' y per distinct report, the rows that are its points, and
+    # the range of their x and y
+    points: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    ranges = []
     for name in series:
-        pts = []
-        for row in result.rows:
-            y = _metric(row, name)
-            if y is None:
-                continue
-            if style.log_y and y <= 0:
-                continue
-            x = _row_x(result.kind, row)
-            if log_x and x <= 0:
-                continue
-            pts.append((tx(x), ty(y)))
-        points[name] = pts
-    all_pts = [p for pts in points.values() for p in pts]
-    if not all_pts:
+        report_y = _on_axis(_metric(result, name), style.log_y)
+        rows = np.flatnonzero(~np.isnan(row_x) & ~np.isnan(report_y[index]))
+        points[name] = report_y, rows
+        if len(rows):
+            xs, ys = row_x[rows], report_y[index[rows]]
+            ranges.append((xs.min(), xs.max(), ys.min(), ys.max()))
+    if not ranges:
         raise EmptyChart("selected series contain no plottable values")
 
-    x_lo = min(p[0] for p in all_pts)
-    x_hi = max(p[0] for p in all_pts)
-    y_lo = min(p[1] for p in all_pts)
-    y_hi = max(p[1] for p in all_pts)
+    x_lo, x_hi, y_lo, y_hi = (
+        float(extreme(values)) for extreme, values in zip((min, max, min, max), zip(*ranges))
+    )
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
@@ -238,10 +244,14 @@ def render_line_chart(
         f'stroke="#000000" stroke-width="1.5"/>'
     )
 
+    # the text of px of each row, and of py of each distinct report, once
+    # each: px and py over arrays, with the same float operations
+    x_text = _coordinates(left + (row_x - x_lo) / (x_hi - x_lo) * (right - left))
     for idx, name in enumerate(series):
         color = SERIES_COLORS[idx % len(SERIES_COLORS)]
-        pts = points[name]
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+        report_y, rows = points[name]
+        y_text = _coordinates(bottom - (report_y - y_lo) / (y_hi - y_lo) * (bottom - top))
+        coords = " ".join(map(",".join, zip(x_text[rows], y_text[index[rows]])))
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" '
             f'points="{coords}"/>'
@@ -276,21 +286,24 @@ def render_heatmap(result: SweepResult, style: ChartStyle, metric: str) -> str:
     """
     if result.kind != "grid":
         raise ValueError(f"heatmaps need a grid sweep, got {result.kind!r}")
-    if not result.rows:
+    if not result.report_index:
         raise ValueError("sweep result has no rows")
 
-    bits_axis = sorted({row.report.bits for row in result.rows})
-    mult_axis = sorted({row.requested_multiplier for row in result.rows})
-    cells: dict[tuple[int, float], SweepRow] = {}
-    for row in result.rows:
-        key = (row.report.bits, row.requested_multiplier)
+    row_bits = result.row_column("bits")
+    multipliers = result.requested_multipliers
+    bits_axis = sorted(set(row_bits))
+    mult_axis = sorted(set(multipliers))
+    cells: dict[tuple[int, float], int] = {}  # the row of each cell
+    for row, key in enumerate(zip(row_bits, multipliers)):
         if key in cells:
             raise ValueError(f"duplicate grid cell {key}")
         cells[key] = row
     if len(cells) != len(bits_axis) * len(mult_axis):
         raise ValueError("ragged grid: not every (bits, multiplier) pair is present")
 
-    values = {key: _metric(row, metric) for key, row in cells.items()}
+    column, index = _metric(result, metric), result.report_index
+    values = {key: column[index[row]] for key, row in cells.items()}
+
     present = [v for v in values.values() if v is not None]
     if not present:
         raise EmptyChart(f"metric {metric!r} has no values on this grid")

@@ -40,7 +40,7 @@ that check this engine live with the tests, in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +62,7 @@ from .signals import (
 __all__ = [
     "MAX_PIECES",
     "MetricsReport",
+    "REPORT_FIELDS",
     "CapExceeded",
     "check_pieces",
     "column_batches",
@@ -69,6 +70,9 @@ __all__ = [
     "evaluate_column",
     "evaluate_columns",
     "evaluate_held",
+    "held_columns",
+    "report_columns",
+    "reports_from_columns",
 ]
 
 # A column this long is a batch of its own and runs one row per group;
@@ -141,6 +145,22 @@ class MetricsReport:
         return 100.0 * self.max_abs_error
 
 
+# The fields of a MetricsReport, in order. A set of reports can be held as
+# columns: a dict of one list per field, position i of every list
+# belonging to report i.
+REPORT_FIELDS = tuple(field.name for field in fields(MetricsReport))
+
+
+def report_columns(reports: Sequence[MetricsReport]) -> dict[str, list]:
+    """The reports as columns, one list per field of ``REPORT_FIELDS``."""
+    return {name: [getattr(r, name) for r in reports] for name in REPORT_FIELDS}
+
+
+def reports_from_columns(columns: dict[str, list]) -> list[MetricsReport]:
+    """The reports that :func:`report_columns` holds, one per position."""
+    return list(map(MetricsReport, *(columns[name] for name in REPORT_FIELDS)))
+
+
 def _model_pq(model: WaveformModel) -> tuple[int, int]:
     if model.timing is not None:
         return model.timing.multiplier_num, model.timing.multiplier_den
@@ -174,12 +194,17 @@ def _parseval_thd(
     return 0.0, None
 
 
-def _half_swing(f: float, timing: TimingConfig) -> float:
-    """sin(pi*q/p), half the sine's swing across a piece. Up to f*dt = 1/2
-    it is the very float the strict bound doubles, so that the swing
-    2*cos(...)*half can never round above the bound."""
-    p, q = timing.multiplier_num, timing.multiplier_den
-    x = f * timing.time_gap_s(f)
+def _gap(f: float, p: int, q: int) -> float:
+    """The update gap q/(p*f) of the multiplier p/q, in seconds: the float
+    of :meth:`~ddsmetrics.signals.TimingConfig.time_gap_s`."""
+    return q / (p * f)
+
+
+def _half_swing(f: float, p: int, q: int) -> float:
+    """sin(pi*q/p), half the sine's swing across a piece of the multiplier
+    p/q. Up to f*dt = 1/2 it is the very float the strict bound doubles,
+    so that the swing 2*cos(...)*half can never round above the bound."""
+    x = f * _gap(f, p, q)
     return sin_turns(x / 2.0) if x <= 0.5 else sin_turns(q % (2 * p) / (2 * p))
 
 
@@ -202,59 +227,61 @@ def _errors(level, start, swing, at_peak, at_trough) -> tuple:
 
 
 class _Pieces:
-    """The pieces of one or more held or digitized timings at frequency f,
-    and what every quantizer shares about them. Timing ``timings[i]`` has
-    the pieces ``ks[i]`` (ascending indices), its segment, which follows
-    that of timing i - 1 in the flat arrays; with ``counts``, ``ks`` is
-    that flat array already, segment i holding ``counts[i]`` pieces. Piece
-    k of a row p/q starts at residue r = k*q mod p, where the sine is
-    ``start``; the sine changes by ``swing`` across it; it holds phase
-    1/4 (3/4) iff ``at_peak`` (``at_trough``)."""
+    """The pieces of one or more held or digitized rows p/q at frequency
+    f, and what every quantizer shares about them. Row ``rows[i]`` has the
+    pieces ``ks[i]`` (ascending indices), its segment, which follows that
+    of row i - 1 in the flat arrays; with ``counts``, ``ks`` is that flat
+    array already, segment i holding ``counts[i]`` pieces. Piece k of a
+    row p/q starts at residue r = k*q mod p, where the sine is ``start``;
+    the sine changes by ``swing`` across it; it holds phase 1/4 (3/4) iff
+    ``at_peak`` (``at_trough``)."""
 
     def __init__(
         self,
         f: float,
-        timings: Sequence[TimingConfig],
+        rows: Sequence[tuple[int, int]],
         ks: Sequence[np.ndarray] | np.ndarray,
         counts: list[int] | None = None,
     ):
-        self.f, self.timings = f, timings
+        self.f, self.rows = f, rows
         if counts is None:
             counts = [len(k) for k in ks]
             ks = ks[0] if len(ks) == 1 else np.concatenate(ks)
         self.counts, self.k = counts, ks
         self.starts = np.cumsum([0, *counts[:-1]])
-        rows = [(t.multiplier_num, t.multiplier_den) for t in timings]
-        self.p = p = self._spread([p for p, _ in rows])
-        # q meets the int64 arrays only reduced, so any exact multiplier fits.
-        self.r = (self.k * self._spread([q % p for p, q in rows])) % p
+        # q meets the int64 arrays only reduced, so any exact multiplier
+        # fits; both window offsets below are below 4p, so 4*min(q, p)
+        # reaches as far as 4q
+        p, q_mod_p, twice_q, reach, self.halves = map(list, zip(*(
+            (p, q % p, q % (2 * p), 4 * min(q, p), _half_swing(f, p, q)) for p, q in rows
+        )))
+        self.p = p = self._spread(p)
+        self.r = (self.k * self._spread(q_mod_p)) % p
         self.start = step_levels(self.r, p)
-        self.halves = [_half_swing(f, t) for t in timings]
         self.half = self._spread(self.halves)
         # sin(a + w) - sin(a) = 2*cos(a + w/2)*sin(w/2): the sine's change
         # from the start of each piece to the end, without cancellation.
-        twice_q = self._spread([q % (2 * p) for p, q in rows])
-        cosine = sin_turns_array(_turns(4 * self.r + 2 * twice_q + p, 4 * p))
+        cosine = sin_turns_array(_turns(4 * self.r + 2 * self._spread(twice_q) + p, 4 * p))
         self.swing = 2.0 * cosine * self.half
         # Phase 1/4 (3/4) lies in [r/p, (r+q)/p] iff its offset from r/p
         # is at most 4q, exact in integers.
         to_peak, to_trough = _windows(self.r, p)
-        reach = self._spread([4 * min(q, p) for p, q in rows])  # both offsets are below 4p
-        self.at_peak, self.at_trough = to_peak <= reach, to_trough <= reach
+        self.reach = self._spread(reach)
+        self.at_peak, self.at_trough = to_peak <= self.reach, to_trough <= self.reach
 
     def _spread(self, values: list):
-        """One value per timing, repeated for each of its pieces; the
-        value of a single timing stays a scalar."""
+        """One value per row, repeated for each of its pieces; the value of
+        a single row stays a scalar."""
         if len(self.counts) == 1:
             return values[0]
         return np.repeat(np.array(values), self.counts)
 
-    def supremum(self, level: np.ndarray) -> list[tuple[float, float]]:
+    def supremum(self, level: np.ndarray) -> tuple[list[float], list[float]]:
         """Exact supremum of each segment of each row of ``level`` (a
         matrix, or one row, of one level per piece), and the earliest time
-        it is attained: one pair per row and segment, row by row. A held
-        batch is one row of many segments, a column many rows of one, and
-        a batch of columns many rows of many."""
+        it is attained: two lists, with one entry per row and segment, row
+        by row. A held batch is one row of many segments, a column many
+        rows of one, and a batch of columns many rows of many."""
         level = level.reshape(-1, len(self.k))
         # The largest of each piece's _errors, folded in place into one
         # array: the same floats, without four arrays alive at once.
@@ -277,30 +304,43 @@ class _Pieces:
         width = len(self.k)
         segment_starts = (np.arange(len(level))[:, None] * width + self.starts).ravel()
         rows, firsts = np.divmod(attaining[attaining.searchsorted(segment_starts)], width)
-        # the four candidates, now only at the first attaining pieces
-        at_first = _errors(
+        sups = sups.ravel()
+        # The earliest of the four candidates at the first attaining piece
+        # that equals the supremum. Their offsets into the piece, in units
+        # of 1/(4*p*f), are 0, 4q and the windows to phase 1/4 and 3/4;
+        # 4*min(q, p) stands in for 4q, which may pass int64, and orders
+        # alike, since both windows lie below 4p.
+        at = (lambda values: values[firsts]) if len(self.counts) > 1 else (lambda value: value)
+        candidates = _errors(
             level[rows, firsts], self.start[firsts], self.swing[firsts],
             self.at_peak[firsts], self.at_trough[firsts],
         )
-        suprema = []
-        for timing, sup, k, candidates in zip(
-            self.timings * len(level), sups.ravel().tolist(), self.k[firsts].tolist(),
-            zip(*(errors.tolist() for errors in at_first)),
-        ):
-            p, q = timing.multiplier_num, timing.multiplier_den
-            # the candidates' offsets into the piece, in units of
-            # 1/(4*p*f); Python ints, since q may exceed int64
-            offsets = (0, 4 * q, *_windows(k * q % p, p))
-            tick = 4 * k * q + min(o for o, e in zip(offsets, candidates) if e == sup)
-            suprema.append((sup, tick / (4 * p) / self.f))
-        return suprema
+        offsets = np.zeros((4, len(sups)), dtype=np.int64)
+        offsets[1] = at(self.reach)
+        offsets[2:] = _windows(self.r[firsts], at(self.p))
+        offsets[np.array(candidates) != sups] = np.iinfo(np.int64).max
+        # the end of the piece is tick 4*(k + 1)*q, in Python ints
+        at_end = offsets.argmin(axis=0) == 1
+        inside = np.where(at_end, 0, offsets.min(axis=0)).tolist()
+        at_end = at_end.tolist()
+        times = [
+            (4 * q * (k + end) + offset) / (4 * p) / self.f
+            for (p, q), k, end, offset in zip(
+                self.rows * len(level), self.k[firsts].tolist(), at_end, inside
+            )
+        ]
+        return sups.tolist(), times
 
 
 def _held_supremum(model: WaveformModel, k: np.ndarray) -> tuple[float, float]:
     """:meth:`_Pieces.supremum` of a held model over its pieces ``k``
     (ascending), whose levels are the sine at their starts."""
-    pieces = _Pieces(model.spec.frequency_hz, [model.timing], [k])
-    return pieces.supremum(pieces.start)[0]
+    timing = model.timing
+    pieces = _Pieces(
+        model.spec.frequency_hz, [(timing.multiplier_num, timing.multiplier_den)], [k]
+    )
+    [sup], [time] = pieces.supremum(pieces.start)
+    return sup, time
 
 
 # The candidate residues of a held row p/q (see _held_pieces). Its six
@@ -333,16 +373,17 @@ def _held_pieces(rows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, list[int]
     25 swing candidates a row: p <= 2**24 keeps 4*p and every product
     r * q**-1 far inside int64, and q meets the arrays only reduced.
     """
-    columns = zip(*((p, q % (2 * p), min(q, p), pow(q % p, -1, p)) for p, q in rows))
-    p, twice_q, reach, inverse = (np.array(c, dtype=np.int64)[:, None] for c in columns)
+    table = np.array(
+        [(p, q % (2 * p), min(q, p), pow(q % p, -1, p)) for p, q in rows], dtype=np.int64
+    )
+    p, twice_q, reach, inverse = table.T[:, :, None]
     # (n + 3) // 4 is ceil(n/4), negative n included
     windows = (_WINDOW_P * p - _WINDOW_REACH * reach + _WINDOW_CEIL) // 4
     # 2r + (q mod 2p) lies in [0, 4p), so the multiples 0..4p bracket it;
     # an odd or out-of-range 2r gives way to the first window residue, a
     # repeat that is dropped below
-    twice_r = _SWING_MULTIPLES * p + _SWING_GAPS - twice_q
-    valid = (twice_r % 2 == 0) & (twice_r >= 0) & (twice_r < 2 * p)
-    swing = np.where(valid, twice_r // 2, windows[:, :1])
+    r, odd = np.divmod(_SWING_MULTIPLES * p + _SWING_GAPS - twice_q, 2)
+    swing = np.where((odd == 0) & (r >= 0) & (r < p), r, windows[:, :1])
     k = np.hstack((windows, swing)) % p * inverse % p
     k.sort(axis=1)
     kept = np.ones(k.shape, dtype=bool)
@@ -352,38 +393,52 @@ def _held_pieces(rows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, list[int]
 
 # n*(n + 1) for n = 2, 4, ..., 20: term n + 1 of the sine's Taylor series
 # is term n - 1 times -x**2/(n*(n + 1)).
-_TAYLOR_DIVISORS = tuple(n * (n + 1) for n in range(2, 22, 2))
+_TAYLOR_DIVISORS = np.array([n * (n + 1) for n in range(2, 22, 2)], dtype=np.float64)
 
 
-def _x_minus_sin(x: float) -> float:
-    """x - sin(x) for 0 <= x < 1 from its Taylor series, free of the
-    cancellation of the direct difference; the terms past x**21/21! are
-    below an ulp."""
-    step, terms, term = -x * x, [], x
-    for divisor in _TAYLOR_DIVISORS:
-        term *= step / divisor
-        terms.append(term)
-    return -math.fsum(terms)
+def _x_minus_sin(x: np.ndarray) -> list[float]:
+    """x - sin(x) for each 0 <= x < 1 of ``x`` from its Taylor series, free
+    of the cancellation of the direct difference; the terms past
+    x**21/21! are below an ulp. The terms are the products of a scalar
+    loop, term = term * (-x*x / divisor), in its order: accumulate
+    multiplies along a row one factor at a time. Each sum is
+    ``math.fsum``'s, correctly rounded."""
+    factors = np.empty((len(x), len(_TAYLOR_DIVISORS) + 1))
+    factors[:, 0] = x
+    np.divide((-x * x)[:, None], _TAYLOR_DIVISORS, out=factors[:, 1:])
+    terms = np.multiply.accumulate(factors, axis=1)[:, 1:]
+    return [-math.fsum(row) for row in terms.tolist()]
 
 
-def _held_thd(p: int, q: int) -> tuple[float | None, float | None]:
-    """THD of the held model in closed form, sqrt(1/sinc(q/p)**2 - 1).
+def _held_thd(rows: Sequence[tuple[int, int]]) -> tuple[list, list]:
+    """THD of the held model of each row p/q in closed form,
+    sqrt(1/sinc(q/p)**2 - 1): the ratios and their dB values.
 
     Since gcd(p, q) = 1 the start residues k*q mod p run over 0..p-1, so
     for p >= 3 the levels have mean 0, mean square 1/2 and fundamental
     bin p/2; Parseval then leaves sqrt((x - h)*(x + h))/h with
-    x = pi*q/p and h = |sin x|. Below p = 3 every level is 0.
+    x = pi*q/p and h = |sin x|. Below p = 3 every level is 0, and both
+    fields are None. The arithmetic is a row's own, elementwise: only
+    correctly rounded operations run on arrays, and the sine and the
+    logarithm stay ``math``'s.
     """
-    if p < 3:
-        return None, None
-    x = math.pi * (q / p)
+    ratios, dbs = [None] * len(rows), [None] * len(rows)
+    live = [i for i, (p, _) in enumerate(rows) if p >= 3]
+    if not live:
+        return ratios, dbs
     # |sin x| = sin(pi*near/p), near the distance from q to the closest
     # multiple of p: a turn below 1/4, so a sine near its zero keeps its
     # digits
-    near = min(q % p, -q % p)
-    h = sin_turns(near / (2 * p))
-    ratio = math.sqrt((_x_minus_sin(x) if x < 1.0 else x - h) * (x + h)) / h
-    return ratio, 20.0 * math.log10(ratio)
+    x, h = map(np.array, zip(*(
+        (math.pi * (q / p), sin_turns(min(q % p, -q % p) / (2 * p)))
+        for p, q in map(rows.__getitem__, live)
+    )))
+    gap = x - h
+    small = x < 1.0
+    gap[small] = _x_minus_sin(x[small])
+    for i, ratio in zip(live, (np.sqrt(gap * (x + h)) / h).tolist()):
+        ratios[i], dbs[i] = ratio, 20.0 * math.log10(ratio)
+    return ratios, dbs
 
 
 def _quantized_supremum(quantizer: QuantizerConfig, f: float) -> tuple[float, float]:
@@ -511,29 +566,40 @@ def evaluate_held(
     spec: SignalSpec, timings: Sequence[TimingConfig]
 ) -> list[MetricsReport]:
     """:func:`evaluate` of the held models of the timings, one report per
-    timing, in their order. The candidate pieces of every row (see
-    :func:`_held_pieces`) are built as one matrix and go through one pass
-    of array operations, so a row costs a few Python-level steps instead
-    of a few dozen numpy calls; the modular inverse, the argmax tick, the
-    THD and the bounds stay per row, in Python integers and floats.
+    timing, in their order: :func:`held_columns` of their multipliers.
     :class:`CapExceeded` is raised before any pieces are built when some
     timing has more than ``MAX_PIECES`` pieces.
     """
     rows = [(t.multiplier_num, t.multiplier_den) for t in timings]
+    return reports_from_columns(held_columns(spec, rows))
+
+
+def held_columns(spec: SignalSpec, rows: Sequence[tuple[int, int]]) -> dict[str, list]:
+    """The held reports of the multipliers p/q of ``rows``, each in lowest
+    terms, as columns (see ``REPORT_FIELDS``), in their order. The
+    candidate pieces of every row (see :func:`_held_pieces`) are built as
+    one matrix and go through one pass of array operations, and so does
+    the THD (see :func:`_held_thd`); the modular inverse, the sines, the
+    argmax tick and the bounds stay per row, in Python integers and
+    floats. :class:`CapExceeded` is raised before any pieces are built
+    when some row has more than ``MAX_PIECES`` pieces.
+    """
     for p, q in rows:
         check_pieces(p, q)
     if not rows:
-        return []
-    f = spec.frequency_hz
-    bound_pairs = bounds.held_bounds(f, [t.time_gap_s(f) for t in timings])
-    pieces = _Pieces(f, timings, *_held_pieces(rows))
-    kind = ModelKind.HELD.value
-    return [
-        MetricsReport(kind, f, None, None, p, q, err, argmax_t, *_held_thd(p, q), *pair)
-        for (p, q), (err, argmax_t), pair in zip(
-            rows, pieces.supremum(pieces.start), bound_pairs
-        )
-    ]
+        return report_columns([])
+    f, n = spec.frequency_hz, len(rows)
+    pieces = _Pieces(f, rows, *_held_pieces(rows))
+    errors, times = pieces.supremum(pieces.start)
+    ratios, dbs = _held_thd(rows)
+    paper, strict = zip(*bounds.held_bounds(f, [_gap(f, p, q) for p, q in rows]))
+    nums, dens = zip(*rows)
+    return {
+        "model": [ModelKind.HELD.value] * n, "freq_hz": [f] * n,
+        "bits": [None] * n, "mode": [None] * n, "m_num": list(nums), "m_den": list(dens),
+        "max_abs_error": errors, "argmax_time_s": times, "thd_ratio": ratios,
+        "thd_db": dbs, "paper_bound": list(paper), "strict_bound": list(strict),
+    }
 
 
 def column_batches(timings: Sequence[TimingConfig]) -> list[list[TimingConfig]]:
@@ -556,10 +622,11 @@ def evaluate_columns(
 ) -> list[list[MetricsReport]]:
     """:func:`evaluate` of the digitized models of each timing and
     quantizer: for each timing, in their order, one report per quantizer,
-    in theirs. The timings go in the batches of :func:`column_batches`,
-    their pieces end to end, so that what depends on the timings alone
-    (see :class:`_Pieces`, the THD bin's cosine, the bounds' sine and
-    hold terms) is a few array calls per batch. The quantizers then go
+    in theirs. The bounds' bit terms are taken once for all timings, and
+    their sine and hold terms once per timing. The timings go in the
+    batches of :func:`column_batches`, their pieces end to end, so that
+    what else depends on the timings alone (see :class:`_Pieces`, the THD
+    bin's cosine) is a few array calls per batch. The quantizers then go
     in groups of up to ``_COLUMN_CHUNK`` level-matrix elements, at least
     one row each: a group's levels, candidate errors and suprema are
     whole-matrix calls, its means one call per column, and only the two
@@ -567,28 +634,34 @@ def evaluate_columns(
     :class:`CapExceeded` is raised before anything is allocated when some
     timing has more than ``MAX_PIECES`` pieces.
     """
-    for timing in timings:
-        check_pieces(timing.multiplier_num, timing.multiplier_den)
+    rows = [(t.multiplier_num, t.multiplier_den) for t in timings]
+    for p, q in rows:
+        check_pieces(p, q)
     if not quantizers:
         return [[] for _ in timings]
-    return [
-        column
-        for batch in column_batches(timings)
-        for column in _evaluate_batch(spec, batch, quantizers)
-    ]
+    f = spec.frequency_hz
+    bits = [quantizer.bits for quantizer in quantizers]
+    bound_pairs = bounds.digitized_bounds(f, [_gap(f, p, q) for p, q in rows], bits)
+    columns, first = [], 0
+    for batch in column_batches(timings):
+        last = first + len(batch)
+        columns += _evaluate_batch(f, rows[first:last], quantizers, bound_pairs[first:last])
+        first = last
+    return columns
 
 
 def _evaluate_batch(
-    spec: SignalSpec, timings: list[TimingConfig], quantizers: Sequence[QuantizerConfig]
+    f: float,
+    rows: list[tuple[int, int]],
+    quantizers: Sequence[QuantizerConfig],
+    bound_pairs: list[list[tuple[float, float]]],
 ) -> list[list[MetricsReport]]:
-    """:func:`evaluate_columns` of one batch of timings."""
-    f = spec.frequency_hz
-    bits = [quantizer.bits for quantizer in quantizers]
-    bound_pairs = [bounds.digitized_bounds(f, t.time_gap_s(f), bits) for t in timings]
-    counts = [timing.multiplier_num for timing in timings]
+    """:func:`evaluate_columns` of one batch of rows p/q, given the bound
+    pairs of each row's quantizers."""
+    counts = [p for p, _ in rows]
     width = sum(counts)
     starts = np.cumsum([0, *counts[:-1]])
-    pieces = _Pieces(f, timings, np.arange(width) - np.repeat(starts, counts), counts)
+    pieces = _Pieces(f, rows, np.arange(width) - np.repeat(starts, counts), counts)
     # One DFT bin of the levels at their start phases, times the
     # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
     cosine = sin_turns_array(_turns(4 * pieces.r + pieces.p, 4 * pieces.p))
@@ -597,12 +670,11 @@ def _evaluate_batch(
     # since neither a segmented sum nor a matrix product sums in that order.
     spans = [(a, a + p) for a, p in zip(starts.tolist(), counts)]
     columns = [
-        (t.multiplier_num, t.multiplier_den, abs(half), pairs)
-        for t, half, pairs in zip(timings, pieces.halves, bound_pairs)
+        (p, q, abs(half), pairs) for (p, q), half, pairs in zip(rows, pieces.halves, bound_pairs)
     ]
     kind = ModelKind.DIGITIZED.value
     group_rows = max(1, _COLUMN_CHUNK // width)
-    reports = [[] for _ in timings]
+    reports = [[] for _ in rows]
     for first in range(0, len(quantizers), group_rows):
         group = quantizers[first:first + group_rows]
         level = np.empty((len(group), width))
@@ -622,7 +694,7 @@ def _evaluate_batch(
             ]
             for row in level
         ]
-        suprema = iter(pieces.supremum(level))
+        suprema = zip(*pieces.supremum(level))
         for i, quantizer in enumerate(group):
             echo = (kind, f, quantizer.bits, quantizer.mode.value)
             for (p, q, half, pairs), (total, total_square), bin_1, column in zip(

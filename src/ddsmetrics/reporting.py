@@ -118,7 +118,7 @@ def _spec_echo_lines(result: SweepResult) -> list[str]:
         lines.append(f"# mode={spec.mode.value}")
     if result.kind in ("multiplier", "grid"):
         if spec.multipliers is not None:
-            axis = " ".join(_cells(list(spec.multipliers), fmt_float))
+            axis = " ".join(map(fmt_float, spec.multipliers))
             lines.append(f"# multipliers={axis}")
         else:
             lines.append(
@@ -130,58 +130,65 @@ def _spec_echo_lines(result: SweepResult) -> list[str]:
     return lines
 
 
-def _cells(values: list, fallback) -> list[str]:
-    """The text of each value, computed once per distinct object (the
-    rows of snapped-equal multipliers share one report, and so its
-    values). A float in [1e-4, 1e6) is its repr, which is what
-    :func:`fmt_float` returns there; any other value goes to
-    ``fallback``."""
-    keys = list(map(id, values))
-    text = dict(zip(keys, values))
-    for key, value in text.items():
-        if type(value) is float and 1e-4 <= abs(value) < 1e6:
-            text[key] = repr(value)
-        else:
-            text[key] = fallback(value)
-    return list(map(text.__getitem__, keys))
-
-
-# Each sweep kind's header and its columns, each an attribute of the row
-# or of its report.
+# Each sweep kind's header and its columns: a row's own requested
+# multiplier or flags, or, in a tuple, a run of fields of its report.
 _SWEEP_FORMATS = {
     "bits": (
         BITS_HEADER,
-        ("report.bits", "report.mode", "report.max_abs_error", "report.max_err_pct",
-         "report.paper_bound", "report.thd_ratio", "report.thd_db"),
+        (("bits", "mode", "max_abs_error", "max_err_pct", "paper_bound", "thd_ratio",
+          "thd_db"),),
     ),
     "multiplier": (
         MULTIPLIER_HEADER,
-        ("requested_multiplier", "report.m_num", "report.m_den", "report.max_abs_error",
-         "report.paper_bound", "report.strict_bound", "report.thd_ratio", "report.thd_db",
+        ("requested_multipliers",
+         ("m_num", "m_den", "max_abs_error", "paper_bound", "strict_bound", "thd_ratio",
+          "thd_db"),
          "flags"),
     ),
     "grid": (
         GRID_HEADER,
-        ("report.bits", "requested_multiplier", "report.m_num", "report.m_den",
-         "report.max_abs_error", "report.paper_bound", "report.strict_bound",
-         "report.thd_ratio", "report.thd_db", "flags"),
+        (("bits",), "requested_multipliers",
+         ("m_num", "m_den", "max_abs_error", "paper_bound", "strict_bound", "thd_ratio",
+          "thd_db"),
+         "flags"),
     ),
 }
 
-# Rows formatted per pass: only one chunk's cells are alive at a time.
+
+def _cells(values: list) -> list[str]:
+    """:func:`csv_field` of each value. A float in [1e-4, 1e6) is its
+    repr, which is what :func:`fmt_float` returns there."""
+    return [
+        repr(v) if type(v) is float and 1e-4 <= abs(v) < 1e6 else csv_field(v) for v in values
+    ]
+
+
+# Rows or reports formatted per pass: only one chunk's cells are alive at
+# a time.
 _CSV_CHUNK = 256
 
 
 def _data_lines(result: SweepResult):
-    """The sweep's data lines, formatted a column of a chunk of rows at a
+    """The sweep's data lines. Each run of report fields is formatted once
+    per distinct report, a chunk of reports at a time; then a row takes
+    its report's text and formats its own cells, a chunk of rows at a
     time."""
-    _, fields = _SWEEP_FORMATS[result.kind]
-    columns = [
-        (attrgetter(name), _flags_field if name == "flags" else csv_field) for name in fields
-    ]
-    for first in range(0, len(result.rows), _CSV_CHUNK):
-        chunk = result.rows[first:first + _CSV_CHUNK]
-        cells = [_cells(list(map(get, chunk)), fallback) for get, fallback in columns]
+    _, parts = _SWEEP_FORMATS[result.kind]
+    texts = {part: [] for part in parts if isinstance(part, tuple)}
+    for part, text in texts.items():
+        columns = [result.report_column(name) for name in part]
+        for first in range(0, len(columns[0]), _CSV_CHUNK):
+            chunk = slice(first, first + _CSV_CHUNK)
+            text += map(",".join, zip(*(_cells(column[chunk]) for column in columns)))
+    for first in range(0, len(result.report_index), _CSV_CHUNK):
+        rows = slice(first, first + _CSV_CHUNK)
+        index = result.report_index[rows]
+        cells = [
+            list(map(texts[part].__getitem__, index)) if isinstance(part, tuple)
+            else list(map(_flags_field, result.flags[rows])) if part == "flags"
+            else _cells(result.requested_multipliers[rows])
+            for part in parts
+        ]
         yield from map(",".join, zip(*cells))
 
 

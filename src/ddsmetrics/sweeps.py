@@ -10,35 +10,45 @@ Requested multipliers are snapped to the nearest rational p/q with
 q <= q_max, the best rational approximation found from the continued
 fraction in O(log q_max) steps, so spectra stay coherent; both the
 requested and the snapped values are reported. A sweep snaps its axis
-once, before any row runs, and refuses the whole sweep if a snapped
-multiplier has more pieces than ``MAX_PIECES``. An axis given by decades
-and points per decade holds at most ``MAX_AXIS_POINTS`` points. Each
-distinct snapped multiplier is evaluated once, and its report (or
-column) serves every axis point that snaps to it. The bits sweep
-evaluates one row per task; the multiplier sweep a batch of up to
-``_HELD_CHUNK`` held rows per task, whose candidate pieces share one
-pass of array operations; the grid a batch of consecutive multipliers'
-columns of bit counts per task (see
+once, to integer pairs (p, q), before any row runs, and refuses the
+whole sweep if a snapped multiplier has more pieces than
+``MAX_PIECES``. An axis given by decades and points per decade holds at
+most ``MAX_AXIS_POINTS`` points. Each distinct snapped multiplier is
+evaluated once, and its report (or column) serves every axis point that
+snaps to it. The bits sweep evaluates one row per task; the multiplier
+sweep a batch of up to ``_HELD_CHUNK`` held rows per task, whose
+candidate pieces share one pass of array operations; the grid a batch
+of consecutive multipliers' columns of bit counts per task (see
 :func:`~ddsmetrics.metrics.column_batches`), whose pieces likewise share
 one pass, the work that depends on the multipliers alone included. Tasks
 are independent and may be run by a thread pool, but the result order is
 fixed by the parameter axes, never by completion order.
+
+A :class:`SweepResult` holds its rows as columns: the distinct reports,
+one list per report field, and per row the position of its report among
+them, its requested multiplier and its flags. A multiplier sweep builds
+no report, row or timing object per point; the CSV writer and the
+charts read the columns, and ``SweepResult.rows`` builds the
+:class:`SweepRow` objects only when it is first read.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .metrics import (
+    REPORT_FIELDS,
     MetricsReport,
     check_pieces,
     column_batches,
     evaluate,
     evaluate_columns,
-    evaluate_held,
+    held_columns,
+    report_columns,
+    reports_from_columns,
 )
 from .signals import (
     QuantizationMode,
@@ -151,18 +161,95 @@ class SweepRow:
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
 class SweepResult:
-    kind: str  # "bits" | "multiplier" | "grid"
-    rows: tuple[SweepRow, ...]
-    spec: SweepSpec
-    schema_version: int = SCHEMA_VERSION
+    """The rows of one sweep, held as columns.
+
+    ``reports`` holds the sweep's distinct reports, one list per field of
+    :data:`~ddsmetrics.metrics.REPORT_FIELDS`. Row i has the report at
+    position ``report_index[i]`` of those lists, the requested multiplier
+    ``requested_multipliers[i]`` (None in a bits sweep) and the flags
+    ``flags[i]``. :attr:`rows` builds the :class:`SweepRow` objects when
+    it is first read and keeps them; rows that share a report share one
+    :class:`~ddsmetrics.metrics.MetricsReport`. ``SweepResult(kind, rows,
+    spec)`` keeps the rows it is given and derives the columns from them
+    once, a report shared by rows (the same object) once.
+    """
+
+    def __init__(
+        self,
+        kind: str,  # "bits" | "multiplier" | "grid"
+        rows: Sequence[SweepRow],
+        spec: SweepSpec,
+        schema_version: int = SCHEMA_VERSION,
+    ):
+        rows = tuple(rows)
+        distinct = {id(row.report): row.report for row in rows}
+        position = {key: i for i, key in enumerate(distinct)}
+        self._keep(
+            kind, spec, report_columns(list(distinct.values())),
+            [position[id(row.report)] for row in rows],
+            [row.requested_multiplier for row in rows], [row.flags for row in rows],
+            schema_version,
+        )
+        self._rows = rows
+
+    @classmethod
+    def from_columns(
+        cls,
+        kind: str,
+        spec: SweepSpec,
+        reports: dict[str, list],
+        report_index: list[int],
+        requested_multipliers: list[float | None],
+        flags: list[tuple[str, ...]],
+    ) -> SweepResult:
+        """The result whose columns are the arguments (see the class)."""
+        result = cls.__new__(cls)
+        result._keep(
+            kind, spec, reports, report_index, requested_multipliers, flags, SCHEMA_VERSION
+        )
+        result._rows = None
+        return result
+
+    def _keep(self, kind, spec, reports, report_index, requested_multipliers, flags,
+              schema_version) -> None:
+        self.kind, self.spec, self.schema_version = kind, spec, schema_version
+        self.reports, self.report_index = reports, report_index
+        self.requested_multipliers, self.flags = requested_multipliers, flags
+
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        if self._rows is None:
+            reports = reports_from_columns(self.reports)
+            self._rows = tuple(map(
+                SweepRow, self.requested_multipliers,
+                map(reports.__getitem__, self.report_index), self.flags,
+            ))
+        return self._rows
+
+    def report_column(self, name: str) -> list:
+        """Field ``name`` of each distinct report, ``max_err_pct``
+        included, in the order of :attr:`reports`."""
+        if name == "max_err_pct":
+            return [100.0 * error for error in self.reports["max_abs_error"]]
+        return self.reports[name]
+
+    def row_column(self, name: str) -> list:
+        """Field ``name`` (see :meth:`report_column`) of each row's report."""
+        return list(map(self.report_column(name).__getitem__, self.report_index))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SweepResult):
+            return NotImplemented
+        return (self.kind, self.rows, self.spec, self.schema_version) == (
+            other.kind, other.rows, other.spec, other.schema_version
+        )
 
 
-def snap_multiplier(requested: float, q_max: int) -> TimingConfig:
+def _snap(requested: float, q_max: int) -> tuple[int, int]:
     """Nearest rational p/q with p >= 1 and q <= q_max to the requested
-    multiplier: the best rational approximation by continued fractions,
-    in O(log q_max) steps.
+    multiplier, as the integers (p, q) in lowest terms: the best rational
+    approximation by continued fractions, in O(log q_max) steps.
 
     The nearest p/q is one of two one-sided bounds: the last convergent
     p1/q1 of the request with q1 <= q_max, and the semiconvergent
@@ -181,7 +268,7 @@ def snap_multiplier(requested: float, q_max: int) -> TimingConfig:
     if n <= 0:
         raise ValueError(f"requested multiplier must be positive, got {requested!r}")
     if d <= q_max:
-        return TimingConfig(n, d)
+        return n, d
     # convergents p0/q0 and p1/q1 of n/d; the loop ends before the
     # denominator passes q_max, which happens before the expansion ends
     p0, q0, p1, q1 = 0, 1, 1, 0
@@ -195,71 +282,91 @@ def snap_multiplier(requested: float, q_max: int) -> TimingConfig:
     k = (q_max - q0) // q1
     ps, qs = p0 + k * p1, q0 + k * q1
     if p1 == 0:  # p >= 1 excludes the lower bound 0/1
-        return TimingConfig(ps, qs)
+        return ps, qs
     # |p1/q1 - r| against |ps/qs - r|, both scaled by d*q1*qs
     gap1, gaps = abs(p1 * d - n * q1) * qs, abs(ps * d - n * qs) * q1
     if (gap1, q1, p1) < (gaps, qs, ps):
-        return TimingConfig(p1, q1)
-    return TimingConfig(ps, qs)
+        return p1, q1
+    return ps, qs
+
+
+def snap_multiplier(requested: float, q_max: int) -> TimingConfig:
+    """The timing of the nearest rational p/q with p >= 1 and q <= q_max
+    to the requested multiplier (see :func:`_snap`)."""
+    return TimingConfig(*_snap(requested, q_max))
 
 
 def _run_ordered(
     tasks: Sequence, worker: Callable, workers: int
 ) -> list:
     if workers > 1 and len(tasks) > 1:
+        # imported here, so that importing the package loads no pool
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, tasks))
     return [worker(t) for t in tasks]
 
 
-# (requested multiplier, snapped timing, row flags)
-_AxisPoint = tuple[float, TimingConfig, tuple[str, ...]]
-
-
-def _snapped_axis(spec: SweepSpec) -> list[_AxisPoint]:
-    """One point per requested multiplier; raises
+def _snapped_axis(spec: SweepSpec) -> tuple[list[float], list[tuple[int, int]], list[int]]:
+    """The requested multipliers of the axis; the distinct snapped
+    multipliers (p, q), in order of first appearance; and the position
+    of each requested multiplier's among them. Repeated and snapped-equal
+    multipliers share one row evaluation. Raises
     :class:`~ddsmetrics.metrics.CapExceeded` if any snapped multiplier is
     over the piece cap, before a single row is evaluated."""
-    axis = []
-    for requested in spec.multiplier_axis():
-        timing = snap_multiplier(requested, spec.q_max)
-        p, q = timing.multiplier_num, timing.multiplier_den
-        check_pieces(p, q)
-        axis.append((requested, timing, (FLAG_SUBNYQUIST,) if p < 2 * q else ()))
-    return axis
+    requested = spec.multiplier_axis()
+    positions: dict[tuple[int, int], int] = {}
+    index = []
+    for value in requested:
+        pair = _snap(value, spec.q_max)
+        position = positions.get(pair)
+        if position is None:
+            p, q = pair
+            if q > sys.float_info.max:  # refused as TimingConfig refuses it
+                raise ValueError("numerator and denominator must each fit a float")
+            check_pieces(p, q)
+            position = positions[pair] = len(positions)
+        index.append(position)
+    return requested, list(positions), index
+
+
+def _joined(batches: list[dict[str, list]]) -> dict[str, list]:
+    """The report columns of each task, joined in task order."""
+    return {name: [v for batch in batches for v in batch[name]] for name in REPORT_FIELDS}
+
+
+def _flags(pairs: list[tuple[int, int]], index: list[int]) -> list[tuple[str, ...]]:
+    """The flags of each axis point, from its snapped multiplier."""
+    flags = [(FLAG_SUBNYQUIST,) if p < 2 * q else () for p, q in pairs]
+    return list(map(flags.__getitem__, index))
 
 
 def sweep_bits(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """One row per bit count for the quantized model, bits ascending."""
     signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
 
-    def one(bits: int) -> SweepRow:
-        model = WaveformModel.quantized(signal, QuantizerConfig(bits, spec.mode))
-        return SweepRow(requested_multiplier=None, report=evaluate(model))
+    def one(bits: int) -> MetricsReport:
+        return evaluate(WaveformModel.quantized(signal, QuantizerConfig(bits, spec.mode)))
 
-    rows = _run_ordered(spec.bits_axis(), one, workers)
-    return SweepResult("bits", tuple(rows), spec)
-
-
-def _distinct_timings(axis: list[_AxisPoint]) -> list[TimingConfig]:
-    """The snapped timings of the axis, each once, in order of first
-    appearance: repeated and snapped-equal multipliers share one row
-    evaluation."""
-    return list(dict.fromkeys(timing for _, timing, _ in axis))
+    reports = _run_ordered(spec.bits_axis(), one, workers)
+    n = len(reports)
+    return SweepResult.from_columns(
+        "bits", spec, report_columns(reports), list(range(n)), [None] * n, [()] * n
+    )
 
 
 def sweep_multiplier(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """One row per requested multiplier for the held model, ascending.
-    The distinct snapped timings are evaluated in batches of
-    ``_HELD_CHUNK`` rows, one batch per task."""
+    The distinct snapped multipliers are evaluated in batches of
+    ``_HELD_CHUNK`` rows, one batch per task, as columns."""
     signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
-    axis = _snapped_axis(spec)
-    timings = _distinct_timings(axis)
-    chunks = [timings[i:i + _HELD_CHUNK] for i in range(0, len(timings), _HELD_CHUNK)]
-    batches = _run_ordered(chunks, lambda chunk: evaluate_held(signal, chunk), workers)
-    reports = dict(zip(timings, (report for batch in batches for report in batch)))
-    rows = [SweepRow(requested, reports[timing], flags) for requested, timing, flags in axis]
-    return SweepResult("multiplier", tuple(rows), spec)
+    requested, pairs, index = _snapped_axis(spec)
+    chunks = [pairs[i:i + _HELD_CHUNK] for i in range(0, len(pairs), _HELD_CHUNK)]
+    batches = _run_ordered(chunks, lambda chunk: held_columns(signal, chunk), workers)
+    return SweepResult.from_columns(
+        "multiplier", spec, _joined(batches), index, requested, _flags(pairs, index)
+    )
 
 
 def sweep_grid(spec: SweepSpec, workers: int = 1) -> SweepResult:
@@ -271,17 +378,20 @@ def sweep_grid(spec: SweepSpec, workers: int = 1) -> SweepResult:
     pass of array operations."""
     signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
     quantizers = [QuantizerConfig(bits, spec.mode) for bits in spec.bits_axis()]
-    axis = _snapped_axis(spec)
-    timings = _distinct_timings(axis)
+    requested, pairs, index = _snapped_axis(spec)
+
+    def columns(batch: list[TimingConfig]) -> dict[str, list]:
+        # the report of bit count b of distinct multiplier i is report
+        # i*len(quantizers) + b
+        reports = evaluate_columns(signal, batch, quantizers)
+        return report_columns([report for column in reports for report in column])
+
     batches = _run_ordered(
-        column_batches(timings),
-        lambda batch: evaluate_columns(signal, batch, quantizers),
-        workers,
+        column_batches([TimingConfig(p, q) for p, q in pairs]), columns, workers
     )
-    by_timing = dict(zip(timings, (column for batch in batches for column in batch)))
-    rows = [
-        SweepRow(requested_multiplier=requested, report=by_timing[timing][i], flags=flags)
-        for i in range(len(quantizers))
-        for requested, timing, flags in axis
-    ]
-    return SweepResult("grid", tuple(rows), spec)
+    n = len(quantizers)
+    return SweepResult.from_columns(
+        "grid", spec, _joined(batches),
+        [i * n + b for b in range(n) for i in index],
+        requested * n, _flags(pairs, index) * n,
+    )

@@ -11,8 +11,8 @@ engine, :func:`ddsmetrics.metrics.evaluate`, calls none of them.
 :func:`column_rows` is the exact engine's digitized column one quantizer
 at a time, the byte reference for its quantizer groups; :func:`held_rows`
 its held batch one row at a time, from the candidate pieces of
-:func:`held_pieces_by_row`. :func:`snap_by_fraction` snaps a multiplier
-from its ``Fraction``.
+:func:`held_pieces_by_row` and the scalar THD of :func:`held_thd_by_row`.
+:func:`snap_by_fraction` snaps a multiplier from its ``Fraction``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from ddsmetrics.metrics import (
     CapExceeded,
     MetricsReport,
     _model_pq,
-    _held_thd,
     _parseval_thd,
     _Pieces,
     _turns,
@@ -40,6 +39,7 @@ from ddsmetrics.signals import (
     TimingConfig,
     WaveformModel,
     quantize,
+    sin_turns,
     sin_turns_array,
     step_levels,
 )
@@ -338,8 +338,7 @@ def _row_supremum(pieces: _Pieces, level: np.ndarray) -> list[tuple[float, float
     ])
     largest = errors.max(axis=0)
     sup = float(largest.max())
-    [timing] = pieces.timings
-    p, q = timing.multiplier_num, timing.multiplier_den
+    [(p, q)] = pieces.rows
     first = int((largest == sup).nonzero()[0][0])
     k = int(pieces.k[first])
     offsets = (0, 4 * q, *_windows(k * q % p, p))
@@ -365,7 +364,7 @@ def column_rows(spec, timing, quantizers) -> list:
     byte reference for :func:`ddsmetrics.metrics.evaluate_column`."""
     p, q = timing.multiplier_num, timing.multiplier_den
     check_pieces(p, q)
-    pieces = _Pieces(spec.frequency_hz, [timing], [np.arange(p, dtype=np.int64)])
+    pieces = _Pieces(spec.frequency_hz, [(p, q)], [np.arange(p, dtype=np.int64)])
     # One DFT bin of the levels at their start phases, times the
     # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
     cosine = sin_turns_array(_turns(4 * pieces.r + p, 4 * p))
@@ -403,6 +402,27 @@ def held_pieces_by_row(p: int, q: int) -> np.ndarray:
     return np.array(sorted(r % p * inverse % p for r in residues), dtype=np.int64)
 
 
+def x_minus_sin_by_loop(x: float) -> float:
+    """x - sin(x) from the Taylor terms, each divisor n*(n + 1) formed in
+    the loop: the reference for ``metrics._x_minus_sin``."""
+    terms, term = [], x
+    for n in range(2, 22, 2):
+        term *= -x * x / (n * (n + 1))
+        terms.append(term)
+    return -math.fsum(terms)
+
+
+def held_thd_by_row(p: int, q: int) -> tuple[float | None, float | None]:
+    """The held THD closed form sqrt(1/sinc(q/p)**2 - 1) of one row p/q
+    in Python floats: the reference for ``metrics._held_thd``."""
+    if p < 3:
+        return None, None
+    x = math.pi * (q / p)
+    h = sin_turns(min(q % p, -q % p) / (2 * p))
+    ratio = math.sqrt((x_minus_sin_by_loop(x) if x < 1.0 else x - h) * (x + h)) / h
+    return ratio, 20.0 * math.log10(ratio)
+
+
 def held_rows(spec, timings) -> list:
     """The held reports of the timings one row at a time, each from the
     pieces of :func:`held_pieces_by_row` and its bounds taken a variant
@@ -413,12 +433,12 @@ def held_rows(spec, timings) -> list:
     for timing in timings:
         p, q = timing.multiplier_num, timing.multiplier_den
         check_pieces(p, q)
-        pieces = _Pieces(f, [timing], [held_pieces_by_row(p, q)])
-        [(err, argmax_t)] = pieces.supremum(pieces.start)
+        pieces = _Pieces(f, [(p, q)], [held_pieces_by_row(p, q)])
+        [err], [argmax_t] = pieces.supremum(pieces.start)
         dt = timing.time_gap_s(f)
         pair = tuple(bounds.held_error_bound(f, dt, v) for v in bounds.BoundVariant)
         reports.append(MetricsReport(
-            ModelKind.HELD.value, f, None, None, p, q, err, argmax_t, *_held_thd(p, q), *pair
+            ModelKind.HELD.value, f, None, None, p, q, err, argmax_t, *held_thd_by_row(p, q), *pair
         ))
     return reports
 

@@ -200,9 +200,14 @@ class TestBatchBounds:
     )
     def test_digitized_pairs_equal_each_variant(self, freq, dt):
         bits = list(range(1, 53))
-        assert digitized_bounds(freq, dt, bits) == [
-            (digitized_error_bound(freq, dt, b, PAPER), digitized_error_bound(freq, dt, b, STRICT))
-            for b in bits
+        gaps = [dt, 0.25 / freq, 3.0 * dt]
+        assert digitized_bounds(freq, gaps, bits) == [
+            [
+                (digitized_error_bound(freq, gap, b, PAPER),
+                 digitized_error_bound(freq, gap, b, STRICT))
+                for b in bits
+            ]
+            for gap in gaps
         ]
 
     @pytest.mark.parametrize(
@@ -212,7 +217,7 @@ class TestBatchBounds:
         with pytest.raises(ValueError) as single:
             digitized_error_bound(freq, dt, bits, PAPER)
         with pytest.raises(ValueError) as batch:
-            digitized_bounds(freq, dt, [8, bits])
+            digitized_bounds(freq, [dt], [8, bits])
         assert str(batch.value) == str(single.value)
         if bits == 8:
             with pytest.raises(ValueError) as held:

@@ -439,6 +439,25 @@ class TestNoArgparse:
         assert json.loads((tmp_path / "b.json").read_text())["quantization_bound"] == 0.0078125
 
 
+class TestNoThreadPool:
+    def test_import_loads_no_pool_and_no_logging(self):
+        # concurrent.futures, which imports logging, is loaded only where
+        # a sweep starts a thread pool
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys\n"
+            "import ddsmetrics.cli\n"
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
 class TestEmptyOutputPath:
     """An empty path once passed the output check (``os.stat('')`` is a
     missing file), ran every row, then tried to replace the working

@@ -13,7 +13,7 @@ from conftest import (
     fourier_peak_amplitude_by_quadrature,
     held_thd_closed_form,
 )
-from ddsmetrics import metrics, sweeps
+from ddsmetrics import bounds, metrics, sweeps
 from ddsmetrics.metrics import (
     MAX_PIECES,
     CapExceeded,
@@ -31,6 +31,7 @@ from oracles import (
     column_rows,
     held_pieces_by_row,
     held_rows,
+    held_thd_by_row,
     SamplingPlan,
     max_abs_error,
     probe_times,
@@ -38,6 +39,7 @@ from oracles import (
     spectrum_exact_staircase,
     staircase_values,
     thd,
+    x_minus_sin_by_loop,
 )
 from ddsmetrics.signals import (
     QuantizationMode,
@@ -950,6 +952,24 @@ class TestColumnBatches:
             column_rows(spec, timing, quantizers) for timing in timings
         ]
 
+    def test_bounds_take_each_bit_term_once_per_call(self, monkeypatch):
+        # 20000 pieces is a batch of its own, so the timings make 3 batches
+        calls = []
+        original = bounds.quantization_error_bound
+
+        def counted(bits):
+            calls.append(bits)
+            return original(bits)
+
+        monkeypatch.setattr(bounds, "quantization_error_bound", counted)
+        quantizers = [QuantizerConfig(bits) for bits in range(2, 17)]
+        timings = [TimingConfig(p, 3) for p in (4, 7, 100, 4096, 20000, 5, 11)]
+        assert len(column_batches(timings)) == 3
+        columns = evaluate_columns(SPEC, timings, quantizers)
+        assert calls == list(range(2, 17))
+        monkeypatch.undo()
+        assert columns == [column_rows(SPEC, timing, quantizers) for timing in timings]
+
     def test_batches_are_consecutive_runs_within_the_budget(self):
         budget = metrics._BATCH_PIECES
         rng = np.random.default_rng(5)
@@ -1137,18 +1157,24 @@ class TestHeldPieceMatrix:
         assert evaluate_held(spec, timings) == held_rows(spec, timings)
 
 
-def x_minus_sin_by_loop(x):
-    """x - sin(x) from the Taylor terms, each divisor n*(n + 1) formed in
-    the loop: the reference for metrics._x_minus_sin."""
-    terms, term = [], x
-    for n in range(2, 22, 2):
-        term *= -x * x / (n * (n + 1))
-        terms.append(term)
-    return -math.fsum(terms)
-
-
 def test_x_minus_sin_equals_the_loop():
     rng = np.random.default_rng(9)
     xs = [math.pi * q / p for p in range(4, 400) for q in range(1, p) if math.pi * q / p < 1.0]
     xs += rng.random(20000).tolist() + [0.0, 5e-324, 1e-300, 1e-8, math.nextafter(1.0, 0.0)]
-    assert [metrics._x_minus_sin(x) for x in xs] == [x_minus_sin_by_loop(x) for x in xs]
+    assert metrics._x_minus_sin(np.array(xs)) == [x_minus_sin_by_loop(x) for x in xs]
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=MAX_PIECES),
+            st.integers(min_value=1, max_value=10**20),
+        ).filter(lambda pq: math.gcd(*pq) == 1),
+        max_size=40,
+    )
+)
+@example(rows=[(1, 1), (2, 1), (3, 1), (4, 1), (7, 22), (300001, 1), (MAX_PIECES - 1, 10**20)])
+def test_held_thd_columns_equal_the_row_formula(rows):
+    rows += [(p, q) for p in range(1, 65) for q in range(1, 65) if math.gcd(p, q) == 1]
+    ratios, dbs = metrics._held_thd(rows)
+    assert list(zip(ratios, dbs)) == [held_thd_by_row(p, q) for p, q in rows]

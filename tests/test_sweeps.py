@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import best_rational_by_exhaustion, linear_fit
 from oracles import snap_by_fraction
+from ddsmetrics import reporting
+from ddsmetrics.charts import render_sweep
 from ddsmetrics.reporting import sweep_to_csv
 from ddsmetrics.signals import (
     QuantizationMode,
@@ -21,9 +23,10 @@ from ddsmetrics.signals import (
     WaveformModel,
 )
 from ddsmetrics import sweeps
-from ddsmetrics.metrics import MAX_PIECES, CapExceeded, evaluate
+from ddsmetrics.metrics import MAX_PIECES, CapExceeded, MetricsReport, evaluate
 from ddsmetrics.sweeps import (
     FLAG_SUBNYQUIST,
+    SweepResult,
     SweepRow,
     SweepSpec,
     multiplier_axis,
@@ -461,7 +464,8 @@ class TestGridColumns:
             bits_from=1, bits_to=4, q_max=16,
             multipliers=(5.0, 20000.0, 3.5, 17000.0, 1.0, 2.0, 6000.0, 9000.0),
         )
-        batches = sweeps.column_batches(sweeps._distinct_timings(sweeps._snapped_axis(spec)))
+        _, pairs, _ = sweeps._snapped_axis(spec)
+        batches = sweeps.column_batches([TimingConfig(p, q) for p, q in pairs])
         assert len(batches) == 5
         serial = sweep_grid(spec, workers=1).rows
         assert sweep_grid(spec, workers=2).rows == serial
@@ -502,21 +506,18 @@ class TestHeldBatches:
 
     def test_repeated_multipliers_evaluate_one_row(self, monkeypatch):
         batches = []
-        original = sweeps.evaluate_held
+        original = sweeps.held_columns
 
-        def counted(signal, timings):
-            batches.append(list(timings))
-            return original(signal, timings)
+        def counted(signal, rows):
+            batches.append(list(rows))
+            return original(signal, rows)
 
-        monkeypatch.setattr(sweeps, "evaluate_held", counted)
+        monkeypatch.setattr(sweeps, "held_columns", counted)
         spec = SweepSpec(
             q_max=100, multipliers=(4.0, 0.5, 1.5, 4.0, 3.001, 3.002, 97.0, 1000.0, 4.0)
         )
         rows = sweep_multiplier(spec).rows
-        assert batches == [[
-            TimingConfig(4), TimingConfig(1, 2), TimingConfig(3, 2),
-            TimingConfig(3), TimingConfig(97), TimingConfig(1000),
-        ]]
+        assert batches == [[(4, 1), (1, 2), (3, 2), (3, 1), (97, 1), (1000, 1)]]
         assert list(rows) == per_row_multiplier_rows(spec)
 
     def test_peak_memory_is_one_chunks(self):
@@ -530,3 +531,88 @@ class TestHeldBatches:
             tracemalloc.stop()
         assert len(result.rows) == 8192
         assert peak - kept < 4 << 20
+
+
+# A multiplier axis longer than a CSV chunk: a log axis whose points snap
+# to shared multipliers at q_max 8, 4 three times, 3.001 and 3.002 (both
+# 3/1), 0.5 (1/2: p < 3, so no THD, and sub-Nyquist), 1.5 (sub-Nyquist),
+# and requests outside [1e-4, 1e6): 5e-5 snaps to 1/8, 2e6 stays.
+SHARED_AXIS = (
+    *multiplier_axis(-0.5, 3.0, 80), 4.0, 3.001, 3.002, 4.0, 0.5, 1.5, 5e-5, 2e6, 4.0
+)
+
+
+def outputs(result):
+    return sweep_to_csv(result), render_sweep(result, "error"), render_sweep(result, "thd")
+
+
+class TestColumnarResult:
+    """A sweep's result holds columns and builds its rows only when read;
+    its CSV and charts, written from the columns, have the bytes of the
+    same rows given to SweepResult one by one."""
+
+    @pytest.mark.parametrize("mode", list(QuantizationMode))
+    def test_bits_outputs_equal_the_rows_result(self, mode):
+        result = sweep_bits(SweepSpec(bits_from=1, bits_to=52, mode=mode))
+        from_rows = SweepResult("bits", result.rows, result.spec)
+        assert outputs(result) == outputs(from_rows)
+
+    def test_multiplier_outputs_equal_the_rows_result(self):
+        result = sweep_multiplier(SweepSpec(multipliers=SHARED_AXIS, q_max=8))
+        rows = result.rows
+        assert len(rows) > reporting._CSV_CHUNK
+        assert len({id(row.report) for row in rows}) < len(rows)
+        assert any(row.report.thd_db is None for row in rows)
+        assert any(row.flags == (FLAG_SUBNYQUIST,) for row in rows)
+        assert outputs(result) == outputs(SweepResult("multiplier", rows, result.spec))
+
+    @pytest.mark.parametrize("mode", list(QuantizationMode))
+    def test_grid_outputs_equal_the_rows_result(self, mode):
+        # the grid chart has one cell per requested multiplier, so the
+        # axis repeats none; 3.001 and 3.002 still share a column
+        axis = (*multiplier_axis(-0.5, 3.0, 6), 3.001, 3.002, 0.5, 5e-5, 2e6)
+        spec = SweepSpec(bits_from=1, bits_to=40, bits_step=3, mode=mode, multipliers=axis)
+        result = sweep_grid(spec)
+        rows = result.rows
+        assert len(rows) > reporting._CSV_CHUNK
+        assert len({id(row.report) for row in rows}) < len(rows)
+        assert any(row.report.thd_db is None for row in rows)
+        assert outputs(result) == outputs(SweepResult("grid", rows, spec))
+
+    def test_rows_are_built_once(self):
+        result = sweep_multiplier(SweepSpec(multipliers=(4.0, 3.001, 3.002)))
+        rows = result.rows
+        assert result.rows is rows
+        assert rows[1].report is rows[2].report
+        assert result == SweepResult("multiplier", rows, result.spec)
+
+    def test_writing_a_multiplier_sweep_builds_no_row_objects(self, monkeypatch):
+        built = []
+
+        def counting(cls, method):
+            original = getattr(cls, method)
+
+            def counted(self, *args, **kwargs):
+                built.append(cls.__name__)
+                original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, counted)
+
+        counting(SweepRow, "__init__")
+        counting(MetricsReport, "__init__")
+        counting(TimingConfig, "__post_init__")
+        spec = SweepSpec(multipliers=SHARED_AXIS, q_max=8)
+        result = sweep_multiplier(spec)
+        outputs(result)
+        assert built == []
+        expected = per_row_multiplier_rows(spec)
+        built.clear()
+        rows = result.rows
+        assert len(rows) == len(expected)
+        for row, want in zip(rows, expected):
+            assert (row.requested_multiplier, row.flags) == (want.requested_multiplier, want.flags)
+            assert vars(row.report) == vars(want.report)
+        # one report per distinct snapped multiplier, one row per point
+        assert built.count("MetricsReport") == len({id(row.report) for row in rows})
+        assert built.count("SweepRow") == len(rows)
+        assert "TimingConfig" not in built
