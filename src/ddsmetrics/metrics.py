@@ -26,11 +26,14 @@ one column of quantizers per timing. Consecutive columns go in batches
 whose pieces lie end to end in one set of arrays, so what depends on the
 timings alone, bounds included, is built once per batch; the quantizers
 go through whole-matrix calls, a group of level rows at a time, each
-row spanning the whole batch. :func:`evaluate_held` evaluates a batch of
-held rows, their candidate pieces built as one matrix and laid end to
-end in the same way. Both take their suprema from one segmented pass,
-:meth:`_Pieces.supremum`. Either way a row of a sweep costs a few
-Python-level steps rather than a few dozen numpy calls.
+row spanning the whole batch. :func:`held_columns` evaluates a batch of
+held rows p/q, given as integer pairs, their candidate pieces built as
+one matrix and laid end to end in the same way, and returns one list
+per report field (see ``REPORT_FIELDS``); :func:`evaluate_held` is the
+same batch as :class:`MetricsReport` objects. Both engines take their
+suprema from one segmented pass, :meth:`_Pieces.supremum`. Either way a
+row of a sweep costs a few Python-level steps rather than a few dozen
+numpy calls.
 
 The step levels come from :func:`ddsmetrics.signals.step_levels`, the
 definition the pointwise models use. The probe-grid and DFT estimators
