@@ -214,7 +214,8 @@ def _half_swing(f: float, p: int, q: int) -> float:
 def _windows(r, p: int):
     """Offsets from residue r (an int or an int64 array) to phase 1/4 and
     3/4, in units of 1/(4*p) turn."""
-    return (p - 4 * r) % (4 * p), (3 * p - 4 * r) % (4 * p)
+    four_r, four_p = 4 * r, 4 * p
+    return (p - four_r) % four_p, (3 * p - four_r) % four_p
 
 
 def _errors(level, start, swing, at_peak, at_trough) -> tuple:
@@ -255,29 +256,30 @@ class _Pieces:
         # q meets the int64 arrays only reduced, so any exact multiplier
         # fits; both window offsets below are below 4p, so 4*min(q, p)
         # reaches as far as 4q
-        p, q_mod_p, twice_q, reach, self.halves = map(list, zip(*(
-            (p, q % p, q % (2 * p), 4 * min(q, p), _half_swing(f, p, q)) for p, q in rows
-        )))
-        self.p = p = self._spread(p)
-        self.r = (self.k * self._spread(q_mod_p)) % p
+        p, q_mod_p, twice_q, reach = self._spread(
+            [(p, q % p, q % (2 * p), 4 * min(q, p)) for p, q in rows]
+        )
+        self.p, self.reach = p, reach
+        self.r = (self.k * q_mod_p) % p
         self.start = step_levels(self.r, p)
+        self.halves = [_half_swing(f, p, q) for p, q in rows]
         self.half = self._spread(self.halves)
         # sin(a + w) - sin(a) = 2*cos(a + w/2)*sin(w/2): the sine's change
         # from the start of each piece to the end, without cancellation.
-        cosine = sin_turns_array(_turns(4 * self.r + 2 * self._spread(twice_q) + p, 4 * p))
+        cosine = sin_turns_array(_turns(4 * self.r + 2 * twice_q + p, 4 * p))
         self.swing = 2.0 * cosine * self.half
         # Phase 1/4 (3/4) lies in [r/p, (r+q)/p] iff its offset from r/p
         # is at most 4q, exact in integers.
         to_peak, to_trough = _windows(self.r, p)
-        self.reach = self._spread(reach)
-        self.at_peak, self.at_trough = to_peak <= self.reach, to_trough <= self.reach
+        self.at_peak, self.at_trough = to_peak <= reach, to_trough <= reach
 
     def _spread(self, values: list):
-        """One value per row, repeated for each of its pieces; the value of
-        a single row stays a scalar."""
+        """One value (or tuple of values) per row, repeated for each of its
+        pieces: an array (or one array per tuple position). The value of a
+        single row stays a scalar (or tuple of scalars)."""
         if len(self.counts) == 1:
             return values[0]
-        return np.repeat(np.array(values), self.counts)
+        return np.repeat(np.array(values), self.counts, axis=0).T
 
     def supremum(self, level: np.ndarray) -> tuple[list[float], list[float]]:
         """Exact supremum of each segment of each row of ``level`` (a

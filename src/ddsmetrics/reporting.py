@@ -180,13 +180,18 @@ def _data_lines(result: SweepResult):
         for first in range(0, len(columns[0]), _CSV_CHUNK):
             chunk = slice(first, first + _CSV_CHUNK)
             text += map(",".join, zip(*(_cells(column[chunk]) for column in columns)))
+    # a grid repeats each requested multiplier, as one object, once per
+    # bit count: its text is formatted once per distinct object
+    requested = result.requested_multipliers
+    distinct = {id(value): value for value in requested}
+    requested_text = dict(zip(distinct, _cells(list(distinct.values()))))
     for first in range(0, len(result.report_index), _CSV_CHUNK):
         rows = slice(first, first + _CSV_CHUNK)
         index = result.report_index[rows]
         cells = [
             list(map(texts[part].__getitem__, index)) if isinstance(part, tuple)
             else list(map(_flags_field, result.flags[rows])) if part == "flags"
-            else _cells(result.requested_multipliers[rows])
+            else [requested_text[id(value)] for value in requested[rows]]
             for part in parts
         ]
         yield from map(",".join, zip(*cells))
