@@ -326,12 +326,11 @@ class _Pieces:
         offsets[np.array(candidates) != sups] = np.iinfo(np.int64).max
         # the end of the piece is tick 4*(k + 1)*q, in Python ints
         at_end = offsets.argmin(axis=0) == 1
-        inside = np.where(at_end, 0, offsets.min(axis=0)).tolist()
-        at_end = at_end.tolist()
         times = [
             (4 * q * (k + end) + offset) / (4 * p) / self.f
             for (p, q), k, end, offset in zip(
-                self.rows * len(level), self.k[firsts].tolist(), at_end, inside
+                self.rows * len(level), self.k[firsts].tolist(), at_end.tolist(),
+                np.where(at_end, 0, offsets.min(axis=0)).tolist(),
             )
         ]
         return sups.tolist(), times

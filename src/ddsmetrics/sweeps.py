@@ -185,12 +185,11 @@ class SweepResult:
         rows = tuple(rows)
         distinct = {id(row.report): row.report for row in rows}
         position = {key: i for i, key in enumerate(distinct)}
-        self._keep(
-            kind, spec, report_columns(list(distinct.values())),
-            [position[id(row.report)] for row in rows],
-            [row.requested_multiplier for row in rows], [row.flags for row in rows],
-            schema_version,
-        )
+        self.kind, self.spec, self.schema_version = kind, spec, schema_version
+        self.reports = report_columns(list(distinct.values()))
+        self.report_index = [position[id(row.report)] for row in rows]
+        self.requested_multipliers = [row.requested_multiplier for row in rows]
+        self.flags = [row.flags for row in rows]
         self._rows = rows
 
     @classmethod
@@ -205,17 +204,11 @@ class SweepResult:
     ) -> SweepResult:
         """The result whose columns are the arguments (see the class)."""
         result = cls.__new__(cls)
-        result._keep(
-            kind, spec, reports, report_index, requested_multipliers, flags, SCHEMA_VERSION
-        )
+        result.kind, result.spec, result.schema_version = kind, spec, SCHEMA_VERSION
+        result.reports, result.report_index = reports, report_index
+        result.requested_multipliers, result.flags = requested_multipliers, flags
         result._rows = None
         return result
-
-    def _keep(self, kind, spec, reports, report_index, requested_multipliers, flags,
-              schema_version) -> None:
-        self.kind, self.spec, self.schema_version = kind, spec, schema_version
-        self.reports, self.report_index = reports, report_index
-        self.requested_multipliers, self.flags = requested_multipliers, flags
 
     @property
     def rows(self) -> tuple[SweepRow, ...]:
