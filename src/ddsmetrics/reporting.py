@@ -156,10 +156,12 @@ _SWEEP_FORMATS = {
 
 
 def _cells(values: list) -> list[str]:
-    """:func:`csv_field` of each value. A float in [1e-4, 1e6) is its
-    repr, which is what :func:`fmt_float` returns there."""
+    """:func:`csv_field` of each value. An int, or a float in [1e-4, 1e6),
+    is its repr, which is what :func:`csv_field` returns there."""
     return [
-        repr(v) if type(v) is float and 1e-4 <= abs(v) < 1e6 else csv_field(v) for v in values
+        repr(v) if type(v) is int or type(v) is float and 1e-4 <= abs(v) < 1e6
+        else csv_field(v)
+        for v in values
     ]
 
 
@@ -168,11 +170,11 @@ def _cells(values: list) -> list[str]:
 _CSV_CHUNK = 256
 
 
-def _data_lines(result: SweepResult):
-    """The sweep's data lines. Each run of report fields is formatted once
-    per distinct report, a chunk of reports at a time; then a row takes
-    its report's text and formats its own cells, a chunk of rows at a
-    time."""
+def _data_lines(result: SweepResult, lines: list[str]) -> None:
+    """Append the sweep's data lines to ``lines``. Each run of report
+    fields is formatted once per distinct report, a chunk of reports at a
+    time; then a row takes its report's text and formats its own cells, a
+    chunk of rows at a time."""
     _, parts = _SWEEP_FORMATS[result.kind]
     texts = {part: [] for part in parts if isinstance(part, tuple)}
     for part, text in texts.items():
@@ -194,13 +196,13 @@ def _data_lines(result: SweepResult):
             else [requested_text[id(value)] for value in requested[rows]]
             for part in parts
         ]
-        yield from map(",".join, zip(*cells))
+        lines.extend(map(",".join, zip(*cells)))
 
 
 def sweep_to_csv(result: SweepResult) -> str:
     lines = _spec_echo_lines(result)
     lines.append(_SWEEP_FORMATS[result.kind][0])
-    lines.extend(_data_lines(result))
+    _data_lines(result, lines)
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)
 

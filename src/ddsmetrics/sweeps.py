@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -326,7 +327,10 @@ def _snapped_axis(spec: SweepSpec) -> tuple[list[float], list[tuple[int, int]], 
 
 def _joined(batches: list[dict[str, list]]) -> dict[str, list]:
     """The report columns of each task, joined in task order."""
-    return {name: [v for batch in batches for v in batch[name]] for name in REPORT_FIELDS}
+    return {
+        name: list(chain.from_iterable(batch[name] for batch in batches))
+        for name in REPORT_FIELDS
+    }
 
 
 def _flags(pairs: list[tuple[int, int]], index: list[int]) -> list[tuple[str, ...]]:
