@@ -106,7 +106,7 @@ def report_to_csv(report: MetricsReport) -> str:
     return f"{header}\n{row}\n"
 
 
-def _spec_echo_lines(result: SweepResult) -> list[str]:
+def _spec_echo_lines(result: SweepResult, requested: dict[int, str]) -> list[str]:
     spec = result.spec
     lines = [f"# sweep={result.kind} schema_version={result.schema_version}"]
     if result.kind in ("bits", "grid"):
@@ -118,7 +118,12 @@ def _spec_echo_lines(result: SweepResult) -> list[str]:
         lines.append(f"# mode={spec.mode.value}")
     if result.kind in ("multiplier", "grid"):
         if spec.multipliers is not None:
-            axis = " ".join(map(fmt_float, spec.multipliers))
+            # a float of the axis is one of the rows' own objects, whose
+            # text is fmt_float's
+            axis = " ".join(
+                requested[id(m)] if type(m) is float and id(m) in requested else fmt_float(m)
+                for m in spec.multipliers
+            )
             lines.append(f"# multipliers={axis}")
         else:
             lines.append(
@@ -170,11 +175,19 @@ def _cells(values: list) -> list[str]:
 _CSV_CHUNK = 256
 
 
-def _data_lines(result: SweepResult, lines: list[str]) -> None:
+def _requested_texts(result: SweepResult) -> dict[int, str]:
+    """The CSV text of each distinct requested-multiplier object, by id: a
+    grid repeats each, as one object, once per bit count."""
+    distinct = {id(value): value for value in result.requested_multipliers}
+    return dict(zip(distinct, _cells(list(distinct.values()))))
+
+
+def _data_lines(result: SweepResult, requested: dict[int, str], lines: list[str]) -> None:
     """Append the sweep's data lines to ``lines``. Each run of report
     fields is formatted once per distinct report, a chunk of reports at a
-    time; then a row takes its report's text and formats its own cells, a
-    chunk of rows at a time."""
+    time; then each chunk of rows takes its reports' text, the text of its
+    requested multipliers from ``requested`` (see
+    :func:`_requested_texts`), and formats its flags."""
     _, parts = _SWEEP_FORMATS[result.kind]
     texts = {part: [] for part in parts if isinstance(part, tuple)}
     for part, text in texts.items():
@@ -182,27 +195,23 @@ def _data_lines(result: SweepResult, lines: list[str]) -> None:
         for first in range(0, len(columns[0]), _CSV_CHUNK):
             chunk = slice(first, first + _CSV_CHUNK)
             text += map(",".join, zip(*(_cells(column[chunk]) for column in columns)))
-    # a grid repeats each requested multiplier, as one object, once per
-    # bit count: its text is formatted once per distinct object
-    requested = result.requested_multipliers
-    distinct = {id(value): value for value in requested}
-    requested_text = dict(zip(distinct, _cells(list(distinct.values()))))
     for first in range(0, len(result.report_index), _CSV_CHUNK):
         rows = slice(first, first + _CSV_CHUNK)
         index = result.report_index[rows]
         cells = [
             list(map(texts[part].__getitem__, index)) if isinstance(part, tuple)
             else list(map(_flags_field, result.flags[rows])) if part == "flags"
-            else [requested_text[id(value)] for value in requested[rows]]
+            else [requested[id(value)] for value in result.requested_multipliers[rows]]
             for part in parts
         ]
         lines.extend(map(",".join, zip(*cells)))
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    lines = _spec_echo_lines(result)
+    requested = _requested_texts(result)
+    lines = _spec_echo_lines(result, requested)
     lines.append(_SWEEP_FORMATS[result.kind][0])
-    _data_lines(result, lines)
+    _data_lines(result, requested, lines)
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)
 

@@ -287,3 +287,14 @@ class TestSweepCsvColumns:
             assert [row[1 if kind == "grid" else 0] for row in parsed] == [
                 "4", "4.0", "4.0", "5e-324"
             ]
+
+    def test_echoed_multipliers_are_fmt_float_of_the_spec(self):
+        # the echo line reuses the rows' text of a float multiplier, and
+        # must not reuse it for an int, whose row cell is "4", not "4.0"
+        axis = (4, 4.0, 5e-324, 2e6, 1.5)
+        rows = [SweepRow(m, sample_report()) for m in axis]
+        for kind in ("multiplier", "grid"):
+            text = sweep_to_csv(SweepResult(kind, tuple(rows), SweepSpec(multipliers=axis)))
+            echo = " ".join(map(fmt_float, axis))
+            assert f"# multipliers={echo}\n" in text
+            assert echo == "4.0 4.0 5e-324 2e+06 1.5"
