@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sweeps import SweepResult
+from .sweeps import COLUMN_FIELDS, SweepResult
 
 __all__ = [
     "ChartKind",
@@ -59,27 +59,16 @@ class ChartStyle:
     log_y: bool = False
 
 
-# The report field each metric name reads.
-_METRIC_FIELDS = {
-    "max_err": "max_abs_error",
-    "max_err_pct": "max_err_pct",
-    "paper_bound": "paper_bound",
-    "eq5_bound": "paper_bound",
-    "eq14_bound": "paper_bound",
-    "eq16_bound": "paper_bound",
-    "strict_bound": "strict_bound",
-    "thd_ratio": "thd_ratio",
-    "thd_db": "thd_db",
-}
+# The metrics a chart plots: the renamed error and bound columns of a
+# sweep's CSV, and the report's THD and bound fields.
+_METRICS = frozenset((*COLUMN_FIELDS, "thd_ratio", "thd_db", "paper_bound", "strict_bound"))
 
 
 def _metric(result: SweepResult, name: str) -> list:
     """The metric ``name`` of each distinct report of the sweep."""
-    try:
-        field = _METRIC_FIELDS[name]
-    except KeyError:
-        raise ValueError(f"unknown metric {name!r}") from None
-    return result.report_column(field)
+    if name not in _METRICS:
+        raise ValueError(f"unknown metric {name!r}")
+    return result.report_column(name)
 
 
 def _on_axis(values: list, log: bool) -> np.ndarray:
@@ -112,6 +101,17 @@ def _fmt_tick(v: float) -> str:
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return f"{v:.6g}"
+
+
+def _ticks(lo: float, hi: float, log: bool) -> list[tuple[float, str]]:
+    """Each tick of an axis from ``lo`` to ``hi`` and its label: the
+    powers 10^k on a log axis, nice steps on a linear one."""
+    if log:
+        return [
+            (float(k), f"10^{k}")
+            for k in range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1)
+        ]
+    return [(v, _fmt_tick(v)) for v in _nice_ticks(lo, hi)]
 
 
 def _coordinates(values: np.ndarray) -> np.ndarray:
@@ -199,22 +199,7 @@ def render_line_chart(
     lines: list[str] = []
     _svg_open(lines)
 
-    if log_x:
-        x_ticks = [
-            (float(k), f"10^{k}")
-            for k in range(math.ceil(x_lo - 1e-9), math.floor(x_hi + 1e-9) + 1)
-        ]
-    else:
-        x_ticks = [(v, _fmt_tick(v)) for v in _nice_ticks(x_lo, x_hi)]
-    if style.log_y:
-        y_ticks = [
-            (float(k), f"10^{k}")
-            for k in range(math.ceil(y_lo - 1e-9), math.floor(y_hi + 1e-9) + 1)
-        ]
-    else:
-        y_ticks = [(v, _fmt_tick(v)) for v in _nice_ticks(y_lo, y_hi)]
-
-    for v, label in y_ticks:
+    for v, label in _ticks(y_lo, y_hi, style.log_y):
         y = py(v)
         lines.append(
             f'<line x1="{left}" y1="{y:.2f}" x2="{right}" y2="{y:.2f}" '
@@ -224,7 +209,7 @@ def render_line_chart(
             f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" '
             f'font-size="12" font-family="sans-serif">{label}</text>'
         )
-    for v, label in x_ticks:
+    for v, label in _ticks(x_lo, x_hi, log_x):
         x = px(v)
         lines.append(
             f'<line x1="{x:.2f}" y1="{bottom}" x2="{x:.2f}" y2="{bottom + 5}" '

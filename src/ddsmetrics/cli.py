@@ -82,6 +82,10 @@ def _is_decade(value: float) -> bool:
 
 
 _count = _flag(int, lambda value: value >= 1, ">= 1")
+# a snapped denominator of at most --qmax keeps the combined period a float
+_qmax = _flag(
+    int, lambda value: 1 <= value <= sys.float_info.max, f"in [1, {sys.float_info.max!r}]"
+)
 _bits = _flag(int, lambda value: 1 <= value <= MAX_BITS, f"in [1, {MAX_BITS}]")
 _positive = _flag(float, _is_positive, "positive and finite")
 _decades = _flag(float, _is_decade, "an exponent with 10**value positive and finite")
@@ -323,7 +327,7 @@ _POINT = {
         None,
     ),
     "--dt": (_positive, None),
-    "--qmax": (_count, 16),
+    "--qmax": (_qmax, 16),
     "--out": (_path, "-"),
 }
 # Unused since the metrics are exact; kept so older command lines (the
@@ -359,7 +363,7 @@ _COMMANDS = {
             None,
         ),
         "--mode": (_MODES, "floor"),
-        "--qmax": (_count, 16),
+        "--qmax": (_qmax, 16),
         **_RETIRED,
         "--workers": (_count, 1),
         "--out": (_path, "-"),

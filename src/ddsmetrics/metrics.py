@@ -29,8 +29,7 @@ go through whole-matrix calls, a group of level rows at a time, each
 row spanning the whole batch. :func:`held_columns` evaluates a batch of
 held rows p/q, given as integer pairs, their candidate pieces built as
 one matrix and laid end to end in the same way, and returns one list
-per report field (see ``REPORT_FIELDS``); :func:`evaluate_held` is the
-same batch as :class:`MetricsReport` objects. Both engines take their
+per report field (see ``REPORT_FIELDS``). Both engines take their
 suprema from one segmented pass, :meth:`_Pieces.supremum`. Either way a
 row of a sweep costs a few Python-level steps rather than a few dozen
 numpy calls.
@@ -72,7 +71,6 @@ __all__ = [
     "evaluate",
     "evaluate_column",
     "evaluate_columns",
-    "evaluate_held",
     "held_columns",
     "report_columns",
     "reports_from_columns",
@@ -164,12 +162,6 @@ def reports_from_columns(columns: dict[str, list]) -> list[MetricsReport]:
     return list(map(MetricsReport, *(columns[name] for name in REPORT_FIELDS)))
 
 
-def _model_pq(model: WaveformModel) -> tuple[int, int]:
-    if model.timing is not None:
-        return model.timing.multiplier_num, model.timing.multiplier_den
-    return 1, 1
-
-
 def _turns(num: np.ndarray, den: int) -> np.ndarray:
     """Phase num/den in turns, reduced modulo 1 in integers first."""
     return (num % den).astype(np.float64) / den
@@ -232,10 +224,9 @@ def _errors(level, start, swing, at_peak, at_trough) -> tuple:
 
 class _Pieces:
     """The pieces of one or more held or digitized rows p/q at frequency
-    f, and what every quantizer shares about them. Row ``rows[i]`` has the
-    pieces ``ks[i]`` (ascending indices), its segment, which follows that
-    of row i - 1 in the flat arrays; with ``counts``, ``ks`` is that flat
-    array already, segment i holding ``counts[i]`` pieces. Piece k of a
+    f, and what every quantizer shares about them. ``k`` holds the piece
+    indices of every row end to end: row ``rows[i]`` has the next
+    ``counts[i]`` of them (ascending), its segment. Piece k of a
     row p/q starts at residue r = k*q mod p, where the sine is ``start``;
     the sine changes by ``swing`` across it; it holds phase 1/4 (3/4) iff
     ``at_peak`` (``at_trough``)."""
@@ -244,14 +235,10 @@ class _Pieces:
         self,
         f: float,
         rows: Sequence[tuple[int, int]],
-        ks: Sequence[np.ndarray] | np.ndarray,
-        counts: list[int] | None = None,
+        k: np.ndarray,
+        counts: list[int],
     ):
-        self.f, self.rows = f, rows
-        if counts is None:
-            counts = [len(k) for k in ks]
-            ks = ks[0] if len(ks) == 1 else np.concatenate(ks)
-        self.counts, self.k = counts, ks
+        self.f, self.rows, self.k, self.counts = f, rows, k, counts
         self.starts = np.cumsum([0, *counts[:-1]])
         # q meets the int64 arrays only reduced, so any exact multiplier
         # fits; both window offsets below are below 4p, so 4*min(q, p)
@@ -334,17 +321,6 @@ class _Pieces:
             )
         ]
         return sups.tolist(), times
-
-
-def _held_supremum(model: WaveformModel, k: np.ndarray) -> tuple[float, float]:
-    """:meth:`_Pieces.supremum` of a held model over its pieces ``k``
-    (ascending), whose levels are the sine at their starts."""
-    timing = model.timing
-    pieces = _Pieces(
-        model.spec.frequency_hz, [(timing.multiplier_num, timing.multiplier_den)], [k]
-    )
-    [sup], [time] = pieces.supremum(pieces.start)
-    return sup, time
 
 
 # The candidate residues of a held row p/q (see _held_pieces). Its six
@@ -540,7 +516,7 @@ def evaluate(model: WaveformModel) -> MetricsReport:
     O(1) for a quantized model (a closed-form supremum and Bessel-series
     THD) and a held one (closed-form THD, a constant-size set of
     candidate pieces), which is a batch of one row
-    (:func:`evaluate_held`), in O(pieces) for a digitized one, which is a
+    (:func:`held_columns`), in O(pieces) for a digitized one, which is a
     batch of one column of one row (:func:`evaluate_columns`). ``thd_db`` is None when
     the ratio is 0 (target model) and both THD fields are None when the
     signal has no fundamental (such as a held model with p <= 2, whose
@@ -551,7 +527,9 @@ def evaluate(model: WaveformModel) -> MetricsReport:
     if model.kind is ModelKind.DIGITIZED:
         return evaluate_columns(model.spec, [model.timing], [model.quantizer])[0][0]
     if model.kind is ModelKind.HELD:
-        return evaluate_held(model.spec, [model.timing])[0]
+        timing = model.timing
+        rows = [(timing.multiplier_num, timing.multiplier_den)]
+        return reports_from_columns(held_columns(model.spec, rows))[0]
     f = model.spec.frequency_hz
     if model.kind is ModelKind.TARGET:
         return MetricsReport(
@@ -564,18 +542,6 @@ def evaluate(model: WaveformModel) -> MetricsReport:
         ModelKind.QUANTIZED.value, f, quantizer.bits, quantizer.mode.value, None, None,
         err, argmax_t, *_quantized_thd(quantizer), bound, bound,
     )
-
-
-def evaluate_held(
-    spec: SignalSpec, timings: Sequence[TimingConfig]
-) -> list[MetricsReport]:
-    """:func:`evaluate` of the held models of the timings, one report per
-    timing, in their order: :func:`held_columns` of their multipliers.
-    :class:`CapExceeded` is raised before any pieces are built when some
-    timing has more than ``MAX_PIECES`` pieces.
-    """
-    rows = [(t.multiplier_num, t.multiplier_den) for t in timings]
-    return reports_from_columns(held_columns(spec, rows))
 
 
 def held_columns(spec: SignalSpec, rows: Sequence[tuple[int, int]]) -> dict[str, list]:

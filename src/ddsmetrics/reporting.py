@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import groupby
 from operator import attrgetter
 
-from .metrics import MetricsReport
+from .metrics import REPORT_FIELDS, MetricsReport
 from .sweeps import SCHEMA_VERSION, SweepResult
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
     "report_to_json",
     "report_to_csv",
     "sweep_to_csv",
-    "parse_csv",
 ]
 
 BITS_HEADER = "bits,mode,max_err,max_err_pct,eq5_bound,thd_ratio,thd_db"
@@ -36,21 +36,12 @@ GRID_HEADER = (
     "thd_ratio,thd_db,flags"
 )
 
-JSON_KEYS = (
-    "model",
-    "freq_hz",
-    "bits",
-    "mode",
-    "m_num",
-    "m_den",
-    "max_abs_error",
-    "argmax_time_s",
-    "thd_ratio",
-    "thd_db",
-    "paper_bound",
-    "strict_bound",
-    "schema_version",
-)
+# The columns of a sweep's CSV: a row's own requested multiplier or
+# flags, or a column of its report (see SweepResult.report_column).
+_HEADERS = {"bits": BITS_HEADER, "multiplier": MULTIPLIER_HEADER, "grid": GRID_HEADER}
+_ROW_CELLS = ("m_requested", "flags")
+
+JSON_KEYS = (*REPORT_FIELDS, "schema_version")
 
 
 def fmt_float(x: float) -> str:
@@ -88,7 +79,7 @@ def _flags_field(flags: tuple[str, ...]) -> str:
     return ";".join(flags) if flags else "-"
 
 
-_REPORT_FIELDS = attrgetter(*JSON_KEYS[:-1])  # every key but schema_version
+_REPORT_FIELDS = attrgetter(*REPORT_FIELDS)
 
 
 def _report_values(report: MetricsReport) -> tuple:
@@ -135,31 +126,6 @@ def _spec_echo_lines(result: SweepResult, requested: dict[int, str]) -> list[str
     return lines
 
 
-# Each sweep kind's header and its columns: a row's own requested
-# multiplier or flags, or, in a tuple, a run of fields of its report.
-_SWEEP_FORMATS = {
-    "bits": (
-        BITS_HEADER,
-        (("bits", "mode", "max_abs_error", "max_err_pct", "paper_bound", "thd_ratio",
-          "thd_db"),),
-    ),
-    "multiplier": (
-        MULTIPLIER_HEADER,
-        ("requested_multipliers",
-         ("m_num", "m_den", "max_abs_error", "paper_bound", "strict_bound", "thd_ratio",
-          "thd_db"),
-         "flags"),
-    ),
-    "grid": (
-        GRID_HEADER,
-        (("bits",), "requested_multipliers",
-         ("m_num", "m_den", "max_abs_error", "paper_bound", "strict_bound", "thd_ratio",
-          "thd_db"),
-         "flags"),
-    ),
-}
-
-
 def _cells(values: list) -> list[str]:
     """:func:`csv_field` of each value. An int, or a float in [1e-4, 1e6),
     is its repr, which is what :func:`csv_field` returns there."""
@@ -184,11 +150,13 @@ def _requested_texts(result: SweepResult) -> dict[int, str]:
 
 def _data_lines(result: SweepResult, requested: dict[int, str], lines: list[str]) -> None:
     """Append the sweep's data lines to ``lines``. Each run of report
-    fields is formatted once per distinct report, a chunk of reports at a
-    time; then each chunk of rows takes its reports' text, the text of its
-    requested multipliers from ``requested`` (see
+    columns of the header is formatted once per distinct report, a chunk
+    of reports at a time; then each chunk of rows takes its reports'
+    text, the text of its requested multipliers from ``requested`` (see
     :func:`_requested_texts`), and formats its flags."""
-    _, parts = _SWEEP_FORMATS[result.kind]
+    parts = []  # a row's own cell, or a tuple of a run of report columns
+    for own, names in groupby(_HEADERS[result.kind].split(","), _ROW_CELLS.__contains__):
+        parts += names if own else [tuple(names)]
     texts = {part: [] for part in parts if isinstance(part, tuple)}
     for part, text in texts.items():
         columns = [result.report_column(name) for name in part]
@@ -210,24 +178,7 @@ def _data_lines(result: SweepResult, requested: dict[int, str], lines: list[str]
 def sweep_to_csv(result: SweepResult) -> str:
     requested = _requested_texts(result)
     lines = _spec_echo_lines(result, requested)
-    lines.append(_SWEEP_FORMATS[result.kind][0])
+    lines.append(_HEADERS[result.kind])
     _data_lines(result, requested, lines)
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)
-
-
-def parse_csv(text: str) -> tuple[list[str], list[str], list[list[str]]]:
-    """Split emitted CSV into comment lines, header fields, and data rows."""
-    comments: list[str] = []
-    header: list[str] = []
-    rows: list[list[str]] = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments.append(line)
-        elif not header:
-            header = line.split(",")
-        else:
-            rows.append(line.split(","))
-    return comments, header, rows

@@ -113,8 +113,8 @@ class SweepSpec:
             raise ValueError("bits_step must be >= 1")
         if self.points_per_decade < 1:
             raise ValueError("points_per_decade must be >= 1")
-        if self.q_max < 1:
-            raise ValueError("q_max must be >= 1")
+        if not 1 <= self.q_max <= sys.float_info.max:
+            raise ValueError(f"q_max must be in [1, {sys.float_info.max!r}]")
         if self.multipliers is None and self.decades_to < self.decades_from:
             raise ValueError("decades_to must be >= decades_from")
 
@@ -153,6 +153,17 @@ def multiplier_axis(
             f"the multiplier axis would have more than {MAX_AXIS_POINTS} points"
         )
     return [10.0 ** (decades_from + k / points_per_decade) for k in range(count)]
+
+
+# The report field that a column of a sweep's CSV reads, where the two
+# names differ; max_err_pct is max_abs_error in percent.
+COLUMN_FIELDS = {
+    "max_err": "max_abs_error",
+    "max_err_pct": "max_abs_error",
+    "eq5_bound": "paper_bound",
+    "eq14_bound": "paper_bound",
+    "eq16_bound": "paper_bound",
+}
 
 
 @dataclass(frozen=True)
@@ -222,11 +233,13 @@ class SweepResult:
         return self._rows
 
     def report_column(self, name: str) -> list:
-        """Field ``name`` of each distinct report, ``max_err_pct``
-        included, in the order of :attr:`reports`."""
+        """Column ``name`` of each distinct report, in the order of
+        :attr:`reports`: a report field, or a CSV column name of
+        :data:`COLUMN_FIELDS`."""
+        column = self.reports[COLUMN_FIELDS.get(name, name)]
         if name == "max_err_pct":
-            return [100.0 * error for error in self.reports["max_abs_error"]]
-        return self.reports[name]
+            return [100.0 * error for error in column]
+        return column
 
     def row_column(self, name: str) -> list:
         """Field ``name`` (see :meth:`report_column`) of each row's report."""
@@ -316,10 +329,7 @@ def _snapped_axis(spec: SweepSpec) -> tuple[list[float], list[tuple[int, int]], 
         pair = _snap(value, spec.q_max)
         position = positions.get(pair)
         if position is None:
-            p, q = pair
-            if q > sys.float_info.max:  # refused as TimingConfig refuses it
-                raise ValueError("numerator and denominator must each fit a float")
-            check_pieces(p, q)
+            check_pieces(*pair)
             position = positions[pair] = len(positions)
         index.append(position)
     return requested, list(positions), index

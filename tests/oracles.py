@@ -11,8 +11,10 @@ engine, :func:`ddsmetrics.metrics.evaluate`, calls none of them.
 :func:`column_rows` is the exact engine's digitized column one quantizer
 at a time, the byte reference for its quantizer groups; :func:`held_rows`
 its held batch one row at a time, from the candidate pieces of
-:func:`held_pieces_by_row` and the scalar THD of :func:`held_thd_by_row`.
-:func:`snap_by_fraction` snaps a multiplier from its ``Fraction``.
+:func:`held_pieces_by_row` and the scalar THD of :func:`held_thd_by_row`;
+:func:`held_supremum` takes a held model's supremum over any set of its
+pieces. :func:`snap_by_fraction` snaps a multiplier from its
+``Fraction``, and :func:`parse_csv` splits emitted CSV into its parts.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from ddsmetrics import bounds
 from ddsmetrics.metrics import (
     CapExceeded,
     MetricsReport,
-    _model_pq,
     _parseval_thd,
     _Pieces,
     _turns,
@@ -49,6 +50,12 @@ DFT_SIZE_CAP = 1 << 24
 # The probe grid of max_abs_error adds probes beside every quantizer
 # level up to this many bits; beyond, it stays uniform.
 _MAX_CROSSING_BITS = 20
+
+
+def _model_pq(model: WaveformModel) -> tuple[int, int]:
+    if model.timing is not None:
+        return model.timing.multiplier_num, model.timing.multiplier_den
+    return 1, 1
 
 
 class DegenerateSignalError(ValueError):
@@ -364,7 +371,7 @@ def column_rows(spec, timing, quantizers) -> list:
     byte reference for :func:`ddsmetrics.metrics.evaluate_column`."""
     p, q = timing.multiplier_num, timing.multiplier_den
     check_pieces(p, q)
-    pieces = _Pieces(spec.frequency_hz, [(p, q)], [np.arange(p, dtype=np.int64)])
+    pieces = _Pieces(spec.frequency_hz, [(p, q)], np.arange(p, dtype=np.int64), [p])
     # One DFT bin of the levels at their start phases, times the
     # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
     cosine = sin_turns_array(_turns(4 * pieces.r + p, 4 * p))
@@ -423,18 +430,26 @@ def held_thd_by_row(p: int, q: int) -> tuple[float | None, float | None]:
     return ratio, 20.0 * math.log10(ratio)
 
 
+def held_supremum(model: WaveformModel, k: np.ndarray) -> tuple[float, float]:
+    """The engine's supremum of a held model over its pieces ``k``
+    (ascending), whose levels are the sine at their starts."""
+    pieces = _Pieces(model.spec.frequency_hz, [_model_pq(model)], k, [len(k)])
+    [sup], [time] = pieces.supremum(pieces.start)
+    return sup, time
+
+
 def held_rows(spec, timings) -> list:
     """The held reports of the timings one row at a time, each from the
     pieces of :func:`held_pieces_by_row` and its bounds taken a variant
     at a time: the byte reference for
-    :func:`ddsmetrics.metrics.evaluate_held`."""
+    :func:`ddsmetrics.metrics.held_columns`."""
     f = spec.frequency_hz
     reports = []
     for timing in timings:
         p, q = timing.multiplier_num, timing.multiplier_den
         check_pieces(p, q)
-        pieces = _Pieces(f, [(p, q)], [held_pieces_by_row(p, q)])
-        [err], [argmax_t] = pieces.supremum(pieces.start)
+        model = WaveformModel.held(spec, timing)
+        err, argmax_t = held_supremum(model, held_pieces_by_row(p, q))
         dt = timing.time_gap_s(f)
         pair = tuple(bounds.held_error_bound(f, dt, v) for v in bounds.BoundVariant)
         reports.append(MetricsReport(
@@ -470,3 +485,20 @@ def snap_by_fraction(requested, q_max: int) -> TimingConfig:
     if (gap1, q1, p1) < (gaps, qs, ps):
         return TimingConfig(p1, q1)
     return TimingConfig(ps, qs)
+
+
+def parse_csv(text: str) -> tuple[list[str], list[str], list[list[str]]]:
+    """Split emitted CSV into comment lines, header fields, and data rows."""
+    comments: list[str] = []
+    header: list[str] = []
+    rows: list[list[str]] = []
+    for line in text.splitlines():
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments.append(line)
+        elif not header:
+            header = line.split(",")
+        else:
+            rows.append(line.split(","))
+    return comments, header, rows

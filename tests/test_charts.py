@@ -154,3 +154,36 @@ class TestHeatmap:
         assert render_heatmap(result, style, "max_err") == render_heatmap(
             result, style, "max_err"
         )
+
+
+# Every metric a chart plots, and names it refuses although a sweep's
+# report_column reads them or its CSV has them.
+CHART_METRICS = (
+    "max_err", "max_err_pct", "paper_bound", "eq5_bound", "eq14_bound", "eq16_bound",
+    "strict_bound", "thd_ratio", "thd_db",
+)
+NOT_METRICS = (
+    "nope", "bits", "m_num", "m_den", "mode", "model", "freq_hz", "max_abs_error",
+    "argmax_time_s", "m_requested", "flags",
+)
+GRID_CELLS = [(2, 4.0, 1.0, -6.0), (2, 8.0, 0.8, -8.0), (3, 4.0, 1.0, -6.5), (3, 8.0, 0.6, -12.0)]
+
+
+class TestMetricNames:
+    """Both renderers take exactly the nine metric names."""
+
+    @pytest.mark.parametrize("name", CHART_METRICS)
+    def test_metric_is_plotted(self, name):
+        style = ChartStyle(ChartKind.LOG_X_LINE)
+        svg = render_line_chart(_two_point_multiplier_result(), style, [name])
+        assert f">{name}</text>" in svg
+        svg = render_heatmap(_grid_result(GRID_CELLS), ChartStyle(ChartKind.HEATMAP), name)
+        assert json.loads(re.search(r"<metadata>(.*)</metadata>", svg).group(1))["metric"] == name
+
+    @pytest.mark.parametrize("name", NOT_METRICS)
+    def test_other_names_are_refused(self, name):
+        style = ChartStyle(ChartKind.LOG_X_LINE)
+        with pytest.raises(ValueError, match="unknown metric"):
+            render_line_chart(_two_point_multiplier_result(), style, [name])
+        with pytest.raises(ValueError, match="unknown metric"):
+            render_heatmap(_grid_result(GRID_CELLS), ChartStyle(ChartKind.HEATMAP), name)

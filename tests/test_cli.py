@@ -10,7 +10,7 @@ import pytest
 
 from ddsmetrics import cli
 from ddsmetrics.cli import main
-from ddsmetrics.reporting import parse_csv
+from oracles import parse_csv
 
 
 def run_cli(capsys, *argv):
@@ -621,8 +621,9 @@ class TestOutOfRangeInputs:
 
 
 class TestCountFlags:
-    """Counts below 1, and a multiplier axis longer than MAX_AXIS_POINTS,
-    exit 2 with one line naming the flag."""
+    """Counts below 1, a --qmax above the largest float, and a multiplier
+    axis longer than MAX_AXIS_POINTS exit 2 with one line naming the
+    flag; a --qmax of the largest float runs."""
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -637,11 +638,20 @@ class TestCountFlags:
             (["eval", "--model", "target", "--qmax", "0"], "--qmax"),
             (["bounds", "--qmax", "0"], "--qmax"),
             (["sweep", "bits", "--qmax", "abc"], "--qmax"),
+            # a denominator past the float range would be snapped to
+            (["eval", "--model", "held", "--multiplier", "5e-324", "--qmax", "1" + "0" * 400],
+             "--qmax"),
+            (["bounds", "--multiplier", "5e-324", "--qmax", "1" + "0" * 400], "--qmax"),
+            (["sweep", "multiplier", "--multipliers", "5e-324", "--qmax", "1" + "0" * 400],
+             "--qmax"),
+            (["sweep", "grid", "--multipliers", "5e-324", "--qmax", "1" + "0" * 400], "--qmax"),
         ],
         ids=[
             "eval-qmax-0", "bounds-qmax-0", "sweep-qmax-negative",
             "points-per-decade-0", "bits-step-0", "points-per-decade-1e400",
             "eval-target-qmax-0", "bounds-qmax-0-without-timing", "sweep-qmax-not-a-number",
+            "eval-qmax-1e400", "bounds-qmax-1e400", "sweep-multiplier-qmax-1e400",
+            "sweep-grid-qmax-1e400",
         ],
     )
     def test_usage_error_names_the_flag(self, capsys, argv, flag):
@@ -650,6 +660,25 @@ class TestCountFlags:
         assert out == ""
         assert err.startswith(f"error: {flag}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--model", "held", "--multiplier", "5e-324"],
+            ["bounds", "--bits", "4", "--multiplier", "3.7"],
+            ["sweep", "multiplier", "--multipliers", "5e-324,64"],
+            ["sweep", "grid", "--bits-to", "2", "--multipliers", "5e-324,64"],
+        ],
+        ids=["eval", "bounds", "sweep-multiplier", "sweep-grid"],
+    )
+    def test_qmax_at_the_largest_float_runs(self, capsys, argv):
+        qmax = int(sys.float_info.max)
+        code, out, err = run_cli(capsys, *argv, "--qmax", str(qmax))
+        assert (code, err) == (0, "")
+        if argv[0] == "eval":  # 5e-324 snaps to 1/qmax
+            assert json.loads(out)["m_den"] == qmax
+        elif argv[0] == "sweep":
+            assert f",1,{qmax}," in out
 
     def test_long_axis_is_refused_before_allocating(self, capsys):
         tracemalloc.start()

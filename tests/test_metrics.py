@@ -18,19 +18,21 @@ from ddsmetrics.metrics import (
     MAX_PIECES,
     CapExceeded,
     _ZETA_HALF_INTEGERS,
+    REPORT_FIELDS,
     _held_pieces,
-    _held_supremum,
     column_batches,
     evaluate,
     evaluate_column,
     evaluate_columns,
-    evaluate_held,
+    held_columns,
+    reports_from_columns,
 )
 from oracles import (
     DegenerateSignalError,
     column_rows,
     held_pieces_by_row,
     held_rows,
+    held_supremum,
     held_thd_by_row,
     SamplingPlan,
     max_abs_error,
@@ -552,7 +554,7 @@ def assert_held_supremum_exact(p, q, freq):
     model = held_model(p, q, SignalSpec(freq))
     every_piece = np.arange(model.timing.multiplier_num, dtype=np.int64)
     report = evaluate(model)
-    expected = _held_supremum(model, every_piece)
+    expected = held_supremum(model, every_piece)
     assert (report.max_abs_error, report.argmax_time_s) == expected
 
 
@@ -1019,8 +1021,14 @@ class TestColumnBatches:
         assert peaks[64] <= 1.1 * peaks[16]
 
 
+def held_reports(spec, timings):
+    """held_columns of the timings' multipliers, as reports."""
+    rows = [(t.multiplier_num, t.multiplier_den) for t in timings]
+    return reports_from_columns(held_columns(spec, rows))
+
+
 def batch_of_one_each(spec, timings):
-    return [evaluate_held(spec, [timing])[0] for timing in timings]
+    return [held_reports(spec, [timing])[0] for timing in timings]
 
 
 class TestEvaluateHeld:
@@ -1044,7 +1052,7 @@ class TestEvaluateHeld:
     def test_random_batches_equal_batches_of_one(self, multipliers, freq):
         spec = SignalSpec(freq)
         timings = [TimingConfig(p, q) for p, q in multipliers]
-        assert evaluate_held(spec, timings) == batch_of_one_each(spec, timings)
+        assert held_reports(spec, timings) == batch_of_one_each(spec, timings)
 
     @pytest.mark.parametrize("freq", FREQUENCIES)
     def test_rows_without_fundamental_mixed_with_ordinary_rows(self, freq):
@@ -1053,7 +1061,7 @@ class TestEvaluateHeld:
             TimingConfig(p, q)
             for p, q in [(1, 1), (7, 3), (2, 1), (1, 10**20), (4099, 7), (2, 3), (3, 1), (1, 5)]
         ]
-        reports = evaluate_held(spec, timings)
+        reports = held_reports(spec, timings)
         assert reports == batch_of_one_each(spec, timings)
         for timing, report in zip(timings, reports):
             degenerate = timing.multiplier_num <= 2
@@ -1069,12 +1077,12 @@ class TestEvaluateHeld:
             TimingConfig(int(p), int(q))
             for p, q in zip(rng.integers(1, 1 << 20, size), rng.integers(1, 17, size))
         ]
-        assert evaluate_held(SPEC, timings) == [
+        assert held_reports(SPEC, timings) == [
             evaluate(WaveformModel.held(SPEC, timing)) for timing in timings
         ]
 
     def test_empty_batch(self):
-        assert evaluate_held(SPEC, []) == []
+        assert held_columns(SPEC, []) == {name: [] for name in REPORT_FIELDS}
 
     @pytest.mark.parametrize("freq", [1.0, 0.3])
     def test_argmax_is_the_earliest_attaining_piece(self, freq):
@@ -1086,10 +1094,10 @@ class TestEvaluateHeld:
             for p in range(1, 25) for q in range(1, 25) if math.gcd(p, q) == 1
         ]
         tied = 0
-        for timing, report in zip(timings, evaluate_held(spec, timings)):
+        for timing, report in zip(timings, held_reports(spec, timings)):
             model = WaveformModel.held(spec, timing)
             alone = [
-                _held_supremum(model, np.array([k]))
+                held_supremum(model, np.array([k]))
                 for k in range(timing.multiplier_num)
             ]
             sup = max(err for err, _ in alone)
@@ -1106,7 +1114,7 @@ class TestEvaluateHeld:
         timings = [TimingConfig(p, 3) for p in (4, 5, 7, 11, 13, 17)]
         timings.insert(position, TimingConfig(MAX_PIECES + 1, 3))
         with pytest.raises(CapExceeded) as exc_info:
-            evaluate_held(SPEC, timings)
+            held_reports(SPEC, timings)
         assert exc_info.value.p == MAX_PIECES + 1
         assert built == []
 
@@ -1136,7 +1144,7 @@ class TestHeldPieceMatrix:
     @pytest.mark.parametrize("freq", [1.0, 3.7e5])
     def test_every_small_coprime_row_equals_the_row_oracle(self, freq):
         spec = SignalSpec(freq)
-        assert evaluate_held(spec, COPRIME_TO_64) == held_rows(spec, COPRIME_TO_64)
+        assert held_reports(spec, COPRIME_TO_64) == held_rows(spec, COPRIME_TO_64)
 
     @given(
         multipliers=st.lists(
@@ -1154,7 +1162,7 @@ class TestHeldPieceMatrix:
     def test_random_batches_equal_the_row_oracle(self, multipliers, freq):
         spec = SignalSpec(freq)
         timings = [TimingConfig(p, q) for p, q in multipliers]
-        assert evaluate_held(spec, timings) == held_rows(spec, timings)
+        assert held_reports(spec, timings) == held_rows(spec, timings)
 
 
 def test_x_minus_sin_equals_the_loop():

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import random
 import struct
 
@@ -15,12 +16,12 @@ from ddsmetrics.reporting import (
     MULTIPLIER_HEADER,
     csv_field,
     fmt_float,
-    parse_csv,
     report_to_csv,
     report_to_json,
     sweep_to_csv,
 )
 from ddsmetrics import reporting
+from oracles import parse_csv
 from ddsmetrics.signals import QuantizationMode
 from ddsmetrics.sweeps import (
     SweepResult,
@@ -109,6 +110,15 @@ class TestReportSerialization:
         assert data["bits"] == 8
         assert data["schema_version"] == 1
 
+    def test_json_keys_are_the_schema(self):
+        # JSON_KEYS follows the report's fields: a new field changes the
+        # schema, and this list with it
+        assert JSON_KEYS == (
+            "model", "freq_hz", "bits", "mode", "m_num", "m_den", "max_abs_error",
+            "argmax_time_s", "thd_ratio", "thd_db", "paper_bound", "strict_bound",
+            "schema_version",
+        )
+
     def test_json_round_trips_floats(self):
         report = sample_report(max_abs_error=0.1 + 1e-17, thd_db=-40.123456789012345)
         data = json.loads(report_to_json(report))
@@ -127,6 +137,17 @@ class TestReportSerialization:
         assert header == list(JSON_KEYS)
         assert len(rows) == 1
         assert rows[0][0] == "digitized"
+
+
+def test_readme_csv_schemas_are_the_headers():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("CSV schemas", 1)[1].split("```")[1]
+    schemas = dict(line.split(":") for line in block.strip().splitlines())
+    assert {kind: columns.strip() for kind, columns in schemas.items()} == {
+        "bits sweep": BITS_HEADER,
+        "multiplier sweep": MULTIPLIER_HEADER,
+        "grid sweep": GRID_HEADER,
+    }
 
 
 class TestSweepCsv:

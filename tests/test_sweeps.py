@@ -397,6 +397,12 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(points_per_decade=0)
 
+    def test_q_max_within_the_float_range(self):
+        assert SweepSpec(q_max=int(sys.float_info.max)).q_max == int(sys.float_info.max)
+        for q_max in (0, int(sys.float_info.max) + 1, 10**400):
+            with pytest.raises(ValueError, match="q_max"):
+                SweepSpec(q_max=q_max)
+
 
 def per_cell_rows(spec):
     """The grid's rows evaluated one cell at a time, row-major with bits
