@@ -8,8 +8,8 @@ fig4  THD vs frequency multiplier       (held)
 fig5  max-error heatmap over (bits, multiplier)   (digitized)
 fig6  THD heatmap over (bits, multiplier)         (digitized)
 
-Writes into --out-dir (default ./figures). Runs in well under a minute;
-pass --fast for a coarser but near-instant version.
+Writes into --out-dir (default ./figures). Runs in well under a second;
+pass --fast for coarser axes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("figures"))
     parser.add_argument("--fast", action="store_true", help="coarser axes, quicker run")
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args()
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -51,21 +50,21 @@ def main() -> int:
         bits_from=2, bits_to=12, multipliers=tuple(float(4 * 2**k) for k in range(11))
     )
 
-    result = sweep_bits(bits_floor, workers=args.workers)
+    result = sweep_bits(bits_floor)
     write(out / "fig1_bits_error.csv", sweep_to_csv(result))
     write(out / "fig1_bits_error.svg", render_sweep(result, "error"))
 
-    result = sweep_bits(bits_round, workers=args.workers)
+    result = sweep_bits(bits_round)
     write(out / "fig2_bits_thd.csv", sweep_to_csv(result))
     write(out / "fig2_bits_thd.svg", render_sweep(result, "thd"))
 
-    result = sweep_multiplier(mult, workers=args.workers)
+    result = sweep_multiplier(mult)
     write(out / "fig3_multiplier_error.csv", sweep_to_csv(result))
     write(out / "fig3_multiplier_error.svg", render_sweep(result, "error"))
     write(out / "fig4_multiplier_thd.svg", render_sweep(result, "thd"))
     write(out / "fig4_multiplier_thd.csv", sweep_to_csv(result))
 
-    result = sweep_grid(grid, workers=args.workers)
+    result = sweep_grid(grid)
     write(out / "fig5_grid_error.csv", sweep_to_csv(result))
     write(out / "fig5_grid_error.svg", render_sweep(result, "error"))
     write(out / "fig6_grid_thd.svg", render_sweep(result, "thd"))

@@ -24,7 +24,7 @@ from .bounds import (
     min_clock_frequency,
     quantization_error_bound,
 )
-from .metrics import MAX_PIECES, CapExceeded, MetricsReport, evaluate, evaluate_column
+from .metrics import MAX_PIECES, CapExceeded, MetricsReport, evaluate
 from .sweeps import (
     SweepResult,
     SweepRow,

@@ -303,8 +303,14 @@ def cmd_bounds(args) -> int:
     if args.multiplier is not None or args.dt is not None:
         timing = _resolve_timing(args)
     _check_times(args.freq, timing)
-    _check_outputs([args.out])
     data = bounds_mod.report(args.freq, timing, args.bits)
+    if data.get("max_phase_shift_rad") == math.inf:
+        flag = "--multiplier" if args.multiplier is not None else "--dt"
+        raise UsageError(
+            f"{flag} is out of range: the phase shift 2*pi*f*dt overflows at "
+            f"f*dt = {args.freq * data['dt_s']!r} turns"
+        )
+    _check_outputs([args.out])
     _write_outputs([(args.out, json.dumps(data, indent=2, allow_nan=False) + "\n")])
     return EXIT_OK
 

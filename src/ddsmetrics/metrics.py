@@ -21,18 +21,18 @@ O(pieces):
   1985); at the quantizer's whole-turn arguments Hankel's expansion sums
   them into a few zeta values.
 
-:func:`evaluate_columns` evaluates the digitized rows of many timings,
-one column of quantizers per timing. Consecutive columns go in batches
-whose pieces lie end to end in one set of arrays, so what depends on the
-timings alone, bounds included, is built once per batch; the quantizers
-go through whole-matrix calls, a group of level rows at a time, each
-row spanning the whole batch. :func:`held_columns` evaluates a batch of
-held rows p/q, given as integer pairs, their candidate pieces built as
-one matrix and laid end to end in the same way, and returns one list
-per report field (see ``REPORT_FIELDS``). Both engines take their
-suprema from one segmented pass, :meth:`_Pieces.supremum`. Either way a
-row of a sweep costs a few Python-level steps rather than a few dozen
-numpy calls.
+:func:`evaluate_columns` evaluates the digitized rows of many multipliers
+p/q, one column of quantizers per multiplier. Consecutive columns go in
+batches whose pieces lie end to end in one set of arrays, so what
+depends on the multipliers alone, bounds included, is built once per
+batch; the quantizers go through whole-matrix calls, a group of level
+rows at a time, each row spanning the whole batch. :func:`held_columns`
+evaluates a batch of held rows p/q, their candidate pieces built as one
+matrix and laid end to end in the same way. Both engines take the
+multipliers as integer pairs (p, q), return one list per report field
+(see ``REPORT_FIELDS``), and take their suprema from one segmented
+pass, :meth:`_Pieces.supremum`. Either way a row of a sweep costs a few
+Python-level steps rather than a few dozen numpy calls.
 
 The step levels come from :func:`ddsmetrics.signals.step_levels`, the
 definition the pointwise models use. The probe-grid and DFT estimators
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +54,6 @@ from .signals import (
     QuantizationMode,
     QuantizerConfig,
     SignalSpec,
-    TimingConfig,
     WaveformModel,
     quantize,
     sin_turns,
@@ -69,7 +69,6 @@ __all__ = [
     "check_pieces",
     "column_batches",
     "evaluate",
-    "evaluate_column",
     "evaluate_columns",
     "held_columns",
     "report_columns",
@@ -524,12 +523,14 @@ def evaluate(model: WaveformModel) -> MetricsReport:
     allocated when the model has more than ``MAX_PIECES`` pieces, held
     rows included.
     """
-    if model.kind is ModelKind.DIGITIZED:
-        return evaluate_columns(model.spec, [model.timing], [model.quantizer])[0][0]
-    if model.kind is ModelKind.HELD:
+    if model.kind in (ModelKind.DIGITIZED, ModelKind.HELD):
         timing = model.timing
         rows = [(timing.multiplier_num, timing.multiplier_den)]
-        return reports_from_columns(held_columns(model.spec, rows))[0]
+        columns = (
+            held_columns(model.spec, rows) if model.kind is ModelKind.HELD
+            else evaluate_columns(model.spec, rows, [model.quantizer])
+        )
+        return reports_from_columns(columns)[0]
     f = model.spec.frequency_hz
     if model.kind is ModelKind.TARGET:
         return MetricsReport(
@@ -557,7 +558,7 @@ def held_columns(spec: SignalSpec, rows: Sequence[tuple[int, int]]) -> dict[str,
     for p, q in rows:
         check_pieces(p, q)
     if not rows:
-        return report_columns([])
+        return {name: [] for name in REPORT_FIELDS}
     f, n = spec.frequency_hz, len(rows)
     pieces = _Pieces(f, rows, *_held_pieces(rows))
     errors, times = pieces.supremum(pieces.start)
@@ -572,51 +573,65 @@ def held_columns(spec: SignalSpec, rows: Sequence[tuple[int, int]]) -> dict[str,
     }
 
 
-def column_batches(timings: Sequence[TimingConfig]) -> list[list[TimingConfig]]:
-    """The timings in order, cut into runs of consecutive timings whose
-    pieces number at most ``_BATCH_PIECES`` in all; a timing of more
-    pieces is a batch of its own."""
+def column_batches(rows: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """The multipliers p/q of ``rows`` in order, cut into runs of
+    consecutive rows whose pieces number at most ``_BATCH_PIECES`` in
+    all; a row of more pieces is a batch of its own."""
     batches, size = [], 0
-    for timing in timings:
-        p = timing.multiplier_num
+    for row in rows:
+        p = row[0]
         if not batches or size + p > _BATCH_PIECES:
             batches.append([])
             size = 0
-        batches[-1].append(timing)
+        batches[-1].append(row)
         size += p
     return batches
 
 
+# The fields of a digitized report that _evaluate_batch computes.
+_COMPUTED = ("max_abs_error", "argmax_time_s", "thd_ratio", "thd_db")
+
+
 def evaluate_columns(
-    spec: SignalSpec, timings: Sequence[TimingConfig], quantizers: Sequence[QuantizerConfig]
-) -> list[list[MetricsReport]]:
-    """:func:`evaluate` of the digitized models of each timing and
-    quantizer: for each timing, in their order, one report per quantizer,
-    in theirs. The bounds' bit terms are taken once for all timings, and
-    their sine and hold terms once per timing. The timings go in the
-    batches of :func:`column_batches`, their pieces end to end, so that
-    what else depends on the timings alone (see :class:`_Pieces`, the THD
-    bin's cosine) is a few array calls per batch. The quantizers then go
-    in groups of up to ``_COLUMN_CHUNK`` level-matrix elements, at least
-    one row each: a group's levels, candidate errors and suprema are
+    spec: SignalSpec, rows: Sequence[tuple[int, int]], quantizers: Sequence[QuantizerConfig]
+) -> dict[str, list]:
+    """:func:`evaluate` of the digitized models of each multiplier p/q of
+    ``rows``, each in lowest terms, and each quantizer, as columns (see
+    ``REPORT_FIELDS``): one multiplier after another, so that report
+    ``i*len(quantizers) + b`` is that of row i and quantizer b. The
+    bounds' bit terms are taken once for all rows, and their sine and
+    hold terms once per row. The rows go in the batches of
+    :func:`column_batches`, their pieces end to end, so that what else
+    depends on the multipliers alone (see :class:`_Pieces`, the THD bin's
+    cosine) is a few array calls per batch. The quantizers then go in
+    groups of up to ``_COLUMN_CHUNK`` level-matrix elements, at least one
+    row each: a group's levels, candidate errors and suprema are
     whole-matrix calls, its means one call per column, and only the two
     dot products and the argmax tick stay per row and column.
     :class:`CapExceeded` is raised before anything is allocated when some
-    timing has more than ``MAX_PIECES`` pieces.
+    row has more than ``MAX_PIECES`` pieces.
     """
-    rows = [(t.multiplier_num, t.multiplier_den) for t in timings]
     for p, q in rows:
         check_pieces(p, q)
-    if not quantizers:
-        return [[] for _ in timings]
-    f = spec.frequency_hz
+    if not rows or not quantizers:
+        return {name: [] for name in REPORT_FIELDS}
+    f, n = spec.frequency_hz, len(quantizers)
+    size = len(rows) * n
     bits = [quantizer.bits for quantizer in quantizers]
     bound_pairs = bounds.digitized_bounds(f, [_gap(f, p, q) for p, q in rows], bits)
-    columns, first = [], 0
-    for batch in column_batches(timings):
-        last = first + len(batch)
-        columns += _evaluate_batch(f, rows[first:last], quantizers, bound_pairs[first:last])
-        first = last
+    paper, strict = zip(*chain.from_iterable(bound_pairs))
+    columns = {
+        "model": [ModelKind.DIGITIZED.value] * size, "freq_hz": [f] * size,
+        "bits": bits * len(rows),
+        "mode": [quantizer.mode.value for quantizer in quantizers] * len(rows),
+        "m_num": [p for p, _ in rows for _ in bits], "m_den": [q for _, q in rows for _ in bits],
+        **{name: [None] * size for name in _COMPUTED},
+        "paper_bound": list(paper), "strict_bound": list(strict),
+    }
+    first = 0
+    for batch in column_batches(rows):
+        _evaluate_batch(f, batch, quantizers, columns, first)
+        first += len(batch) * n
     return columns
 
 
@@ -624,10 +639,12 @@ def _evaluate_batch(
     f: float,
     rows: list[tuple[int, int]],
     quantizers: Sequence[QuantizerConfig],
-    bound_pairs: list[list[tuple[float, float]]],
-) -> list[list[MetricsReport]]:
-    """:func:`evaluate_columns` of one batch of rows p/q, given the bound
-    pairs of each row's quantizers."""
+    columns: dict[str, list],
+    first: int,
+) -> None:
+    """Fill the computed fields (see ``_COMPUTED``) of the reports of
+    :func:`evaluate_columns` of one batch of rows p/q, whose first report
+    is at position ``first`` of ``columns``."""
     counts = [p for p, _ in rows]
     width = sum(counts)
     starts = np.cumsum([0, *counts[:-1]])
@@ -639,14 +656,11 @@ def _evaluate_batch(
     # slice as np.mean reduces one row, and its dots are each row's own,
     # since neither a segmented sum nor a matrix product sums in that order.
     spans = [(a, a + p) for a, p in zip(starts.tolist(), counts)]
-    columns = [
-        (p, q, abs(half), pairs) for (p, q), half, pairs in zip(rows, pieces.halves, bound_pairs)
-    ]
-    kind = ModelKind.DIGITIZED.value
+    errors, times, ratios, dbs = map(columns.__getitem__, _COMPUTED)
+    n = len(quantizers)
     group_rows = max(1, _COLUMN_CHUNK // width)
-    reports = [[] for _ in rows]
-    for first in range(0, len(quantizers), group_rows):
-        group = quantizers[first:first + group_rows]
+    for offset in range(0, n, group_rows):
+        group = quantizers[offset:offset + group_rows]
         level = np.empty((len(group), width))
         for i, quantizer in enumerate(group):
             quantize(pieces.start, quantizer, out=level[i])
@@ -664,26 +678,19 @@ def _evaluate_batch(
             ]
             for row in level
         ]
-        suprema = zip(*pieces.supremum(level))
-        for i, quantizer in enumerate(group):
-            echo = (kind, f, quantizer.bits, quantizer.mode.value)
-            for (p, q, half, pairs), (total, total_square), bin_1, column in zip(
-                columns, sums, bins[i], reports
-            ):
-                fundamental = 2.0 * bin_1 * half / (math.pi * q)
-                column.append(MetricsReport(
-                    *echo, p, q, *next(suprema),
-                    *_parseval_thd(total[i] / p, total_square[i] / p, fundamental),
-                    *pairs[first + i],
-                ))
+        # entry i*len(rows) + c of the suprema is quantizer i of column c
+        suprema, argmax_times = pieces.supremum(level)
+        for c, ((p, q), half, (total, total_square)) in enumerate(zip(rows, pieces.halves, sums)):
+            start = first + c * n + offset
+            at = slice(start, start + len(group))
+            errors[at] = suprema[c::len(rows)]
+            times[at] = argmax_times[c::len(rows)]
+            ratios[at], dbs[at] = zip(*(
+                _parseval_thd(
+                    total[i] / p, total_square[i] / p,
+                    2.0 * row_bins[c] * abs(half) / (math.pi * q),
+                )
+                for i, row_bins in enumerate(bins)
+            ))
         # free the group's levels before the next group's are allocated
         del level
-    return reports
-
-
-def evaluate_column(
-    spec: SignalSpec, timing: TimingConfig, quantizers: Sequence[QuantizerConfig]
-) -> list[MetricsReport]:
-    """:func:`evaluate_columns` of one timing: its digitized reports, one
-    per quantizer, in their order."""
-    return evaluate_columns(spec, [timing], quantizers)[0]

@@ -26,9 +26,9 @@ fixed by the parameter axes, never by completion order.
 
 A :class:`SweepResult` holds its rows as columns: the distinct reports,
 one list per report field, and per row the position of its report among
-them, its requested multiplier and its flags. A multiplier sweep builds
-no report, row or timing object per point; the CSV writer and the
-charts read the columns, and ``SweepResult.rows`` builds the
+them, its requested multiplier and its flags. A multiplier or grid
+sweep builds no report, row or timing object per point; the CSV writer
+and the charts read the columns, and ``SweepResult.rows`` builds the
 :class:`SweepRow` objects only when it is first read.
 """
 
@@ -182,45 +182,23 @@ class SweepResult:
     ``requested_multipliers[i]`` (None in a bits sweep) and the flags
     ``flags[i]``. :attr:`rows` builds the :class:`SweepRow` objects when
     it is first read and keeps them; rows that share a report share one
-    :class:`~ddsmetrics.metrics.MetricsReport`. ``SweepResult(kind, rows,
-    spec)`` keeps the rows it is given and derives the columns from them
-    once, a report shared by rows (the same object) once.
+    :class:`~ddsmetrics.metrics.MetricsReport`.
     """
+
+    schema_version = SCHEMA_VERSION
 
     def __init__(
         self,
         kind: str,  # "bits" | "multiplier" | "grid"
-        rows: Sequence[SweepRow],
-        spec: SweepSpec,
-        schema_version: int = SCHEMA_VERSION,
-    ):
-        rows = tuple(rows)
-        distinct = {id(row.report): row.report for row in rows}
-        position = {key: i for i, key in enumerate(distinct)}
-        self.kind, self.spec, self.schema_version = kind, spec, schema_version
-        self.reports = report_columns(list(distinct.values()))
-        self.report_index = [position[id(row.report)] for row in rows]
-        self.requested_multipliers = [row.requested_multiplier for row in rows]
-        self.flags = [row.flags for row in rows]
-        self._rows = rows
-
-    @classmethod
-    def from_columns(
-        cls,
-        kind: str,
         spec: SweepSpec,
         reports: dict[str, list],
         report_index: list[int],
         requested_multipliers: list[float | None],
         flags: list[tuple[str, ...]],
-    ) -> SweepResult:
-        """The result whose columns are the arguments (see the class)."""
-        result = cls.__new__(cls)
-        result.kind, result.spec, result.schema_version = kind, spec, SCHEMA_VERSION
-        result.reports, result.report_index = reports, report_index
-        result.requested_multipliers, result.flags = requested_multipliers, flags
-        result._rows = None
-        return result
+    ):
+        self.kind, self.spec, self.reports, self.report_index = kind, spec, reports, report_index
+        self.requested_multipliers, self.flags = requested_multipliers, flags
+        self._rows = None
 
     @property
     def rows(self) -> tuple[SweepRow, ...]:
@@ -358,7 +336,7 @@ def sweep_bits(spec: SweepSpec, workers: int = 1) -> SweepResult:
 
     reports = _run_ordered(spec.bits_axis(), one, workers)
     n = len(reports)
-    return SweepResult.from_columns(
+    return SweepResult(
         "bits", spec, report_columns(reports), list(range(n)), [None] * n, [()] * n
     )
 
@@ -371,7 +349,7 @@ def sweep_multiplier(spec: SweepSpec, workers: int = 1) -> SweepResult:
     requested, pairs, index = _snapped_axis(spec)
     chunks = [pairs[i:i + _HELD_CHUNK] for i in range(0, len(pairs), _HELD_CHUNK)]
     batches = _run_ordered(chunks, lambda chunk: held_columns(signal, chunk), workers)
-    return SweepResult.from_columns(
+    return SweepResult(
         "multiplier", spec, _joined(batches), index, requested, _flags(pairs, index)
     )
 
@@ -386,18 +364,13 @@ def sweep_grid(spec: SweepSpec, workers: int = 1) -> SweepResult:
     signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
     quantizers = [QuantizerConfig(bits, spec.mode) for bits in spec.bits_axis()]
     requested, pairs, index = _snapped_axis(spec)
-
-    def columns(batch: list[TimingConfig]) -> dict[str, list]:
-        # the report of bit count b of distinct multiplier i is report
-        # i*len(quantizers) + b
-        reports = evaluate_columns(signal, batch, quantizers)
-        return report_columns([report for column in reports for report in column])
-
     batches = _run_ordered(
-        column_batches([TimingConfig(p, q) for p, q in pairs]), columns, workers
+        column_batches(pairs), lambda batch: evaluate_columns(signal, batch, quantizers), workers
     )
+    # the report of bit count b of distinct multiplier i is report
+    # i*len(quantizers) + b
     n = len(quantizers)
-    return SweepResult.from_columns(
+    return SweepResult(
         "grid", spec, _joined(batches),
         [i * n + b for b in range(n) for i in index],
         requested * n, _flags(pairs, index) * n,

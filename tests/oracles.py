@@ -14,7 +14,8 @@ its held batch one row at a time, from the candidate pieces of
 :func:`held_pieces_by_row` and the scalar THD of :func:`held_thd_by_row`;
 :func:`held_supremum` takes a held model's supremum over any set of its
 pieces. :func:`snap_by_fraction` snaps a multiplier from its
-``Fraction``, and :func:`parse_csv` splits emitted CSV into its parts.
+``Fraction``, :func:`result_from_rows` builds a sweep result from rows,
+and :func:`parse_csv` splits emitted CSV into its parts.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from ddsmetrics.metrics import (
     _turns,
     _windows,
     check_pieces,
+    report_columns,
 )
 from ddsmetrics.signals import (
     ModelKind,
@@ -44,6 +46,7 @@ from ddsmetrics.signals import (
     sin_turns_array,
     step_levels,
 )
+from ddsmetrics.sweeps import SweepResult
 
 DFT_SIZE_CAP = 1 << 24
 
@@ -485,6 +488,20 @@ def snap_by_fraction(requested, q_max: int) -> TimingConfig:
     if (gap1, q1, p1) < (gaps, qs, ps):
         return TimingConfig(p1, q1)
     return TimingConfig(ps, qs)
+
+
+def result_from_rows(kind: str, rows, spec) -> SweepResult:
+    """The sweep result whose rows are ``rows``: its columns derived from
+    the rows, a report shared by rows (the same object) once. The
+    reference that a sweep's own columns are compared against."""
+    rows = tuple(rows)
+    distinct = {id(row.report): row.report for row in rows}
+    position = {key: i for i, key in enumerate(distinct)}
+    return SweepResult(
+        kind, spec, report_columns(list(distinct.values())),
+        [position[id(row.report)] for row in rows],
+        [row.requested_multiplier for row in rows], [row.flags for row in rows],
+    )
 
 
 def parse_csv(text: str) -> tuple[list[str], list[str], list[list[str]]]:

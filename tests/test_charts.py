@@ -10,7 +10,8 @@ from ddsmetrics.charts import (
     render_line_chart,
 )
 from ddsmetrics.metrics import MetricsReport
-from ddsmetrics.sweeps import SweepResult, SweepRow, SweepSpec, sweep_bits, sweep_grid
+from ddsmetrics.sweeps import SweepRow, SweepSpec, sweep_bits, sweep_grid
+from oracles import result_from_rows
 
 
 def _report(**overrides):
@@ -42,7 +43,7 @@ def _grid_result(cells):
         for b, m, err, db in cells
     )
     spec = SweepSpec(bits_from=2, bits_to=3, multipliers=(4.0, 8.0))
-    return SweepResult("grid", rows, spec)
+    return result_from_rows("grid", rows, spec)
 
 
 def _two_point_multiplier_result():
@@ -51,7 +52,7 @@ def _two_point_multiplier_result():
         for m, e in ((4.0, 0.9), (40.0, 0.15))
     )
     spec = SweepSpec(multipliers=(4.0, 40.0))
-    return SweepResult("multiplier", rows, spec)
+    return result_from_rows("multiplier", rows, spec)
 
 
 class TestLineChart:
@@ -94,7 +95,7 @@ class TestLineChart:
             for m, db in ((2.0, None), (4.0, -6.3), (8.0, -12.7))
         )
         spec = SweepSpec(multipliers=(2.0, 4.0, 8.0))
-        result = SweepResult("multiplier", rows, spec)
+        result = result_from_rows("multiplier", rows, spec)
         style = ChartStyle(ChartKind.LOG_X_LINE, "multiplier", "THD")
         svg = render_line_chart(result, style, ["thd_db"])
         points = re.findall(r"<polyline[^>]*points=\"([^\"]*)\"", svg)[0]

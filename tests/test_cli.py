@@ -799,9 +799,10 @@ class TestModuleEntryPoints:
 
 
 class TestFloatRangeOfTimes:
-    """A --freq or --dt whose times leave the float range exits 2 with one
-    line naming the flag, where a ZeroDivisionError traceback, an unnamed
-    message or a JSON report holding Infinity used to come out."""
+    """A --freq, --dt or --multiplier whose times leave the float range
+    exits 2 with one line naming the flag, where a ZeroDivisionError or
+    JSON traceback, an unnamed message or a JSON report holding Infinity
+    used to come out."""
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -814,11 +815,16 @@ class TestFloatRangeOfTimes:
              "--freq"),
             (["eval", "--model", "held", "--multiplier", "3", "--freq", "1e-320"], "--freq"),
             (["eval", "--model", "held", "--multiplier", "3", "--freq", "1e308"], "--freq"),
+            # f*dt = 1e308 turns is a float, but the phase shift 2*pi*f*dt
+            # that bounds reports is not
+            (["bounds", "--multiplier", "1/1" + "0" * 308], "--multiplier"),
+            (["bounds", "--dt", "1e308", "--qmax", str(int(sys.float_info.max))], "--dt"),
         ],
         ids=[
             "eval-freq-dt-underflow", "bounds-freq-dt-underflow", "eval-freq-dt-overflow",
             "quantized-period-overflow", "held-period-overflow",
             "multiplier-period-overflow", "multiplier-gap-underflow",
+            "bounds-multiplier-phase-overflow", "bounds-dt-phase-overflow",
         ],
     )
     def test_usage_error_names_the_flag(self, capsys, argv, flag):

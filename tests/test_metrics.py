@@ -22,7 +22,6 @@ from ddsmetrics.metrics import (
     _held_pieces,
     column_batches,
     evaluate,
-    evaluate_column,
     evaluate_columns,
     held_columns,
     reports_from_columns,
@@ -753,6 +752,19 @@ def traced_peak(fn):
     return peak
 
 
+def pairs_of(timings):
+    """The integer pairs (p, q) of the timings, as the engines take them."""
+    return [(t.multiplier_num, t.multiplier_den) for t in timings]
+
+
+def column_reports(spec, timings, quantizers):
+    """evaluate_columns of the timings' multipliers, as one list of
+    reports per timing."""
+    reports = reports_from_columns(evaluate_columns(spec, pairs_of(timings), quantizers))
+    n = len(quantizers)
+    return [reports[i * n:(i + 1) * n] for i in range(len(timings))]
+
+
 class TestEvaluateColumn:
     """A digitized column shares the work that depends on the timing alone
     among its quantizers; each report equals the row evaluated alone."""
@@ -772,7 +784,7 @@ class TestEvaluateColumn:
                 (12, QuantizationMode.CEILING), (8, QuantizationMode.FLOOR),
             ]
         ]
-        column = evaluate_column(spec, timing, quantizers)
+        column = column_reports(spec, [timing], quantizers)[0]
         assert column == [
             evaluate(WaveformModel.digitized(spec, timing, quantizer))
             for quantizer in quantizers
@@ -783,7 +795,7 @@ class TestEvaluateColumn:
 
         def over_cap():
             with pytest.raises(CapExceeded):
-                evaluate_column(SPEC, TimingConfig(MAX_PIECES + 1), quantizers)
+                evaluate_columns(SPEC, [(MAX_PIECES + 1, 1)], quantizers)
 
         assert traced_peak(over_cap) < 1 << 20
 
@@ -792,7 +804,7 @@ class TestEvaluateColumn:
         quantizers = [QuantizerConfig(bits) for bits in range(1, 17)]
         model = WaveformModel.digitized(SPEC, timing, quantizers[-1])
         row = traced_peak(lambda: evaluate(model))
-        column = traced_peak(lambda: evaluate_column(SPEC, timing, quantizers))
+        column = traced_peak(lambda: column_reports(SPEC, [timing], quantizers)[0])
         assert column <= 1.05 * row
 
 
@@ -812,7 +824,7 @@ class TestColumnGroups:
             for q in range(1, 33):
                 if math.gcd(p, q) == 1:
                     timing = TimingConfig(p, q)
-                    assert evaluate_column(spec, timing, quantizers) == column_rows(
+                    assert column_reports(spec, [timing], quantizers)[0] == column_rows(
                         spec, timing, quantizers
                     )
 
@@ -825,7 +837,7 @@ class TestColumnGroups:
         ]
         for spec in (SPEC, SignalSpec(0.37)):
             timing = TimingConfig(p, q)
-            assert evaluate_column(spec, timing, quantizers) == column_rows(
+            assert column_reports(spec, [timing], quantizers)[0] == column_rows(
                 spec, timing, quantizers
             )
 
@@ -842,7 +854,7 @@ class TestColumnGroups:
         p = metrics._COLUMN_CHUNK // len(quantizers) + offset
         spec, timing = SignalSpec(freq), TimingConfig(p, 11)
         assert timing.multiplier_num == p
-        assert evaluate_column(spec, timing, quantizers) == column_rows(
+        assert column_reports(spec, [timing], quantizers)[0] == column_rows(
             spec, timing, quantizers
         )
 
@@ -850,7 +862,7 @@ class TestColumnGroups:
     def test_columns_around_one_row_per_group(self, offset):
         quantizers = [QuantizerConfig(bits, mode) for mode in QuantizationMode for bits in (1, 9, 52)]
         timing = TimingConfig(metrics._COLUMN_CHUNK // 2 + offset, 3)
-        assert evaluate_column(SPEC, timing, quantizers) == column_rows(
+        assert column_reports(SPEC, [timing], quantizers)[0] == column_rows(
             SPEC, timing, quantizers
         )
 
@@ -859,7 +871,7 @@ class TestColumnGroups:
         timings = [sweeps.snap_multiplier(m, spec.q_max) for m in spec.multiplier_axis()]
         largest = max(timings, key=lambda timing: timing.multiplier_num)
         quantizers = [QuantizerConfig(bits, spec.mode) for bits in spec.bits_axis()]
-        column = traced_peak(lambda: evaluate_column(SPEC, largest, quantizers))
+        column = traced_peak(lambda: column_reports(SPEC, [largest], quantizers)[0])
         tracemalloc.start()
         try:
             result = sweeps.sweep_grid(spec)
@@ -897,7 +909,7 @@ class TestColumnBatches:
     its cell evaluated alone and to the one-quantizer-at-a-time oracle."""
 
     def check(self, spec, timings, quantizers=MIXED_QUANTIZERS):
-        columns = evaluate_columns(spec, timings, quantizers)
+        columns = column_reports(spec, timings, quantizers)
         assert columns == cells_alone(spec, timings, quantizers)
         assert columns == [column_rows(spec, timing, quantizers) for timing in timings]
 
@@ -907,14 +919,16 @@ class TestColumnBatches:
         budget = metrics._BATCH_PIECES
         timings = [TimingConfig(1), TimingConfig(budget - 1000, 7), TimingConfig(999 + spill, 11)]
         assert sum(t.multiplier_num for t in timings) == budget + spill
-        assert [len(batch) for batch in column_batches(timings)] == ([3] if spill == 0 else [2, 1])
+        batches = column_batches(pairs_of(timings))
+        assert [len(batch) for batch in batches] == ([3] if spill == 0 else [2, 1])
         self.check(SignalSpec(freq), timings)
 
     @pytest.mark.parametrize("freq", [1.0, 0.37])
     def test_a_column_over_the_budget_is_a_batch_alone(self, freq):
         budget = metrics._BATCH_PIECES
         timings = [TimingConfig(2, 3), TimingConfig(budget + 1, 3), TimingConfig(5, 2)]
-        assert column_batches(timings) == [[timings[0]], [timings[1]], [timings[2]]]
+        rows = pairs_of(timings)
+        assert column_batches(rows) == [[rows[0]], [rows[1]], [rows[2]]]
         self.check(SignalSpec(freq), timings)
 
     @pytest.mark.parametrize("freq", [1.0, 0.37])
@@ -927,9 +941,9 @@ class TestColumnBatches:
             TimingConfig(3, 1),
         ]
         assert timings[1].multiplier_den == big_q
-        assert len(column_batches(timings)) == 1
+        assert len(column_batches(pairs_of(timings))) == 1
         self.check(SignalSpec(freq), timings)
-        columns = evaluate_columns(SignalSpec(freq), timings, MIXED_QUANTIZERS)
+        columns = column_reports(SignalSpec(freq), timings, MIXED_QUANTIZERS)
         for timing, column in zip(timings, columns):
             if timing.multiplier_num <= 2:
                 assert all(report.thd_ratio is None for report in column)
@@ -950,7 +964,7 @@ class TestColumnBatches:
         spec = SignalSpec(freq)
         timings = [TimingConfig(p, q) for p, q in multipliers]
         quantizers = MIXED_QUANTIZERS[:4]
-        assert evaluate_columns(spec, timings, quantizers) == [
+        assert column_reports(spec, timings, quantizers) == [
             column_rows(spec, timing, quantizers) for timing in timings
         ]
 
@@ -966,8 +980,8 @@ class TestColumnBatches:
         monkeypatch.setattr(bounds, "quantization_error_bound", counted)
         quantizers = [QuantizerConfig(bits) for bits in range(2, 17)]
         timings = [TimingConfig(p, 3) for p in (4, 7, 100, 4096, 20000, 5, 11)]
-        assert len(column_batches(timings)) == 3
-        columns = evaluate_columns(SPEC, timings, quantizers)
+        assert len(column_batches(pairs_of(timings))) == 3
+        columns = column_reports(SPEC, timings, quantizers)
         assert calls == list(range(2, 17))
         monkeypatch.undo()
         assert columns == [column_rows(SPEC, timing, quantizers) for timing in timings]
@@ -975,15 +989,15 @@ class TestColumnBatches:
     def test_batches_are_consecutive_runs_within_the_budget(self):
         budget = metrics._BATCH_PIECES
         rng = np.random.default_rng(5)
-        timings = [TimingConfig(int(p)) for p in rng.integers(1, budget // 3, 200)]
-        timings += [TimingConfig(budget), TimingConfig(1), TimingConfig(3 * budget)]
-        batches = column_batches(timings)
-        assert [t for batch in batches for t in batch] == timings
+        rows = [(int(p), 1) for p in rng.integers(1, budget // 3, 200)]
+        rows += [(budget, 1), (1, 1), (3 * budget, 1)]
+        batches = column_batches(rows)
+        assert [row for batch in batches for row in batch] == rows
         for batch, after in zip(batches, batches[1:] + [[]]):
-            size = sum(t.multiplier_num for t in batch)
+            size = sum(p for p, _ in batch)
             assert size <= budget or len(batch) == 1
             if after:  # each batch takes every column that still fits
-                assert size + after[0].multiplier_num > budget
+                assert size + after[0][0] > budget
         assert column_batches([]) == []
 
     @pytest.mark.parametrize("position", [0, 3, 6])
@@ -993,17 +1007,17 @@ class TestColumnBatches:
         timings = [TimingConfig(p, 3) for p in (4, 5, 7, 11, 13, 17)]
         timings.insert(position, TimingConfig(MAX_PIECES + 1, 3))
         with pytest.raises(CapExceeded) as exc_info:
-            evaluate_columns(SPEC, timings, MIXED_QUANTIZERS)
+            column_reports(SPEC, timings, MIXED_QUANTIZERS)
         assert exc_info.value.p == MAX_PIECES + 1
         assert built == []
 
     def test_no_quantizers_build_no_pieces(self):
-        timing = TimingConfig((1 << 22) - 3, 7)
+        row = ((1 << 22) - 3, 7)
         columns = []
-        peak = traced_peak(lambda: columns.append(evaluate_column(SPEC, timing, [])))
-        assert columns == [[]]
+        peak = traced_peak(lambda: columns.append(evaluate_columns(SPEC, [row], [])))
+        assert columns == [{name: [] for name in REPORT_FIELDS}]
         assert peak < 1 << 20
-        assert evaluate_columns(SPEC, [timing, TimingConfig(5)], []) == [[], []]
+        assert evaluate_columns(SPEC, [row, (5, 1)], []) == columns[0]
 
     def test_peak_memory_does_not_grow_with_the_columns(self):
         # 4 columns of about 4000 pieces to a batch: 64 columns are 16
@@ -1014,11 +1028,66 @@ class TestColumnBatches:
         ]
         peaks = {
             n: traced_peak(lambda: evaluate_columns(
-                SPEC, [TimingConfig(3990 + k, 7) for k in range(n)], quantizers
+                SPEC, [(3990 + k, 7) for k in range(n)], quantizers
             ))
             for n in (16, 64)
         }
         assert peaks[64] <= 1.1 * peaks[16]
+
+
+# Multipliers (p, q) in lowest terms: no fundamental (p <= 2), ordinary
+# rows, and a denominator past int64.
+CONTRACT_ROWS = [(1, 1), (7, 3), (2, 3), (4099, 7), (17, 4), (3, 10**20 + 1)]
+
+
+class TestReportColumnsContract:
+    """Both engines take integer pairs (p, q) and return one list per
+    field of REPORT_FIELDS, one entry per row and quantizer (a held row
+    has no quantizer), that reads back as the cells evaluated alone."""
+
+    def check_layout(self, columns, size):
+        assert list(columns) == list(REPORT_FIELDS)
+        for column in columns.values():
+            assert type(column) is list
+            assert len(column) == size
+
+    @pytest.mark.parametrize("count", [0, 1, len(CONTRACT_ROWS)])
+    @pytest.mark.parametrize("freq", [1.0, 0.37])
+    def test_held_columns(self, count, freq):
+        spec, rows = SignalSpec(freq), CONTRACT_ROWS[:count]
+        columns = held_columns(spec, rows)
+        self.check_layout(columns, len(rows))
+        assert reports_from_columns(columns) == [
+            evaluate(WaveformModel.held(spec, TimingConfig(p, q))) for p, q in rows
+        ]
+
+    @pytest.mark.parametrize("count", [0, 1, len(CONTRACT_ROWS)])
+    @pytest.mark.parametrize("quantizers", [[], MIXED_QUANTIZERS[:1], MIXED_QUANTIZERS])
+    @pytest.mark.parametrize("freq", [1.0, 0.37])
+    def test_evaluate_columns(self, count, quantizers, freq):
+        spec, rows = SignalSpec(freq), CONTRACT_ROWS[:count]
+        columns = evaluate_columns(spec, rows, quantizers)
+        self.check_layout(columns, len(rows) * len(quantizers))
+        # one multiplier after another: report i*len(quantizers) + b
+        assert reports_from_columns(columns) == [
+            evaluate(WaveformModel.digitized(spec, TimingConfig(p, q), quantizer))
+            for p, q in rows for quantizer in quantizers
+        ]
+
+    def test_evaluate_columns_builds_no_report(self, monkeypatch):
+        built = []
+        original = metrics.MetricsReport.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(metrics.MetricsReport, "__init__", counted)
+        rows = [(4, 1), (metrics._BATCH_PIECES + 1, 3), (97, 5)]
+        columns = evaluate_columns(SPEC, rows, MIXED_QUANTIZERS)
+        assert built == []
+        assert len(reports_from_columns(columns)) == len(rows) * len(MIXED_QUANTIZERS)
+        assert len(built) == len(rows) * len(MIXED_QUANTIZERS)
 
 
 def held_reports(spec, timings):

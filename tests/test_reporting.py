@@ -21,10 +21,9 @@ from ddsmetrics.reporting import (
     sweep_to_csv,
 )
 from ddsmetrics import reporting
-from oracles import parse_csv
+from oracles import parse_csv, result_from_rows
 from ddsmetrics.signals import QuantizationMode
 from ddsmetrics.sweeps import (
-    SweepResult,
     SweepRow,
     SweepSpec,
     sweep_bits,
@@ -301,7 +300,7 @@ class TestSweepCsvColumns:
             SweepRow(5e-324, sample_report(max_abs_error=-1.5e-5, thd_db=None)),
         ]
         for kind in ("multiplier", "grid"):
-            result = SweepResult(kind, tuple(rows), SweepSpec(multipliers=(4.0,)))
+            result = result_from_rows(kind, tuple(rows), SweepSpec(multipliers=(4.0,)))
             text = sweep_to_csv(result)
             assert text == csv_row_by_row(result)
             _, _, parsed = parse_csv(text)
@@ -315,7 +314,7 @@ class TestSweepCsvColumns:
         axis = (4, 4.0, 5e-324, 2e6, 1.5)
         rows = [SweepRow(m, sample_report()) for m in axis]
         for kind in ("multiplier", "grid"):
-            text = sweep_to_csv(SweepResult(kind, tuple(rows), SweepSpec(multipliers=axis)))
+            text = sweep_to_csv(result_from_rows(kind, tuple(rows), SweepSpec(multipliers=axis)))
             echo = " ".join(map(fmt_float, axis))
             assert f"# multipliers={echo}\n" in text
             assert echo == "4.0 4.0 5e-324 2e+06 1.5"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import best_rational_by_exhaustion, linear_fit
-from oracles import snap_by_fraction
+from oracles import result_from_rows, snap_by_fraction
 from ddsmetrics import reporting
 from ddsmetrics.charts import render_sweep
 from ddsmetrics.reporting import sweep_to_csv
@@ -26,7 +26,6 @@ from ddsmetrics import sweeps
 from ddsmetrics.metrics import MAX_PIECES, CapExceeded, MetricsReport, evaluate
 from ddsmetrics.sweeps import (
     FLAG_SUBNYQUIST,
-    SweepResult,
     SweepRow,
     SweepSpec,
     multiplier_axis,
@@ -445,9 +444,9 @@ class TestGridColumns:
         batches = []
         original = sweeps.evaluate_columns
 
-        def counted(signal, timings, quantizers):
-            batches.append(list(timings))
-            return original(signal, timings, quantizers)
+        def counted(signal, rows, quantizers):
+            batches.append(list(rows))
+            return original(signal, rows, quantizers)
 
         monkeypatch.setattr(sweeps, "evaluate_columns", counted)
         # 3.001 and 3.002 both snap to 3/1; 20000 is a batch of its own
@@ -456,9 +455,8 @@ class TestGridColumns:
             multipliers=(4.0, 3.001, 3.002, 4.0, 97.0, 4.0, 20000.0, 1.5, 97.0),
         )
         rows = sweep_grid(spec).rows
-        assert [timing for batch in batches for timing in batch] == [
-            TimingConfig(4), TimingConfig(3), TimingConfig(97), TimingConfig(20000),
-            TimingConfig(3, 2),
+        assert [row for batch in batches for row in batch] == [
+            (4, 1), (3, 1), (97, 1), (20000, 1), (3, 2),
         ]
         assert len(batches) == 3
         assert list(rows) == per_cell_rows(spec)
@@ -471,7 +469,7 @@ class TestGridColumns:
             multipliers=(5.0, 20000.0, 3.5, 17000.0, 1.0, 2.0, 6000.0, 9000.0),
         )
         _, pairs, _ = sweeps._snapped_axis(spec)
-        batches = sweeps.column_batches([TimingConfig(p, q) for p, q in pairs])
+        batches = sweeps.column_batches(pairs)
         assert len(batches) == 5
         serial = sweep_grid(spec, workers=1).rows
         assert sweep_grid(spec, workers=2).rows == serial
@@ -555,12 +553,12 @@ def outputs(result):
 class TestColumnarResult:
     """A sweep's result holds columns and builds its rows only when read;
     its CSV and charts, written from the columns, have the bytes of the
-    same rows given to SweepResult one by one."""
+    same rows given one by one (see ``oracles.result_from_rows``)."""
 
     @pytest.mark.parametrize("mode", list(QuantizationMode))
     def test_bits_outputs_equal_the_rows_result(self, mode):
         result = sweep_bits(SweepSpec(bits_from=1, bits_to=52, mode=mode))
-        from_rows = SweepResult("bits", result.rows, result.spec)
+        from_rows = result_from_rows("bits", result.rows, result.spec)
         assert outputs(result) == outputs(from_rows)
 
     def test_multiplier_outputs_equal_the_rows_result(self):
@@ -570,7 +568,7 @@ class TestColumnarResult:
         assert len({id(row.report) for row in rows}) < len(rows)
         assert any(row.report.thd_db is None for row in rows)
         assert any(row.flags == (FLAG_SUBNYQUIST,) for row in rows)
-        assert outputs(result) == outputs(SweepResult("multiplier", rows, result.spec))
+        assert outputs(result) == outputs(result_from_rows("multiplier", rows, result.spec))
 
     @pytest.mark.parametrize("mode", list(QuantizationMode))
     def test_grid_outputs_equal_the_rows_result(self, mode):
@@ -583,14 +581,14 @@ class TestColumnarResult:
         assert len(rows) > reporting._CSV_CHUNK
         assert len({id(row.report) for row in rows}) < len(rows)
         assert any(row.report.thd_db is None for row in rows)
-        assert outputs(result) == outputs(SweepResult("grid", rows, spec))
+        assert outputs(result) == outputs(result_from_rows("grid", rows, spec))
 
     def test_rows_are_built_once(self):
         result = sweep_multiplier(SweepSpec(multipliers=(4.0, 3.001, 3.002)))
         rows = result.rows
         assert result.rows is rows
         assert rows[1].report is rows[2].report
-        assert result == SweepResult("multiplier", rows, result.spec)
+        assert result == result_from_rows("multiplier", rows, result.spec)
 
     def test_writing_a_multiplier_sweep_builds_no_row_objects(self, monkeypatch):
         built = []
