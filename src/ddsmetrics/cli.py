@@ -286,8 +286,11 @@ def cmd_sweep(args) -> int:
     if args.svg is not None and _same_output(args.out, args.svg):
         raise UsageError(f"--svg {args.svg!r} names the same output as --out {args.out!r}")
     _check_outputs([args.out, args.svg or "-"])
-    runner = {"bits": sweep_bits, "multiplier": sweep_multiplier, "grid": sweep_grid}
-    result = runner[args.axis](spec, workers=args.workers)
+    # --workers is accepted on every axis; only the grid's batches use it
+    if args.axis == "grid":
+        result = sweep_grid(spec, workers=args.workers)
+    else:
+        result = {"bits": sweep_bits, "multiplier": sweep_multiplier}[args.axis](spec)
     outputs = [(args.out, reporting.sweep_to_csv(result))]
     if args.svg is not None:
         try:

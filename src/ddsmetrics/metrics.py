@@ -21,18 +21,18 @@ O(pieces):
   1985); at the quantizer's whole-turn arguments Hankel's expansion sums
   them into a few zeta values.
 
-:func:`evaluate_columns` evaluates the digitized rows of many multipliers
-p/q, one column of quantizers per multiplier. Consecutive columns go in
-batches whose pieces lie end to end in one set of arrays, so what
-depends on the multipliers alone, bounds included, is built once per
-batch; the quantizers go through whole-matrix calls, a group of level
-rows at a time, each row spanning the whole batch. :func:`held_columns`
-evaluates a batch of held rows p/q, their candidate pieces built as one
-matrix and laid end to end in the same way. Both engines take the
-multipliers as integer pairs (p, q), return one list per report field
-(see ``REPORT_FIELDS``), and take their suprema from one segmented
-pass, :meth:`_Pieces.supremum`. Either way a row of a sweep costs a few
-Python-level steps rather than a few dozen numpy calls.
+Apart from the target model, :func:`evaluate` is a batch of one of three
+engines, each of which takes a whole sweep axis in one call and returns
+one list per report field (see ``REPORT_FIELDS``): :func:`quantized_columns`,
+O(1) per quantizer; :func:`held_columns`, held rows p/q in chunks whose
+candidate pieces form one matrix; :func:`evaluate_columns`, digitized rows,
+one column of quantizers per multiplier p/q. The last lays consecutive
+columns' pieces end to end in batches, so what depends on the multipliers
+alone, bounds included, is built once per batch, and takes the quantizers
+through whole-matrix calls; its batches are the only tasks that may run on
+a thread pool. The held and digitized engines take integer pairs (p, q)
+and their suprema from one segmented pass, :meth:`_Pieces.supremum`, so a
+row of a sweep costs a few Python-level steps, not a few dozen numpy calls.
 
 The step levels come from :func:`ddsmetrics.signals.step_levels`, the
 definition the pointwise models use. The probe-grid and DFT estimators
@@ -42,8 +42,10 @@ that check this engine live with the tests, in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
-from itertools import chain
+from functools import partial
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -71,7 +73,7 @@ __all__ = [
     "evaluate",
     "evaluate_columns",
     "held_columns",
-    "report_columns",
+    "quantized_columns",
     "reports_from_columns",
 ]
 
@@ -90,6 +92,10 @@ _COLUMN_CHUNK = 1 << 16
 # up to this many in all (see column_batches), so that a batch of small
 # columns shares one set of array calls and a group holds at least 4 rows.
 _BATCH_PIECES = _COLUMN_CHUNK // 4
+
+# held_columns() takes its rows in chunks of this many, one pass of array
+# operations each: about 1.6 KB of temporaries per row, 1.6 MB per chunk.
+_HELD_CHUNK = 1024
 
 # Up to this many bits quantized THD sums over the at most 8 thresholds:
 # the Hankel series of _bessel_sums is only asymptotic and falls short
@@ -151,13 +157,8 @@ class MetricsReport:
 REPORT_FIELDS = tuple(field.name for field in fields(MetricsReport))
 
 
-def report_columns(reports: Sequence[MetricsReport]) -> dict[str, list]:
-    """The reports as columns, one list per field of ``REPORT_FIELDS``."""
-    return {name: [getattr(r, name) for r in reports] for name in REPORT_FIELDS}
-
-
 def reports_from_columns(columns: dict[str, list]) -> list[MetricsReport]:
-    """The reports that :func:`report_columns` holds, one per position."""
+    """The reports that ``columns`` holds, one per position."""
     return list(map(MetricsReport, *(columns[name] for name in REPORT_FIELDS)))
 
 
@@ -513,64 +514,87 @@ def evaluate(model: WaveformModel) -> MetricsReport:
 
     Max error is the exact supremum and THD the exact Parseval value: in
     O(1) for a quantized model (a closed-form supremum and Bessel-series
-    THD) and a held one (closed-form THD, a constant-size set of
-    candidate pieces), which is a batch of one row
-    (:func:`held_columns`), in O(pieces) for a digitized one, which is a
-    batch of one column of one row (:func:`evaluate_columns`). ``thd_db`` is None when
-    the ratio is 0 (target model) and both THD fields are None when the
-    signal has no fundamental (such as a held model with p <= 2, whose
-    levels are all 0). :class:`CapExceeded` is raised before anything is
-    allocated when the model has more than ``MAX_PIECES`` pieces, held
-    rows included.
+    THD), which is a batch of one quantizer (:func:`quantized_columns`),
+    and a held one (closed-form THD, a constant-size set of candidate
+    pieces), which is a batch of one row (:func:`held_columns`), in
+    O(pieces) for a digitized one, which is a batch of one column of one
+    row (:func:`evaluate_columns`). ``thd_db`` is None when the ratio is
+    0 (target model) and both THD fields are None when the signal has no
+    fundamental (such as a held model with p <= 2, whose levels are all
+    0). :class:`CapExceeded` is raised before anything is allocated when
+    the model has more than ``MAX_PIECES`` pieces, held rows included.
     """
-    if model.kind in (ModelKind.DIGITIZED, ModelKind.HELD):
-        timing = model.timing
-        rows = [(timing.multiplier_num, timing.multiplier_den)]
-        columns = (
-            held_columns(model.spec, rows) if model.kind is ModelKind.HELD
-            else evaluate_columns(model.spec, rows, [model.quantizer])
-        )
-        return reports_from_columns(columns)[0]
-    f = model.spec.frequency_hz
+    spec = model.spec
     if model.kind is ModelKind.TARGET:
         return MetricsReport(
-            ModelKind.TARGET.value, f, None, None, None, None, 0.0, 0.0, 0.0, None, 0.0, 0.0
+            ModelKind.TARGET.value, spec.frequency_hz,
+            None, None, None, None, 0.0, 0.0, 0.0, None, 0.0, 0.0,
         )
-    quantizer = model.quantizer
-    err, argmax_t = _quantized_supremum(quantizer, f)
-    bound = bounds.quantization_error_bound(quantizer.bits)
-    return MetricsReport(
-        ModelKind.QUANTIZED.value, f, quantizer.bits, quantizer.mode.value, None, None,
-        err, argmax_t, *_quantized_thd(quantizer), bound, bound,
+    if model.kind is ModelKind.QUANTIZED:
+        return reports_from_columns(quantized_columns(spec, [model.quantizer]))[0]
+    rows = [(model.timing.multiplier_num, model.timing.multiplier_den)]
+    columns = (
+        held_columns(spec, rows) if model.kind is ModelKind.HELD
+        else evaluate_columns(spec, rows, [model.quantizer])
     )
+    return reports_from_columns(columns)[0]
+
+
+def quantized_columns(spec: SignalSpec, quantizers: Sequence[QuantizerConfig]) -> dict[str, list]:
+    """The quantized reports of the quantizers, as columns (see
+    ``REPORT_FIELDS``), in their order: :func:`_quantized_supremum`,
+    :func:`_quantized_thd` and the bound of each, O(1) apiece."""
+    f, n = spec.frequency_hz, len(quantizers)
+    suprema = [_quantized_supremum(quantizer, f) for quantizer in quantizers]
+    thds = [_quantized_thd(quantizer) for quantizer in quantizers]
+    bound = [bounds.quantization_error_bound(quantizer.bits) for quantizer in quantizers]
+    return {
+        "model": [ModelKind.QUANTIZED.value] * n, "freq_hz": [f] * n,
+        "bits": [quantizer.bits for quantizer in quantizers],
+        "mode": [quantizer.mode.value for quantizer in quantizers],
+        "m_num": [None] * n, "m_den": [None] * n,
+        "max_abs_error": [error for error, _ in suprema],
+        "argmax_time_s": [t for _, t in suprema],
+        "thd_ratio": [ratio for ratio, _ in thds], "thd_db": [db for _, db in thds],
+        "paper_bound": bound, "strict_bound": bound.copy(),
+    }
+
+
+# The fields of a held or digitized report that the pieces give.
+_COMPUTED = ("max_abs_error", "argmax_time_s", "thd_ratio", "thd_db")
 
 
 def held_columns(spec: SignalSpec, rows: Sequence[tuple[int, int]]) -> dict[str, list]:
     """The held reports of the multipliers p/q of ``rows``, each in lowest
-    terms, as columns (see ``REPORT_FIELDS``), in their order. The
-    candidate pieces of every row (see :func:`_held_pieces`) are built as
-    one matrix and go through one pass of array operations, and so does
-    the THD (see :func:`_held_thd`); the modular inverse, the sines, the
-    argmax tick and the bounds stay per row, in Python integers and
-    floats. :class:`CapExceeded` is raised before any pieces are built
-    when some row has more than ``MAX_PIECES`` pieces.
+    terms, as columns (see ``REPORT_FIELDS``), in their order. The rows
+    go in chunks of ``_HELD_CHUNK``: the candidate pieces of every row of
+    a chunk (see :func:`_held_pieces`) are built as one matrix and go
+    through one pass of array operations, and so does the THD (see
+    :func:`_held_thd`); the modular inverse, the sines, the argmax tick
+    and the bounds stay per row, in Python integers and floats.
+    :class:`CapExceeded` is raised before any pieces are built when some
+    row has more than ``MAX_PIECES`` pieces.
     """
     for p, q in rows:
         check_pieces(p, q)
-    if not rows:
-        return {name: [] for name in REPORT_FIELDS}
     f, n = spec.frequency_hz, len(rows)
-    pieces = _Pieces(f, rows, *_held_pieces(rows))
-    errors, times = pieces.supremum(pieces.start)
-    ratios, dbs = _held_thd(rows)
-    paper, strict = zip(*bounds.held_bounds(f, [_gap(f, p, q) for p, q in rows]))
-    nums, dens = zip(*rows)
-    return {
+    filled = (*_COMPUTED, "paper_bound", "strict_bound")
+    columns = {
         "model": [ModelKind.HELD.value] * n, "freq_hz": [f] * n,
-        "bits": [None] * n, "mode": [None] * n, "m_num": list(nums), "m_den": list(dens),
-        "max_abs_error": errors, "argmax_time_s": times, "thd_ratio": ratios,
-        "thd_db": dbs, "paper_bound": list(paper), "strict_bound": list(strict),
+        "bits": [None] * n, "mode": [None] * n,
+        "m_num": [p for p, _ in rows], "m_den": [q for _, q in rows],
+        **{name: [] for name in filled},
     }
+    for first in range(0, n, _HELD_CHUNK):
+        chunk = rows[first:first + _HELD_CHUNK]
+        pieces = _Pieces(f, chunk, *_held_pieces(chunk))
+        values = (
+            *pieces.supremum(pieces.start), *_held_thd(chunk),
+            *zip(*bounds.held_bounds(f, [_gap(f, p, q) for p, q in chunk])),
+        )
+        for name, chunk_values in zip(filled, values):
+            columns[name] += chunk_values
+    return columns
 
 
 def column_batches(rows: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -588,12 +612,11 @@ def column_batches(rows: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]
     return batches
 
 
-# The fields of a digitized report that _evaluate_batch computes.
-_COMPUTED = ("max_abs_error", "argmax_time_s", "thd_ratio", "thd_db")
-
-
 def evaluate_columns(
-    spec: SignalSpec, rows: Sequence[tuple[int, int]], quantizers: Sequence[QuantizerConfig]
+    spec: SignalSpec,
+    rows: Sequence[tuple[int, int]],
+    quantizers: Sequence[QuantizerConfig],
+    workers: int = 1,
 ) -> dict[str, list]:
     """:func:`evaluate` of the digitized models of each multiplier p/q of
     ``rows``, each in lowest terms, and each quantizer, as columns (see
@@ -608,8 +631,11 @@ def evaluate_columns(
     row each: a group's levels, candidate errors and suprema are
     whole-matrix calls, its means one call per column, and only the two
     dot products and the argmax tick stay per row and column.
-    :class:`CapExceeded` is raised before anything is allocated when some
-    row has more than ``MAX_PIECES`` pieces.
+
+    The batches run on a pool of ``min(workers, batches, os.cpu_count())``
+    threads where that is above 1, each filling its own slice of the
+    columns. :class:`CapExceeded` is raised before anything is allocated
+    when some row has more than ``MAX_PIECES`` pieces.
     """
     for p, q in rows:
         check_pieces(p, q)
@@ -628,18 +654,27 @@ def evaluate_columns(
         **{name: [None] * size for name in _COMPUTED},
         "paper_bound": list(paper), "strict_bound": list(strict),
     }
-    first = 0
-    for batch in column_batches(rows):
-        _evaluate_batch(f, batch, quantizers, columns, first)
-        first += len(batch) * n
+    batches = column_batches(rows)
+    # the position of each batch's first report
+    firsts = accumulate((len(batch) * n for batch in batches[:-1]), initial=0)
+    run = partial(_evaluate_batch, f, quantizers, columns)
+    workers = min(workers, len(batches), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here, so that importing the package loads no pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, batches, firsts))
+    else:
+        list(map(run, batches, firsts))
     return columns
 
 
 def _evaluate_batch(
     f: float,
-    rows: list[tuple[int, int]],
     quantizers: Sequence[QuantizerConfig],
     columns: dict[str, list],
+    rows: list[tuple[int, int]],
     first: int,
 ) -> None:
     """Fill the computed fields (see ``_COMPUTED``) of the reports of

@@ -15,14 +15,14 @@ whole sweep if a snapped multiplier has more pieces than
 ``MAX_PIECES``. An axis given by decades and points per decade holds at
 most ``MAX_AXIS_POINTS`` points. Each distinct snapped multiplier is
 evaluated once, and its report (or column) serves every axis point that
-snaps to it. The bits sweep evaluates one row per task; the multiplier
-sweep a batch of up to ``_HELD_CHUNK`` held rows per task, whose
-candidate pieces share one pass of array operations; the grid a batch
-of consecutive multipliers' columns of bit counts per task (see
-:func:`~ddsmetrics.metrics.column_batches`), whose pieces likewise share
-one pass, the work that depends on the multipliers alone included. Tasks
-are independent and may be run by a thread pool, but the result order is
-fixed by the parameter axes, never by completion order.
+snaps to it. Each sweep is one call of an engine of
+:mod:`~ddsmetrics.metrics`, which decides how its rows are batched: the
+bits sweep :func:`~ddsmetrics.metrics.quantized_columns`, the multiplier
+sweep :func:`~ddsmetrics.metrics.held_columns` and the grid
+:func:`~ddsmetrics.metrics.evaluate_columns`. Only the grid takes
+``workers``, which its engine passes to a thread pool of its batches;
+the result order is fixed by the parameter axes, never by completion
+order.
 
 A :class:`SweepResult` holds its rows as columns: the distinct reports,
 one list per report field, and per row the position of its report among
@@ -36,28 +36,17 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .metrics import (
-    REPORT_FIELDS,
     MetricsReport,
     check_pieces,
-    column_batches,
-    evaluate,
     evaluate_columns,
     held_columns,
-    report_columns,
+    quantized_columns,
     reports_from_columns,
 )
-from .signals import (
-    QuantizationMode,
-    QuantizerConfig,
-    SignalSpec,
-    TimingConfig,
-    WaveformModel,
-)
+from .signals import QuantizationMode, QuantizerConfig, SignalSpec, TimingConfig
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -83,11 +72,6 @@ _SWEEP_FREQUENCY_HZ = 1.0
 
 # Longest multiplier axis built from decades and points per decade.
 MAX_AXIS_POINTS = 1 << 20
-
-# Held rows per task of a multiplier sweep. A batch's temporaries take
-# about 1.6 KB per row, so a task holds about 1.6 MB at most, whatever the
-# length of the axis.
-_HELD_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -281,18 +265,6 @@ def snap_multiplier(requested: float, q_max: int) -> TimingConfig:
     return TimingConfig(*_snap(requested, q_max))
 
 
-def _run_ordered(
-    tasks: Sequence, worker: Callable, workers: int
-) -> list:
-    if workers > 1 and len(tasks) > 1:
-        # imported here, so that importing the package loads no pool
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
-
-
 def _snapped_axis(spec: SweepSpec) -> tuple[list[float], list[tuple[int, int]], list[int]]:
     """The requested multipliers of the axis; the distinct snapped
     multipliers (p, q), in order of first appearance; and the position
@@ -313,65 +285,47 @@ def _snapped_axis(spec: SweepSpec) -> tuple[list[float], list[tuple[int, int]], 
     return requested, list(positions), index
 
 
-def _joined(batches: list[dict[str, list]]) -> dict[str, list]:
-    """The report columns of each task, joined in task order."""
-    return {
-        name: list(chain.from_iterable(batch[name] for batch in batches))
-        for name in REPORT_FIELDS
-    }
-
-
 def _flags(pairs: list[tuple[int, int]], index: list[int]) -> list[tuple[str, ...]]:
     """The flags of each axis point, from its snapped multiplier."""
     flags = [(FLAG_SUBNYQUIST,) if p < 2 * q else () for p, q in pairs]
     return list(map(flags.__getitem__, index))
 
 
-def sweep_bits(spec: SweepSpec, workers: int = 1) -> SweepResult:
+def sweep_bits(spec: SweepSpec) -> SweepResult:
     """One row per bit count for the quantized model, bits ascending."""
-    signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
-
-    def one(bits: int) -> MetricsReport:
-        return evaluate(WaveformModel.quantized(signal, QuantizerConfig(bits, spec.mode)))
-
-    reports = _run_ordered(spec.bits_axis(), one, workers)
-    n = len(reports)
+    quantizers = [QuantizerConfig(bits, spec.mode) for bits in spec.bits_axis()]
+    n = len(quantizers)
     return SweepResult(
-        "bits", spec, report_columns(reports), list(range(n)), [None] * n, [()] * n
+        "bits", spec, quantized_columns(SignalSpec(_SWEEP_FREQUENCY_HZ), quantizers),
+        list(range(n)), [None] * n, [()] * n,
     )
 
 
-def sweep_multiplier(spec: SweepSpec, workers: int = 1) -> SweepResult:
+def sweep_multiplier(spec: SweepSpec) -> SweepResult:
     """One row per requested multiplier for the held model, ascending.
-    The distinct snapped multipliers are evaluated in batches of
-    ``_HELD_CHUNK`` rows, one batch per task, as columns."""
-    signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
+    The distinct snapped multipliers are evaluated in one call of
+    :func:`~ddsmetrics.metrics.held_columns`."""
     requested, pairs, index = _snapped_axis(spec)
-    chunks = [pairs[i:i + _HELD_CHUNK] for i in range(0, len(pairs), _HELD_CHUNK)]
-    batches = _run_ordered(chunks, lambda chunk: held_columns(signal, chunk), workers)
     return SweepResult(
-        "multiplier", spec, _joined(batches), index, requested, _flags(pairs, index)
+        "multiplier", spec, held_columns(SignalSpec(_SWEEP_FREQUENCY_HZ), pairs),
+        index, requested, _flags(pairs, index),
     )
 
 
 def sweep_grid(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """One row per (bits, multiplier) pair for the digitized model,
     row-major with bits outermost, both axes ascending. Each distinct
-    snapped multiplier's column of bit counts is evaluated once; a task
-    is a batch of consecutive columns (see
-    :func:`~ddsmetrics.metrics.column_batches`) whose pieces share one
-    pass of array operations."""
+    snapped multiplier's column of bit counts is evaluated once, in one
+    call of :func:`~ddsmetrics.metrics.evaluate_columns`, which runs its
+    batches of consecutive columns on up to ``workers`` threads."""
     signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
     quantizers = [QuantizerConfig(bits, spec.mode) for bits in spec.bits_axis()]
     requested, pairs, index = _snapped_axis(spec)
-    batches = _run_ordered(
-        column_batches(pairs), lambda batch: evaluate_columns(signal, batch, quantizers), workers
-    )
     # the report of bit count b of distinct multiplier i is report
     # i*len(quantizers) + b
     n = len(quantizers)
     return SweepResult(
-        "grid", spec, _joined(batches),
+        "grid", spec, evaluate_columns(signal, pairs, quantizers, workers),
         [i * n + b for b in range(n) for i in index],
         requested * n, _flags(pairs, index) * n,
     )

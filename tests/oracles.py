@@ -28,6 +28,7 @@ import numpy as np
 
 from ddsmetrics import bounds
 from ddsmetrics.metrics import (
+    REPORT_FIELDS,
     CapExceeded,
     MetricsReport,
     _parseval_thd,
@@ -35,7 +36,6 @@ from ddsmetrics.metrics import (
     _turns,
     _windows,
     check_pieces,
-    report_columns,
 )
 from ddsmetrics.signals import (
     ModelKind,
@@ -488,6 +488,11 @@ def snap_by_fraction(requested, q_max: int) -> TimingConfig:
     if (gap1, q1, p1) < (gaps, qs, ps):
         return TimingConfig(p1, q1)
     return TimingConfig(ps, qs)
+
+
+def report_columns(reports) -> dict[str, list]:
+    """The reports as columns, one list per field of ``REPORT_FIELDS``."""
+    return {name: [getattr(r, name) for r in reports] for name in REPORT_FIELDS}
 
 
 def result_from_rows(kind: str, rows, spec) -> SweepResult:

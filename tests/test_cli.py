@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -458,6 +459,59 @@ class TestNoThreadPool:
         assert proc.stdout == "[]\n"
 
 
+def refuse_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was started")
+
+
+class TestWorkersOnEveryAxis:
+    """``--workers`` is accepted on every axis. The bits and multiplier
+    sweeps are one engine call each and start no pool; the grid's engine
+    runs more than one batch on one."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "bits"],
+            # q_max 1000 keeps about 2200 distinct timings: three held chunks
+            ["sweep", "multiplier", "--decades-from", "0.5", "--decades-to", "2.5",
+             "--points-per-decade", "1100", "--qmax", "1000"],
+        ],
+        ids=["bits", "multiplier-three-chunks"],
+    )
+    def test_two_workers_start_no_pool_and_equal_one(self, capsys, monkeypatch, tmp_path, argv):
+        outputs = []
+        for workers in ("1", "2"):
+            if workers == "2":
+                monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse_pool)
+            svg = tmp_path / f"{workers}.svg"
+            code, out, err = run_cli(capsys, *argv, "--workers", workers, "--svg", str(svg))
+            assert code == 0, err
+            outputs.append((out, err, svg.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].count("\n") > 16
+
+    def test_grid_of_many_batches_reaches_the_pool(self, capsys, monkeypatch):
+        # 20000 and 17000 are batches of their own and cut the smaller
+        # columns into three more
+        argv = ["sweep", "grid", "--bits-to", "4",
+                "--multipliers", "5,20000,3.5,17000,1,2,6000,9000"]
+        code, serial, _ = run_cli(capsys, *argv, "--workers", "1")
+        assert code == 0
+        sizes = []
+        pool_class = concurrent.futures.ThreadPoolExecutor
+
+        def recorded(max_workers):
+            sizes.append(max_workers)
+            return pool_class(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, parallel, _ = run_cli(capsys, *argv, "--workers", "2")
+        assert code == 0
+        assert sizes == [2]
+        assert parallel == serial
+
+
 class TestEmptyOutputPath:
     """An empty path once passed the output check (``os.stat('')`` is a
     missing file), ran every row, then tried to replace the working
@@ -913,7 +967,7 @@ class TestOneOutputForCsvAndSvg:
         def refuse(*args):
             raise AssertionError("a row was evaluated")
 
-        monkeypatch.setattr(sweeps, "evaluate", refuse)
+        monkeypatch.setattr(sweeps, "quantized_columns", refuse)
 
     def refused(self, capsys, out, svg):
         code, stdout, err = run_cli(

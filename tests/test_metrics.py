@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import os
+import sys
 import tracemalloc
 from functools import lru_cache
 
@@ -24,6 +27,7 @@ from ddsmetrics.metrics import (
     evaluate,
     evaluate_columns,
     held_columns,
+    quantized_columns,
     reports_from_columns,
 )
 from oracles import (
@@ -1035,15 +1039,72 @@ class TestColumnBatches:
         assert peaks[64] <= 1.1 * peaks[16]
 
 
+# Five columns of over half a batch each: five batches of one column.
+POOL_ROWS = [(metrics._BATCH_PIECES // 2 + k, 7) for k in (1, 2, 4, 5, 8)]
+
+
+class TestBatchPool:
+    """evaluate_columns runs its batches on a pool of
+    min(workers, batches, os.cpu_count()) threads, and only where that is
+    above 1; each batch fills its own slice of the columns. The pool here
+    is a stand-in that records its size and runs the batches last to
+    first on this thread, so no thread is started."""
+
+    @pytest.mark.parametrize(
+        "workers,cpus,size",
+        [(4000, 64, 5), (4000, 2, 2), (3, 64, 3), (2, 1, None), (2, None, None), (1, 64, None)],
+    )
+    def test_pool_size_is_bounded(self, monkeypatch, workers, cpus, size):
+        quantizers = MIXED_QUANTIZERS[:3]
+        assert len(column_batches(POOL_ROWS)) == 5
+        serial = evaluate_columns(SPEC, POOL_ROWS, quantizers)
+        sizes = []
+
+        class ReversedPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, *iterables):
+                return [fn(*args) for args in reversed(list(zip(*iterables)))]
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", ReversedPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert evaluate_columns(SPEC, POOL_ROWS, quantizers, workers) == serial
+        assert sizes == ([] if size is None else [size])
+
+    def test_threads_equal_serial(self, monkeypatch):
+        # four threads, more than this machine may have cores, switching
+        # often: a batch that wrote outside its own slice, or a lost
+        # write, would change some report
+        quantizers = MIXED_QUANTIZERS[:3]
+        serial = evaluate_columns(SPEC, POOL_ROWS, quantizers)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = [evaluate_columns(SPEC, POOL_ROWS, quantizers, 4) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == [serial] * 3
+
+
 # Multipliers (p, q) in lowest terms: no fundamental (p <= 2), ordinary
 # rows, and a denominator past int64.
 CONTRACT_ROWS = [(1, 1), (7, 3), (2, 3), (4099, 7), (17, 4), (3, 10**20 + 1)]
 
 
 class TestReportColumnsContract:
-    """Both engines take integer pairs (p, q) and return one list per
-    field of REPORT_FIELDS, one entry per row and quantizer (a held row
-    has no quantizer), that reads back as the cells evaluated alone."""
+    """The three engines return one list per field of REPORT_FIELDS, one
+    entry per row and quantizer (a held row has no quantizer, a quantized
+    one no row). The held and digitized engines take integer pairs
+    (p, q), and their columns read back as the cells evaluated alone; the
+    quantized engine's equal its per-quantizer helpers."""
 
     def check_layout(self, columns, size):
         assert list(columns) == list(REPORT_FIELDS)
@@ -1073,6 +1134,36 @@ class TestReportColumnsContract:
             evaluate(WaveformModel.digitized(spec, TimingConfig(p, q), quantizer))
             for p, q in rows for quantizer in quantizers
         ]
+
+    @pytest.mark.parametrize("count", [0, 1, len(MIXED_QUANTIZERS)])
+    @pytest.mark.parametrize("freq", [1.0, 3.3])
+    def test_quantized_columns(self, count, freq):
+        quantizers = MIXED_QUANTIZERS[:count]
+        columns = quantized_columns(SignalSpec(freq), quantizers)
+        self.check_layout(columns, count)
+        assert columns["model"] == ["quantized"] * count
+        assert columns["freq_hz"] == [freq] * count
+        assert columns["bits"] == [quantizer.bits for quantizer in quantizers]
+        assert columns["mode"] == [quantizer.mode.value for quantizer in quantizers]
+        assert columns["m_num"] == columns["m_den"] == [None] * count
+
+    @pytest.mark.parametrize("freq", [1.0, 3.3])
+    def test_quantized_columns_equal_the_per_quantizer_helpers(self, freq):
+        quantizers = [
+            QuantizerConfig(bits, mode) for bits in range(1, 53) for mode in QuantizationMode
+        ]
+        expected = []
+        for quantizer in quantizers:
+            bound = bounds.quantization_error_bound(quantizer.bits)
+            expected.append((
+                *metrics._quantized_supremum(quantizer, freq),
+                *metrics._quantized_thd(quantizer), bound, bound,
+            ))
+        columns = quantized_columns(SignalSpec(freq), quantizers)
+        computed = (
+            "max_abs_error", "argmax_time_s", "thd_ratio", "thd_db", "paper_bound", "strict_bound"
+        )
+        assert list(zip(*map(columns.__getitem__, computed))) == expected
 
     def test_evaluate_columns_builds_no_report(self, monkeypatch):
         built = []
@@ -1138,7 +1229,7 @@ class TestEvaluateHeld:
             assert (report.thd_db is None) == degenerate
 
     @pytest.mark.parametrize(
-        "size", [1, sweeps._HELD_CHUNK - 1, sweeps._HELD_CHUNK, sweeps._HELD_CHUNK + 1]
+        "size", [1, metrics._HELD_CHUNK - 1, metrics._HELD_CHUNK, metrics._HELD_CHUNK + 1]
     )
     def test_batches_around_the_sweep_chunk(self, size):
         rng = np.random.default_rng(size)

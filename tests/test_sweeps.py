@@ -22,7 +22,7 @@ from ddsmetrics.signals import (
     TimingConfig,
     WaveformModel,
 )
-from ddsmetrics import sweeps
+from ddsmetrics import metrics, sweeps
 from ddsmetrics.metrics import MAX_PIECES, CapExceeded, MetricsReport, evaluate
 from ddsmetrics.sweeps import (
     FLAG_SUBNYQUIST,
@@ -275,16 +275,17 @@ class TestSweepMultiplier:
         assert FLAG_SUBNYQUIST not in rows[1].flags
 
     @pytest.mark.parametrize(
-        "sweep", [sweep_multiplier, sweep_grid], ids=["multiplier", "grid"]
+        "sweep,engine",
+        [(sweep_multiplier, "held_columns"), (sweep_grid, "evaluate_columns")],
+        ids=["multiplier", "grid"],
     )
-    def test_over_cap_multiplier_refuses_the_sweep(self, sweep, monkeypatch):
+    def test_over_cap_multiplier_refuses_the_sweep(self, sweep, engine, monkeypatch):
+        # the engine the sweep calls, recorded: no row may reach it
         evaluated = []
-        monkeypatch.setattr(
-            sweeps, "evaluate", lambda model: evaluated.append(model)
-        )
+        monkeypatch.setattr(sweeps, engine, lambda *args: evaluated.append(args))
         spec = SweepSpec(bits_from=2, bits_to=3, multipliers=(4.0, MAX_PIECES + 1.0))
         with pytest.raises(CapExceeded) as exc_info:
-            sweep(spec, workers=2)
+            sweep(spec)
         assert exc_info.value.p == MAX_PIECES + 1
         assert evaluated == []
 
@@ -441,12 +442,12 @@ class TestGridColumns:
         assert list(rows) == per_cell_rows(spec)
 
     def test_repeated_multipliers_evaluate_one_column(self, monkeypatch):
-        batches = []
+        calls = []
         original = sweeps.evaluate_columns
 
-        def counted(signal, rows, quantizers):
-            batches.append(list(rows))
-            return original(signal, rows, quantizers)
+        def counted(signal, rows, quantizers, workers):
+            calls.append(list(rows))
+            return original(signal, rows, quantizers, workers)
 
         monkeypatch.setattr(sweeps, "evaluate_columns", counted)
         # 3.001 and 3.002 both snap to 3/1; 20000 is a batch of its own
@@ -455,10 +456,8 @@ class TestGridColumns:
             multipliers=(4.0, 3.001, 3.002, 4.0, 97.0, 4.0, 20000.0, 1.5, 97.0),
         )
         rows = sweep_grid(spec).rows
-        assert [row for batch in batches for row in batch] == [
-            (4, 1), (3, 1), (97, 1), (20000, 1), (3, 2),
-        ]
-        assert len(batches) == 3
+        assert calls == [[(4, 1), (3, 1), (97, 1), (20000, 1), (3, 2)]]
+        assert len(metrics.column_batches(calls[0])) == 3
         assert list(rows) == per_cell_rows(spec)
 
     def test_batches_on_workers_equal_per_cell_evaluate(self):
@@ -469,7 +468,7 @@ class TestGridColumns:
             multipliers=(5.0, 20000.0, 3.5, 17000.0, 1.0, 2.0, 6000.0, 9000.0),
         )
         _, pairs, _ = sweeps._snapped_axis(spec)
-        batches = sweeps.column_batches(pairs)
+        batches = metrics.column_batches(pairs)
         assert len(batches) == 5
         serial = sweep_grid(spec, workers=1).rows
         assert sweep_grid(spec, workers=2).rows == serial
@@ -490,23 +489,24 @@ def per_row_multiplier_rows(spec):
 
 class TestHeldBatches:
     """The multiplier sweep evaluates its distinct snapped timings in
-    batches of ``_HELD_CHUNK`` rows, equal to evaluating every row alone."""
+    one call of held_columns, which takes them in chunks of
+    ``_HELD_CHUNK`` rows, equal to evaluating every row alone."""
 
     @pytest.mark.parametrize(
-        "size", [1, sweeps._HELD_CHUNK - 1, sweeps._HELD_CHUNK, sweeps._HELD_CHUNK + 1]
+        "size", [1, metrics._HELD_CHUNK - 1, metrics._HELD_CHUNK, metrics._HELD_CHUNK + 1]
     )
     def test_rows_around_the_chunk_equal_per_row_evaluate(self, size):
         spec = SweepSpec(multipliers=tuple(3.0 + k / 7.0 for k in range(size)))
         assert list(sweep_multiplier(spec).rows) == per_row_multiplier_rows(spec)
 
-    def test_workers_give_identical_rows(self):
+    def test_three_chunks_equal_per_row_evaluate(self):
         # q_max 1000 keeps about 2200 distinct timings: three chunks
         spec = SweepSpec(
             decades_from=0.5, decades_to=2.5, points_per_decade=1100, q_max=1000
         )
-        serial = sweep_multiplier(spec, workers=1).rows
-        assert sweep_multiplier(spec, workers=2).rows == serial
-        assert list(serial) == per_row_multiplier_rows(spec)
+        _, pairs, _ = sweeps._snapped_axis(spec)
+        assert 2 * metrics._HELD_CHUNK < len(pairs) <= 3 * metrics._HELD_CHUNK
+        assert list(sweep_multiplier(spec).rows) == per_row_multiplier_rows(spec)
 
     def test_repeated_multipliers_evaluate_one_row(self, monkeypatch):
         batches = []
