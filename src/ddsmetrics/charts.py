@@ -258,8 +258,11 @@ def render_line_chart(
 
 def _ramp_color(t: float) -> str:
     t = min(1.0, max(0.0, t))
-    rgb = tuple(round(lo + t * (hi - lo)) for lo, hi in zip(BLUE_ANCHOR, YELLOW_ANCHOR))
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+    (r0, g0, b0), (r1, g1, b1) = BLUE_ANCHOR, YELLOW_ANCHOR
+    return (
+        f"#{round(r0 + t * (r1 - r0)):02x}{round(g0 + t * (g1 - g0)):02x}"
+        f"{round(b0 + t * (b1 - b0)):02x}"
+    )
 
 
 def render_heatmap(result: SweepResult, style: ChartStyle, metric: str) -> str:
@@ -310,11 +313,13 @@ def render_heatmap(result: SweepResult, style: ChartStyle, metric: str) -> str:
             "low_color": _ramp_color(0.0), "high_color": _ramp_color(1.0)}
     lines.append(f"<metadata>{json.dumps(meta, sort_keys=True)}</metadata>")
 
+    # every cell of a column shares its x text, of a row its y text
+    xs = [f"{left + mi * cell_w:.2f}" for mi in range(len(mult_axis))]
+    size = f'width="{cell_w:.2f}" height="{cell_h:.2f}"'
     for bi, bits in enumerate(bits_axis):
         # bits increase upward
-        y = bottom - (bi + 1) * cell_h
-        for mi, mult in enumerate(mult_axis):
-            x = left + mi * cell_w
+        y = f"{bottom - (bi + 1) * cell_h:.2f}"
+        for x, mult in zip(xs, mult_axis):
             v = values[(bits, mult)]
             if v is None:
                 fill = MISSING_FILL
@@ -322,10 +327,7 @@ def render_heatmap(result: SweepResult, style: ChartStyle, metric: str) -> str:
                 fill = _ramp_color(0.0)
             else:
                 fill = _ramp_color((v - lo) / (hi - lo))
-            lines.append(
-                f'<rect class="cell" x="{x:.2f}" y="{y:.2f}" width="{cell_w:.2f}" '
-                f'height="{cell_h:.2f}" fill="{fill}"/>'
-            )
+            lines.append(f'<rect class="cell" x="{x}" y="{y}" {size} fill="{fill}"/>')
 
     max_x_labels = 12
     stride = max(1, math.ceil(len(mult_axis) / max_x_labels))

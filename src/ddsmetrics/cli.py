@@ -307,12 +307,14 @@ def cmd_bounds(args) -> int:
         timing = _resolve_timing(args)
     _check_times(args.freq, timing)
     data = bounds_mod.report(args.freq, timing, args.bits)
-    if data.get("max_phase_shift_rad") == math.inf:
-        flag = "--multiplier" if args.multiplier is not None else "--dt"
-        raise UsageError(
-            f"{flag} is out of range: the phase shift 2*pi*f*dt overflows at "
-            f"f*dt = {args.freq * data['dt_s']!r} turns"
-        )
+    # only the timing's figures can leave the float range, such as the
+    # phase shift 2*pi*f*dt or the clock 1/dt of a subnormal dt
+    for name, value in data.items():
+        if not math.isfinite(value):
+            flag = "--multiplier" if args.multiplier is not None else "--dt"
+            raise UsageError(
+                f"{flag} is out of range: {name} is {value!r} at dt = {data['dt_s']!r} s"
+            )
     _check_outputs([args.out])
     _write_outputs([(args.out, json.dumps(data, indent=2, allow_nan=False) + "\n")])
     return EXIT_OK

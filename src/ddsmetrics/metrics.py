@@ -249,8 +249,7 @@ class _Pieces:
         self.p, self.reach = p, reach
         self.r = (self.k * q_mod_p) % p
         self.start = step_levels(self.r, p)
-        self.halves = [_half_swing(f, p, q) for p, q in rows]
-        self.half = self._spread(self.halves)
+        self.half = self._spread([_half_swing(f, p, q) for p, q in rows])
         # sin(a + w) - sin(a) = 2*cos(a + w/2)*sin(w/2): the sine's change
         # from the start of each piece to the end, without cancellation.
         cosine = sin_turns_array(_turns(4 * self.r + 2 * twice_q + p, 4 * p))
@@ -268,16 +267,19 @@ class _Pieces:
             return values[0]
         return np.repeat(np.array(values), self.counts, axis=0).T
 
-    def supremum(self, level: np.ndarray) -> tuple[list[float], list[float]]:
+    def supremum(
+        self, level: np.ndarray, error: np.ndarray
+    ) -> tuple[list[float], list[float]]:
         """Exact supremum of each segment of each row of ``level`` (a
         matrix, or one row, of one level per piece), and the earliest time
         it is attained: two lists, with one entry per row and segment, row
         by row. A held batch is one row of many segments, a column many
-        rows of one, and a batch of columns many rows of many."""
+        rows of one, and a batch of columns many rows of many. ``error``
+        is ``level - start``, of the same shape; it is overwritten."""
         level = level.reshape(-1, len(self.k))
         # The largest of each piece's _errors, folded in place into one
         # array: the same floats, without four arrays alive at once.
-        buffer = level - self.start
+        buffer = error.reshape(level.shape)
         largest = np.abs(buffer)
         np.subtract(buffer, self.swing, out=buffer)
         np.maximum(largest, np.abs(buffer, out=buffer), out=largest)
@@ -589,7 +591,7 @@ def held_columns(spec: SignalSpec, rows: Sequence[tuple[int, int]]) -> dict[str,
         chunk = rows[first:first + _HELD_CHUNK]
         pieces = _Pieces(f, chunk, *_held_pieces(chunk))
         values = (
-            *pieces.supremum(pieces.start), *_held_thd(chunk),
+            *pieces.supremum(pieces.start, np.zeros(len(pieces.k))), *_held_thd(chunk),
             *zip(*bounds.held_bounds(f, [_gap(f, p, q) for p, q in chunk])),
         )
         for name, chunk_values in zip(filled, values):
@@ -679,18 +681,29 @@ def _evaluate_batch(
 ) -> None:
     """Fill the computed fields (see ``_COMPUTED``) of the reports of
     :func:`evaluate_columns` of one batch of rows p/q, whose first report
-    is at position ``first`` of ``columns``."""
+    is at position ``first`` of ``columns``.
+
+    THD composes the hold and the quantization exactly. With X the p-point
+    DFT of the levels in residue order, THD_seq**2 = (p*sum(L**2) -
+    X_0**2 - 2*|X_1|**2)/(2*|X_1|**2) is their discrete THD, and the hold
+    scales bin 1 of the step function by sinc(q/p) while leaving its AC
+    power, so THD**2 = THD_held**2 + THD_seq**2*(1 + THD_held**2), with
+    THD_held from :func:`_held_thd`. For p >= 3 the sine S at the residues
+    has X_0 = 0, X_1 = -1j*p/2 and sum(S**2) = p/2, so with E = L - S and
+    the means a = mean(E*cos) and b = mean(E*sin) over the residues,
+    THD_seq**2 = (mean(E**2) - mean(E)**2 - 2*(a**2 + b**2)) /
+    (2*(a**2 + (1/2 + b)**2)): no term of unit size is subtracted. Each
+    mean is one segmented sum over a group's matrix, whose order depends
+    on the segment alone, so a row's report is the same in any batch.
+    """
     counts = [p for p, _ in rows]
     width = sum(counts)
     starts = np.cumsum([0, *counts[:-1]])
     pieces = _Pieces(f, rows, np.arange(width) - np.repeat(starts, counts), counts)
-    # One DFT bin of the levels at their start phases, times the
-    # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
     cosine = sin_turns_array(_turns(4 * pieces.r + pieces.p, 4 * pieces.p))
-    # Each column is a slice of the batch: its means reduce each row's
-    # slice as np.mean reduces one row, and its dots are each row's own,
-    # since neither a segmented sum nor a matrix product sums in that order.
-    spans = [(a, a + p) for a, p in zip(starts.tolist(), counts)]
+    held = _held_thd(rows)[0]
+    # THD_held**2 of each column; a column of p < 3 has no fundamental
+    held_square = np.array([0.0 if ratio is None else ratio * ratio for ratio in held])
     errors, times, ratios, dbs = map(columns.__getitem__, _COMPUTED)
     n = len(quantizers)
     group_rows = max(1, _COLUMN_CHUNK // width)
@@ -699,33 +712,27 @@ def _evaluate_batch(
         level = np.empty((len(group), width))
         for i, quantizer in enumerate(group):
             quantize(pieces.start, quantizer, out=level[i])
-        square = level * level
-        sums = [
-            (np.add.reduce(level[:, a:b], axis=1).tolist(),
-             np.add.reduce(square[:, a:b], axis=1).tolist())
-            for a, b in spans
+        error = level - pieces.start
+        product = np.empty_like(error)
+        sums = [np.add.reduceat(error, starts, axis=1)] + [
+            np.add.reduceat(np.multiply(error, factor, out=product), starts, axis=1)
+            for factor in (error, cosine, pieces.start)
         ]
-        del square
-        bins = [
-            [
-                math.hypot(row[a:b].dot(cosine[a:b]), row[a:b].dot(pieces.start[a:b]))
-                for a, b in spans
-            ]
-            for row in level
-        ]
+        del product
+        mean, mean_square, a, b = (total / counts for total in sums)
+        harmonic = mean_square - mean * mean - 2.0 * (a * a + b * b)
+        fundamental = 2.0 * (a * a + (0.5 + b) * (0.5 + b))
+        sequence = np.maximum(harmonic, 0.0) / fundamental
+        thd = np.sqrt(held_square + sequence * (1.0 + held_square)).T.tolist()
         # entry i*len(rows) + c of the suprema is quantizer i of column c
-        suprema, argmax_times = pieces.supremum(level)
-        for c, ((p, q), half, (total, total_square)) in enumerate(zip(rows, pieces.halves, sums)):
+        suprema, argmax_times = pieces.supremum(level, error)
+        # free the group's levels before the next group's are allocated
+        del level, error
+        for c, ratio in enumerate(held):
             start = first + c * n + offset
             at = slice(start, start + len(group))
             errors[at] = suprema[c::len(rows)]
             times[at] = argmax_times[c::len(rows)]
-            ratios[at], dbs[at] = zip(*(
-                _parseval_thd(
-                    total[i] / p, total_square[i] / p,
-                    2.0 * row_bins[c] * abs(half) / (math.pi * q),
-                )
-                for i, row_bins in enumerate(bins)
-            ))
-        # free the group's levels before the next group's are allocated
-        del level
+            if ratio is not None:
+                ratios[at] = thd[c]
+                dbs[at] = [20.0 * math.log10(value) for value in thd[c]]

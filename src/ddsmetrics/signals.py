@@ -101,10 +101,6 @@ class SignalSpec:
         if not (isinstance(f, (int, float)) and math.isfinite(f) and f > 0):
             raise ValueError(f"frequency_hz must be positive and finite, got {f!r}")
 
-    @property
-    def period_s(self) -> float:
-        return 1.0 / self.frequency_hz
-
 
 class QuantizationMode(enum.Enum):
     """How an amplitude is mapped to the nearest converter level."""

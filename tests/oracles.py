@@ -9,7 +9,8 @@ period, so the DFT has no leakage and needs no window, and
 series of a staircase; :func:`thd` reads either spectrum. The exact
 engine, :func:`ddsmetrics.metrics.evaluate`, calls none of them.
 :func:`column_rows` is the exact engine's digitized column one quantizer
-at a time, the byte reference for its quantizer groups; :func:`held_rows`
+at a time, the byte reference for its suprema, with THD from the
+Parseval difference of the levels' unit-size terms; :func:`held_rows`
 its held batch one row at a time, from the candidate pieces of
 :func:`held_pieces_by_row` and the scalar THD of :func:`held_thd_by_row`;
 :func:`held_supremum` takes a held model's supremum over any set of its
@@ -371,7 +372,10 @@ def _report(model, err, argmax_t, thd_result):
 
 def column_rows(spec, timing, quantizers) -> list:
     """The digitized reports of one timing, one quantizer at a time: the
-    byte reference for :func:`ddsmetrics.metrics.evaluate_column`."""
+    byte reference for the suprema and bounds of
+    :func:`ddsmetrics.metrics.evaluate_columns`. THD is the AC power of
+    the levels less the fundamental's, both of unit size, so it loses
+    digits as THD falls: about 1e-7 relative near p = 2**15 at 52 bits."""
     p, q = timing.multiplier_num, timing.multiplier_den
     check_pieces(p, q)
     pieces = _Pieces(spec.frequency_hz, [(p, q)], np.arange(p, dtype=np.int64), [p])
@@ -437,7 +441,7 @@ def held_supremum(model: WaveformModel, k: np.ndarray) -> tuple[float, float]:
     """The engine's supremum of a held model over its pieces ``k``
     (ascending), whose levels are the sine at their starts."""
     pieces = _Pieces(model.spec.frequency_hz, [_model_pq(model)], k, [len(k)])
-    [sup], [time] = pieces.supremum(pieces.start)
+    [sup], [time] = pieces.supremum(pieces.start, np.zeros(len(k)))
     return sup, time
 
 

@@ -873,12 +873,16 @@ class TestFloatRangeOfTimes:
             # that bounds reports is not
             (["bounds", "--multiplier", "1/1" + "0" * 308], "--multiplier"),
             (["bounds", "--dt", "1e308", "--qmax", str(int(sys.float_info.max))], "--dt"),
+            # dt = 1/p is subnormal, and the clock 1/dt overflows
+            (["bounds", "--multiplier", repr(sys.float_info.max)], "--multiplier"),
+            (["bounds", "--multiplier", repr(sys.float_info.max), "--bits", "52"], "--multiplier"),
         ],
         ids=[
             "eval-freq-dt-underflow", "bounds-freq-dt-underflow", "eval-freq-dt-overflow",
             "quantized-period-overflow", "held-period-overflow",
             "multiplier-period-overflow", "multiplier-gap-underflow",
             "bounds-multiplier-phase-overflow", "bounds-dt-phase-overflow",
+            "bounds-multiplier-clock-overflow", "bounds-multiplier-clock-overflow-bits",
         ],
     )
     def test_usage_error_names_the_flag(self, capsys, argv, flag):
@@ -887,6 +891,21 @@ class TestFloatRangeOfTimes:
         assert out == ""
         assert err.startswith(f"error: {flag}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("bits", [[], ["--bits", "52"]])
+    def test_clock_overflow_writes_no_output(self, capsys, tmp_path, bits):
+        out = tmp_path / "bounds.json"
+        code, _, err = run_cli(
+            capsys, "bounds", "--multiplier", repr(sys.float_info.max), *bits, "--out", str(out)
+        )
+        assert code == 2
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_clock_at_the_top_of_the_float_range(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--multiplier", "1e308")
+        assert code == 0, err
+        assert json.loads(out)["min_clock_hz"] == 1e308
 
 
 class TestOutputsCheckedFirst:

@@ -3,6 +3,8 @@ import math
 import os
 import sys
 import tracemalloc
+from dataclasses import replace
+from operator import mul
 from functools import lru_cache
 
 import numpy as np
@@ -52,6 +54,7 @@ from ddsmetrics.signals import (
     SignalSpec,
     TimingConfig,
     WaveformModel,
+    step_levels,
 )
 
 SPEC = SignalSpec(1.0)
@@ -624,6 +627,81 @@ class TestHeldClosedForm:
         assert report.thd_ratio > 0.0
 
 
+# Fraction bits of the fixed-point sines of digitized_thd_by_pieces.
+FIXED_BITS = 200
+
+
+def digitized_thd_by_pieces(p, qs, quantizers):
+    """THD of the digitized rows p/q, q in ``qs``, for each quantizer, as
+    a Parseval sum over the pieces in time order: {(q, i): ratio}.
+
+    Piece k holds level L_k = m_k*step, from :func:`step_levels` at
+    residue k*q mod p, over k*q/p..(k+1)*q/p periods of the sine. So the
+    combined period's fundamental coefficient is sum_k L_k*(z**(k*q) -
+    z**((k+1)*q))/(2j*pi*q), z = exp(-2j*pi/p), and THD**2 + 1 is the AC
+    power over the fundamental's: p*sum(m**2) - sum(m)**2 over
+    p**2*|sum m_k*(z**(k*q) - z**((k+1)*q))|**2/(2*pi**2*q**2). The sines
+    and pi**2 come from mpmath at 60 digits in fixed point, and every sum
+    is exact in integers, so only the final sqrt rounds."""
+    mpmath = pytest.importorskip("mpmath")
+    one = 1 << FIXED_BITS
+    with mpmath.workdps(60):
+        pi_squared = int(mpmath.nint(mpmath.pi**2 * one))
+        turns = [2 * mpmath.mpf(j) / p for j in range(p)]
+        cos = [int(mpmath.nint(mpmath.cospi(turn) * one)) for turn in turns]
+        sin = [int(mpmath.nint(mpmath.sinpi(turn) * one)) for turn in turns]
+    steps = [
+        (step_levels(np.arange(p), p, quantizer) * quantizer.scale).astype(np.int64)
+        for quantizer in quantizers
+    ]
+    k = np.arange(p)
+    ratios = {}
+    for q in qs:
+        # z**j = cos - 1j*sin at residue j
+        a, b = (k * q % p).tolist(), ((k + 1) * q % p).tolist()
+        real = [cos[x] - cos[y] for x, y in zip(a, b)]
+        imag = [sin[y] - sin[x] for x, y in zip(a, b)]
+        for i, steps_at in enumerate(steps):
+            m = steps_at[a].tolist()
+            bin_re, bin_im = sum(map(mul, m, real)), sum(map(mul, m, imag))
+            ac = p * sum(map(mul, m, m)) - sum(m) ** 2
+            # (THD**2 + 1)*one, rounded down
+            scaled = ac * 2 * q * q * pi_squared * one * one // (p * p * (bin_re**2 + bin_im**2))
+            ratios[q, i] = math.sqrt((scaled - one) / one)
+    return ratios
+
+
+class TestDigitizedThd:
+    """Digitized THD is the held closed form composed with the discrete
+    THD of the levels, exact to float precision at every size."""
+
+    def test_matches_exact_parseval_sums_over_the_pieces(self):
+        # every coprime p, q <= 64 at bits 1-12 in every mode
+        quantizers = [QuantizerConfig(bits, mode) for mode in QuantizationMode for bits in range(1, 13)]
+        rows = [(p, q) for p in range(1, 65) for q in range(1, 65) if math.gcd(p, q) == 1]
+        reports = iter(reports_from_columns(evaluate_columns(SPEC, rows, quantizers)))
+        for p in range(1, 65):
+            qs = [q for row_p, q in rows if row_p == p]
+            expected = digitized_thd_by_pieces(p, qs, quantizers) if p >= 3 else {}
+            for q in qs:
+                for i in range(len(quantizers)):
+                    report = next(reports)
+                    if p < 3:  # every level is Q(0): no fundamental
+                        assert (report.thd_ratio, report.thd_db) == (None, None)
+                        continue
+                    assert report.thd_ratio == pytest.approx(expected[q, i], rel=1e-12, abs=0)
+                    assert report.thd_db == 20.0 * math.log10(report.thd_ratio)
+
+    @pytest.mark.parametrize("mode", list(QuantizationMode))
+    def test_52_bits_equal_the_held_closed_form(self, mode):
+        # the levels differ from the held ones by under 2**-51, so the
+        # quantization share vanishes beside the hold's
+        held = evaluate(held_model(300_001))
+        report = evaluate(digitized_model(300_001, 52, mode=mode))
+        assert report.thd_ratio == pytest.approx(held.thd_ratio, rel=1e-13, abs=0)
+        assert held.thd_ratio == 6.045977727587935e-06
+
+
 @lru_cache(maxsize=None)
 def _mpmath_threshold_sums(bits, rounding):
     """50-digit sums over the quantizer's thresholds c_i (ascending):
@@ -761,6 +839,28 @@ def pairs_of(timings):
     return [(t.multiplier_num, t.multiplier_den) for t in timings]
 
 
+def like_the_oracle(reports, oracle):
+    """Whether ``reports`` equal :func:`oracles.column_rows`'s: every field
+    ``==`` but THD, which the oracle takes as the Parseval difference of
+    unit-size terms, and so only to about 1e-7 relative near p = 2**15."""
+    if len(reports) != len(oracle):
+        return False
+    for report, expected in zip(reports, oracle):
+        if replace(report, thd_ratio=None, thd_db=None) != replace(
+            expected, thd_ratio=None, thd_db=None
+        ):
+            return False
+        if expected.thd_ratio is None:
+            if (report.thd_ratio, report.thd_db) != (None, None):
+                return False
+        elif not (
+            math.isclose(report.thd_ratio, expected.thd_ratio, rel_tol=1e-6)
+            and math.isclose(report.thd_db, expected.thd_db, rel_tol=0, abs_tol=1e-5)
+        ):
+            return False
+    return True
+
+
 def column_reports(spec, timings, quantizers):
     """evaluate_columns of the timings' multipliers, as one list of
     reports per timing."""
@@ -815,7 +915,13 @@ class TestEvaluateColumn:
 class TestColumnGroups:
     """A column evaluates its quantizers in groups of up to
     ``_COLUMN_CHUNK`` level-matrix elements; each report is byte-equal to
-    the column evaluated one quantizer at a time."""
+    the column evaluated one quantizer at a time, and like the oracle's
+    (see :func:`like_the_oracle`)."""
+
+    def check(self, spec, timing, quantizers):
+        column = column_reports(spec, [timing], quantizers)[0]
+        assert column == cells_alone(spec, [timing], quantizers)[0]
+        assert like_the_oracle(column, column_rows(spec, timing, quantizers))
 
     @pytest.mark.parametrize("freq", [1.0, 0.37])
     def test_small_columns_equal_rows_one_at_a_time(self, freq):
@@ -826,11 +932,17 @@ class TestColumnGroups:
         ]
         for p in range(1, 33):
             for q in range(1, 33):
-                if math.gcd(p, q) == 1:
-                    timing = TimingConfig(p, q)
-                    assert column_reports(spec, [timing], quantizers)[0] == column_rows(
-                        spec, timing, quantizers
-                    )
+                if math.gcd(p, q) != 1:
+                    continue
+                timing = TimingConfig(p, q)
+                if q == 1:
+                    self.check(spec, timing, quantizers)
+                    continue
+                # each row of a group its own: the same column with its
+                # quantizers reversed is the same reports reversed
+                column = column_reports(spec, [timing], quantizers)[0]
+                assert column_reports(spec, [timing], quantizers[::-1])[0] == column[::-1]
+                assert like_the_oracle(column, column_rows(spec, timing, quantizers))
 
     @pytest.mark.parametrize(
         "p,q", [(3, 1), (7, 2), (17, 4), (1009, 13), (4099, 16), (11, 5), (1, 1), (2, 1), (1, 3)]
@@ -840,10 +952,7 @@ class TestColumnGroups:
             QuantizerConfig(bits, mode) for mode in QuantizationMode for bits in range(1, 53)
         ]
         for spec in (SPEC, SignalSpec(0.37)):
-            timing = TimingConfig(p, q)
-            assert column_reports(spec, [timing], quantizers)[0] == column_rows(
-                spec, timing, quantizers
-            )
+            self.check(spec, TimingConfig(p, q), quantizers)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("freq", [1.0, 0.37])
@@ -858,17 +967,12 @@ class TestColumnGroups:
         p = metrics._COLUMN_CHUNK // len(quantizers) + offset
         spec, timing = SignalSpec(freq), TimingConfig(p, 11)
         assert timing.multiplier_num == p
-        assert column_reports(spec, [timing], quantizers)[0] == column_rows(
-            spec, timing, quantizers
-        )
+        self.check(spec, timing, quantizers)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_columns_around_one_row_per_group(self, offset):
         quantizers = [QuantizerConfig(bits, mode) for mode in QuantizationMode for bits in (1, 9, 52)]
-        timing = TimingConfig(metrics._COLUMN_CHUNK // 2 + offset, 3)
-        assert column_reports(SPEC, [timing], quantizers)[0] == column_rows(
-            SPEC, timing, quantizers
-        )
+        self.check(SPEC, TimingConfig(metrics._COLUMN_CHUNK // 2 + offset, 3), quantizers)
 
     def test_default_grid_peak_is_its_largest_columns(self):
         spec = sweeps.SweepSpec()
@@ -910,12 +1014,14 @@ def cells_alone(spec, timings, quantizers):
 class TestColumnBatches:
     """evaluate_columns lays the pieces of consecutive columns end to end,
     up to ``_BATCH_PIECES`` of them in all; each report is byte-equal to
-    its cell evaluated alone and to the one-quantizer-at-a-time oracle."""
+    its cell evaluated alone, and like the one-quantizer-at-a-time oracle
+    (see :func:`like_the_oracle`)."""
 
     def check(self, spec, timings, quantizers=MIXED_QUANTIZERS):
         columns = column_reports(spec, timings, quantizers)
         assert columns == cells_alone(spec, timings, quantizers)
-        assert columns == [column_rows(spec, timing, quantizers) for timing in timings]
+        for timing, column in zip(timings, columns):
+            assert like_the_oracle(column, column_rows(spec, timing, quantizers))
 
     @pytest.mark.parametrize("spill", [0, 1])
     @pytest.mark.parametrize("freq", [1.0, 0.37])
@@ -967,10 +1073,7 @@ class TestColumnBatches:
     def test_random_batches_equal_the_column_oracle(self, multipliers, freq):
         spec = SignalSpec(freq)
         timings = [TimingConfig(p, q) for p, q in multipliers]
-        quantizers = MIXED_QUANTIZERS[:4]
-        assert column_reports(spec, timings, quantizers) == [
-            column_rows(spec, timing, quantizers) for timing in timings
-        ]
+        self.check(spec, timings, MIXED_QUANTIZERS[:4])
 
     def test_bounds_take_each_bit_term_once_per_call(self, monkeypatch):
         # 20000 pieces is a batch of its own, so the timings make 3 batches
@@ -988,7 +1091,7 @@ class TestColumnBatches:
         columns = column_reports(SPEC, timings, quantizers)
         assert calls == list(range(2, 17))
         monkeypatch.undo()
-        assert columns == [column_rows(SPEC, timing, quantizers) for timing in timings]
+        assert columns == cells_alone(SPEC, timings, quantizers)
 
     def test_batches_are_consecutive_runs_within_the_budget(self):
         budget = metrics._BATCH_PIECES
