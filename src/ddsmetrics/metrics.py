@@ -11,15 +11,15 @@ O(pieces):
   digitized row examines all p pieces; a held row only the few that can
   attain it, with the same floats, so it reports the all-piece values
   bit for bit;
-* THD follows from Parseval's theorem. For a digitized model, harmonic
-  power is the AC power of the levels less the fundamental's, and the
-  fundamental is one DFT bin of the step levels times the zero-order-hold
-  factor. The held model's start phases k*q mod p run over every residue
-  mod p, which leaves the zero-order-hold closed form
-  sqrt(1/sinc(q/p)**2 - 1). The quantized model's error is a sawtooth in
-  the sine, whose power and fundamental are Bessel series (Blachman,
-  1985); at the quantizer's whole-turn arguments Hankel's expansion sums
-  them into a few zeta values.
+* THD follows from Parseval's theorem. The held model's start phases
+  k*q mod p run over every residue mod p, which leaves the
+  zero-order-hold closed form sqrt(1/sinc(q/p)**2 - 1). A digitized
+  model's THD composes that closed form exactly with the discrete THD of
+  its levels, taken from sums of their quantization errors, so no term of
+  unit size cancels (see :func:`_evaluate_batch`). The quantized model's
+  error is a sawtooth in the sine, whose power and fundamental are Bessel
+  series (Blachman, 1985); at the quantizer's whole-turn arguments
+  Hankel's expansion sums them into a few zeta values.
 
 Apart from the target model, :func:`evaluate` is a batch of one of three
 engines, each of which takes a whole sweep axis in one call and returns
@@ -174,19 +174,12 @@ def check_pieces(p: int, q: int) -> None:
         raise CapExceeded(p, q, p, MAX_PIECES, "pieces")
 
 
-def _parseval_thd(
-    mean: float, mean_square: float, fundamental: float
-) -> tuple[float | None, float | None]:
+def _parseval_thd(mean: float, mean_square: float, fundamental: float) -> tuple[float, float]:
     """THD from the signal's mean, mean square and fundamental peak
-    amplitude: harmonic power is the AC power less the fundamental's.
-    Both fields are None when there is no fundamental."""
-    if fundamental == 0.0:
-        return None, None
+    amplitude: harmonic power is the AC power less the fundamental's."""
     harmonic = 2.0 * (mean_square - mean * mean) - fundamental * fundamental
-    ratio = math.sqrt(max(harmonic, 0.0)) / fundamental
-    if ratio > 0.0:
-        return ratio, 20.0 * math.log10(ratio)
-    return 0.0, None
+    ratio = math.sqrt(harmonic) / fundamental
+    return ratio, 20.0 * math.log10(ratio)
 
 
 def _gap(f: float, p: int, q: int) -> float:
@@ -267,9 +260,7 @@ class _Pieces:
             return values[0]
         return np.repeat(np.array(values), self.counts, axis=0).T
 
-    def supremum(
-        self, level: np.ndarray, error: np.ndarray
-    ) -> tuple[list[float], list[float]]:
+    def supremum(self, level: np.ndarray, error: np.ndarray) -> tuple[list, list]:
         """Exact supremum of each segment of each row of ``level`` (a
         matrix, or one row, of one level per piece), and the earliest time
         it is attained: two lists, with one entry per row and segment, row
@@ -436,7 +427,7 @@ def _quantized_supremum(quantizer: QuantizerConfig, f: float) -> tuple[float, fl
     return step, 0.0
 
 
-def _threshold_thd(quantizer: QuantizerConfig) -> tuple[float | None, float | None]:
+def _threshold_thd(quantizer: QuantizerConfig) -> tuple[float, float]:
     """Parseval THD of the quantized sine, summed over its thresholds.
 
     The level rises by one step at each threshold c inside (-1, 1); the
@@ -627,12 +618,12 @@ def evaluate_columns(
     bounds' bit terms are taken once for all rows, and their sine and
     hold terms once per row. The rows go in the batches of
     :func:`column_batches`, their pieces end to end, so that what else
-    depends on the multipliers alone (see :class:`_Pieces`, the THD bin's
-    cosine) is a few array calls per batch. The quantizers then go in
-    groups of up to ``_COLUMN_CHUNK`` level-matrix elements, at least one
-    row each: a group's levels, candidate errors and suprema are
-    whole-matrix calls, its means one call per column, and only the two
-    dot products and the argmax tick stay per row and column.
+    depends on the multipliers alone (see :class:`_Pieces`, the cosines,
+    the held THD) is a few array calls per batch. The quantizers then go
+    in groups of up to ``_COLUMN_CHUNK`` level-matrix elements, at least
+    one row each: a group's levels, candidate errors, suprema and THD sums
+    are whole-matrix calls, and only the argmax tick and the logarithm
+    stay per row and column.
 
     The batches run on a pool of ``min(workers, batches, os.cpu_count())``
     threads where that is above 1, each filling its own slice of the
@@ -683,18 +674,14 @@ def _evaluate_batch(
     :func:`evaluate_columns` of one batch of rows p/q, whose first report
     is at position ``first`` of ``columns``.
 
-    THD composes the hold and the quantization exactly. With X the p-point
-    DFT of the levels in residue order, THD_seq**2 = (p*sum(L**2) -
-    X_0**2 - 2*|X_1|**2)/(2*|X_1|**2) is their discrete THD, and the hold
-    scales bin 1 of the step function by sinc(q/p) while leaving its AC
-    power, so THD**2 = THD_held**2 + THD_seq**2*(1 + THD_held**2), with
-    THD_held from :func:`_held_thd`. For p >= 3 the sine S at the residues
-    has X_0 = 0, X_1 = -1j*p/2 and sum(S**2) = p/2, so with E = L - S and
-    the means a = mean(E*cos) and b = mean(E*sin) over the residues,
-    THD_seq**2 = (mean(E**2) - mean(E)**2 - 2*(a**2 + b**2)) /
-    (2*(a**2 + (1/2 + b)**2)): no term of unit size is subtracted. Each
-    mean is one segmented sum over a group's matrix, whose order depends
-    on the segment alone, so a row's report is the same in any batch.
+    THD**2 = THD_held**2 + THD_seq**2*(1 + THD_held**2) exactly: the hold
+    scales the fundamental by sinc(q/p) and keeps the AC power of the
+    levels L, whose discrete THD in residue order is THD_seq. For p >= 3
+    the sine's DFT is -1j*p/2 at bin 1 and 0 elsewhere below p/2, so with
+    E = L - sine, a = mean(E*cos) and b = mean(E*sin) over the residues,
+    THD_seq**2 = (mean(E**2) - mean(E)**2 - 2*(a*a + b*b)) /
+    (2*(a*a + (1/2 + b)**2)), which subtracts no term of unit size. Each
+    mean is one segmented sum, whose order depends on its segment alone.
     """
     counts = [p for p, _ in rows]
     width = sum(counts)

@@ -388,7 +388,8 @@ def column_rows(spec, timing, quantizers) -> list:
         [(err, argmax_t)] = _row_supremum(pieces, level)
         bin_1 = math.hypot(float(level @ cosine), float(level @ pieces.start))
         fundamental = 2.0 * bin_1 * abs(pieces.half) / (math.pi * q)
-        thd_result = _parseval_thd(
+        # p <= 2 holds every level at Q(0): no fundamental
+        thd_result = (None, None) if p < 3 else _parseval_thd(
             float(np.mean(level)), float(np.mean(level * level)), fundamental
         )
         model = WaveformModel.digitized(spec, timing, quantizer)
