@@ -4,8 +4,8 @@ import os
 import sys
 import tracemalloc
 from dataclasses import replace
-from operator import mul
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 import pytest
@@ -839,26 +839,20 @@ def pairs_of(timings):
     return [(t.multiplier_num, t.multiplier_den) for t in timings]
 
 
-def like_the_oracle(reports, oracle):
-    """Whether ``reports`` equal :func:`oracles.column_rows`'s: every field
-    ``==`` but THD, which the oracle takes as the Parseval difference of
-    unit-size terms, and so only to about 1e-7 relative near p = 2**15."""
-    if len(reports) != len(oracle):
-        return False
+def assert_like_the_oracle(reports, oracle):
+    """``reports`` equal :func:`oracles.column_rows`'s in every field but
+    THD, which the oracle takes as the Parseval difference of unit-size
+    terms, and so only to about 1e-7 relative near p = 2**15."""
+    assert len(reports) == len(oracle)
     for report, expected in zip(reports, oracle):
-        if replace(report, thd_ratio=None, thd_db=None) != replace(
+        assert replace(report, thd_ratio=None, thd_db=None) == replace(
             expected, thd_ratio=None, thd_db=None
-        ):
-            return False
+        )
         if expected.thd_ratio is None:
-            if (report.thd_ratio, report.thd_db) != (None, None):
-                return False
-        elif not (
-            math.isclose(report.thd_ratio, expected.thd_ratio, rel_tol=1e-6)
-            and math.isclose(report.thd_db, expected.thd_db, rel_tol=0, abs_tol=1e-5)
-        ):
-            return False
-    return True
+            assert (report.thd_ratio, report.thd_db) == (None, None)
+        else:
+            assert report.thd_ratio == pytest.approx(expected.thd_ratio, rel=1e-6, abs=0)
+            assert report.thd_db == pytest.approx(expected.thd_db, rel=0, abs=1e-5)
 
 
 def column_reports(spec, timings, quantizers):
@@ -916,12 +910,12 @@ class TestColumnGroups:
     """A column evaluates its quantizers in groups of up to
     ``_COLUMN_CHUNK`` level-matrix elements; each report is byte-equal to
     the column evaluated one quantizer at a time, and like the oracle's
-    (see :func:`like_the_oracle`)."""
+    (see :func:`assert_like_the_oracle`)."""
 
     def check(self, spec, timing, quantizers):
         column = column_reports(spec, [timing], quantizers)[0]
         assert column == cells_alone(spec, [timing], quantizers)[0]
-        assert like_the_oracle(column, column_rows(spec, timing, quantizers))
+        assert_like_the_oracle(column, column_rows(spec, timing, quantizers))
 
     @pytest.mark.parametrize("freq", [1.0, 0.37])
     def test_small_columns_equal_rows_one_at_a_time(self, freq):
@@ -942,7 +936,7 @@ class TestColumnGroups:
                 # quantizers reversed is the same reports reversed
                 column = column_reports(spec, [timing], quantizers)[0]
                 assert column_reports(spec, [timing], quantizers[::-1])[0] == column[::-1]
-                assert like_the_oracle(column, column_rows(spec, timing, quantizers))
+                assert_like_the_oracle(column, column_rows(spec, timing, quantizers))
 
     @pytest.mark.parametrize(
         "p,q", [(3, 1), (7, 2), (17, 4), (1009, 13), (4099, 16), (11, 5), (1, 1), (2, 1), (1, 3)]
@@ -1015,13 +1009,13 @@ class TestColumnBatches:
     """evaluate_columns lays the pieces of consecutive columns end to end,
     up to ``_BATCH_PIECES`` of them in all; each report is byte-equal to
     its cell evaluated alone, and like the one-quantizer-at-a-time oracle
-    (see :func:`like_the_oracle`)."""
+    (see :func:`assert_like_the_oracle`)."""
 
     def check(self, spec, timings, quantizers=MIXED_QUANTIZERS):
         columns = column_reports(spec, timings, quantizers)
         assert columns == cells_alone(spec, timings, quantizers)
         for timing, column in zip(timings, columns):
-            assert like_the_oracle(column, column_rows(spec, timing, quantizers))
+            assert_like_the_oracle(column, column_rows(spec, timing, quantizers))
 
     @pytest.mark.parametrize("spill", [0, 1])
     @pytest.mark.parametrize("freq", [1.0, 0.37])
