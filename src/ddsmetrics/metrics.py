@@ -266,7 +266,7 @@ class _Pieces:
         it is attained: two lists, with one entry per row and segment, row
         by row. A held batch is one row of many segments, a column many
         rows of one, and a batch of columns many rows of many. ``error``
-        is ``level - start``, of the same shape; it is overwritten."""
+        holds ``level - start`` (zeros for held rows) and is overwritten."""
         level = level.reshape(-1, len(self.k))
         # The largest of each piece's _errors, folded in place into one
         # array: the same floats, without four arrays alive at once.

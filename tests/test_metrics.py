@@ -1086,6 +1086,8 @@ class TestColumnBatches:
         assert calls == list(range(2, 17))
         monkeypatch.undo()
         assert columns == cells_alone(SPEC, timings, quantizers)
+        for timing, column in zip(timings, columns):
+            assert_like_the_oracle(column, column_rows(SPEC, timing, quantizers))
 
     def test_batches_are_consecutive_runs_within_the_budget(self):
         budget = metrics._BATCH_PIECES
