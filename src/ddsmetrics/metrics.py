@@ -28,11 +28,16 @@ O(1) per quantizer; :func:`held_columns`, held rows p/q in chunks whose
 candidate pieces form one matrix; :func:`evaluate_columns`, digitized rows,
 one column of quantizers per multiplier p/q. The last lays consecutive
 columns' pieces end to end in batches, so what depends on the multipliers
-alone, bounds included, is built once per batch, and takes the quantizers
-through whole-matrix calls; its batches are the only tasks that may run on
-a thread pool. The held and digitized engines take integer pairs (p, q)
-and their suprema from one segmented pass, :meth:`_Pieces.supremum`, so a
-row of a sweep costs a few Python-level steps, not a few dozen numpy calls.
+alone, bounds included, is built once per batch: per piece only the start
+sine, its swing and its cosine (see :class:`_Pieces`). The quantizers then
+go in groups through one working set, matrices allocated once per batch
+that every whole-matrix step writes into (:meth:`_Pieces.quantized`); each
+group leaves a few values per report, and the THD, the argmax times and
+the logarithms are taken from them once per batch. Its batches are the
+only tasks that may run on a thread pool, each with its own working set.
+The held and digitized engines take integer pairs (p, q) and their suprema
+from one segmented pass, :meth:`_Pieces.supremum`, so a row of a sweep
+costs a few Python-level steps, not a few dozen numpy calls.
 
 The step levels come from :func:`ddsmetrics.signals.step_levels`, the
 definition the pointwise models use. The probe-grid and DFT estimators
@@ -78,23 +83,28 @@ __all__ = [
 ]
 
 # A column this long is a batch of its own and runs one row per group;
-# evaluate_columns() then holds about 75 bytes per piece at its peak, one
-# row's temporaries beside the arrays its rows share, so it stays under
-# about 1.3 GB.
+# evaluate_columns() then holds about 56 bytes per piece at its peak
+# (tracemalloc at p = 2**22 - 3: 235 MB): the three arrays its rows share
+# and the temporaries of the last sine that builds them, or one group's
+# working set beside them, so it stays under about 0.95 GB.
 MAX_PIECES = 1 << 24
 
 # evaluate_columns() evaluates its quantizers in groups of at most this
-# many level-matrix elements, at least one row per group: a group of
-# small rows costs a few whole-matrix calls instead of a few per row.
-_COLUMN_CHUNK = 1 << 16
+# many level-matrix elements, at least one row per group, through one
+# working set of about 25 bytes per element (three float matrices and a
+# bool one), 0.8 MB: a group of small rows costs a few whole-matrix calls
+# instead of a few per row. Measured in pairs on the benchmark's
+# digitized grid, 2**16 slowed the engine's first call by about 10 % and
+# 2**14 the whole command by about 4 %.
+_COLUMN_CHUNK = 1 << 15
 
 # evaluate_columns() lays the pieces of consecutive timings end to end,
 # up to this many in all (see column_batches), so that a batch of small
-# columns shares one set of array calls and a group holds at least 4 rows.
-_BATCH_PIECES = _COLUMN_CHUNK // 4
+# columns shares one set of array calls and a group holds at least 2 rows.
+_BATCH_PIECES = _COLUMN_CHUNK // 2
 
 # held_columns() takes its rows in chunks of this many, one pass of array
-# operations each: about 1.6 KB of temporaries per row, 1.6 MB per chunk.
+# operations each: about 1.3 KB of temporaries per row, 1.3 MB per chunk.
 _HELD_CHUNK = 1024
 
 # Up to this many bits quantized THD sums over the at most 8 thresholds:
@@ -164,7 +174,7 @@ def reports_from_columns(columns: dict[str, list]) -> list[MetricsReport]:
 
 def _turns(num: np.ndarray, den: int) -> np.ndarray:
     """Phase num/den in turns, reduced modulo 1 in integers first."""
-    return (num % den).astype(np.float64) / den
+    return np.true_divide(num % den, den)
 
 
 def check_pieces(p: int, q: int) -> None:
@@ -198,9 +208,13 @@ def _half_swing(f: float, p: int, q: int) -> float:
 
 def _windows(r, p: int):
     """Offsets from residue r (an int or an int64 array) to phase 1/4 and
-    3/4, in units of 1/(4*p) turn."""
+    3/4, in units of 1/(4*p) turn: p - 4r and 3p - 4r modulo 4p, which
+    add 4p once where 4r passes p or 3p, since 0 <= r < p."""
     four_r, four_p = 4 * r, 4 * p
-    return (p - four_r) % four_p, (3 * p - four_r) % four_p
+    return (
+        p - four_r + four_p * (four_r > p),
+        3 * p - four_r + four_p * (four_r > 3 * p),
+    )
 
 
 def _errors(level, start, swing, at_peak, at_trough) -> tuple:
@@ -217,99 +231,174 @@ def _errors(level, start, swing, at_peak, at_trough) -> tuple:
 
 class _Pieces:
     """The pieces of one or more held or digitized rows p/q at frequency
-    f, and what every quantizer shares about them. ``k`` holds the piece
-    indices of every row end to end: row ``rows[i]`` has the next
-    ``counts[i]`` of them (ascending), its segment. Piece k of a
-    row p/q starts at residue r = k*q mod p, where the sine is ``start``;
-    the sine changes by ``swing`` across it; it holds phase 1/4 (3/4) iff
-    ``at_peak`` (``at_trough``)."""
+    f, and what every quantizer shares about them. Row ``rows[i]`` has
+    the next ``counts[i]`` pieces, its segment, in time order: the
+    indices ``k`` (ascending), or every piece of the row when ``k`` is
+    None. Piece k of a row p/q starts at residue r = k*q mod p, where the
+    sine is ``start`` and its quadrature is ``cosine``; the sine changes
+    by ``swing`` across it. These three are the only arrays over every
+    piece. The pieces that hold phase 1/4 (3/4) are the positions
+    ``peak`` (``trough``); k, r and the windows are taken again only at
+    the pieces that attain a supremum (see :meth:`times`)."""
 
     def __init__(
         self,
         f: float,
         rows: Sequence[tuple[int, int]],
-        k: np.ndarray,
         counts: list[int],
+        k: np.ndarray | None = None,
     ):
-        self.f, self.rows, self.k, self.counts = f, rows, k, counts
+        self.f, self.rows, self.k = f, rows, k
         self.starts = np.cumsum([0, *counts[:-1]])
+        # One column per row: p, q mod p, 4*min(q, p) and 2*(q mod 2p) + p.
         # q meets the int64 arrays only reduced, so any exact multiplier
         # fits; both window offsets below are below 4p, so 4*min(q, p)
-        # reaches as far as 4q
-        p, q_mod_p, twice_q, reach = self._spread(
-            [(p, q % p, q % (2 * p), 4 * min(q, p)) for p, q in rows]
-        )
-        self.p, self.reach = p, reach
-        self.r = (self.k * q_mod_p) % p
-        self.start = step_levels(self.r, p)
-        self.half = self._spread([_half_swing(f, p, q) for p, q in rows])
-        # sin(a + w) - sin(a) = 2*cos(a + w/2)*sin(w/2): the sine's change
-        # from the start of each piece to the end, without cancellation.
-        cosine = sin_turns_array(_turns(4 * self.r + 2 * twice_q + p, 4 * p))
-        self.swing = 2.0 * cosine * self.half
+        # reaches as far as 4q.
+        self.table = np.array(
+            [(p, q % p, 4 * min(q, p), 2 * (q % (2 * p)) + p) for p, q in rows], dtype=np.int64
+        ).T
+        halves = np.array([_half_swing(f, p, q) for p, q in rows])
+        # each piece's segment, or None for a single row, whose values
+        # broadcast
+        self.segment = None
+        spread = lambda column: column
+        if len(rows) > 1:
+            spread = partial(np.repeat, repeats=np.array(counts))
+            self.segment = spread(np.arange(len(rows)))
+        p = spread(self.table[0])
+        if k is None:
+            r = np.arange(sum(counts))
+            if self.segment is not None:
+                r -= spread(self.starts)
+            r *= spread(self.table[1])
+        else:
+            r = k * spread(self.table[1])
+        r %= p
+        self.start = step_levels(r, p)
         # Phase 1/4 (3/4) lies in [r/p, (r+q)/p] iff its offset from r/p
         # is at most 4q, exact in integers.
-        to_peak, to_trough = _windows(self.r, p)
-        self.at_peak, self.at_trough = to_peak <= reach, to_trough <= reach
+        reach = spread(self.table[2])
+        self.peak, self.trough = (np.flatnonzero(window <= reach) for window in _windows(r, p))
+        del reach  # freed before the sines' temporaries
+        # sin(a + w) - sin(a) = 2*cos(a + w/2)*sin(w/2): the sine's change
+        # from the start of each piece to the end, without cancellation.
+        # Both cosines are sines a quarter turn on, in units of 1/(4*p).
+        four_r, four_p = np.multiply(r, 4, out=r), 4 * p
+        # only a row of every piece has a THD to take
+        self.cosine = None if k is not None else sin_turns_array(_turns(four_r + p, four_p))
+        swing = sin_turns_array(_turns(four_r + spread(self.table[3]), four_p))
+        self.swing = np.multiply(np.multiply(swing, 2.0, out=swing), spread(halves), out=swing)
 
-    def _spread(self, values: list):
-        """One value (or tuple of values) per row, repeated for each of its
-        pieces: an array (or one array per tuple position). The value of a
-        single row stays a scalar (or tuple of scalars)."""
-        if len(self.counts) == 1:
-            return values[0]
-        return np.repeat(np.array(values), self.counts, axis=0).T
-
-    def supremum(self, level: np.ndarray, error: np.ndarray) -> tuple[list, list]:
+    def supremum(
+        self,
+        level: np.ndarray,
+        error: np.ndarray,
+        largest: np.ndarray,
+        equal: np.ndarray,
+        sups: np.ndarray,
+    ) -> np.ndarray:
         """Exact supremum of each segment of each row of ``level`` (a
-        matrix, or one row, of one level per piece), and the earliest time
-        it is attained: two lists, with one entry per row and segment, row
-        by row. A held batch is one row of many segments, a column many
-        rows of one, and a batch of columns many rows of many. ``error``
-        holds ``level - start`` (zeros for held rows) and is overwritten."""
-        level = level.reshape(-1, len(self.k))
-        # The largest of each piece's _errors, folded in place into one
-        # array: the same floats, without four arrays alive at once.
-        buffer = error.reshape(level.shape)
-        largest = np.abs(buffer)
-        np.subtract(buffer, self.swing, out=buffer)
-        np.maximum(largest, np.abs(buffer, out=buffer), out=largest)
-        np.subtract(level, 1.0, out=buffer)
-        np.maximum(largest, np.abs(buffer, out=buffer), out=largest, where=self.at_peak)
-        np.add(level, 1.0, out=buffer)
-        np.maximum(largest, np.abs(buffer, out=buffer), out=largest, where=self.at_trough)
-        del buffer  # so the comparison below does not add to the peak
+        matrix of one level per piece), written to ``sups`` (rows by
+        segments), and the flat index into ``level`` of the first piece
+        of each that attains it, row by row. ``error`` holds
+        ``level - start`` (zeros for held rows) and is overwritten;
+        ``largest`` and ``equal`` (bool) are scratch of the same shape.
+        A held batch is one row of many segments, a column many rows of
+        one, and a batch of columns many rows of many."""
+        # The largest of each piece's _errors, folded in place: the same
+        # floats, without four arrays alive at once; the extrema only on
+        # the pieces that hold them.
+        np.abs(error, out=largest)
+        np.subtract(error, self.swing, out=error)
+        np.maximum(largest, np.abs(error, out=error), out=largest)
+        for pieces, extremum in ((self.peak, np.subtract), (self.trough, np.add)):
+            current = largest[:, pieces]
+            largest[:, pieces] = np.maximum(current, np.abs(extremum(level[:, pieces], 1.0)))
         # max is exact in any order, so the segments reduce side by side
-        sups = np.maximum.reduceat(largest, self.starts, axis=1)
-        spread = sups if len(self.counts) == 1 else np.repeat(sups, self.counts, axis=1)
+        np.maximum.reduceat(largest, self.starts, axis=1, out=sups)
         # Pieces follow each other in time, so a segment's earliest
         # attainment lies in the first of its pieces that attains its
         # supremum at all: the first flat hit at or after its start.
-        attaining = np.flatnonzero(largest == spread)
-        width = len(self.k)
+        # (mode "clip" writes straight to ``out``; every index is in range)
+        spread = sups if self.segment is None else np.take(
+            sups, self.segment, axis=1, out=error, mode="clip"
+        )
+        attaining = np.flatnonzero(np.equal(largest, spread, out=equal))
+        width = largest.shape[1]
         segment_starts = (np.arange(len(level))[:, None] * width + self.starts).ravel()
-        rows, firsts = np.divmod(attaining[attaining.searchsorted(segment_starts)], width)
-        sups = sups.ravel()
+        return attaining[attaining.searchsorted(segment_starts)]
+
+    def quantized(self, quantizers: Sequence[QuantizerConfig]) -> tuple[np.ndarray, ...]:
+        """What the reports of the digitized rows need of their levels
+        under each quantizer, as arrays of quantizers by segments: the
+        sums of E, E**2, E*cosine and E*start over each segment, with
+        E = level - start (stacked in that order), the suprema, and the
+        position in its row and the level of each supremum's first
+        attaining piece. The quantizers go in groups of up to
+        ``_COLUMN_CHUNK`` level-matrix elements, at least one row each,
+        through one working set of three float matrices and one bool
+        matrix of a group's size, allocated here once: every
+        whole-matrix step writes into them, and each group's results
+        into the arrays returned."""
+        n, shape = len(quantizers), (len(quantizers), len(self.rows))
+        width = len(self.start)
+        group_rows = max(1, min(n, _COLUMN_CHUNK // width))
+        level, error, scratch = np.empty((3, group_rows, width))
+        equal = np.empty((group_rows, width), dtype=bool)
+        sums, sups, levels = np.empty((4, *shape)), np.empty(shape), np.empty(shape)
+        firsts = np.empty(shape, dtype=np.int64)
+        for offset in range(0, n, group_rows):
+            group = quantizers[offset:offset + group_rows]
+            at, rows = slice(offset, offset + len(group)), slice(len(group))
+            for i, quantizer in enumerate(group):
+                quantize(self.start, quantizer, out=level[i])
+            np.subtract(level[rows], self.start, out=error[rows])
+            np.add.reduceat(error[rows], self.starts, axis=1, out=sums[0, at])
+            for total, factor in zip(sums[1:], (error[rows], self.cosine, self.start)):
+                np.multiply(error[rows], factor, out=scratch[rows])
+                np.add.reduceat(scratch[rows], self.starts, axis=1, out=total[at])
+            hits = self.supremum(level[rows], error[rows], scratch[rows], equal[rows], sups[at])
+            np.remainder(hits, width, out=firsts[at].reshape(-1))
+            np.take(level[rows], hits, out=levels[at].reshape(-1), mode="clip")
+        return sums, sups, firsts, levels
+
+    def held_suprema(self) -> tuple[list, list]:
+        """The supremum of each held row, whose levels are the sine at
+        the starts of its pieces, and the earliest time it is attained."""
+        level = self.start[None]
+        sups = np.empty((1, len(self.rows)))
+        firsts = self.supremum(
+            level, np.zeros(level.shape), np.empty(level.shape),
+            np.empty(level.shape, dtype=bool), sups,
+        )
+        return self.times(sups, firsts[None], level[:, firsts])
+
+    def times(self, sups: np.ndarray, at: np.ndarray, levels: np.ndarray) -> tuple[list, list]:
+        """The suprema ``sups`` (quantizers by segments) as a list, and
+        the earliest time each is attained, segment by segment: at is
+        the first attaining piece (its position in its row) and levels
+        its level."""
+        n = len(sups)
+        sups, at, levels = (values.T.ravel() for values in (sups, at, levels))
+        p, q_mod_p, reach, _ = np.repeat(self.table, n, axis=1)
+        k = at - np.repeat(self.starts, n) if self.k is None else self.k[at]
+        to_peak, to_trough = _windows(k * q_mod_p % p, p)
         # The earliest of the four candidates at the first attaining piece
         # that equals the supremum. Their offsets into the piece, in units
         # of 1/(4*p*f), are 0, 4q and the windows to phase 1/4 and 3/4;
         # 4*min(q, p) stands in for 4q, which may pass int64, and orders
         # alike, since both windows lie below 4p.
-        at = (lambda values: values[firsts]) if len(self.counts) > 1 else (lambda value: value)
         candidates = _errors(
-            level[rows, firsts], self.start[firsts], self.swing[firsts],
-            self.at_peak[firsts], self.at_trough[firsts],
+            levels, self.start[at], self.swing[at], to_peak <= reach, to_trough <= reach
         )
-        offsets = np.zeros((4, len(sups)), dtype=np.int64)
-        offsets[1] = at(self.reach)
-        offsets[2:] = _windows(self.r[firsts], at(self.p))
+        offsets = np.array((np.zeros_like(reach), reach, to_peak, to_trough))
         offsets[np.array(candidates) != sups] = np.iinfo(np.int64).max
         # the end of the piece is tick 4*(k + 1)*q, in Python ints
         at_end = offsets.argmin(axis=0) == 1
         times = [
             (4 * q * (k + end) + offset) / (4 * p) / self.f
             for (p, q), k, end, offset in zip(
-                self.rows * len(level), self.k[firsts].tolist(), at_end.tolist(),
+                [row for row in self.rows for _ in range(n)], k.tolist(), at_end.tolist(),
                 np.where(at_end, 0, offsets.min(axis=0)).tolist(),
             )
         ]
@@ -580,9 +669,9 @@ def held_columns(spec: SignalSpec, rows: Sequence[tuple[int, int]]) -> dict[str,
     }
     for first in range(0, n, _HELD_CHUNK):
         chunk = rows[first:first + _HELD_CHUNK]
-        pieces = _Pieces(f, chunk, *_held_pieces(chunk))
+        k, counts = _held_pieces(chunk)
         values = (
-            *pieces.supremum(pieces.start, np.zeros(len(pieces.k))), *_held_thd(chunk),
+            *_Pieces(f, chunk, counts, k).held_suprema(), *_held_thd(chunk),
             *zip(*bounds.held_bounds(f, [_gap(f, p, q) for p, q in chunk])),
         )
         for name, chunk_values in zip(filled, values):
@@ -618,16 +707,17 @@ def evaluate_columns(
     bounds' bit terms are taken once for all rows, and their sine and
     hold terms once per row. The rows go in the batches of
     :func:`column_batches`, their pieces end to end, so that what else
-    depends on the multipliers alone (see :class:`_Pieces`, the cosines,
-    the held THD) is a few array calls per batch. The quantizers then go
-    in groups of up to ``_COLUMN_CHUNK`` level-matrix elements, at least
-    one row each: a group's levels, candidate errors, suprema and THD sums
-    are whole-matrix calls, and only the argmax tick and the logarithm
-    stay per row and column.
+    depends on the multipliers alone (see :class:`_Pieces`, the held THD)
+    is a few array calls per batch. The quantizers then go in groups of up
+    to ``_COLUMN_CHUNK`` level-matrix elements, at least one row each,
+    through one working set per batch (see :meth:`_Pieces.quantized`): a
+    group's levels, candidate errors, suprema and THD sums are
+    whole-matrix calls into it. The THD, the argmax times and the
+    logarithms follow once per batch from a few values per report.
 
     The batches run on a pool of ``min(workers, batches, os.cpu_count())``
-    threads where that is above 1, each filling its own slice of the
-    columns. :class:`CapExceeded` is raised before anything is allocated
+    threads where that is above 1, each with its own working set and
+    filling its own slice of the columns. :class:`CapExceeded` is raised before anything is allocated
     when some row has more than ``MAX_PIECES`` pieces.
     """
     for p, q in rows:
@@ -684,42 +774,23 @@ def _evaluate_batch(
     mean is one segmented sum, whose order depends on its segment alone.
     """
     counts = [p for p, _ in rows]
-    width = sum(counts)
-    starts = np.cumsum([0, *counts[:-1]])
-    pieces = _Pieces(f, rows, np.arange(width) - np.repeat(starts, counts), counts)
-    cosine = sin_turns_array(_turns(4 * pieces.r + pieces.p, 4 * pieces.p))
+    pieces = _Pieces(f, rows, counts)
+    sums, sups, firsts, levels = pieces.quantized(quantizers)
     held = _held_thd(rows)[0]
     # THD_held**2 of each column; a column of p < 3 has no fundamental
     held_square = np.array([0.0 if ratio is None else ratio * ratio for ratio in held])
+    mean, mean_square, a, b = sums / counts
+    harmonic = mean_square - mean * mean - 2.0 * (a * a + b * b)
+    fundamental = 2.0 * (a * a + (0.5 + b) * (0.5 + b))
+    sequence = np.maximum(harmonic, 0.0) / fundamental
+    thd = np.sqrt(held_square + sequence * (1.0 + held_square)).T.tolist()
     errors, times, ratios, dbs = map(columns.__getitem__, _COMPUTED)
+    # the batch's reports, one column of quantizers after another
     n = len(quantizers)
-    group_rows = max(1, _COLUMN_CHUNK // width)
-    for offset in range(0, n, group_rows):
-        group = quantizers[offset:offset + group_rows]
-        level = np.empty((len(group), width))
-        for i, quantizer in enumerate(group):
-            quantize(pieces.start, quantizer, out=level[i])
-        error = level - pieces.start
-        product = np.empty_like(error)
-        sums = [np.add.reduceat(error, starts, axis=1)] + [
-            np.add.reduceat(np.multiply(error, factor, out=product), starts, axis=1)
-            for factor in (error, cosine, pieces.start)
-        ]
-        del product
-        mean, mean_square, a, b = (total / counts for total in sums)
-        harmonic = mean_square - mean * mean - 2.0 * (a * a + b * b)
-        fundamental = 2.0 * (a * a + (0.5 + b) * (0.5 + b))
-        sequence = np.maximum(harmonic, 0.0) / fundamental
-        thd = np.sqrt(held_square + sequence * (1.0 + held_square)).T.tolist()
-        # entry i*len(rows) + c of the suprema is quantizer i of column c
-        suprema, argmax_times = pieces.supremum(level, error)
-        # free the group's levels before the next group's are allocated
-        del level, error
-        for c, ratio in enumerate(held):
-            start = first + c * n + offset
-            at = slice(start, start + len(group))
-            errors[at] = suprema[c::len(rows)]
-            times[at] = argmax_times[c::len(rows)]
-            if ratio is not None:
-                ratios[at] = thd[c]
-                dbs[at] = [20.0 * math.log10(value) for value in thd[c]]
+    at = slice(first, first + len(rows) * n)
+    errors[at], times[at] = pieces.times(sups, firsts, levels)
+    for c, ratio in enumerate(held):
+        if ratio is not None:
+            at = slice(first + c * n, first + (c + 1) * n)
+            ratios[at] = thd[c]
+            dbs[at] = [20.0 * math.log10(value) for value in thd[c]]

@@ -81,13 +81,23 @@ def sin_turns(x: float) -> float:
 
 
 def sin_turns_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`sin_turns` for arrays with entries in [0, 1)."""
+    """Vectorized :func:`sin_turns` for arrays with entries in [0, 1).
+
+    The folds are arithmetic rather than selections (``np.where`` on an
+    unordered mask cost more than the sine itself), with the same
+    floats: floor(2x)/2 is 1/2 on the second half turn and 0 before it,
+    and x - 0.0 is x; below 1/4, 0.5 - y stays above y, so the minimum
+    reflects exactly where :func:`sin_turns` does; and adding 0.0 after
+    the sign turns -0.0 into the 0.0 of 0.0 - 0.0.
+    """
     x = np.asarray(x, dtype=np.float64)
-    hi = x >= 0.5
-    y = np.where(hi, x - 0.5, x)
-    y = np.where(y > 0.25, 0.5 - y, y)
-    s = np.sin(2.0 * np.pi * y)
-    return np.where(hi, 0.0 - s, s)
+    half = np.multiply(x, 2.0)
+    np.multiply(np.floor(half, out=half), 0.5, out=half)
+    y = x - half
+    np.minimum(y, 0.5 - y, out=y)
+    s = np.sin(np.multiply(y, 2.0 * np.pi, out=y), out=y)
+    sign = np.subtract(1.0, np.multiply(half, 4.0, out=half), out=half)
+    return np.add(np.multiply(s, sign, out=s), 0.0, out=s)
 
 
 @dataclass(frozen=True)
@@ -266,7 +276,9 @@ def quantize(
         np.ceil(y, out=y)
     else:
         np.floor(y, out=y)
-    np.divide(y, scale, out=y)
+    # exact: the step is a power of two and every code is 0 or at least 1
+    # in magnitude, so this is the quotient by the scale
+    np.multiply(y, config.step, out=y)
     # + 0.0 turns the -0.0 of, say, ceil(-0.3) into the code-0 level 0.0
     return np.add(y, 0.0, out=y)
 

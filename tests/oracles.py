@@ -32,6 +32,7 @@ from ddsmetrics.metrics import (
     REPORT_FIELDS,
     CapExceeded,
     MetricsReport,
+    _half_swing,
     _parseval_thd,
     _Pieces,
     _turns,
@@ -336,24 +337,25 @@ def thd(spectrum: Spectrum) -> tuple[float, float | None]:
     return 0.0, None
 
 
-def _row_supremum(pieces: _Pieces, level: np.ndarray) -> list[tuple[float, float]]:
-    """The exact supremum of one digitized row and the earliest time it
-    is attained: the four candidate errors of every piece stacked, and the
-    first piece that attains their maximum."""
+def _row_supremum(pieces: _Pieces, level: np.ndarray, at_peak, at_trough) -> list[tuple[float, float]]:
+    """The exact supremum of one digitized row of every piece and the
+    earliest time it is attained: the four candidate errors of every
+    piece stacked, with the pieces that hold phase 1/4 (3/4) marked by
+    ``at_peak`` (``at_trough``), and the first piece that attains their
+    maximum."""
     offset = level - pieces.start
     errors = np.stack([
         np.abs(offset),
         np.abs(offset - pieces.swing),
-        np.where(pieces.at_peak, np.abs(level - 1.0), 0.0),
-        np.where(pieces.at_trough, np.abs(level + 1.0), 0.0),
+        np.where(at_peak, np.abs(level - 1.0), 0.0),
+        np.where(at_trough, np.abs(level + 1.0), 0.0),
     ])
     largest = errors.max(axis=0)
     sup = float(largest.max())
     [(p, q)] = pieces.rows
-    first = int((largest == sup).nonzero()[0][0])
-    k = int(pieces.k[first])
+    k = int((largest == sup).nonzero()[0][0])
     offsets = (0, 4 * q, *_windows(k * q % p, p))
-    candidates = errors[:, first].tolist()
+    candidates = errors[:, k].tolist()
     tick = 4 * k * q + min(o for o, e in zip(offsets, candidates) if e == sup)
     return [(sup, tick / (4 * p) / pieces.f)]
 
@@ -378,16 +380,21 @@ def column_rows(spec, timing, quantizers) -> list:
     digits as THD falls: about 1e-7 relative near p = 2**15 at 52 bits."""
     p, q = timing.multiplier_num, timing.multiplier_den
     check_pieces(p, q)
-    pieces = _Pieces(spec.frequency_hz, [(p, q)], np.arange(p, dtype=np.int64), [p])
+    pieces = _Pieces(spec.frequency_hz, [(p, q)], [p])
+    # The residue of each piece, and which pieces hold phase 1/4 and 3/4:
+    # their offsets from the piece's start are at most 4q.
+    r = np.arange(p, dtype=np.int64) * (q % p) % p
+    at_peak, at_trough = (window <= 4 * min(q, p) for window in _windows(r, p))
     # One DFT bin of the levels at their start phases, times the
     # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
-    cosine = sin_turns_array(_turns(4 * pieces.r + p, 4 * p))
+    cosine = sin_turns_array(_turns(4 * r + p, 4 * p))
+    half = _half_swing(spec.frequency_hz, p, q)
     reports = []
     for quantizer in quantizers:
         level = quantize(pieces.start, quantizer)
-        [(err, argmax_t)] = _row_supremum(pieces, level)
+        [(err, argmax_t)] = _row_supremum(pieces, level, at_peak, at_trough)
         bin_1 = math.hypot(float(level @ cosine), float(level @ pieces.start))
-        fundamental = 2.0 * bin_1 * abs(pieces.half) / (math.pi * q)
+        fundamental = 2.0 * bin_1 * abs(half) / (math.pi * q)
         # p <= 2 holds every level at Q(0): no fundamental
         thd_result = (None, None) if p < 3 else _parseval_thd(
             float(np.mean(level)), float(np.mean(level * level)), fundamental
@@ -441,8 +448,7 @@ def held_thd_by_row(p: int, q: int) -> tuple[float | None, float | None]:
 def held_supremum(model: WaveformModel, k: np.ndarray) -> tuple[float, float]:
     """The engine's supremum of a held model over its pieces ``k``
     (ascending), whose levels are the sine at their starts."""
-    pieces = _Pieces(model.spec.frequency_hz, [_model_pq(model)], k, [len(k)])
-    [sup], [time] = pieces.supremum(pieces.start, np.zeros(len(k)))
+    [sup], [time] = _Pieces(model.spec.frequency_hz, [_model_pq(model)], [len(k)], k).held_suprema()
     return sup, time
 
 

@@ -985,6 +985,93 @@ class TestColumnGroups:
         assert grid <= column + kept
 
 
+coprime_rows = st.tuples(
+    st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=10**20)
+).filter(lambda row: math.gcd(*row) == 1)
+any_quantizer = st.builds(
+    QuantizerConfig, st.integers(min_value=1, max_value=52), st.sampled_from(list(QuantizationMode))
+)
+
+
+class TestSupremumOracle:
+    """The supremum and argmax time of every digitized cell equal those of
+    :func:`oracles.column_rows`, which marks the pieces that hold phase
+    1/4 and 3/4 from its own windows and stacks all four candidate errors
+    of every piece, whatever the batch and the groups the cell shares."""
+
+    @given(
+        rows=st.lists(coprime_rows, min_size=1, max_size=4),
+        quantizers=st.lists(any_quantizer, min_size=1, max_size=6),
+        freq=st.sampled_from([1.0, 3.3]),
+    )
+    # p <= 2: every level is Q(0); 2q > p: a piece's window reaches both
+    # extrema, or every piece holds both
+    @example(
+        rows=[(1, 1), (2, 1), (1, 10**20), (2, 10**20 - 1)],
+        quantizers=[QuantizerConfig(1), QuantizerConfig(52, QuantizationMode.CEILING)],
+        freq=1.0,
+    )
+    @example(
+        rows=[(3, 2), (5, 3), (64, 33), (63, 10**20 + 1)],
+        quantizers=[QuantizerConfig(bits, mode) for mode in QuantizationMode for bits in (1, 2, 52)],
+        freq=3.3,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_suprema_and_times_equal_the_oracle(self, rows, quantizers, freq):
+        spec, n = SignalSpec(freq), len(quantizers)
+        columns = evaluate_columns(spec, rows, quantizers)
+        for i, (p, q) in enumerate(rows):
+            oracle = column_rows(spec, TimingConfig(p, q), quantizers)
+            at = slice(i * n, (i + 1) * n)
+            assert columns["max_abs_error"][at] == [report.max_abs_error for report in oracle]
+            assert columns["argmax_time_s"][at] == [report.argmax_time_s for report in oracle]
+
+
+# The benchmark's digitized grid axis at seed 0: 9307 pieces, one batch.
+BENCHMARK_AXIS = [6, 9, 11, 16, 28, 42, 76, 95, 157, 254, 451, 584, 818, 1549, 2251, 2960]
+
+
+class TestWorkingSet:
+    """A batch's groups share one working set, and the rest of what it
+    holds is a few values per report."""
+
+    def test_working_set_does_not_grow_with_the_quantizers(self):
+        # the peak beyond the columns the call returns: 15 quantizers are
+        # five groups of three rows, 60 are twenty
+        modes = list(QuantizationMode)
+        rows = [(m, 1) for m in BENCHMARK_AXIS]
+
+        def working(n):
+            quantizers = [QuantizerConfig(2 + b % 15, modes[b // 15 % 3]) for b in range(n)]
+            tracemalloc.start()
+            try:
+                columns = evaluate_columns(SPEC, rows, quantizers)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(columns["max_abs_error"]) == n * len(rows)
+            return peak - kept
+
+        assert working(60) <= 1.05 * working(15)
+
+    def test_groups_reuse_their_matrices(self, monkeypatch):
+        # every group of a batch writes its levels into the same matrix
+        writes = []
+        original = metrics.quantize
+
+        def recorded(x, quantizer, out=None):
+            writes.append(out.__array_interface__["data"][0])
+            return original(x, quantizer, out=out)
+
+        monkeypatch.setattr(metrics, "quantize", recorded)
+        quantizers = [QuantizerConfig(bits) for bits in range(2, 17)]
+        group_rows = metrics._COLUMN_CHUNK // sum(BENCHMARK_AXIS)
+        columns = evaluate_columns(SPEC, [(m, 1) for m in BENCHMARK_AXIS], quantizers)
+        assert len(set(writes)) == group_rows < len(quantizers)
+        monkeypatch.undo()
+        assert columns == evaluate_columns(SPEC, [(m, 1) for m in BENCHMARK_AXIS], quantizers)
+
+
 # bits 1 and 52 and a few between, in every mode, mixed and repeated
 MIXED_QUANTIZERS = [
     QuantizerConfig(bits, mode)
@@ -1191,6 +1278,16 @@ class TestBatchPool:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == [serial] * 3
+
+    def test_two_threads_equal_serial(self, monkeypatch):
+        # two real threads, each batch through its own working set of
+        # several groups
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        quantizers = MIXED_QUANTIZERS * 2
+        group_rows = metrics._COLUMN_CHUNK // max(p for p, _ in POOL_ROWS)
+        assert len(quantizers) > 2 * group_rows
+        serial = evaluate_columns(SPEC, POOL_ROWS, quantizers)
+        assert evaluate_columns(SPEC, POOL_ROWS, quantizers, 2) == serial
 
 
 # Multipliers (p, q) in lowest terms: no fundamental (p <= 2), ordinary

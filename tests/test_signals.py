@@ -16,8 +16,10 @@ from ddsmetrics.signals import (
     WaveformModel,
     digitized_sample,
     held_sample,
+    quantize,
     quantize_sample,
     sin_turns,
+    sin_turns_array,
     step_levels,
     target_sample,
 )
@@ -129,6 +131,53 @@ class TestQuantizeSample:
         assert -1.0 <= value <= 1.0
         scaled = value * (1 << (bits - 1))
         assert scaled == int(scaled)
+
+
+def quantize_by_division(x, config):
+    """The three level rules with the division by the scale: the
+    reference for :func:`quantize`, which multiplies by the step."""
+    y = x * config.scale
+    if config.mode is QuantizationMode.ROUND:
+        y = y + 0.5
+    y = np.ceil(y) if config.mode is QuantizationMode.CEILING else np.floor(y)
+    return y / config.scale + 0.0
+
+
+def threshold_amplitudes(bits):
+    """Amplitudes in [-1, 1] at and beside the level thresholds of
+    ``bits``: each k/scale and (k + 1/2)/scale one ulp either side, for
+    every code k up to 12 bits and a seeded sample of codes beyond, with
+    +-0.0, +-1.0 and subnormals."""
+    scale = 1 << (bits - 1)
+    if bits <= 12:
+        codes = np.arange(-scale, scale + 1, dtype=np.float64)
+    else:
+        sample = np.random.default_rng(bits).integers(-scale, scale, 2000, endpoint=True)
+        edges = [-scale, -scale + 1, -1, 0, 1, scale - 1, scale]
+        codes = np.concatenate((sample, edges)).astype(np.float64)
+    thresholds = np.concatenate((codes / scale, (codes + 0.5) / scale))
+    tiny = np.array([5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308])
+    x = np.concatenate((
+        thresholds, np.nextafter(thresholds, -2.0), np.nextafter(thresholds, 2.0),
+        tiny, -tiny, [0.0, -0.0, 1.0, -1.0],
+    ))
+    return x[np.abs(x) <= 1.0]
+
+
+class TestQuantizeByStep:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
+    def test_product_with_the_step_is_the_quotient_by_the_scale(self, bits, mode):
+        # the scale is a power of two and every code is 0 or at least 1 in
+        # magnitude, so code*step never rounds: the same floats, signed
+        # zeros included
+        config = qc(bits, mode)
+        x = threshold_amplitudes(bits)
+        expected = quantize_by_division(x, config)
+        assert quantize(x, config).view(np.int64).tolist() == expected.view(np.int64).tolist()
+        out = np.empty_like(x)
+        assert quantize(x, config, out=out) is out
+        assert out.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 class TestHeldSample:
@@ -281,6 +330,44 @@ class TestSinTurns:
     @given(x=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
     def test_matches_library_sine(self, x):
         assert sin_turns(x) == pytest.approx(math.sin(2 * math.pi * x), abs=1e-12)
+
+
+def sin_turns_by_selection(x):
+    """sin_turns for arrays, folding by selection: the reference for the
+    arithmetic folds of :func:`sin_turns_array`."""
+    x = np.asarray(x, dtype=np.float64)
+    hi = x >= 0.5
+    y = np.where(hi, x - 0.5, x)
+    y = np.where(y > 0.25, 0.5 - y, y)
+    s = np.sin(2.0 * np.pi * y)
+    return np.where(hi, 0.0 - s, s)
+
+
+class TestSinTurnsArray:
+    def test_folds_equal_the_selections(self):
+        # every phase j/(4p) of the engine's pieces up to p = 400, a
+        # sample at large p, the fold points and their neighbours
+        rng = np.random.default_rng(0)
+        phases = [np.arange(4 * p) / (4 * p) for p in range(1, 401)]
+        for p in rng.integers(1 << 20, 1 << 24, 8).tolist():
+            phases.append(rng.integers(0, 4 * p, 20000) / (4 * p))
+        folds = np.array([0.0, 0.25, 0.5, 0.75])
+        phases += [
+            rng.random(100000), folds, np.nextafter(folds, 1.0),
+            np.nextafter(folds[1:], 0.0), [np.nextafter(1.0, 0.0), 5e-324],
+        ]
+        x = np.concatenate(phases)
+        expected = sin_turns_by_selection(x)
+        assert sin_turns_array(x).view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_exact_quarter_points(self):
+        assert sin_turns_array(np.array([0.0, 0.25, 0.5, 0.75])).tolist() == [0.0, 1.0, 0.0, -1.0]
+        assert math.copysign(1.0, sin_turns_array(np.array([0.5]))[0]) == 1.0
+
+    def test_keeps_its_input(self):
+        x = np.array([0.1, 0.6, 0.9])
+        sin_turns_array(x)
+        assert x.tolist() == [0.1, 0.6, 0.9]
 
 
 class TestStepLevels:
