@@ -194,6 +194,16 @@ def _same_output(first: str, second: str) -> bool:
         return True
 
 
+@contextlib.contextmanager
+def _cap_names(flag: str):
+    """Prefix ``flag``, which gave the multiplier, to a CapExceeded message."""
+    try:
+        yield
+    except CapExceeded as exc:
+        exc.args = (f"{flag}: {exc}",)
+        raise
+
+
 def _resolve_timing(args) -> TimingConfig:
     if args.multiplier is not None and args.dt is not None:
         raise UsageError("--multiplier and --dt are mutually exclusive")
@@ -239,7 +249,8 @@ def _eval_model(args) -> WaveformModel:
 def cmd_eval(args) -> int:
     model = _eval_model(args)
     _check_outputs([args.out])
-    report = evaluate(model)
+    with _cap_names("--multiplier" if args.multiplier is not None else "--dt"):
+        report = evaluate(model)
     if args.format == "json":
         text = reporting.report_to_json(report)
     else:
@@ -286,11 +297,10 @@ def cmd_sweep(args) -> int:
     if args.svg is not None and _same_output(args.out, args.svg):
         raise UsageError(f"--svg {args.svg!r} names the same output as --out {args.out!r}")
     _check_outputs([args.out, args.svg or "-"])
-    # --workers is accepted on every axis; only the grid's batches use it
-    if args.axis == "grid":
-        result = sweep_grid(spec, workers=args.workers)
-    else:
-        result = {"bits": sweep_bits, "multiplier": sweep_multiplier}[args.axis](spec)
+    # --workers is accepted on every axis and has no effect
+    sweep = {"bits": sweep_bits, "multiplier": sweep_multiplier, "grid": sweep_grid}[args.axis]
+    with _cap_names("--multipliers" if multipliers is not None else "--decades-to"):
+        result = sweep(spec)
     outputs = [(args.out, reporting.sweep_to_csv(result))]
     if args.svg is not None:
         try:

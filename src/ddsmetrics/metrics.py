@@ -33,11 +33,10 @@ sine, its swing and its cosine (see :class:`_Pieces`). The quantizers then
 go in groups through one working set, matrices allocated once per batch
 that every whole-matrix step writes into (:meth:`_Pieces.quantized`); each
 group leaves a few values per report, and the THD, the argmax times and
-the logarithms are taken from them once per batch. Its batches are the
-only tasks that may run on a thread pool, each with its own working set.
-The held and digitized engines take integer pairs (p, q) and their suprema
-from one segmented pass, :meth:`_Pieces.supremum`, so a row of a sweep
-costs a few Python-level steps, not a few dozen numpy calls.
+the logarithms are taken from them once per batch. The held and
+digitized engines take integer pairs (p, q) and their suprema from one
+segmented pass, :meth:`_Pieces.supremum`, so a row of a sweep costs a few
+Python-level steps, not a few dozen numpy calls.
 
 The step levels come from :func:`ddsmetrics.signals.step_levels`, the
 definition the pointwise models use. The probe-grid and DFT estimators
@@ -47,10 +46,9 @@ that check this engine live with the tests, in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -698,7 +696,6 @@ def evaluate_columns(
     spec: SignalSpec,
     rows: Sequence[tuple[int, int]],
     quantizers: Sequence[QuantizerConfig],
-    workers: int = 1,
 ) -> dict[str, list]:
     """:func:`evaluate` of the digitized models of each multiplier p/q of
     ``rows``, each in lowest terms, and each quantizer, as columns (see
@@ -715,10 +712,10 @@ def evaluate_columns(
     whole-matrix calls into it. The THD, the argmax times and the
     logarithms follow once per batch from a few values per report.
 
-    The batches run on a pool of ``min(workers, batches, os.cpu_count())``
-    threads where that is above 1, each with its own working set and
-    filling its own slice of the columns. :class:`CapExceeded` is raised before anything is allocated
-    when some row has more than ``MAX_PIECES`` pieces.
+    The batches run one after another in the calling thread, each filling
+    its own slice of the columns. :class:`CapExceeded` is raised before
+    anything is allocated when some row has more than ``MAX_PIECES``
+    pieces.
     """
     for p, q in rows:
         check_pieces(p, q)
@@ -737,19 +734,10 @@ def evaluate_columns(
         **{name: [None] * size for name in _COMPUTED},
         "paper_bound": list(paper), "strict_bound": list(strict),
     }
-    batches = column_batches(rows)
-    # the position of each batch's first report
-    firsts = accumulate((len(batch) * n for batch in batches[:-1]), initial=0)
-    run = partial(_evaluate_batch, f, quantizers, columns)
-    workers = min(workers, len(batches), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here, so that importing the package loads no pool
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, batches, firsts))
-    else:
-        list(map(run, batches, firsts))
+    first = 0  # the position of the batch's first report
+    for batch in column_batches(rows):
+        _evaluate_batch(f, quantizers, columns, batch, first)
+        first += len(batch) * n
     return columns
 
 

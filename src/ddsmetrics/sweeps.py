@@ -19,10 +19,7 @@ snaps to it. Each sweep is one call of an engine of
 :mod:`~ddsmetrics.metrics`, which decides how its rows are batched: the
 bits sweep :func:`~ddsmetrics.metrics.quantized_columns`, the multiplier
 sweep :func:`~ddsmetrics.metrics.held_columns` and the grid
-:func:`~ddsmetrics.metrics.evaluate_columns`. Only the grid takes
-``workers``, which its engine passes to a thread pool of its batches;
-the result order is fixed by the parameter axes, never by completion
-order.
+:func:`~ddsmetrics.metrics.evaluate_columns`.
 
 A :class:`SweepResult` holds its rows as columns: the distinct reports,
 one list per report field, and per row the position of its report among
@@ -46,7 +43,7 @@ from .metrics import (
     quantized_columns,
     reports_from_columns,
 )
-from .signals import QuantizationMode, QuantizerConfig, SignalSpec, TimingConfig
+from .signals import MAX_BITS, QuantizationMode, QuantizerConfig, SignalSpec, TimingConfig
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -89,9 +86,9 @@ class SweepSpec:
     q_max: int = 16
 
     def __post_init__(self) -> None:
-        if not 1 <= self.bits_from <= self.bits_to <= 52:
+        if not 1 <= self.bits_from <= self.bits_to <= MAX_BITS:
             raise ValueError(
-                f"bit range [{self.bits_from}, {self.bits_to}] must lie within [1, 52]"
+                f"bit range [{self.bits_from}, {self.bits_to}] must lie within [1, {MAX_BITS}]"
             )
         if self.bits_step < 1:
             raise ValueError("bits_step must be >= 1")
@@ -316,8 +313,8 @@ def sweep_grid(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """One row per (bits, multiplier) pair for the digitized model,
     row-major with bits outermost, both axes ascending. Each distinct
     snapped multiplier's column of bit counts is evaluated once, in one
-    call of :func:`~ddsmetrics.metrics.evaluate_columns`, which runs its
-    batches of consecutive columns on up to ``workers`` threads."""
+    call of :func:`~ddsmetrics.metrics.evaluate_columns`. ``workers`` is
+    accepted and ignored: every batch runs in the calling thread."""
     signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
     quantizers = [QuantizerConfig(bits, spec.mode) for bits in spec.bits_axis()]
     requested, pairs, index = _snapped_axis(spec)
@@ -325,7 +322,7 @@ def sweep_grid(spec: SweepSpec, workers: int = 1) -> SweepResult:
     # i*len(quantizers) + b
     n = len(quantizers)
     return SweepResult(
-        "grid", spec, evaluate_columns(signal, pairs, quantizers, workers),
+        "grid", spec, evaluate_columns(signal, pairs, quantizers),
         [i * n + b for b in range(n) for i in index],
         requested * n, _flags(pairs, index) * n,
     )

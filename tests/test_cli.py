@@ -1,10 +1,10 @@
-import concurrent.futures
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -442,8 +442,6 @@ class TestNoArgparse:
 
 class TestNoThreadPool:
     def test_import_loads_no_pool_and_no_logging(self):
-        # concurrent.futures, which imports logging, is loaded only where
-        # a sweep starts a thread pool
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         code = (
             "import sys\n"
@@ -459,14 +457,14 @@ class TestNoThreadPool:
         assert proc.stdout == "[]\n"
 
 
-def refuse_pool(*args, **kwargs):
-    raise AssertionError("a thread pool was started")
+def refuse_thread(thread):
+    raise AssertionError(f"a thread was started: {thread!r}")
 
 
 class TestWorkersOnEveryAxis:
-    """``--workers`` is accepted on every axis. The bits and multiplier
-    sweeps are one engine call each and start no pool; the grid's engine
-    runs more than one batch on one."""
+    """``--workers`` is accepted on every axis and has no effect: every
+    sweep runs in the calling thread, so at four workers none starts a
+    thread, and each prints and writes what it does at one."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -475,41 +473,25 @@ class TestWorkersOnEveryAxis:
             # q_max 1000 keeps about 2200 distinct timings: three held chunks
             ["sweep", "multiplier", "--decades-from", "0.5", "--decades-to", "2.5",
              "--points-per-decade", "1100", "--qmax", "1000"],
+            # 20000 and 17000 are batches of their own and cut the smaller
+            # columns into three more
+            ["sweep", "grid", "--bits-to", "4",
+             "--multipliers", "5,20000,3.5,17000,1,2,6000,9000"],
         ],
-        ids=["bits", "multiplier-three-chunks"],
+        ids=["bits", "multiplier-three-chunks", "grid-five-batches"],
     )
-    def test_two_workers_start_no_pool_and_equal_one(self, capsys, monkeypatch, tmp_path, argv):
+    def test_four_workers_start_no_thread_and_equal_one(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        monkeypatch.setattr(threading.Thread, "start", refuse_thread)
         outputs = []
-        for workers in ("1", "2"):
-            if workers == "2":
-                monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse_pool)
+        for workers in ("1", "4"):
             svg = tmp_path / f"{workers}.svg"
             code, out, err = run_cli(capsys, *argv, "--workers", workers, "--svg", str(svg))
             assert code == 0, err
             outputs.append((out, err, svg.read_bytes()))
         assert outputs[0] == outputs[1]
         assert outputs[0][0].count("\n") > 16
-
-    def test_grid_of_many_batches_reaches_the_pool(self, capsys, monkeypatch):
-        # 20000 and 17000 are batches of their own and cut the smaller
-        # columns into three more
-        argv = ["sweep", "grid", "--bits-to", "4",
-                "--multipliers", "5,20000,3.5,17000,1,2,6000,9000"]
-        code, serial, _ = run_cli(capsys, *argv, "--workers", "1")
-        assert code == 0
-        sizes = []
-        pool_class = concurrent.futures.ThreadPoolExecutor
-
-        def recorded(max_workers):
-            sizes.append(max_workers)
-            return pool_class(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        code, parallel, _ = run_cli(capsys, *argv, "--workers", "2")
-        assert code == 0
-        assert sizes == [2]
-        assert parallel == serial
 
 
 class TestEmptyOutputPath:
@@ -576,7 +558,9 @@ class TestBoundaryInputs:
     def test_work_cap_checked_before_allocation(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "eval", "--model", "held", flag, value)
         assert code == 3
+        assert err.startswith(f"error: {flag}: multiplier ")
         assert "exceeding the cap" in err
+        assert err.count("\n") == 1
         assert out == ""
 
     def test_past_the_old_dft_cap_reports_thd(self, capsys):
@@ -601,7 +585,10 @@ class TestBoundaryInputs:
             "--out", str(tmp_path / "grid.csv"), "--svg", str(tmp_path / "grid.svg"),
         )
         assert code == 3
-        assert "20000000/1" in err
+        assert err == (
+            "error: --multipliers: multiplier 20000000/1 needs 20000000 pieces, "
+            "exceeding the cap of 16777216\n"
+        )
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 

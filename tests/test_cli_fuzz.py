@@ -2,12 +2,12 @@
 every run exits 0, 2 or 3, prints no traceback, and on exit 2 or 3
 prints one stderr line and leaves no output file behind."""
 
-import concurrent.futures
 import contextlib
 import io
 import os
 import sys
 import tempfile
+import threading
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -51,20 +51,8 @@ def command_lines(draw):
     return argv
 
 
-class SerialPool:
-    """Stands in for ThreadPoolExecutor: runs the batches on this thread."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-    def map(self, fn, *iterables):
-        return list(map(fn, *iterables))
+def refuse_thread(thread):
+    raise AssertionError(f"a thread was started: {thread!r}")
 
 
 def run_in(directory: str, argv: list[str]) -> tuple[int, str]:
@@ -74,7 +62,7 @@ def run_in(directory: str, argv: list[str]) -> tuple[int, str]:
     here = os.getcwd()
     os.chdir(directory)
     try:
-        with mock.patch.object(concurrent.futures, "ThreadPoolExecutor", SerialPool), \
+        with mock.patch.object(threading.Thread, "start", refuse_thread), \
                 contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     finally:

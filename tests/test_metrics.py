@@ -1,7 +1,4 @@
-import concurrent.futures
 import math
-import os
-import sys
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
@@ -1223,71 +1220,6 @@ class TestColumnBatches:
             for n in (16, 64)
         }
         assert peaks[64] <= 1.1 * peaks[16]
-
-
-# Five columns of over half a batch each: five batches of one column.
-POOL_ROWS = [(metrics._BATCH_PIECES // 2 + k, 7) for k in (1, 2, 4, 5, 8)]
-
-
-class TestBatchPool:
-    """evaluate_columns runs its batches on a pool of
-    min(workers, batches, os.cpu_count()) threads, and only where that is
-    above 1; each batch fills its own slice of the columns. The pool here
-    is a stand-in that records its size and runs the batches last to
-    first on this thread, so no thread is started."""
-
-    @pytest.mark.parametrize(
-        "workers,cpus,size",
-        [(4000, 64, 5), (4000, 2, 2), (3, 64, 3), (2, 1, None), (2, None, None), (1, 64, None)],
-    )
-    def test_pool_size_is_bounded(self, monkeypatch, workers, cpus, size):
-        quantizers = MIXED_QUANTIZERS[:3]
-        assert len(column_batches(POOL_ROWS)) == 5
-        serial = evaluate_columns(SPEC, POOL_ROWS, quantizers)
-        sizes = []
-
-        class ReversedPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
-            def map(self, fn, *iterables):
-                return [fn(*args) for args in reversed(list(zip(*iterables)))]
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", ReversedPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert evaluate_columns(SPEC, POOL_ROWS, quantizers, workers) == serial
-        assert sizes == ([] if size is None else [size])
-
-    def test_threads_equal_serial(self, monkeypatch):
-        # four threads, more than this machine may have cores, switching
-        # often: a batch that wrote outside its own slice, or a lost
-        # write, would change some report
-        quantizers = MIXED_QUANTIZERS[:3]
-        serial = evaluate_columns(SPEC, POOL_ROWS, quantizers)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = [evaluate_columns(SPEC, POOL_ROWS, quantizers, 4) for _ in range(3)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded == [serial] * 3
-
-    def test_two_threads_equal_serial(self, monkeypatch):
-        # two real threads, each batch through its own working set of
-        # several groups
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        quantizers = MIXED_QUANTIZERS * 2
-        group_rows = metrics._COLUMN_CHUNK // max(p for p, _ in POOL_ROWS)
-        assert len(quantizers) > 2 * group_rows
-        serial = evaluate_columns(SPEC, POOL_ROWS, quantizers)
-        assert evaluate_columns(SPEC, POOL_ROWS, quantizers, 2) == serial
 
 
 # Multipliers (p, q) in lowest terms: no fundamental (p <= 2), ordinary

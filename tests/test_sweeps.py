@@ -445,9 +445,9 @@ class TestGridColumns:
         calls = []
         original = sweeps.evaluate_columns
 
-        def counted(signal, rows, quantizers, workers):
+        def counted(signal, rows, quantizers):
             calls.append(list(rows))
-            return original(signal, rows, quantizers, workers)
+            return original(signal, rows, quantizers)
 
         monkeypatch.setattr(sweeps, "evaluate_columns", counted)
         # 3.001 and 3.002 both snap to 3/1; 20000 is a batch of its own
