@@ -101,19 +101,24 @@ def held_bounds(
 
 def digitized_bounds(
     frequency_hz: float, dts: Iterable[float], bits: Iterable[int]
-) -> list[list[tuple[float, float]]]:
+) -> tuple[list[float], list[float]]:
     """The paper and strict combined bounds (see
     :func:`digitized_error_bound`) of each bit count of ``bits`` at each
-    gap of ``dts``: one list of pairs per gap. The frequency and each gap
-    are checked, and each gap's sine and strict hold terms computed, once;
-    so are the bit terms, whatever the number of gaps."""
+    gap of ``dts``, as two columns, one gap after another: entry
+    ``i*len(bits) + b`` is that of gap i and bit count b. The frequency
+    and each gap are checked, and each gap's sine and strict hold terms
+    computed, once; so are the bit terms, whatever the number of gaps.
+    No pair is made per entry, so the columns hold their floats alone."""
     dts = list(dts)
     holds = held_bounds(frequency_hz, dts)
     levels = [(quantization_error_bound(b), 1 << (b - 1)) for b in bits]
-    return [
-        [((1.0 + abs(scale * s)) / scale, level + hold) for level, scale in levels]
-        for (_, hold), s in zip(holds, (_sin_two_pi(frequency_hz * dt) for dt in dts))
-    ]
+    paper: list[float] = []
+    strict: list[float] = []
+    for (_, hold), dt in zip(holds, dts):
+        s = _sin_two_pi(frequency_hz * dt)
+        paper += [(1.0 + abs(scale * s)) / scale for _, scale in levels]
+        strict += [level + hold for level, _ in levels]
+    return paper, strict
 
 
 def _variant(pair: tuple[float, float], variant: BoundVariant) -> float:
@@ -148,8 +153,8 @@ def digitized_error_bound(
     combined formula. STRICT: the quantization level plus the strict hold
     bound, sound for any alignment.
     """
-    [[pair]] = digitized_bounds(frequency_hz, [dt], [bits])
-    return _variant(pair, variant)
+    [paper], [strict] = digitized_bounds(frequency_hz, [dt], [bits])
+    return _variant((paper, strict), variant)
 
 
 def report(
@@ -176,7 +181,6 @@ def report(
     for variant, value in zip(BoundVariant, held):
         data[f"held_bound_{variant.value}"] = value
     if bits is not None:
-        [[combined]] = digitized_bounds(f, [dt], [bits])
-        for variant, value in zip(BoundVariant, combined):
+        for variant, [value] in zip(BoundVariant, digitized_bounds(f, [dt], [bits])):
             data[f"digitized_bound_{variant.value}"] = value
     return data

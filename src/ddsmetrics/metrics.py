@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -724,15 +723,14 @@ def evaluate_columns(
     f, n = spec.frequency_hz, len(quantizers)
     size = len(rows) * n
     bits = [quantizer.bits for quantizer in quantizers]
-    bound_pairs = bounds.digitized_bounds(f, [_gap(f, p, q) for p, q in rows], bits)
-    paper, strict = zip(*chain.from_iterable(bound_pairs))
+    paper, strict = bounds.digitized_bounds(f, [_gap(f, p, q) for p, q in rows], bits)
     columns = {
         "model": [ModelKind.DIGITIZED.value] * size, "freq_hz": [f] * size,
         "bits": bits * len(rows),
         "mode": [quantizer.mode.value for quantizer in quantizers] * len(rows),
         "m_num": [p for p, _ in rows for _ in bits], "m_den": [q for _, q in rows for _ in bits],
         **{name: [None] * size for name in _COMPUTED},
-        "paper_bound": list(paper), "strict_bound": list(strict),
+        "paper_bound": paper, "strict_bound": strict,
     }
     first = 0  # the position of the batch's first report
     for batch in column_batches(rows):

@@ -201,14 +201,10 @@ class TestBatchBounds:
     def test_digitized_pairs_equal_each_variant(self, freq, dt):
         bits = list(range(1, 53))
         gaps = [dt, 0.25 / freq, 3.0 * dt]
-        assert digitized_bounds(freq, gaps, bits) == [
-            [
-                (digitized_error_bound(freq, gap, b, PAPER),
-                 digitized_error_bound(freq, gap, b, STRICT))
-                for b in bits
-            ]
-            for gap in gaps
-        ]
+        assert digitized_bounds(freq, gaps, bits) == tuple(
+            [digitized_error_bound(freq, gap, b, variant) for gap in gaps for b in bits]
+            for variant in (PAPER, STRICT)
+        )
 
     @pytest.mark.parametrize(
         "freq,dt,bits", [(0.0, 0.1, 8), (1.0, 0.0, 8), (1.0, math.nan, 8), (1.0, 0.1, 0)]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -457,41 +458,54 @@ class TestNoThreadPool:
         assert proc.stdout == "[]\n"
 
 
+def refuse_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was started")
+
+
 def refuse_thread(thread):
     raise AssertionError(f"a thread was started: {thread!r}")
 
 
+SWEEP_ARGVS = {
+    "bits": ["sweep", "bits"],
+    # q_max 1000 keeps about 2200 distinct timings: three held chunks
+    "multiplier-three-chunks": [
+        "sweep", "multiplier", "--decades-from", "0.5", "--decades-to", "2.5",
+        "--points-per-decade", "1100", "--qmax", "1000",
+    ],
+    # 20000 and 17000 are batches of their own and cut the smaller
+    # columns into three more
+    "grid-five-batches": [
+        "sweep", "grid", "--bits-to", "4", "--multipliers", "5,20000,3.5,17000,1,2,6000,9000",
+    ],
+}
+
+
 class TestWorkersOnEveryAxis:
     """``--workers`` is accepted on every axis and has no effect: every
-    sweep runs in the calling thread, so at four workers none starts a
-    thread, and each prints and writes what it does at one."""
+    sweep runs in the calling thread, so at two workers none starts a
+    pool, at four none starts a thread, and each prints and writes what
+    it does at one."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["sweep", "bits"],
-            # q_max 1000 keeps about 2200 distinct timings: three held chunks
-            ["sweep", "multiplier", "--decades-from", "0.5", "--decades-to", "2.5",
-             "--points-per-decade", "1100", "--qmax", "1000"],
-            # 20000 and 17000 are batches of their own and cut the smaller
-            # columns into three more
-            ["sweep", "grid", "--bits-to", "4",
-             "--multipliers", "5,20000,3.5,17000,1,2,6000,9000"],
-        ],
-        ids=["bits", "multiplier-three-chunks", "grid-five-batches"],
-    )
-    def test_four_workers_start_no_thread_and_equal_one(
-        self, capsys, monkeypatch, tmp_path, argv
-    ):
-        monkeypatch.setattr(threading.Thread, "start", refuse_thread)
+    def check_equal_one(self, capsys, tmp_path, argv, workers):
         outputs = []
-        for workers in ("1", "4"):
-            svg = tmp_path / f"{workers}.svg"
-            code, out, err = run_cli(capsys, *argv, "--workers", workers, "--svg", str(svg))
+        for count in ("1", workers):
+            svg = tmp_path / f"{count}.svg"
+            code, out, err = run_cli(capsys, *argv, "--workers", count, "--svg", str(svg))
             assert code == 0, err
             outputs.append((out, err, svg.read_bytes()))
         assert outputs[0] == outputs[1]
         assert outputs[0][0].count("\n") > 16
+
+    @pytest.mark.parametrize("axis", ["bits", "multiplier-three-chunks"])
+    def test_two_workers_start_no_pool_and_equal_one(self, capsys, monkeypatch, tmp_path, axis):
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse_pool)
+        self.check_equal_one(capsys, tmp_path, SWEEP_ARGVS[axis], "2")
+
+    @pytest.mark.parametrize("axis", list(SWEEP_ARGVS))
+    def test_four_workers_start_no_thread_and_equal_one(self, capsys, monkeypatch, tmp_path, axis):
+        monkeypatch.setattr(threading.Thread, "start", refuse_thread)
+        self.check_equal_one(capsys, tmp_path, SWEEP_ARGVS[axis], "4")
 
 
 class TestEmptyOutputPath:

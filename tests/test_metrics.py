@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
@@ -1220,6 +1222,64 @@ class TestColumnBatches:
             for n in (16, 64)
         }
         assert peaks[64] <= 1.1 * peaks[16]
+
+    def test_peak_memory_does_not_depend_on_freed_pairs(self):
+        # CPython keeps up to 2000 freed pairs for reuse, so a call that
+        # made a pair per report traced each pair or none depending on
+        # what ran before it: 2.3 % of this peak, which made the bound of
+        # the test above pass or fail by test order
+        rows = [(3990 + k, 7) for k in range(64)]
+        quantizers = [
+            QuantizerConfig(bits, mode)
+            for bits in (1, 4, 8, 12) for mode in (QuantizationMode.FLOOR, QuantizationMode.ROUND)
+        ]
+        freed = [(k, -k) for k in range(4000)]
+        del freed
+        reused = traced_peak(lambda: evaluate_columns(SPEC, rows, quantizers))
+        held = [(k, -k) for k in range(4000)]
+        fresh = traced_peak(lambda: evaluate_columns(SPEC, rows, quantizers))
+        assert len(held) == 4000
+        assert abs(fresh - reused) <= 0.01 * reused
+
+
+# Five columns of over half a batch each: five batches of one column.
+POOL_ROWS = [(metrics._BATCH_PIECES // 2 + k, 7) for k in (1, 2, 4, 5, 8)]
+
+
+def on_threads(threads, fn):
+    """``fn()`` called on each of ``threads`` threads at once."""
+    with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(lambda _: fn(), range(threads)))
+
+
+class TestBatchPool:
+    """evaluate_columns runs its batches in the calling thread, and a
+    caller's own pool may call it on several threads at once: each call
+    keeps its working sets and columns to itself, so threaded calls equal
+    a serial one."""
+
+    def test_threads_equal_serial(self):
+        # four threads, more than this machine may have cores, switching
+        # often: a call that wrote into another's working set or columns,
+        # or a lost write, would change some report
+        quantizers = MIXED_QUANTIZERS[:3]
+        assert len(column_batches(POOL_ROWS)) == 5
+        serial = evaluate_columns(SPEC, POOL_ROWS, quantizers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = on_threads(4, lambda: evaluate_columns(SPEC, POOL_ROWS, quantizers))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == [serial] * 4
+
+    def test_two_threads_equal_serial(self):
+        # each batch through its own working set of several groups
+        quantizers = MIXED_QUANTIZERS * 2
+        group_rows = metrics._COLUMN_CHUNK // max(p for p, _ in POOL_ROWS)
+        assert len(quantizers) > 2 * group_rows
+        serial = evaluate_columns(SPEC, POOL_ROWS, quantizers)
+        assert on_threads(2, lambda: evaluate_columns(SPEC, POOL_ROWS, quantizers)) == [serial] * 2
 
 
 # Multipliers (p, q) in lowest terms: no fundamental (p <= 2), ordinary
