@@ -85,18 +85,18 @@ def _sin_two_pi(x: float) -> float:
 
 def held_bounds(
     frequency_hz: float, dts: Iterable[float]
-) -> list[tuple[float, float]]:
+) -> tuple[list[float], list[float]]:
     """The paper and strict hold bounds (see :func:`held_error_bound`) at
-    each gap of ``dts``, with the frequency checked once."""
+    each gap of ``dts``, as two columns, with the frequency checked once."""
     _check_positive("frequency_hz", frequency_hz)
-    pairs = []
+    paper: list[float] = []
+    strict: list[float] = []
     for dt in dts:
         _check_positive("dt", dt)
         x = frequency_hz * dt
-        paper = sin_turns(x) if x <= 0.25 else ERROR_CAP
-        strict = min(ERROR_CAP, 2.0 * sin_turns(x / 2.0)) if x <= 0.5 else ERROR_CAP
-        pairs.append((paper, strict))
-    return pairs
+        paper.append(sin_turns(x) if x <= 0.25 else ERROR_CAP)
+        strict.append(min(ERROR_CAP, 2.0 * sin_turns(x / 2.0)) if x <= 0.5 else ERROR_CAP)
+    return paper, strict
 
 
 def digitized_bounds(
@@ -110,11 +110,11 @@ def digitized_bounds(
     computed, once; so are the bit terms, whatever the number of gaps.
     No pair is made per entry, so the columns hold their floats alone."""
     dts = list(dts)
-    holds = held_bounds(frequency_hz, dts)
+    _, holds = held_bounds(frequency_hz, dts)
     levels = [(quantization_error_bound(b), 1 << (b - 1)) for b in bits]
     paper: list[float] = []
     strict: list[float] = []
-    for (_, hold), dt in zip(holds, dts):
+    for hold, dt in zip(holds, dts):
         s = _sin_two_pi(frequency_hz * dt)
         paper += [(1.0 + abs(scale * s)) / scale for _, scale in levels]
         strict += [level + hold for level, _ in levels]
@@ -140,8 +140,8 @@ def held_error_bound(frequency_hz: float, dt: float, variant: BoundVariant) -> f
     true supremum of |sin(theta + delta) - sin(theta)| over all phases for
     lags delta up to 2*pi*f*dt, hence sound for every step alignment.
     """
-    [pair] = held_bounds(frequency_hz, [dt])
-    return _variant(pair, variant)
+    [paper], [strict] = held_bounds(frequency_hz, [dt])
+    return _variant((paper, strict), variant)
 
 
 def digitized_error_bound(
@@ -177,8 +177,7 @@ def report(
     data["dt_s"] = dt
     data["min_clock_hz"] = min_clock_frequency(dt)
     data["max_phase_shift_rad"] = max_phase_shift(f, dt)
-    [held] = held_bounds(f, [dt])
-    for variant, value in zip(BoundVariant, held):
+    for variant, [value] in zip(BoundVariant, held_bounds(f, [dt])):
         data[f"held_bound_{variant.value}"] = value
     if bits is not None:
         for variant, [value] in zip(BoundVariant, digitized_bounds(f, [dt], [bits])):

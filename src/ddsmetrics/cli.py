@@ -195,11 +195,16 @@ def _same_output(first: str, second: str) -> bool:
 
 
 @contextlib.contextmanager
-def _cap_names(flag: str):
-    """Prefix ``flag``, which gave the multiplier, to a CapExceeded message."""
+def _cap_names(flag: str, snapped: bool = True):
+    """Prefix the flag to blame to a CapExceeded message: ``--qmax`` when
+    the multiplier was ``snapped`` and, rounded to an integer, would fit
+    the cap, so that a smaller --qmax would have kept it under; else
+    ``flag``, which gave the multiplier."""
     try:
         yield
     except CapExceeded as exc:
+        if snapped and (2 * exc.p + exc.q) // (2 * exc.q) <= exc.cap:
+            flag = "--qmax"
         exc.args = (f"{flag}: {exc}",)
         raise
 
@@ -249,7 +254,8 @@ def _eval_model(args) -> WaveformModel:
 def cmd_eval(args) -> int:
     model = _eval_model(args)
     _check_outputs([args.out])
-    with _cap_names("--multiplier" if args.multiplier is not None else "--dt"):
+    flag = "--multiplier" if args.multiplier is not None else "--dt"
+    with _cap_names(flag, snapped=not isinstance(args.multiplier, TimingConfig)):
         report = evaluate(model)
     if args.format == "json":
         text = reporting.report_to_json(report)

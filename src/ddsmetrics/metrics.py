@@ -21,22 +21,22 @@ O(pieces):
   series (Blachman, 1985); at the quantizer's whole-turn arguments
   Hankel's expansion sums them into a few zeta values.
 
-Apart from the target model, :func:`evaluate` is a batch of one of three
+Apart from the target model, :func:`evaluate` is a batch of one of two
 engines, each of which takes a whole sweep axis in one call and returns
 one list per report field (see ``REPORT_FIELDS``): :func:`quantized_columns`,
-O(1) per quantizer; :func:`held_columns`, held rows p/q in chunks whose
-candidate pieces form one matrix; :func:`evaluate_columns`, digitized rows,
-one column of quantizers per multiplier p/q. The last lays consecutive
-columns' pieces end to end in batches, so what depends on the multipliers
-alone, bounds included, is built once per batch: per piece only the start
-sine, its swing and its cosine (see :class:`_Pieces`). The quantizers then
-go in groups through one working set, matrices allocated once per batch
-that every whole-matrix step writes into (:meth:`_Pieces.quantized`); each
-group leaves a few values per report, and the THD, the argmax times and
-the logarithms are taken from them once per batch. The held and
-digitized engines take integer pairs (p, q) and their suprema from one
-segmented pass, :meth:`_Pieces.supremum`, so a row of a sweep costs a few
-Python-level steps, not a few dozen numpy calls.
+O(1) per quantizer, and :func:`evaluate_columns`, rows p/q held (without
+quantizers) or digitized (a column of quantizers each). The latter lays
+consecutive rows' pieces end to end in the batches of
+:func:`column_batches`, a held row's few candidates (:func:`_held_pieces`)
+or a digitized row's every piece, so that what depends on the multipliers
+alone is built once per batch: per piece only the start sine, its swing
+and its cosine (see :class:`_Pieces`). The quantizers then go in groups
+through one working set, matrices allocated once per batch that every
+whole-matrix step writes into (:meth:`_Pieces.quantized`); each group
+leaves a few values per report, and the THD, the argmax times and the
+logarithms are taken from them once per batch. Both kinds of row take
+their suprema from one segmented pass, :meth:`_Pieces.supremum`, so a row
+of a sweep costs a few Python-level steps, not a few dozen numpy calls.
 
 The step levels come from :func:`ddsmetrics.signals.step_levels`, the
 definition the pointwise models use. The probe-grid and DFT estimators
@@ -74,7 +74,6 @@ __all__ = [
     "column_batches",
     "evaluate",
     "evaluate_columns",
-    "held_columns",
     "quantized_columns",
     "reports_from_columns",
 ]
@@ -95,14 +94,16 @@ MAX_PIECES = 1 << 24
 # 2**14 the whole command by about 4 %.
 _COLUMN_CHUNK = 1 << 15
 
-# evaluate_columns() lays the pieces of consecutive timings end to end,
-# up to this many in all (see column_batches), so that a batch of small
-# columns shares one set of array calls and a group holds at least 2 rows.
+# evaluate_columns() lays the pieces of consecutive rows end to end, up
+# to this many in all (see column_batches), so that a batch of small rows
+# shares one set of array calls and a group holds at least 2 rows.
 _BATCH_PIECES = _COLUMN_CHUNK // 2
 
-# held_columns() takes its rows in chunks of this many, one pass of array
-# operations each: about 1.3 KB of temporaries per row, 1.3 MB per chunk.
-_HELD_CHUNK = 1024
+# The most pieces _held_pieces() keeps of a held row: the width of its
+# matrix, 6 window residues and 25 swing candidates. A batch of held rows
+# holds _BATCH_PIECES // _HELD_CANDIDATES = 528 of them, with about 1.2 KB
+# of temporaries each (tracemalloc), 0.6 MB a batch.
+_HELD_CANDIDATES = 31
 
 # Up to this many bits quantized THD sums over the at most 8 thresholds:
 # the Hankel series of _bessel_sums is only asymptotic and falls short
@@ -126,9 +127,7 @@ class CapExceeded(RuntimeError):
     pieces than ``MAX_PIECES`` in :func:`evaluate`."""
 
     def __init__(self, p: int, q: int, count: int, cap: int, unit: str):
-        super().__init__(
-            f"multiplier {p}/{q} needs {count} {unit}, exceeding the cap of {cap}"
-        )
+        super().__init__(f"multiplier {p}/{q} needs more than {cap} {unit}")
         self.p = p
         self.q = q
         self.count = count
@@ -595,9 +594,8 @@ def evaluate(model: WaveformModel) -> MetricsReport:
     O(1) for a quantized model (a closed-form supremum and Bessel-series
     THD), which is a batch of one quantizer (:func:`quantized_columns`),
     and a held one (closed-form THD, a constant-size set of candidate
-    pieces), which is a batch of one row (:func:`held_columns`), in
-    O(pieces) for a digitized one, which is a batch of one column of one
-    row (:func:`evaluate_columns`). ``thd_db`` is None when the ratio is
+    pieces), in O(pieces) for a digitized one; either is a batch of one
+    row of :func:`evaluate_columns`. ``thd_db`` is None when the ratio is
     0 (target model) and both THD fields are None when the signal has no
     fundamental (such as a held model with p <= 2, whose levels are all
     0). :class:`CapExceeded` is raised before anything is allocated when
@@ -612,143 +610,116 @@ def evaluate(model: WaveformModel) -> MetricsReport:
     if model.kind is ModelKind.QUANTIZED:
         return reports_from_columns(quantized_columns(spec, [model.quantizer]))[0]
     rows = [(model.timing.multiplier_num, model.timing.multiplier_den)]
-    columns = (
-        held_columns(spec, rows) if model.kind is ModelKind.HELD
-        else evaluate_columns(spec, rows, [model.quantizer])
-    )
-    return reports_from_columns(columns)[0]
+    quantizers = None if model.quantizer is None else [model.quantizer]
+    return reports_from_columns(evaluate_columns(spec, rows, quantizers))[0]
+
+
+def _report_columns(
+    kind: ModelKind,
+    f: float,
+    rows: Sequence[tuple],
+    quantizers: Sequence[QuantizerConfig | None],
+    values: Sequence[list],
+) -> dict[str, list]:
+    """The columns (see ``REPORT_FIELDS``) of the reports of each row p/q
+    of ``rows`` and each quantizer, one row after another: the model
+    parameters echoed, then ``values``, the columns from max_abs_error on.
+    A quantized report has the row (None, None), a held one the quantizer
+    None."""
+    n = len(rows) * len(quantizers)
+    bits = [None if quantizer is None else quantizer.bits for quantizer in quantizers]
+    modes = [None if quantizer is None else quantizer.mode.value for quantizer in quantizers]
+    return dict(zip(REPORT_FIELDS, (
+        [kind.value] * n, [f] * n, bits * len(rows), modes * len(rows),
+        [p for p, _ in rows for _ in quantizers], [q for _, q in rows for _ in quantizers],
+        *values,
+    )))
 
 
 def quantized_columns(spec: SignalSpec, quantizers: Sequence[QuantizerConfig]) -> dict[str, list]:
     """The quantized reports of the quantizers, as columns (see
     ``REPORT_FIELDS``), in their order: :func:`_quantized_supremum`,
     :func:`_quantized_thd` and the bound of each, O(1) apiece."""
-    f, n = spec.frequency_hz, len(quantizers)
+    f = spec.frequency_hz
     suprema = [_quantized_supremum(quantizer, f) for quantizer in quantizers]
     thds = [_quantized_thd(quantizer) for quantizer in quantizers]
     bound = [bounds.quantization_error_bound(quantizer.bits) for quantizer in quantizers]
-    return {
-        "model": [ModelKind.QUANTIZED.value] * n, "freq_hz": [f] * n,
-        "bits": [quantizer.bits for quantizer in quantizers],
-        "mode": [quantizer.mode.value for quantizer in quantizers],
-        "m_num": [None] * n, "m_den": [None] * n,
-        "max_abs_error": [error for error, _ in suprema],
-        "argmax_time_s": [t for _, t in suprema],
-        "thd_ratio": [ratio for ratio, _ in thds], "thd_db": [db for _, db in thds],
-        "paper_bound": bound, "strict_bound": bound.copy(),
-    }
+    return _report_columns(ModelKind.QUANTIZED, f, [(None, None)], quantizers, (
+        [error for error, _ in suprema], [t for _, t in suprema],
+        [ratio for ratio, _ in thds], [db for _, db in thds], bound, bound.copy(),
+    ))
 
 
-# The fields of a held or digitized report that the pieces give.
-_COMPUTED = ("max_abs_error", "argmax_time_s", "thd_ratio", "thd_db")
-
-
-def held_columns(spec: SignalSpec, rows: Sequence[tuple[int, int]]) -> dict[str, list]:
-    """The held reports of the multipliers p/q of ``rows``, each in lowest
-    terms, as columns (see ``REPORT_FIELDS``), in their order. The rows
-    go in chunks of ``_HELD_CHUNK``: the candidate pieces of every row of
-    a chunk (see :func:`_held_pieces`) are built as one matrix and go
-    through one pass of array operations, and so does the THD (see
-    :func:`_held_thd`); the modular inverse, the sines, the argmax tick
-    and the bounds stay per row, in Python integers and floats.
-    :class:`CapExceeded` is raised before any pieces are built when some
-    row has more than ``MAX_PIECES`` pieces.
-    """
-    for p, q in rows:
-        check_pieces(p, q)
-    f, n = spec.frequency_hz, len(rows)
-    filled = (*_COMPUTED, "paper_bound", "strict_bound")
-    columns = {
-        "model": [ModelKind.HELD.value] * n, "freq_hz": [f] * n,
-        "bits": [None] * n, "mode": [None] * n,
-        "m_num": [p for p, _ in rows], "m_den": [q for _, q in rows],
-        **{name: [] for name in filled},
-    }
-    for first in range(0, n, _HELD_CHUNK):
-        chunk = rows[first:first + _HELD_CHUNK]
-        k, counts = _held_pieces(chunk)
-        values = (
-            *_Pieces(f, chunk, counts, k).held_suprema(), *_held_thd(chunk),
-            *zip(*bounds.held_bounds(f, [_gap(f, p, q) for p, q in chunk])),
-        )
-        for name, chunk_values in zip(filled, values):
-            columns[name] += chunk_values
-    return columns
-
-
-def column_batches(rows: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+def column_batches(
+    rows: Sequence[tuple[int, int]], held: bool = False
+) -> list[list[tuple[int, int]]]:
     """The multipliers p/q of ``rows`` in order, cut into runs of
     consecutive rows whose pieces number at most ``_BATCH_PIECES`` in
-    all; a row of more pieces is a batch of its own."""
+    all: ``_HELD_CANDIDATES`` per row if ``held``, else p. A row of more
+    pieces is a batch of its own."""
     batches, size = [], 0
     for row in rows:
-        p = row[0]
-        if not batches or size + p > _BATCH_PIECES:
+        pieces = _HELD_CANDIDATES if held else row[0]
+        if not batches or size + pieces > _BATCH_PIECES:
             batches.append([])
             size = 0
         batches[-1].append(row)
-        size += p
+        size += pieces
     return batches
 
 
 def evaluate_columns(
     spec: SignalSpec,
     rows: Sequence[tuple[int, int]],
-    quantizers: Sequence[QuantizerConfig],
+    quantizers: Sequence[QuantizerConfig] | None = None,
 ) -> dict[str, list]:
-    """:func:`evaluate` of the digitized models of each multiplier p/q of
-    ``rows``, each in lowest terms, and each quantizer, as columns (see
-    ``REPORT_FIELDS``): one multiplier after another, so that report
+    """:func:`evaluate` of the models of each multiplier p/q of ``rows``,
+    each in lowest terms, as columns (see ``REPORT_FIELDS``): the held
+    models when ``quantizers`` is None, else the digitized model of each
+    quantizer, one multiplier after another, so that report
     ``i*len(quantizers) + b`` is that of row i and quantizer b. The
-    bounds' bit terms are taken once for all rows, and their sine and
-    hold terms once per row. The rows go in the batches of
+    bounds are taken once for all rows. The rows go in the batches of
     :func:`column_batches`, their pieces end to end, so that what else
     depends on the multipliers alone (see :class:`_Pieces`, the held THD)
-    is a few array calls per batch. The quantizers then go in groups of up
-    to ``_COLUMN_CHUNK`` level-matrix elements, at least one row each,
-    through one working set per batch (see :meth:`_Pieces.quantized`): a
-    group's levels, candidate errors, suprema and THD sums are
-    whole-matrix calls into it. The THD, the argmax times and the
-    logarithms follow once per batch from a few values per report.
-
-    The batches run one after another in the calling thread, each filling
-    its own slice of the columns. :class:`CapExceeded` is raised before
-    anything is allocated when some row has more than ``MAX_PIECES``
-    pieces.
+    is a few array calls per batch: of a held row only the candidate
+    pieces of :func:`_held_pieces`, of a digitized row every piece (see
+    :func:`_evaluate_batch`). The batches run one after another in the
+    calling thread. :class:`CapExceeded` is raised before anything is
+    allocated when some row has more than ``MAX_PIECES`` pieces.
     """
     for p, q in rows:
         check_pieces(p, q)
-    if not rows or not quantizers:
+    held = quantizers is None
+    kind, each = (ModelKind.HELD, [None]) if held else (ModelKind.DIGITIZED, quantizers)
+    if not rows or not each:
         return {name: [] for name in REPORT_FIELDS}
-    f, n = spec.frequency_hz, len(quantizers)
-    size = len(rows) * n
-    bits = [quantizer.bits for quantizer in quantizers]
-    paper, strict = bounds.digitized_bounds(f, [_gap(f, p, q) for p, q in rows], bits)
-    columns = {
-        "model": [ModelKind.DIGITIZED.value] * size, "freq_hz": [f] * size,
-        "bits": bits * len(rows),
-        "mode": [quantizer.mode.value for quantizer in quantizers] * len(rows),
-        "m_num": [p for p, _ in rows for _ in bits], "m_den": [q for _, q in rows for _ in bits],
-        **{name: [None] * size for name in _COMPUTED},
-        "paper_bound": paper, "strict_bound": strict,
-    }
-    first = 0  # the position of the batch's first report
-    for batch in column_batches(rows):
-        _evaluate_batch(f, quantizers, columns, batch, first)
-        first += len(batch) * n
-    return columns
+    f = spec.frequency_hz
+    gaps = [_gap(f, p, q) for p, q in rows]
+    paper, strict = (
+        bounds.held_bounds(f, gaps) if held
+        else bounds.digitized_bounds(f, gaps, [quantizer.bits for quantizer in quantizers])
+    )
+    values = ([], [], [], [])  # max_abs_error, argmax_time_s, thd_ratio, thd_db
+    for batch in column_batches(rows, held):
+        k, counts = _held_pieces(batch) if held else (None, [p for p, _ in batch])
+        pieces = _Pieces(f, batch, counts, k)
+        batch_values = (
+            (*pieces.held_suprema(), *_held_thd(batch)) if held
+            else _evaluate_batch(pieces, quantizers, counts)
+        )
+        del pieces  # freed before the next batch builds its own
+        for column, batch_column in zip(values, batch_values):
+            column += batch_column
+    return _report_columns(kind, f, rows, each, (*values, paper, strict))
 
 
 def _evaluate_batch(
-    f: float,
-    quantizers: Sequence[QuantizerConfig],
-    columns: dict[str, list],
-    rows: list[tuple[int, int]],
-    first: int,
-) -> None:
-    """Fill the computed fields (see ``_COMPUTED``) of the reports of
-    :func:`evaluate_columns` of one batch of rows p/q, whose first report
-    is at position ``first`` of ``columns``.
+    pieces: _Pieces, quantizers: Sequence[QuantizerConfig], counts: list[int]
+) -> tuple[list, ...]:
+    """The max_abs_error, argmax_time_s, thd_ratio and thd_db columns of
+    the digitized reports of :func:`evaluate_columns` of one batch of
+    rows p/q, whose ``pieces`` are all of theirs, ``counts[i] = p`` of
+    row i.
 
     THD**2 = THD_held**2 + THD_seq**2*(1 + THD_held**2) exactly: the hold
     scales the fundamental by sinc(q/p) and keeps the AC power of the
@@ -759,10 +730,8 @@ def _evaluate_batch(
     (2*(a*a + (1/2 + b)**2)), which subtracts no term of unit size. Each
     mean is one segmented sum, whose order depends on its segment alone.
     """
-    counts = [p for p, _ in rows]
-    pieces = _Pieces(f, rows, counts)
     sums, sups, firsts, levels = pieces.quantized(quantizers)
-    held = _held_thd(rows)[0]
+    held = _held_thd(pieces.rows)[0]
     # THD_held**2 of each column; a column of p < 3 has no fundamental
     held_square = np.array([0.0 if ratio is None else ratio * ratio for ratio in held])
     mean, mean_square, a, b = sums / counts
@@ -770,13 +739,8 @@ def _evaluate_batch(
     fundamental = 2.0 * (a * a + (0.5 + b) * (0.5 + b))
     sequence = np.maximum(harmonic, 0.0) / fundamental
     thd = np.sqrt(held_square + sequence * (1.0 + held_square)).T.tolist()
-    errors, times, ratios, dbs = map(columns.__getitem__, _COMPUTED)
-    # the batch's reports, one column of quantizers after another
-    n = len(quantizers)
-    at = slice(first, first + len(rows) * n)
-    errors[at], times[at] = pieces.times(sups, firsts, levels)
-    for c, ratio in enumerate(held):
-        if ratio is not None:
-            at = slice(first + c * n, first + (c + 1) * n)
-            ratios[at] = thd[c]
-            dbs[at] = [20.0 * math.log10(value) for value in thd[c]]
+    ratios, dbs, none = [], [], [None] * len(quantizers)
+    for ratio, column in zip(held, thd):
+        ratios += none if ratio is None else column
+        dbs += none if ratio is None else [20.0 * math.log10(value) for value in column]
+    return (*pieces.times(sups, firsts, levels), ratios, dbs)

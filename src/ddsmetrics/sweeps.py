@@ -18,8 +18,8 @@ evaluated once, and its report (or column) serves every axis point that
 snaps to it. Each sweep is one call of an engine of
 :mod:`~ddsmetrics.metrics`, which decides how its rows are batched: the
 bits sweep :func:`~ddsmetrics.metrics.quantized_columns`, the multiplier
-sweep :func:`~ddsmetrics.metrics.held_columns` and the grid
-:func:`~ddsmetrics.metrics.evaluate_columns`.
+sweep and the grid :func:`~ddsmetrics.metrics.evaluate_columns`, of held
+rows and of digitized ones.
 
 A :class:`SweepResult` holds its rows as columns: the distinct reports,
 one list per report field, and per row the position of its report among
@@ -39,7 +39,6 @@ from .metrics import (
     MetricsReport,
     check_pieces,
     evaluate_columns,
-    held_columns,
     quantized_columns,
     reports_from_columns,
 )
@@ -301,20 +300,19 @@ def sweep_bits(spec: SweepSpec) -> SweepResult:
 def sweep_multiplier(spec: SweepSpec) -> SweepResult:
     """One row per requested multiplier for the held model, ascending.
     The distinct snapped multipliers are evaluated in one call of
-    :func:`~ddsmetrics.metrics.held_columns`."""
+    :func:`~ddsmetrics.metrics.evaluate_columns`, without quantizers."""
     requested, pairs, index = _snapped_axis(spec)
     return SweepResult(
-        "multiplier", spec, held_columns(SignalSpec(_SWEEP_FREQUENCY_HZ), pairs),
+        "multiplier", spec, evaluate_columns(SignalSpec(_SWEEP_FREQUENCY_HZ), pairs),
         index, requested, _flags(pairs, index),
     )
 
 
-def sweep_grid(spec: SweepSpec, workers: int = 1) -> SweepResult:
+def sweep_grid(spec: SweepSpec) -> SweepResult:
     """One row per (bits, multiplier) pair for the digitized model,
     row-major with bits outermost, both axes ascending. Each distinct
     snapped multiplier's column of bit counts is evaluated once, in one
-    call of :func:`~ddsmetrics.metrics.evaluate_columns`. ``workers`` is
-    accepted and ignored: every batch runs in the calling thread."""
+    call of :func:`~ddsmetrics.metrics.evaluate_columns`."""
     signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
     quantizers = [QuantizerConfig(bits, spec.mode) for bits in spec.bits_axis()]
     requested, pairs, index = _snapped_axis(spec)

@@ -455,8 +455,8 @@ def held_supremum(model: WaveformModel, k: np.ndarray) -> tuple[float, float]:
 def held_rows(spec, timings) -> list:
     """The held reports of the timings one row at a time, each from the
     pieces of :func:`held_pieces_by_row` and its bounds taken a variant
-    at a time: the byte reference for
-    :func:`ddsmetrics.metrics.held_columns`."""
+    at a time: the byte reference for the held rows of
+    :func:`ddsmetrics.metrics.evaluate_columns`."""
     f = spec.frequency_hz
     reports = []
     for timing in timings:

@@ -28,6 +28,7 @@ from ddsmetrics.bounds import (
     quantization_error_bound,
 )
 from ddsmetrics.charts import ChartKind, ChartStyle, render_heatmap
+from ddsmetrics.cli import main
 from oracles import (
     SamplingPlan,
     max_abs_error,
@@ -92,7 +93,7 @@ _GRID_CACHE: list = []
 def grid_result():
     """Criterion-4 grid, computed once and reused by criteria 9 and 10."""
     if not _GRID_CACHE:
-        _GRID_CACHE.append(sweep_grid(grid_spec(), workers=1))
+        _GRID_CACHE.append(sweep_grid(grid_spec()))
     return _GRID_CACHE[0]
 
 
@@ -304,16 +305,21 @@ def test_criterion_09b_low_bit_rows_change_more_per_decade():
         )
 
 
-def test_criterion_10_determinism_under_parallelism():
+def test_criterion_10_determinism_under_parallelism(tmp_path):
     with criterion("10", "parallel and serial sweeps are byte-identical"):
-        spec = grid_spec()
-        serial = sweep_grid(spec, workers=1)
-        parallel = sweep_grid(spec, workers=4)
-        assert sweep_to_csv(serial) == sweep_to_csv(parallel)
+        outputs = []
+        for workers in ("1", "4"):
+            csv, svg = tmp_path / f"grid-{workers}.csv", tmp_path / f"grid-{workers}.svg"
+            assert main([
+                "sweep", "grid", "--bits-from", str(GRID_BITS[0]), "--bits-to", str(GRID_BITS[-1]),
+                "--multipliers", ",".join(map(repr, GRID_MULTIPLIERS)),
+                "--out", str(csv), "--svg", str(svg), "--workers", workers,
+            ]) == 0
+            outputs.append((csv.read_bytes(), svg.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == sweep_to_csv(grid_result()).encode()
         style = ChartStyle(ChartKind.HEATMAP, "frequency multiplier", "bits")
-        assert render_heatmap(serial, style, "max_err") == render_heatmap(
-            parallel, style, "max_err"
-        )
+        assert outputs[0][1] == render_heatmap(grid_result(), style, "max_err").encode()
 
 
 def test_criterion_11_trivial_anchors():

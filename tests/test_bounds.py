@@ -189,10 +189,9 @@ class TestBatchBounds:
 
     @pytest.mark.parametrize("freq", [1.0, 0.37, 3.0])
     def test_held_pairs_equal_each_variant(self, freq):
-        assert held_bounds(freq, GAPS) == [
-            (held_error_bound(freq, dt, PAPER), held_error_bound(freq, dt, STRICT))
-            for dt in GAPS
-        ]
+        assert held_bounds(freq, GAPS) == tuple(
+            [held_error_bound(freq, dt, variant) for dt in GAPS] for variant in (PAPER, STRICT)
+        )
 
     @given(
         freq=st.floats(min_value=1e-3, max_value=1e3),

@@ -573,9 +573,39 @@ class TestBoundaryInputs:
         code, out, err = run_cli(capsys, "eval", "--model", "held", flag, value)
         assert code == 3
         assert err.startswith(f"error: {flag}: multiplier ")
-        assert "exceeding the cap" in err
+        assert err.endswith("/1 needs more than 16777216 pieces\n")
+        # the multiplier is named once, however many digits it has
+        p = err.removeprefix(f"error: {flag}: multiplier ").split("/")[0]
+        assert err.count(p) == 1
         assert err.count("\n") == 1
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            # 10**0.5 is small, but --qmax 1e8 snaps it to 282770296/89419819
+            (["sweep", "multiplier", "--decades-to", "1", "--qmax", "100000000"], "--qmax"),
+            (["eval", "--model", "held", "--multiplier", "8388608.5"], "--qmax"),
+            # an exact multiplier, and requests that are over the cap themselves
+            (["eval", "--model", "held", "--multiplier", "20000000/3"], "--multiplier"),
+            (["eval", "--model", "held", "--multiplier", "16777216.5"], "--multiplier"),
+            (["sweep", "grid", "--multipliers", "4,2e7"], "--multipliers"),
+            (["sweep", "multiplier", "--decades-from", "7.5", "--decades-to", "7.5"],
+             "--decades-to"),
+        ],
+        ids=["decades-qmax", "multiplier-qmax", "exact", "rounds-over", "multipliers", "decades"],
+    )
+    def test_cap_error_blames_qmax_only_when_it_made_p_too_large(
+        self, capsys, tmp_path, argv, flag
+    ):
+        if argv[0] == "sweep":
+            argv = [*argv, "--out", str(tmp_path / "sweep.csv")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err.startswith(f"error: {flag}: multiplier ")
+        assert err.count("\n") == 1
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_past_the_old_dft_cap_reports_thd(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--model", "held", "--multiplier", "300001")
@@ -600,8 +630,7 @@ class TestBoundaryInputs:
         )
         assert code == 3
         assert err == (
-            "error: --multipliers: multiplier 20000000/1 needs 20000000 pieces, "
-            "exceeding the cap of 16777216\n"
+            "error: --multipliers: multiplier 20000000/1 needs more than 16777216 pieces\n"
         )
         assert out == ""
         assert list(tmp_path.iterdir()) == []

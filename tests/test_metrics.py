@@ -27,7 +27,6 @@ from ddsmetrics.metrics import (
     column_batches,
     evaluate,
     evaluate_columns,
-    held_columns,
     quantized_columns,
     reports_from_columns,
 )
@@ -838,6 +837,10 @@ def pairs_of(timings):
     return [(t.multiplier_num, t.multiplier_den) for t in timings]
 
 
+# The held rows of a full batch of evaluate_columns.
+HELD_BATCH = metrics._BATCH_PIECES // metrics._HELD_CANDIDATES
+
+
 def assert_like_the_oracle(reports, oracle):
     """``reports`` equal :func:`oracles.column_rows`'s in every field but
     THD, which the oracle takes as the Parseval difference of unit-size
@@ -1288,10 +1291,10 @@ CONTRACT_ROWS = [(1, 1), (7, 3), (2, 3), (4099, 7), (17, 4), (3, 10**20 + 1)]
 
 
 class TestReportColumnsContract:
-    """The three engines return one list per field of REPORT_FIELDS, one
-    entry per row and quantizer (a held row has no quantizer, a quantized
-    one no row). The held and digitized engines take integer pairs
-    (p, q), and their columns read back as the cells evaluated alone; the
+    """Both engines return one list per field of REPORT_FIELDS, one entry
+    per row and quantizer (a held row has no quantizer, a quantized one
+    no row). evaluate_columns takes integer pairs (p, q), and its held
+    and digitized columns read back as the cells evaluated alone; the
     quantized engine's equal its per-quantizer helpers."""
 
     def check_layout(self, columns, size):
@@ -1304,7 +1307,7 @@ class TestReportColumnsContract:
     @pytest.mark.parametrize("freq", [1.0, 0.37])
     def test_held_columns(self, count, freq):
         spec, rows = SignalSpec(freq), CONTRACT_ROWS[:count]
-        columns = held_columns(spec, rows)
+        columns = evaluate_columns(spec, rows)
         self.check_layout(columns, len(rows))
         assert reports_from_columns(columns) == [
             evaluate(WaveformModel.held(spec, TimingConfig(p, q))) for p, q in rows
@@ -1370,9 +1373,10 @@ class TestReportColumnsContract:
 
 
 def held_reports(spec, timings):
-    """held_columns of the timings' multipliers, as reports."""
+    """evaluate_columns of the timings' multipliers, without quantizers,
+    as reports."""
     rows = [(t.multiplier_num, t.multiplier_den) for t in timings]
-    return reports_from_columns(held_columns(spec, rows))
+    return reports_from_columns(evaluate_columns(spec, rows))
 
 
 def batch_of_one_each(spec, timings):
@@ -1417,20 +1421,24 @@ class TestEvaluateHeld:
             assert (report.thd_db is None) == degenerate
 
     @pytest.mark.parametrize(
-        "size", [1, metrics._HELD_CHUNK - 1, metrics._HELD_CHUNK, metrics._HELD_CHUNK + 1]
+        "size", [1, HELD_BATCH - 1, HELD_BATCH, HELD_BATCH + 1]
     )
-    def test_batches_around_the_sweep_chunk(self, size):
+    def test_batches_around_the_held_batch(self, size):
         rng = np.random.default_rng(size)
         timings = [
             TimingConfig(int(p), int(q))
             for p, q in zip(rng.integers(1, 1 << 20, size), rng.integers(1, 17, size))
+        ]
+        batches = column_batches(pairs_of(timings), held=True)
+        assert [len(batch) for batch in batches] == [
+            len(timings[first:first + HELD_BATCH]) for first in range(0, size, HELD_BATCH)
         ]
         assert held_reports(SPEC, timings) == [
             evaluate(WaveformModel.held(SPEC, timing)) for timing in timings
         ]
 
     def test_empty_batch(self):
-        assert held_columns(SPEC, []) == {name: [] for name in REPORT_FIELDS}
+        assert evaluate_columns(SPEC, []) == {name: [] for name in REPORT_FIELDS}
 
     @pytest.mark.parametrize("freq", [1.0, 0.3])
     def test_argmax_is_the_earliest_attaining_piece(self, freq):
@@ -1511,6 +1519,33 @@ class TestHeldPieceMatrix:
         spec = SignalSpec(freq)
         timings = [TimingConfig(p, q) for p, q in multipliers]
         assert held_reports(spec, timings) == held_rows(spec, timings)
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=MAX_PIECES),
+                st.integers(min_value=1, max_value=10**20),
+            ).filter(lambda pq: math.gcd(*pq) == 1),
+            min_size=1,
+            max_size=40,
+        ),
+        repeat=st.integers(min_value=1, max_value=3 * HELD_BATCH),
+    )
+    @example(rows=[(13, 11), (MAX_PIECES, 10**20 + 1), (MAX_PIECES - 1, 1)], repeat=HELD_BATCH)
+    @settings(max_examples=60, deadline=None)
+    def test_held_batches_stay_within_the_piece_budget(self, rows, repeat):
+        # a row keeps at most the width of the candidate matrix, so a
+        # batch of held rows measured in that width holds no more pieces
+        # than the budget of a batch of digitized rows
+        _, counts = _held_pieces(rows)
+        assert max(counts) <= metrics._HELD_CANDIDATES
+        rows = (rows * repeat)[:3 * HELD_BATCH]
+        batches = column_batches(rows, held=True)
+        assert [row for batch in batches for row in batch] == rows
+        assert [len(batch) for batch in batches[:-1]] == [HELD_BATCH] * (len(batches) - 1)
+        for batch in batches:
+            assert len(batch) * metrics._HELD_CANDIDATES <= metrics._BATCH_PIECES
+            assert sum(_held_pieces(batch)[1]) <= metrics._BATCH_PIECES
 
 
 def test_x_minus_sin_equals_the_loop():

@@ -274,15 +274,11 @@ class TestSweepMultiplier:
         assert FLAG_SUBNYQUIST in rows[0].flags
         assert FLAG_SUBNYQUIST not in rows[1].flags
 
-    @pytest.mark.parametrize(
-        "sweep,engine",
-        [(sweep_multiplier, "held_columns"), (sweep_grid, "evaluate_columns")],
-        ids=["multiplier", "grid"],
-    )
-    def test_over_cap_multiplier_refuses_the_sweep(self, sweep, engine, monkeypatch):
+    @pytest.mark.parametrize("sweep", [sweep_multiplier, sweep_grid], ids=["multiplier", "grid"])
+    def test_over_cap_multiplier_refuses_the_sweep(self, sweep, monkeypatch):
         # the engine the sweep calls, recorded: no row may reach it
         evaluated = []
-        monkeypatch.setattr(sweeps, engine, lambda *args: evaluated.append(args))
+        monkeypatch.setattr(sweeps, "evaluate_columns", lambda *args: evaluated.append(args))
         spec = SweepSpec(bits_from=2, bits_to=3, multipliers=(4.0, MAX_PIECES + 1.0))
         with pytest.raises(CapExceeded) as exc_info:
             sweep(spec)
@@ -367,14 +363,6 @@ class TestSweepGrid:
 
 
 class TestDeterminism:
-    def test_parallel_matches_sequential(self):
-        spec = SweepSpec(
-            bits_from=2, bits_to=5, multipliers=(4.0, 16.0, 64.0)
-        )
-        sequential = sweep_grid(spec, workers=1)
-        parallel = sweep_grid(spec, workers=4)
-        assert sweep_to_csv(sequential) == sweep_to_csv(parallel)
-
     def test_repeat_runs_are_identical(self):
         spec = SweepSpec(
             decades_from=0.5, decades_to=1.5, points_per_decade=3
@@ -429,8 +417,7 @@ class TestGridColumns:
 
     @pytest.mark.parametrize("mode", list(QuantizationMode))
     @pytest.mark.parametrize("bits_step", [1, 3])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_rows_equal_per_cell_evaluate(self, mode, bits_step, workers):
+    def test_rows_equal_per_cell_evaluate(self, mode, bits_step):
         # 4 three times, and 3.001 and 3.002, which both snap to 3/1;
         # 0.5 is sub-Nyquist and 1.5 has a denominator
         spec = SweepSpec(
@@ -438,7 +425,7 @@ class TestGridColumns:
             multipliers=(4.0, 0.5, 1.5, 4.0, 3.001, 3.002, 97.0, 1000.0, 4.0),
         )
         assert snap_multiplier(3.001, 100) == snap_multiplier(3.002, 100)
-        rows = sweep_grid(spec, workers=workers).rows
+        rows = sweep_grid(spec).rows
         assert list(rows) == per_cell_rows(spec)
 
     def test_repeated_multipliers_evaluate_one_column(self, monkeypatch):
@@ -460,7 +447,7 @@ class TestGridColumns:
         assert len(metrics.column_batches(calls[0])) == 3
         assert list(rows) == per_cell_rows(spec)
 
-    def test_batches_on_workers_equal_per_cell_evaluate(self):
+    def test_batches_equal_per_cell_evaluate(self):
         # 20000 and 17000 are batches of their own and cut the smaller
         # columns into three more
         spec = SweepSpec(
@@ -470,9 +457,7 @@ class TestGridColumns:
         _, pairs, _ = sweeps._snapped_axis(spec)
         batches = metrics.column_batches(pairs)
         assert len(batches) == 5
-        serial = sweep_grid(spec, workers=1).rows
-        assert sweep_grid(spec, workers=2).rows == serial
-        assert list(serial) == per_cell_rows(spec)
+        assert list(sweep_grid(spec).rows) == per_cell_rows(spec)
 
 
 def per_row_multiplier_rows(spec):
@@ -487,41 +472,46 @@ def per_row_multiplier_rows(spec):
     return rows
 
 
+# The held rows of a full batch of evaluate_columns.
+HELD_BATCH = metrics._BATCH_PIECES // metrics._HELD_CANDIDATES
+
+
 class TestHeldBatches:
     """The multiplier sweep evaluates its distinct snapped timings in
-    one call of held_columns, which takes them in chunks of
-    ``_HELD_CHUNK`` rows, equal to evaluating every row alone."""
+    one call of evaluate_columns, without quantizers, which takes them in
+    batches of ``HELD_BATCH`` rows, equal to evaluating every row alone."""
 
-    @pytest.mark.parametrize(
-        "size", [1, metrics._HELD_CHUNK - 1, metrics._HELD_CHUNK, metrics._HELD_CHUNK + 1]
-    )
-    def test_rows_around_the_chunk_equal_per_row_evaluate(self, size):
+    @pytest.mark.parametrize("size", [1, HELD_BATCH - 1, HELD_BATCH, HELD_BATCH + 1])
+    def test_rows_around_the_batch_equal_per_row_evaluate(self, size):
         spec = SweepSpec(multipliers=tuple(3.0 + k / 7.0 for k in range(size)))
+        _, pairs, _ = sweeps._snapped_axis(spec)
+        assert len(pairs) == size
         assert list(sweep_multiplier(spec).rows) == per_row_multiplier_rows(spec)
 
-    def test_three_chunks_equal_per_row_evaluate(self):
-        # q_max 1000 keeps about 2200 distinct timings: three chunks
+    def test_three_batches_equal_per_row_evaluate(self):
+        # q_max 1000 keeps about 1300 distinct timings: three batches
         spec = SweepSpec(
-            decades_from=0.5, decades_to=2.5, points_per_decade=1100, q_max=1000
+            decades_from=0.5, decades_to=1.7, points_per_decade=1100, q_max=1000
         )
         _, pairs, _ = sweeps._snapped_axis(spec)
-        assert 2 * metrics._HELD_CHUNK < len(pairs) <= 3 * metrics._HELD_CHUNK
+        assert 2 * HELD_BATCH < len(pairs) <= 3 * HELD_BATCH
+        assert len(metrics.column_batches(pairs, held=True)) == 3
         assert list(sweep_multiplier(spec).rows) == per_row_multiplier_rows(spec)
 
     def test_repeated_multipliers_evaluate_one_row(self, monkeypatch):
         batches = []
-        original = sweeps.held_columns
+        original = sweeps.evaluate_columns
 
-        def counted(signal, rows):
-            batches.append(list(rows))
-            return original(signal, rows)
+        def counted(signal, rows, *quantizers):
+            batches.append((list(rows), quantizers))
+            return original(signal, rows, *quantizers)
 
-        monkeypatch.setattr(sweeps, "held_columns", counted)
+        monkeypatch.setattr(sweeps, "evaluate_columns", counted)
         spec = SweepSpec(
             q_max=100, multipliers=(4.0, 0.5, 1.5, 4.0, 3.001, 3.002, 97.0, 1000.0, 4.0)
         )
         rows = sweep_multiplier(spec).rows
-        assert batches == [[(4, 1), (1, 2), (3, 2), (3, 1), (97, 1), (1000, 1)]]
+        assert batches == [([(4, 1), (1, 2), (3, 2), (3, 1), (97, 1), (1000, 1)], ())]
         assert list(rows) == per_row_multiplier_rows(spec)
 
     def test_peak_memory_is_one_chunks(self):
