@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .sweeps import COLUMN_FIELDS, SweepResult
 
 __all__ = [
@@ -71,12 +69,12 @@ def _metric(result: SweepResult, name: str) -> list:
     return result.report_column(name)
 
 
-def _on_axis(values: list, log: bool) -> np.ndarray:
+def _on_axis(values: list, log: bool) -> list[float]:
     """Each value as a float on a linear or a log axis; NaN where it has
     no place there (None, or not positive on a log axis)."""
     if log:
-        return np.array([math.log10(v) if v is not None and v > 0 else math.nan for v in values])
-    return np.array([math.nan if v is None else float(v) for v in values])
+        return [math.log10(v) if v is not None and v > 0 else math.nan for v in values]
+    return [math.nan if v is None else float(v) for v in values]
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -112,12 +110,6 @@ def _ticks(lo: float, hi: float, log: bool) -> list[tuple[float, str]]:
             for k in range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1)
         ]
     return [(v, _fmt_tick(v)) for v in _nice_ticks(lo, hi)]
-
-
-def _coordinates(values: np.ndarray) -> np.ndarray:
-    """The SVG text of each pixel coordinate, as an object array, which
-    picks the texts of many points without copying them."""
-    return np.array(list(map("{:.2f}".format, values.tolist())), dtype=object)
 
 
 def _svg_open(lines: list[str]) -> None:
@@ -161,23 +153,34 @@ def render_line_chart(
         result.row_column("bits") if result.kind == "bits" else result.requested_multipliers,
         log_x,
     )
-    index = np.array(result.report_index, dtype=np.intp)
-    # each series' y per distinct report, the rows that are its points, and
-    # the range of their x and y
-    points: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    index = result.report_index
+    x_gaps = any(map(math.isnan, row_x))
+    x_range = () if x_gaps else (min(row_x), max(row_x))
+    # each series' y per distinct report, the rows that are its points
+    # (None: every row), and the range of their x and y. Every report is
+    # some row's, so a series without gaps spans its reports' range.
+    points: dict[str, tuple[list[float], list[int] | None]] = {}
     ranges = []
     for name in series:
         report_y = _on_axis(_metric(result, name), style.log_y)
-        rows = np.flatnonzero(~np.isnan(row_x) & ~np.isnan(report_y[index]))
+        rows = None
+        if x_gaps or any(map(math.isnan, report_y)):
+            rows = [
+                row for row, (x, i) in enumerate(zip(row_x, index))
+                if not (math.isnan(x) or math.isnan(report_y[i]))
+            ]
         points[name] = report_y, rows
-        if len(rows):
-            xs, ys = row_x[rows], report_y[index[rows]]
-            ranges.append((xs.min(), xs.max(), ys.min(), ys.max()))
+        if rows is None:
+            ranges.append((*x_range, min(report_y), max(report_y)))
+        elif rows:
+            xs = [row_x[row] for row in rows]
+            ys = [report_y[index[row]] for row in rows]
+            ranges.append((min(xs), max(xs), min(ys), max(ys)))
     if not ranges:
         raise EmptyChart("selected series contain no plottable values")
 
     x_lo, x_hi, y_lo, y_hi = (
-        float(extreme(values)) for extreme, values in zip((min, max, min, max), zip(*ranges))
+        extreme(values) for extreme, values in zip((min, max, min, max), zip(*ranges))
     )
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
@@ -230,13 +233,19 @@ def render_line_chart(
     )
 
     # the text of px of each row, and of py of each distinct report, once
-    # each: px and py over arrays, with the same float operations
-    x_text = _coordinates(left + (row_x - x_lo) / (x_hi - x_lo) * (right - left))
+    # each, with the float operations of px and py
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
+    width, height = right - left, bottom - top
+    x_text = [f"{left + (x - x_lo) / x_span * width:.2f}" for x in row_x]
     for idx, name in enumerate(series):
         color = SERIES_COLORS[idx % len(SERIES_COLORS)]
         report_y, rows = points[name]
-        y_text = _coordinates(bottom - (report_y - y_lo) / (y_hi - y_lo) * (bottom - top))
-        coords = " ".join(map(",".join, zip(x_text[rows], y_text[index[rows]])))
+        y_text = [f"{bottom - (y - y_lo) / y_span * height:.2f}" for y in report_y]
+        if rows is None:
+            pairs = zip(x_text, map(y_text.__getitem__, index))
+        else:
+            pairs = ((x_text[row], y_text[index[row]]) for row in rows)
+        coords = " ".join(map(",".join, pairs))
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" '
             f'points="{coords}"/>'

@@ -113,34 +113,50 @@ def _check_times(freq: float, timing: TimingConfig | None) -> None:
             raise UsageError(f"--freq {freq!r} is out of range: the {name} is {seconds!r} s")
 
 
-def _write_outputs(outputs: list[tuple[str, str]]) -> None:
-    """Write each (path, text) pair, all files or none. A target that is
-    new or a regular file (symlinks followed) gets a temp file beside it,
-    with the target's mode, and the temp files are renamed into place only
-    once all of them are written. Any other existing target (a device, a
-    FIFO) is written directly after the renames. Path ``-`` is stdout,
-    written last."""
+class _Output:
+    """An output path, resolved once for every check and write of it: its
+    status (symlinks followed; None when it is new or ``-``) and its real
+    path, the target of a staged write."""
+
+    def __init__(self, path: str):
+        self.path, self.status, self.target = path, None, path
+        if path != "-":
+            try:
+                self.status = os.stat(path)
+            except FileNotFoundError:
+                pass
+            self.target = os.path.realpath(path)
+
+    @property
+    def staged(self) -> bool:
+        """Whether a write goes through a temp file beside the target: a
+        new or regular file."""
+        return self.status is None or stat.S_ISREG(self.status.st_mode)
+
+
+def _write_outputs(outputs: list[tuple[_Output, str]]) -> None:
+    """Write each (output, text) pair, all files or none. A target that
+    is new or a regular file gets a temp file beside it, with the
+    target's mode, and the temp files are renamed into place only once
+    all of them are written. Any other existing target (a device, a FIFO)
+    is written directly after the renames. Path ``-`` is stdout, written
+    last."""
     staged: list[tuple[str, str]] = []
     direct: list[tuple[str, str]] = []
     try:
-        for path, text in outputs:
-            if path == "-":
+        for output, text in outputs:
+            if output.path == "-":
                 continue
-            try:
-                mode = os.stat(path).st_mode
-            except FileNotFoundError:
-                mode = None
-            if mode is not None and not stat.S_ISREG(mode):
-                direct.append((path, text))
+            if not output.staged:
+                direct.append((output.path, text))
                 continue
-            target = os.path.realpath(path)
-            head, tail = os.path.split(target)
+            head, tail = os.path.split(output.target)
             temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-            staged.append((temp, target))
+            staged.append((temp, output.target))
             with open(temp, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
-            if mode is not None:
-                os.chmod(temp, stat.S_IMODE(mode))
+            if output.status is not None:
+                os.chmod(temp, stat.S_IMODE(output.status.st_mode))
         for temp, target in staged:
             os.replace(temp, target)
     except BaseException:
@@ -151,47 +167,40 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> None:
     for path, text in direct:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-    for path, text in outputs:
-        if path == "-":
+    for output, text in outputs:
+        if output.path == "-":
             sys.stdout.write(text)
 
 
-def _check_outputs(paths: list[str]) -> None:
+def _check_outputs(outputs: list[_Output]) -> None:
     """Fail before any row is computed where :func:`_write_outputs` could
     not write: a new or regular file needs a writable directory, any other
     target write access."""
-    for path in (p for p in paths if p != "-"):
-        try:
-            mode = os.stat(path).st_mode
-        except FileNotFoundError:
-            mode = stat.S_IFREG  # new, so staged like a regular file
-        if stat.S_ISDIR(mode):
+    for output in outputs:
+        path = output.path
+        if path == "-":
+            continue
+        if output.status is not None and stat.S_ISDIR(output.status.st_mode):
             raise OSError(f"cannot write {path!r}: it is a directory")
-        target = os.path.dirname(os.path.realpath(path)) if stat.S_ISREG(mode) else path
+        target = os.path.dirname(output.target) if output.staged else path
         if not os.access(target, os.W_OK):
             raise OSError(f"cannot write {path!r}: {target!r} is missing or read-only")
 
 
-def _same_output(first: str, second: str) -> bool:
-    """Whether two output paths name one stdout, reached as ``-`` or
-    through a path such as ``/dev/stdout``, or one file that
-    :func:`_write_outputs` would stage twice (a new or regular file,
-    symlinks followed)."""
-    if "-" in (first, second):
-        if first == second:
+def _same_output(first: _Output, second: _Output) -> bool:
+    """Whether two outputs name one stdout, reached as ``-`` or through a
+    path such as ``/dev/stdout``, or one file that :func:`_write_outputs`
+    would stage twice (a new or regular file, symlinks followed)."""
+    if "-" in (first.path, second.path):
+        if first.path == second.path:
             return True
+        other = (first if second.path == "-" else second).status
         try:
-            out, other = os.fstat(1), os.stat(first if second == "-" else second)
-        except OSError:  # stdout closed, or the other path is new
+            out = os.fstat(1)
+        except OSError:  # stdout closed
             return False
-        return (out.st_dev, out.st_ino) == (other.st_dev, other.st_ino)
-    target = os.path.realpath(first)
-    if target != os.path.realpath(second):
-        return False
-    try:
-        return stat.S_ISREG(os.stat(target).st_mode)
-    except FileNotFoundError:
-        return True
+        return other is not None and (out.st_dev, out.st_ino) == (other.st_dev, other.st_ino)
+    return first.target == second.target and first.staged
 
 
 @contextlib.contextmanager
@@ -199,11 +208,13 @@ def _cap_names(flag: str, snapped: bool = True):
     """Prefix the flag to blame to a CapExceeded message: ``--qmax`` when
     the multiplier was ``snapped`` and, rounded to an integer, would fit
     the cap, so that a smaller --qmax would have kept it under; else
-    ``flag``, which gave the multiplier."""
+    ``flag``, which gave the multiplier. Of an axis, the multiplier is
+    one that a smaller --qmax cannot keep under if there is one (see
+    :func:`~ddsmetrics.metrics.check_pieces`)."""
     try:
         yield
     except CapExceeded as exc:
-        if snapped and (2 * exc.p + exc.q) // (2 * exc.q) <= exc.cap:
+        if snapped and exc.rounds_under_cap:
             flag = "--qmax"
         exc.args = (f"{flag}: {exc}",)
         raise
@@ -253,7 +264,8 @@ def _eval_model(args) -> WaveformModel:
 
 def cmd_eval(args) -> int:
     model = _eval_model(args)
-    _check_outputs([args.out])
+    out = _Output(args.out)
+    _check_outputs([out])
     flag = "--multiplier" if args.multiplier is not None else "--dt"
     with _cap_names(flag, snapped=not isinstance(args.multiplier, TimingConfig)):
         report = evaluate(model)
@@ -261,7 +273,7 @@ def cmd_eval(args) -> int:
         text = reporting.report_to_json(report)
     else:
         text = reporting.report_to_csv(report)
-    _write_outputs([(args.out, text)])
+    _write_outputs([(out, text)])
     return EXIT_OK
 
 
@@ -300,20 +312,21 @@ def cmd_sweep(args) -> int:
         if repeated:
             flag = "--multipliers" if multipliers is not None else "--points-per-decade"
             raise UsageError(f"{flag}: the grid chart needs {repeated[0]!r} only once")
-    if args.svg is not None and _same_output(args.out, args.svg):
+    outputs = [_Output(path) for path in (args.out, args.svg) if path is not None]
+    if len(outputs) == 2 and _same_output(*outputs):
         raise UsageError(f"--svg {args.svg!r} names the same output as --out {args.out!r}")
-    _check_outputs([args.out, args.svg or "-"])
+    _check_outputs(outputs)
     # --workers is accepted on every axis and has no effect
     sweep = {"bits": sweep_bits, "multiplier": sweep_multiplier, "grid": sweep_grid}[args.axis]
     with _cap_names("--multipliers" if multipliers is not None else "--decades-to"):
         result = sweep(spec)
-    outputs = [(args.out, reporting.sweep_to_csv(result))]
+    texts = [reporting.sweep_to_csv(result)]
     if args.svg is not None:
         try:
-            outputs.append((args.svg, charts.render_sweep(result, args.svg_metric)))
+            texts.append(charts.render_sweep(result, args.svg_metric))
         except charts.EmptyChart as exc:
             raise UsageError(f"--svg-metric {args.svg_metric}: {exc}") from exc
-    _write_outputs(outputs)
+    _write_outputs(list(zip(outputs, texts)))
     return EXIT_OK
 
 
@@ -331,8 +344,9 @@ def cmd_bounds(args) -> int:
             raise UsageError(
                 f"{flag} is out of range: {name} is {value!r} at dt = {data['dt_s']!r} s"
             )
-    _check_outputs([args.out])
-    _write_outputs([(args.out, json.dumps(data, indent=2, allow_nan=False) + "\n")])
+    out = _Output(args.out)
+    _check_outputs([out])
+    _write_outputs([(out, json.dumps(data, indent=2, allow_nan=False) + "\n")])
     return EXIT_OK
 
 

@@ -121,6 +121,34 @@ _ZETA_HALF_INTEGERS = (
     1.0000866867274623,
 )
 
+# The terms of Hankel's expansion that _bessel_sums keeps.
+_HANKEL_TERMS = len(_ZETA_HALF_INTEGERS) - 1
+
+
+def _hankel_factors(alternating: bool) -> tuple[list[float], ...]:
+    """The factors of the k-th terms of :func:`_bessel_sums` that do not
+    depend on the bit count, k = 0, 1, ...: Hankel's a_k(0), with the
+    signs + + - - + + ... of P + Q, and its zeta value; a_k(1), with the
+    signs of Q - P, and its zeta value."""
+    a0 = a1 = 1.0  # Hankel's a_k(0) and a_k(1)
+    factors = ([], [], [], [])
+    for k in range(_HANKEL_TERMS):
+        zeta0, zeta1 = _ZETA_HALF_INTEGERS[k + 1], _ZETA_HALF_INTEGERS[k]
+        if alternating:
+            zeta0 *= 2.0 ** (-1.5 - k) - 1.0
+            zeta1 *= 2.0 ** (-0.5 - k) - 1.0
+        sign = -1.0 if k & 2 else 1.0
+        values = (sign * a0, zeta0, (sign if k % 2 else -sign) * a1, zeta1)
+        for column, value in zip(factors, values):
+            column.append(value)
+        a0 *= -(2 * k + 1) ** 2 / (8 * (k + 1))
+        a1 *= (4 - (2 * k + 1) ** 2) / (8 * (k + 1))
+    return factors
+
+
+# _hankel_factors of the floor and ceiling rules, then of the round rule.
+_HANKEL_FACTORS = (_hankel_factors(False), _hankel_factors(True))
+
 
 class CapExceeded(RuntimeError):
     """A multiplier needs more work than a cap allows, such as more
@@ -132,6 +160,17 @@ class CapExceeded(RuntimeError):
         self.q = q
         self.count = count
         self.cap = cap
+
+    @property
+    def rounds_under_cap(self) -> bool:
+        """Whether p/q rounded to an integer, about what it snaps to at a
+        denominator limit of 1, is within the cap."""
+        return _rounded(self.p, self.q) <= self.cap
+
+
+def _rounded(p: int, q: int) -> int:
+    """p/q rounded to the nearest integer, ties up."""
+    return (2 * p + q) // (2 * q)
 
 
 @dataclass(frozen=True)
@@ -173,10 +212,14 @@ def _turns(num: np.ndarray, den: int) -> np.ndarray:
     return np.true_divide(num % den, den)
 
 
-def check_pieces(p: int, q: int) -> None:
-    """Raise :class:`CapExceeded` when the multiplier p/q has more than
-    ``MAX_PIECES`` pieces per combined period."""
-    if p > MAX_PIECES:
+def check_pieces(rows: Sequence[tuple[int, int]]) -> None:
+    """Raise :class:`CapExceeded` when some multiplier p/q of ``rows`` has
+    more than ``MAX_PIECES`` pieces per combined period: for the first
+    one that stays over the cap rounded to an integer, if there is one,
+    else for the first one (see :attr:`CapExceeded.rounds_under_cap`)."""
+    over = [(p, q) for p, q in rows if p > MAX_PIECES]
+    if over:
+        p, q = min(over, key=lambda pair: _rounded(*pair) <= MAX_PIECES)
         raise CapExceeded(p, q, p, MAX_PIECES, "pieces")
 
 
@@ -512,27 +555,42 @@ def _quantized_supremum(quantizer: QuantizerConfig, f: float) -> tuple[float, fl
     return step, 0.0
 
 
+def _sum8(terms: list[float]) -> float:
+    """The sum of at most 8 terms in the order that ``numpy.sum`` takes
+    them: left to right from 0.0 below 8 terms, as sums of pairs at 8.
+    The output corpus records :func:`_threshold_thd`'s sums in it."""
+    if len(terms) == 8:
+        a = terms
+        return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def _threshold_thd(quantizer: QuantizerConfig) -> tuple[float, float]:
     """Parseval THD of the quantized sine, summed over its thresholds.
 
     The level rises by one step at each threshold c inside (-1, 1); the
     sine lies above c for acos(c)/pi of the period, and the step it adds
     contributes 2*sqrt(1 - c**2)/pi, in phase with the sine, to the
-    fundamental's peak amplitude.
+    fundamental's peak amplitude. ``math.acos`` is correctly rounded at
+    every threshold of up to ``_MAX_THRESHOLD_BITS`` bits.
     """
     scale, step = quantizer.scale, quantizer.step
     if quantizer.mode is QuantizationMode.ROUND:
-        thresholds = (np.arange(1 - scale, scale + 1) - 0.5) / scale
+        thresholds = [(i - 0.5) / scale for i in range(1 - scale, scale + 1)]
     else:
-        thresholds = np.arange(1 - scale, scale) / scale
+        thresholds = [i / scale for i in range(1 - scale, scale)]
     # the level just above the sine's trough
     bottom = -1.0 + step if quantizer.mode is QuantizationMode.CEILING else -1.0
-    below = bottom + step * np.arange(len(thresholds))
-    above_share = np.arccos(thresholds) / np.pi
-    mean = bottom + step * float(np.sum(above_share))
-    mean_square = bottom * bottom + step * float(np.sum((2.0 * below + step) * above_share))
-    root = np.sqrt((1.0 - thresholds) * (1.0 + thresholds))
-    fundamental = 2.0 * step / math.pi * float(np.sum(root))
+    above_share = [math.acos(c) / math.pi for c in thresholds]
+    mean = bottom + step * _sum8(above_share)
+    mean_square = bottom * bottom + step * _sum8([
+        (2.0 * (bottom + step * j) + step) * share for j, share in enumerate(above_share)
+    ])
+    root = [math.sqrt((1.0 - c) * (1.0 + c)) for c in thresholds]
+    fundamental = 2.0 * step / math.pi * _sum8(root)
     return _parseval_thd(mean, mean_square, fundamental)
 
 
@@ -543,24 +601,18 @@ def _bessel_sums(scale: int, alternating: bool) -> tuple[float, float]:
     z = 2*pi*n*S is a whole number of turns, so Hankel's expansion
     collapses to J0(z) = (P0 + Q0)/sqrt(pi*z) and J1(z) = (Q1 - P1)/sqrt(pi*z).
     Its term a_k(nu)/z**k, summed over n, leaves zeta(5/2 + k) for J0 and
-    zeta(3/2 + k) for J1, or -(1 - 2**(1 - s))*zeta(s) when alternating.
+    zeta(3/2 + k) for J1, or -(1 - 2**(1 - s))*zeta(s) when alternating:
+    the factors of ``_HANKEL_FACTORS``, so that a row takes only its
+    weights 1/z**k at n = 1.
     """
     z = 2.0 * math.pi * scale
-    a0 = a1 = 1.0  # Hankel's a_k(0) and a_k(1)
-    terms0, terms1 = [], []
-    for k in range(len(_ZETA_HALF_INTEGERS) - 1):
-        zeta0, zeta1 = _ZETA_HALF_INTEGERS[k + 1], _ZETA_HALF_INTEGERS[k]
-        if alternating:
-            zeta0 *= 2.0 ** (-1.5 - k) - 1.0
-            zeta1 *= 2.0 ** (-0.5 - k) - 1.0
-        # P + Q has the signs + + - - + + ...; Q - P flips the even terms
-        weight = (-1.0 if k & 2 else 1.0) / z**k
-        terms0.append(weight * a0 * zeta0)
-        terms1.append((weight if k % 2 else -weight) * a1 * zeta1)
-        a0 *= -(2 * k + 1) ** 2 / (8 * (k + 1))
-        a1 *= (4 - (2 * k + 1) ** 2) / (8 * (k + 1))
+    weights = [1.0 / z**k for k in range(_HANKEL_TERMS)]
+    a0, zeta0, a1, zeta1 = _HANKEL_FACTORS[alternating]
     root = math.pi * math.sqrt(2.0 * scale)  # sqrt(pi*z) at n = 1
-    return math.fsum(terms0) / root, math.fsum(terms1) / root
+    return (
+        math.fsum([w * a * zeta for w, a, zeta in zip(weights, a0, zeta0)]) / root,
+        math.fsum([w * a * zeta for w, a, zeta in zip(weights, a1, zeta1)]) / root,
+    )
 
 
 def _quantized_thd(quantizer: QuantizerConfig) -> tuple[float | None, float | None]:
@@ -687,8 +739,7 @@ def evaluate_columns(
     calling thread. :class:`CapExceeded` is raised before anything is
     allocated when some row has more than ``MAX_PIECES`` pieces.
     """
-    for p, q in rows:
-        check_pieces(p, q)
+    check_pieces(rows)
     held = quantizers is None
     kind, each = (ModelKind.HELD, [None]) if held else (ModelKind.DIGITIZED, quantizers)
     if not rows or not each:

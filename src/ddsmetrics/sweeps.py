@@ -267,17 +267,14 @@ def _snapped_axis(spec: SweepSpec) -> tuple[list[float], list[tuple[int, int]], 
     of each requested multiplier's among them. Repeated and snapped-equal
     multipliers share one row evaluation. Raises
     :class:`~ddsmetrics.metrics.CapExceeded` if any snapped multiplier is
-    over the piece cap, before a single row is evaluated."""
+    over the piece cap, before a single row is evaluated, for the one
+    that :func:`~ddsmetrics.metrics.check_pieces` picks from all of them."""
     requested = spec.multiplier_axis()
     positions: dict[tuple[int, int], int] = {}
     index = []
     for value in requested:
-        pair = _snap(value, spec.q_max)
-        position = positions.get(pair)
-        if position is None:
-            check_pieces(*pair)
-            position = positions[pair] = len(positions)
-        index.append(position)
+        index.append(positions.setdefault(_snap(value, spec.q_max), len(positions)))
+    check_pieces(positions)
     return requested, list(positions), index
 
 

@@ -379,7 +379,7 @@ def column_rows(spec, timing, quantizers) -> list:
     the levels less the fundamental's, both of unit size, so it loses
     digits as THD falls: about 1e-7 relative near p = 2**15 at 52 bits."""
     p, q = timing.multiplier_num, timing.multiplier_den
-    check_pieces(p, q)
+    check_pieces([(p, q)])
     pieces = _Pieces(spec.frequency_hz, [(p, q)], [p])
     # The residue of each piece, and which pieces hold phase 1/4 and 3/4:
     # their offsets from the piece's start are at most 4q.
@@ -461,7 +461,7 @@ def held_rows(spec, timings) -> list:
     reports = []
     for timing in timings:
         p, q = timing.multiplier_num, timing.multiplier_den
-        check_pieces(p, q)
+        check_pieces([(p, q)])
         model = WaveformModel.held(spec, timing)
         err, argmax_t = held_supremum(model, held_pieces_by_row(p, q))
         dt = timing.time_gap_s(f)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import inspect
 import json
 import math
 import os
@@ -458,6 +459,71 @@ class TestNoThreadPool:
         assert proc.stdout == "[]\n"
 
 
+def numpy_calls(calls: list, numpy_dir: str):
+    """A sys.setprofile hook that appends to ``calls`` every frame run
+    from a file of numpy and every C call of a numpy function, ufunc or
+    method of a numpy array or scalar."""
+    import numpy as np
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            calls.append(frame.f_code.co_qualname)
+        elif event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            module = getattr(arg, "__module__", None) or getattr(owner, "__name__", None) or ""
+            if (
+                isinstance(arg, np.ufunc)
+                or module.partition(".")[0] == "numpy"
+                or isinstance(owner, (np.ndarray, np.generic))
+            ):
+                calls.append(repr(arg))
+
+    return hook
+
+
+class TestBitsSweepWithoutNumpy:
+    """Every row of a bits sweep is a closed form in Python floats and its
+    line chart is drawn from Python floats: the sweep calls no numpy."""
+
+    @pytest.mark.parametrize("metric", ["error", "thd"])
+    @pytest.mark.parametrize("mode", ["floor", "round", "ceiling"])
+    def test_sweep_bits_calls_no_numpy(self, tmp_path, mode, metric):
+        import numpy as np
+
+        numpy_dir = os.path.dirname(np.__file__)
+        argv = [
+            "sweep", "bits", "--bits-from", "1", "--bits-to", "52", "--mode", mode,
+            "--out", str(tmp_path / "sweep.csv"), "--svg", str(tmp_path / "chart.svg"),
+            "--svg-metric", metric,
+        ]
+        calls: list = []
+        sys.setprofile(numpy_calls(calls, numpy_dir))
+        try:
+            code = main(argv)
+        finally:
+            sys.setprofile(None)
+        assert code == 0
+        assert len(parse_csv((tmp_path / "sweep.csv").read_text())[2]) == 52
+        assert calls == []
+
+    def test_hook_sees_numpy(self):
+        import numpy as np
+
+        calls: list = []
+        sys.setprofile(numpy_calls(calls, os.path.dirname(np.__file__)))
+        try:
+            np.sum(np.arange(3)).tolist()
+        finally:
+            sys.setprofile(None)
+        assert len(calls) >= 3
+
+    def test_charts_import_no_numpy(self):
+        from ddsmetrics import charts
+
+        modules = [value.__name__ for value in vars(charts).values() if inspect.ismodule(value)]
+        assert not [name for name in modules if name.partition(".")[0] == "numpy"]
+
+
 def refuse_pool(*args, **kwargs):
     raise AssertionError("a thread pool was started")
 
@@ -592,8 +658,15 @@ class TestBoundaryInputs:
             (["sweep", "grid", "--multipliers", "4,2e7"], "--multipliers"),
             (["sweep", "multiplier", "--decades-from", "7.5", "--decades-to", "7.5"],
              "--decades-to"),
+            # the first over-cap point, 17671633/13, would fit at a smaller
+            # --qmax, but 1e8 is over the cap at any --qmax
+            (["sweep", "multiplier", "--decades-to", "8"], "--decades-to"),
+            (["sweep", "multiplier", "--decades-to", "8", "--qmax", "1"], "--decades-to"),
         ],
-        ids=["decades-qmax", "multiplier-qmax", "exact", "rounds-over", "multipliers", "decades"],
+        ids=[
+            "decades-qmax", "multiplier-qmax", "exact", "rounds-over", "multipliers", "decades",
+            "decades-past-any-qmax", "decades-at-qmax-1",
+        ],
     )
     def test_cap_error_blames_qmax_only_when_it_made_p_too_large(
         self, capsys, tmp_path, argv, flag
@@ -957,6 +1030,31 @@ class TestOutputsCheckedFirst:
         assert err.count("\n") == 1
         assert repr(path) in err and ".tmp" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_each_output_path_is_resolved_once(self, capsys, tmp_path, monkeypatch, existing):
+        # one os.stat and one os.path.realpath per output path, shared by
+        # the same-output check, the writability check and the write
+        csv, svg = str(tmp_path / "sweep.csv"), str(tmp_path / "chart.svg")
+        if existing:
+            for path in (csv, svg):
+                pathlib.Path(path).write_text("old\n")
+        calls = []
+        for name, module in (("stat", os), ("realpath", os.path)):
+            def counted(path, *args, _name=name, _original=getattr(module, name), **kwargs):
+                if path in (csv, svg):
+                    calls.append((_name, path))
+                return _original(path, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        code, _, err = run_cli(
+            capsys, "sweep", "bits", "--bits-to", "4", "--out", csv, "--svg", svg
+        )
+        assert code == 0, err
+        assert sorted(calls) == sorted(
+            (name, path) for name in ("stat", "realpath") for path in (csv, svg)
+        )
+        assert pathlib.Path(svg).read_text().startswith("<svg")
 
 
 class TestEmptyCharts:
