@@ -129,7 +129,8 @@ def _hankel_factors(alternating: bool) -> tuple[list[float], ...]:
     """The factors of the k-th terms of :func:`_bessel_sums` that do not
     depend on the bit count, k = 0, 1, ...: Hankel's a_k(0), with the
     signs + + - - + + ... of P + Q, and its zeta value; a_k(1), with the
-    signs of Q - P, and its zeta value."""
+    signs of Q - P (those of P + Q, the even terms flipped), and its zeta
+    value. A sign is exact in any factor, so it rides on a_k."""
     a0 = a1 = 1.0  # Hankel's a_k(0) and a_k(1)
     factors = ([], [], [], [])
     for k in range(_HANKEL_TERMS):
