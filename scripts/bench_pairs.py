@@ -10,10 +10,10 @@ Run from the repository root, for example:
         --run held-multiplier:0:5 --out BENCH_my_change.json
 
 Each ``--run WORKLOAD:SEED:PAIRS`` runs that many pairs of
-``perfbench/run.py --workload WORKLOAD --seed SEED --trace 0``, one
-process at a time: one on a ``git archive`` of the parent commit in a
-temporary directory, one on the working tree, each with its own
-``perfbench/``. Even pairs run the parent first, odd pairs the change.
+``perfbench/run.py --workload WORKLOAD --seed SEED --trace 0``, at its
+own default run length, one process at a time: one on a ``git archive``
+of the parent commit in a temporary directory, one on the working tree,
+each with its own ``perfbench/``. Even pairs run the parent first, odd pairs the change.
 This script measures nothing itself: every figure is one that
 ``perfbench/run.py`` printed. The record is rewritten after every pair,
 so an interrupted run keeps the pairs it finished.
@@ -24,7 +24,9 @@ summary has, for each workload and seed and each end-to-end metric, the
 median and quartiles of each side, the parent's interquartile range,
 the pairs the change won (better by the metric's direction in
 ``BENCHMARK.json``) and tied, the median of the pairs' change/parent
-ratios, and the change of the median in percent.
+ratios, and the change of the median in percent. With ``--claim``, the
+record also judges the claim by ``RULE`` at each seed of the claimed
+workload, from that summary.
 """
 
 from __future__ import annotations
@@ -39,9 +41,12 @@ import tarfile
 import tempfile
 import time
 
-COMMAND = (
-    "python3 perfbench/run.py --workload <workload> --seed <seed> "
-    "--seconds {seconds} --trace 0"
+COMMAND = "python3 perfbench/run.py --workload <workload> --seed <seed> --trace 0"
+
+RULE = (
+    "at every seed run of the claimed workload, the change wins at least nine "
+    "tenths of the pairs, and its median is better than the parent's by more "
+    "than the parent's interquartile range"
 )
 
 
@@ -60,12 +65,12 @@ def _archive(commit: str, directory: str) -> str:
     return full
 
 
-def _run(root: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def _run(root: str, workload: str, seed: int) -> tuple[dict, dict]:
     """One ``perfbench/run.py`` process in ``root``: its last stdout line
     (the result) and its record line's ``machine``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -127,15 +132,36 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def judge(summary: dict, workload: str, metric: str, direction: str) -> dict:
+    """The claim's verdict by ``RULE``: for each seed of ``workload`` in
+    ``summary``, the wins, the pairs, the gap between the medians (in
+    the metric's better direction) and the parent's interquartile range,
+    and whether that seed meets the rule; and whether every seed does."""
+    sign = 1.0 if direction == "lower" else -1.0
+    seeds = {}
+    for key, entry in summary.items():
+        if not key.startswith(f"{workload}/") or metric not in entry:
+            continue
+        stats = entry[metric]
+        gap = sign * (stats["parent"]["median"] - stats["change"]["median"])
+        seeds[key] = {
+            "wins": stats["change_wins"],
+            "pairs": stats["pairs"],
+            "gap": gap,
+            "parent_iqr": stats["parent"]["iqr"],
+            "met": 10 * stats["change_wins"] >= 9 * stats["pairs"]
+            and gap > stats["parent"]["iqr"],
+        }
+    return {"seeds": seeds, "met": bool(seeds) and all(s["met"] for s in seeds.values())}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
     parser.add_argument("--run", action="append", required=True, metavar="WORKLOAD:SEED:PAIRS")
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--label", required=True)
     parser.add_argument("--change", required=True, help="what the change does")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the metric the change claims")
-    parser.add_argument("--rule", default="", help="how the claim is judged")
     parser.add_argument("--out", required=True, help="the BENCH_*.json file to write")
     args = parser.parse_args()
     for needed in ("perfbench/run.py", "BENCHMARK.json"):
@@ -153,11 +179,11 @@ def main() -> int:
         "label": args.label,
         "change": args.change,
         "parent_commit": None,
-        "command": COMMAND.format(seconds=args.seconds),
+        "command": COMMAND,
         "method": (
             "scripts/bench_pairs.py: the parent from a git archive of its commit, the change "
-            "from the working tree, each with its own perfbench/ and --seconds "
-            f"{args.seconds:g}, one perfbench/run.py process at a time. Pairs alternate which "
+            "from the working tree, each with its own perfbench/ at its default run length, "
+            "one perfbench/run.py process at a time. Pairs alternate which "
             "side runs first (even pairs parent first). A pair is won when the change reads "
             "better in the metric's direction of BENCHMARK.json. Runs: "
             + ", ".join(f"{w} seed {s} x {n} pairs" for w, s, n in plan) + "."
@@ -169,10 +195,18 @@ def main() -> int:
     }
     if args.claim:
         workload, metric = args.claim.split(":")
-        record["claim"] = {"workload": workload, "metric": metric, "rule": args.rule}
+        if metric not in better:
+            print(f"error: --claim: {metric!r} is no end-to-end metric", file=sys.stderr)
+            return 2
+        record["claim"] = {"workload": workload, "metric": metric, "rule": RULE}
 
     def save() -> None:
         record["summary"] = summarize(record["runs"], better)
+        claim = record["claim"]
+        if claim:
+            claim["verdict"] = judge(
+                record["summary"], claim["workload"], claim["metric"], better[claim["metric"]]
+            )
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(record, handle, indent=1)
             handle.write("\n")
@@ -186,7 +220,7 @@ def main() -> int:
                 order = (first, "change" if first == "parent" else "parent")
                 for side in order:
                     started = time.time()
-                    result, machine = _run(roots[side], workload, seed, args.seconds)
+                    result, machine = _run(roots[side], workload, seed)
                     record["machine"] = record["machine"] or machine
                     record["runs"].append({
                         "workload": workload, "seed": seed, "pair": pair, "side": side,

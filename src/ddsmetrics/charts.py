@@ -12,6 +12,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .sweeps import COLUMN_FIELDS, SweepResult
@@ -154,27 +155,17 @@ def render_line_chart(
         log_x,
     )
     index = result.report_index
-    x_gaps = any(map(math.isnan, row_x))
-    x_range = () if x_gaps else (min(row_x), max(row_x))
-    # each series' y per distinct report, the rows that are its points
-    # (None: every row), and the range of their x and y. Every report is
-    # some row's, so a series without gaps spans its reports' range.
-    points: dict[str, tuple[list[float], list[int] | None]] = {}
+    # each series' y per distinct report, which rows are its points (those
+    # with an x and a y), and the range of their x and y
+    points: dict[str, tuple[list[float], list[bool]]] = {}
     ranges = []
     for name in series:
         report_y = _on_axis(_metric(result, name), style.log_y)
-        rows = None
-        if x_gaps or any(map(math.isnan, report_y)):
-            rows = [
-                row for row, (x, i) in enumerate(zip(row_x, index))
-                if not (math.isnan(x) or math.isnan(report_y[i]))
-            ]
-        points[name] = report_y, rows
-        if rows is None:
-            ranges.append((*x_range, min(report_y), max(report_y)))
-        elif rows:
-            xs = [row_x[row] for row in rows]
-            ys = [report_y[index[row]] for row in rows]
+        keep = [not (math.isnan(x) or math.isnan(report_y[i])) for x, i in zip(row_x, index)]
+        points[name] = report_y, keep
+        if any(keep):
+            xs = list(compress(row_x, keep))
+            ys = list(compress(map(report_y.__getitem__, index), keep))
             ranges.append((min(xs), max(xs), min(ys), max(ys)))
     if not ranges:
         raise EmptyChart("selected series contain no plottable values")
@@ -239,13 +230,10 @@ def render_line_chart(
     x_text = [f"{left + (x - x_lo) / x_span * width:.2f}" for x in row_x]
     for idx, name in enumerate(series):
         color = SERIES_COLORS[idx % len(SERIES_COLORS)]
-        report_y, rows = points[name]
+        report_y, keep = points[name]
         y_text = [f"{bottom - (y - y_lo) / y_span * height:.2f}" for y in report_y]
-        if rows is None:
-            pairs = zip(x_text, map(y_text.__getitem__, index))
-        else:
-            pairs = ((x_text[row], y_text[index[row]]) for row in rows)
-        coords = " ".join(map(",".join, pairs))
+        row_text = zip(compress(x_text, keep), compress(map(y_text.__getitem__, index), keep))
+        coords = " ".join(map(",".join, row_text))
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" '
             f'points="{coords}"/>'

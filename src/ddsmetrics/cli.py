@@ -116,7 +116,10 @@ def _check_times(freq: float, timing: TimingConfig | None) -> None:
 class _Output:
     """An output path, resolved once for every check and write of it: its
     status (symlinks followed; None when it is new or ``-``) and its real
-    path, the target of a staged write."""
+    path, the target of a staged write. Whether the write is staged, the
+    mode of the temp file and the rename target are thus fixed when the
+    output is made, before any row is computed: a path created, replaced
+    or re-pointed while the sweep runs is written as it was then."""
 
     def __init__(self, path: str):
         self.path, self.status, self.target = path, None, path

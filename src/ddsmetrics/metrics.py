@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -213,7 +213,7 @@ def _turns(num: np.ndarray, den: int) -> np.ndarray:
     return np.true_divide(num % den, den)
 
 
-def check_pieces(rows: Sequence[tuple[int, int]]) -> None:
+def check_pieces(rows: Iterable[tuple[int, int]]) -> None:
     """Raise :class:`CapExceeded` when some multiplier p/q of ``rows`` has
     more than ``MAX_PIECES`` pieces per combined period: for the first
     one that stays over the cap rounded to an integer, if there is one,
