@@ -19,14 +19,17 @@ This script measures nothing itself: every figure is one that
 so an interrupted run keeps the pairs it finished.
 
 The record holds the label, the change, the parent commit, the command,
-the method, the claim, the machine, a summary, and every run. The
-summary has, for each workload and seed and each end-to-end metric, the
-median and quartiles of each side, the parent's interquartile range,
-the pairs the change won (better by the metric's direction in
-``BENCHMARK.json``) and tied, the median of the pairs' change/parent
-ratios, and the change of the median in percent. With ``--claim``, the
-record also judges the claim by ``RULE`` at each seed of the claimed
-workload, from that summary.
+the method, the claim, the machine, a summary, the regressions, and
+every run. The summary has, for each workload and seed and each
+end-to-end metric, the median and quartiles of each side, the parent's
+interquartile range, the pairs the change won (better by the metric's
+direction in ``BENCHMARK.json``) and tied, the quartiles of the pairs'
+change/parent ratios, the change of the median in percent, and a
+no-regression verdict against the metric's relative bound in
+``BENCHMARK.json`` (see :func:`verdict`). The regressions list every
+workload, seed and metric whose verdict is not ``"no worse"``. With
+``--claim``, the record also judges the claim by ``RULE`` at each seed
+of the claimed workload, from that summary.
 """
 
 from __future__ import annotations
@@ -88,9 +91,27 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def verdict(parent: list[float], change: list[float], direction: str, bound: float) -> str:
+    """``"worse"`` when the change's median is worse than the parent's,
+    in the metric's direction, by more than ``bound`` times the parent's
+    median; else ``"unresolved"`` when the parent's interquartile range
+    is more than ``bound`` times its median, unless every run of the
+    change reads better than every run of the parent; else
+    ``"no worse"``."""
+    sign = 1.0 if direction == "lower" else -1.0
+    p, c = _quartiles(parent), _quartiles(change)
+    if sign * (c["median"] - p["median"]) > bound * abs(p["median"]):
+        return "worse"
+    spread = p["q3"] - p["q1"] > bound * abs(p["median"])
+    if spread and max(sign * x for x in change) >= min(sign * x for x in parent):
+        return "unresolved"
+    return "no worse"
+
+
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """The summary of ``runs`` by workload and seed (see the module
-    docstring); ``better`` maps a metric to ``"lower"`` or ``"higher"``."""
+    docstring); ``better`` maps a metric to ``"lower"`` or ``"higher"``,
+    ``bounds`` to its relative bound."""
     summary: dict = {}
     groups: dict = {}
     for run in runs:
@@ -118,11 +139,12 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             }
             stats["parent"]["iqr"] = stats["parent"]["q3"] - stats["parent"]["q1"]
             if all(p != 0 for p in parent):
-                stats["pair_ratio_median"] = statistics.median(c / p for p, c in values)
+                stats["pair_ratio"] = _quartiles([c / p for p, c in values])
             if stats["parent"]["median"] != 0:
                 stats["median_change_pct"] = 100.0 * (
                     stats["change"]["median"] / stats["parent"]["median"] - 1.0
                 )
+            stats["verdict"] = verdict(parent, change, direction, bounds[metric])
             entry[metric] = stats
         entry["correct"] = all(side["correct"] for pair in whole for side in pair.values())
         entry["failed"] = {
@@ -173,7 +195,9 @@ def main() -> int:
         workload, seed, pairs = text.split(":")
         plan.append((workload, int(seed), int(pairs)))
     with open("BENCHMARK.json", encoding="utf-8") as handle:
-        better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+        end_to_end = json.load(handle)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
 
     record = {
         "label": args.label,
@@ -191,6 +215,7 @@ def main() -> int:
         "claim": None,
         "machine": {},
         "summary": {},
+        "regressions": [],
         "runs": [],
     }
     if args.claim:
@@ -201,7 +226,13 @@ def main() -> int:
         record["claim"] = {"workload": workload, "metric": metric, "rule": RULE}
 
     def save() -> None:
-        record["summary"] = summarize(record["runs"], better)
+        record["summary"] = summarize(record["runs"], better, bounds)
+        record["regressions"] = [
+            f"{key} {metric}: {entry[metric]['verdict']}"
+            for key, entry in record["summary"].items()
+            for metric in better
+            if metric in entry and entry[metric]["verdict"] != "no worse"
+        ]
         claim = record["claim"]
         if claim:
             claim["verdict"] = judge(
@@ -229,6 +260,7 @@ def main() -> int:
                 save()
                 print(f"{workload} seed {seed} pair {pair} done", file=sys.stderr)
     save()
+    print("regressions: " + ("; ".join(record["regressions"]) or "none"), file=sys.stderr)
     return 0
 
 

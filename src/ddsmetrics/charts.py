@@ -146,15 +146,16 @@ def render_line_chart(
         raise ValueError(f"line charts need a bits or multiplier sweep, got {result.kind!r}")
     if not series:
         raise ValueError("series selection is empty")
-    if not result.report_index:
+    if not result.axis:
         raise ValueError("sweep result has no rows")
 
     log_x = style.kind is ChartKind.LOG_X_LINE
-    row_x = _on_axis(
-        result.row_column("bits") if result.kind == "bits" else result.requested_multipliers,
-        log_x,
-    )
-    index = result.report_index
+    # the rows of a bits sweep are its reports, of a multiplier sweep its
+    # axis points
+    if result.kind == "bits":
+        row_x, index = _on_axis(result.report_column("bits"), log_x), range(result.width)
+    else:
+        row_x, index = _on_axis(result.axis, log_x), result.index
     # each series' y per distinct report, which rows are its points (those
     # with an x and a y), and the range of their x and y
     points: dict[str, tuple[list[float], list[bool]]] = {}
@@ -271,25 +272,22 @@ def render_heatmap(result: SweepResult, style: ChartStyle, metric: str) -> str:
     """
     if result.kind != "grid":
         raise ValueError(f"heatmaps need a grid sweep, got {result.kind!r}")
-    if not result.report_index:
+    if not result.axis:
         raise ValueError("sweep result has no rows")
 
-    row_bits = result.row_column("bits")
-    multipliers = result.requested_multipliers
-    bits_axis = sorted(set(row_bits))
-    mult_axis = sorted(set(multipliers))
-    cells: dict[tuple[int, float], int] = {}  # the row of each cell
-    for row, key in enumerate(zip(row_bits, multipliers)):
-        if key in cells:
-            raise ValueError(f"duplicate grid cell {key}")
-        cells[key] = row
-    if len(cells) != len(bits_axis) * len(mult_axis):
-        raise ValueError("ragged grid: not every (bits, multiplier) pair is present")
+    # the axis points in ascending order, one column each; the cell of
+    # bit count b at axis point i has report index[i]*width + b
+    axis, width = result.axis, result.width
+    order = sorted(range(len(axis)), key=axis.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if axis[i] == axis[j]:
+            raise ValueError(f"the grid chart needs multiplier {axis[i]!r} only once")
+    mult_axis = [axis[i] for i in order]
+    bits_axis = result.report_column("bits")[:width]
+    column = _metric(result, metric)
+    columns = [result.index[i] * width for i in order]
 
-    column, index = _metric(result, metric), result.report_index
-    values = {key: column[index[row]] for key, row in cells.items()}
-
-    present = [v for v in values.values() if v is not None]
+    present = [v for v in column if v is not None]
     if not present:
         raise EmptyChart(f"metric {metric!r} has no values on this grid")
     if metric in ("max_err", "max_err_pct"):
@@ -302,7 +300,7 @@ def render_heatmap(result: SweepResult, style: ChartStyle, metric: str) -> str:
     left, right = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     top, bottom = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
     cell_w = (right - left) / len(mult_axis)
-    cell_h = (bottom - top) / len(bits_axis)
+    cell_h = (bottom - top) / width
 
     lines: list[str] = []
     _svg_open(lines)
@@ -313,11 +311,11 @@ def render_heatmap(result: SweepResult, style: ChartStyle, metric: str) -> str:
     # every cell of a column shares its x text, of a row its y text
     xs = [f"{left + mi * cell_w:.2f}" for mi in range(len(mult_axis))]
     size = f'width="{cell_w:.2f}" height="{cell_h:.2f}"'
-    for bi, bits in enumerate(bits_axis):
+    for bi in range(width):
         # bits increase upward
         y = f"{bottom - (bi + 1) * cell_h:.2f}"
-        for x, mult in zip(xs, mult_axis):
-            v = values[(bits, mult)]
+        for x, first in zip(xs, columns):
+            v = column[first + bi]
             if v is None:
                 fill = MISSING_FILL
             elif hi == lo:

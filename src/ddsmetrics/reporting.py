@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import groupby
+from itertools import chain, groupby, repeat, tee
 from operator import attrgetter
 
 from .metrics import REPORT_FIELDS, MetricsReport
@@ -36,10 +36,9 @@ GRID_HEADER = (
     "thd_ratio,thd_db,flags"
 )
 
-# The columns of a sweep's CSV: a row's own requested multiplier or
-# flags, or a column of its report (see SweepResult.report_column).
+# The columns of a sweep's CSV: a row's own requested multiplier, or a
+# column of its report (see SweepResult.report_column).
 _HEADERS = {"bits": BITS_HEADER, "multiplier": MULTIPLIER_HEADER, "grid": GRID_HEADER}
-_ROW_CELLS = ("m_requested", "flags")
 
 JSON_KEYS = (*REPORT_FIELDS, "schema_version")
 
@@ -65,18 +64,17 @@ def fmt_float(x: float) -> str:
 
 
 def csv_field(value) -> str:
-    """One CSV cell: empty for None, exact text for numbers."""
+    """One CSV cell: empty for None, exact text for numbers, and a tuple
+    of flags joined by ``;``, ``-`` when it is empty."""
     if isinstance(value, float):
         return fmt_float(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         raise TypeError("booleans have no CSV representation here")
+    if isinstance(value, tuple):
+        return ";".join(value) if value else "-"
     return str(value)
-
-
-def _flags_field(flags: tuple[str, ...]) -> str:
-    return ";".join(flags) if flags else "-"
 
 
 _REPORT_FIELDS = attrgetter(*REPORT_FIELDS)
@@ -97,7 +95,7 @@ def report_to_csv(report: MetricsReport) -> str:
     return f"{header}\n{row}\n"
 
 
-def _spec_echo_lines(result: SweepResult, requested: dict[int, str]) -> list[str]:
+def _spec_echo_lines(result: SweepResult, requested: list[str]) -> list[str]:
     spec = result.spec
     lines = [f"# sweep={result.kind} schema_version={result.schema_version}"]
     if result.kind in ("bits", "grid"):
@@ -109,13 +107,9 @@ def _spec_echo_lines(result: SweepResult, requested: dict[int, str]) -> list[str
         lines.append(f"# mode={spec.mode.value}")
     if result.kind in ("multiplier", "grid"):
         if spec.multipliers is not None:
-            # a float of the axis is one of the rows' own objects, whose
+            # the axis is the spec's multipliers as floats, whose row
             # text is fmt_float's
-            axis = " ".join(
-                requested[id(m)] if type(m) is float and id(m) in requested else fmt_float(m)
-                for m in spec.multipliers
-            )
-            lines.append(f"# multipliers={axis}")
+            lines.append(f"# multipliers={' '.join(requested)}")
         else:
             lines.append(
                 f"# decades={fmt_float(spec.decades_from)}.."
@@ -136,47 +130,36 @@ def _cells(values: list) -> list[str]:
     ]
 
 
-# Rows or reports formatted per pass: only one chunk's cells are alive at
-# a time.
+# Reports formatted per pass: only one chunk's cells are alive at a time.
 _CSV_CHUNK = 256
 
 
-def _requested_texts(result: SweepResult) -> dict[int, str]:
-    """The CSV text of each distinct requested-multiplier object, by id: a
-    grid repeats each, as one object, once per bit count."""
-    distinct = {id(value): value for value in result.requested_multipliers}
-    return dict(zip(distinct, _cells(list(distinct.values()))))
-
-
-def _data_lines(result: SweepResult, requested: dict[int, str], lines: list[str]) -> None:
+def _data_lines(result: SweepResult, requested: list[str], lines: list[str]) -> None:
     """Append the sweep's data lines to ``lines``. Each run of report
     columns of the header is formatted once per distinct report, a chunk
-    of reports at a time; then each chunk of rows takes its reports'
-    text, the text of its requested multipliers from ``requested`` (see
-    :func:`_requested_texts`), and formats its flags."""
-    parts = []  # a row's own cell, or a tuple of a run of report columns
-    for own, names in groupby(_HEADERS[result.kind].split(","), _ROW_CELLS.__contains__):
+    of reports at a time; each row then joins its report's runs with the
+    text of its axis point's requested multiplier from ``requested``."""
+    parts = []  # "m_requested", or a tuple of a run of report columns
+    for own, names in groupby(_HEADERS[result.kind].split(","), "m_requested".__eq__):
         parts += names if own else [tuple(names)]
-    texts = {part: [] for part in parts if isinstance(part, tuple)}
+    runs = [part for part in parts if isinstance(part, tuple)]
+    texts = {part: [] for part in runs}
     for part, text in texts.items():
         columns = [result.report_column(name) for name in part]
         for first in range(0, len(columns[0]), _CSV_CHUNK):
             chunk = slice(first, first + _CSV_CHUNK)
             text += map(",".join, zip(*(_cells(column[chunk]) for column in columns)))
-    for first in range(0, len(result.report_index), _CSV_CHUNK):
-        rows = slice(first, first + _CSV_CHUNK)
-        index = result.report_index[rows]
-        cells = [
-            list(map(texts[part].__getitem__, index)) if isinstance(part, tuple)
-            else list(map(_flags_field, result.flags[rows])) if part == "flags"
-            else [requested[id(value)] for value in result.requested_multipliers[rows]]
-            for part in parts
-        ]
-        lines.extend(map(",".join, zip(*cells)))
+    positions = dict(zip(runs, tee(result.row_reports(), len(runs))))
+    cells = [
+        map(texts[part].__getitem__, positions[part]) if isinstance(part, tuple)
+        else chain.from_iterable(repeat(requested, result.width))
+        for part in parts
+    ]
+    lines.extend(map(",".join, zip(*cells)))
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    requested = _requested_texts(result)
+    requested = _cells(result.axis)
     lines = _spec_echo_lines(result, requested)
     lines.append(_HEADERS[result.kind])
     _data_lines(result, requested, lines)

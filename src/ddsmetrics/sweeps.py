@@ -22,11 +22,12 @@ sweep and the grid :func:`~ddsmetrics.metrics.evaluate_columns`, of held
 rows and of digitized ones.
 
 A :class:`SweepResult` holds its rows as columns: the distinct reports,
-one list per report field, and per row the position of its report among
-them, its requested multiplier and its flags. A multiplier or grid
-sweep builds no report, row or timing object per point; the CSV writer
-and the charts read the columns, and ``SweepResult.rows`` builds the
-:class:`SweepRow` objects only when it is first read.
+one list per report field, the requested axis once, and each axis
+point's position among the distinct snapped multipliers; every row's
+report follows by arithmetic. A multiplier or grid sweep builds no
+report, row or timing object per point; the CSV writer and the charts
+read the columns, and ``SweepResult.rows`` builds the :class:`SweepRow`
+objects only when it is first read.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import Iterator
 
 from .metrics import (
     MetricsReport,
@@ -157,12 +160,15 @@ class SweepResult:
     """The rows of one sweep, held as columns.
 
     ``reports`` holds the sweep's distinct reports, one list per field of
-    :data:`~ddsmetrics.metrics.REPORT_FIELDS`. Row i has the report at
-    position ``report_index[i]`` of those lists, the requested multiplier
-    ``requested_multipliers[i]`` (None in a bits sweep) and the flags
-    ``flags[i]``. :attr:`rows` builds the :class:`SweepRow` objects when
-    it is first read and keeps them; rows that share a report share one
-    :class:`~ddsmetrics.metrics.MetricsReport`.
+    :data:`~ddsmetrics.metrics.REPORT_FIELDS`, ``width`` reports per
+    distinct snapped multiplier: one per bit count (1 for held rows).
+    ``axis`` holds the requested multipliers (``[None]`` in a bits sweep)
+    and ``index`` the position of each among the distinct snapped
+    multipliers. Row ``b*len(axis) + i`` is bit count b at axis point i,
+    with report ``index[i]*width + b``; its flags are those of its report
+    (see :meth:`report_column`). :attr:`rows` builds the
+    :class:`SweepRow` objects when it is first read and keeps them; rows
+    that share a report share one :class:`~ddsmetrics.metrics.MetricsReport`.
     """
 
     schema_version = SCHEMA_VERSION
@@ -172,36 +178,45 @@ class SweepResult:
         kind: str,  # "bits" | "multiplier" | "grid"
         spec: SweepSpec,
         reports: dict[str, list],
-        report_index: list[int],
-        requested_multipliers: list[float | None],
-        flags: list[tuple[str, ...]],
+        axis: list[float | None],
+        index: list[int],
+        width: int,
     ):
-        self.kind, self.spec, self.reports, self.report_index = kind, spec, reports, report_index
-        self.requested_multipliers, self.flags = requested_multipliers, flags
+        self.kind, self.spec, self.reports = kind, spec, reports
+        self.axis, self.index, self.width = axis, index, width
         self._rows = None
 
     @property
     def rows(self) -> tuple[SweepRow, ...]:
         if self._rows is None:
             reports = reports_from_columns(self.reports)
-            self._rows = tuple(map(
-                SweepRow, self.requested_multipliers,
-                map(reports.__getitem__, self.report_index), self.flags,
-            ))
+            flags = self.report_column("flags")
+            self._rows = tuple(
+                SweepRow(requested, reports[k], flags[k])
+                for requested, k in zip(self.axis * self.width, self.row_reports())
+            )
         return self._rows
+
+    def row_reports(self) -> Iterator[int]:
+        """The position of each row's report among the distinct reports,
+        in row order, computed as it is read."""
+        scaled = [k * self.width for k in self.index]
+        return chain.from_iterable(map(b.__add__, scaled) for b in range(self.width))
 
     def report_column(self, name: str) -> list:
         """Column ``name`` of each distinct report, in the order of
-        :attr:`reports`: a report field, or a CSV column name of
-        :data:`COLUMN_FIELDS`."""
+        :attr:`reports`: a report field, a CSV column name of
+        :data:`COLUMN_FIELDS`, or ``"flags"``, the flags of its snapped
+        multiplier p/q (:data:`FLAG_SUBNYQUIST` when p < 2q)."""
+        if name == "flags":
+            return [
+                (FLAG_SUBNYQUIST,) if p is not None and p < 2 * q else ()
+                for p, q in zip(self.reports["m_num"], self.reports["m_den"])
+            ]
         column = self.reports[COLUMN_FIELDS.get(name, name)]
         if name == "max_err_pct":
             return [100.0 * error for error in column]
         return column
-
-    def row_column(self, name: str) -> list:
-        """Field ``name`` (see :meth:`report_column`) of each row's report."""
-        return list(map(self.report_column(name).__getitem__, self.report_index))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SweepResult):
@@ -278,19 +293,12 @@ def _snapped_axis(spec: SweepSpec) -> tuple[list[float], list[tuple[int, int]], 
     return requested, list(positions), index
 
 
-def _flags(pairs: list[tuple[int, int]], index: list[int]) -> list[tuple[str, ...]]:
-    """The flags of each axis point, from its snapped multiplier."""
-    flags = [(FLAG_SUBNYQUIST,) if p < 2 * q else () for p, q in pairs]
-    return list(map(flags.__getitem__, index))
-
-
 def sweep_bits(spec: SweepSpec) -> SweepResult:
     """One row per bit count for the quantized model, bits ascending."""
     quantizers = [QuantizerConfig(bits, spec.mode) for bits in spec.bits_axis()]
-    n = len(quantizers)
     return SweepResult(
         "bits", spec, quantized_columns(SignalSpec(_SWEEP_FREQUENCY_HZ), quantizers),
-        list(range(n)), [None] * n, [()] * n,
+        [None], [0], len(quantizers),
     )
 
 
@@ -301,7 +309,7 @@ def sweep_multiplier(spec: SweepSpec) -> SweepResult:
     requested, pairs, index = _snapped_axis(spec)
     return SweepResult(
         "multiplier", spec, evaluate_columns(SignalSpec(_SWEEP_FREQUENCY_HZ), pairs),
-        index, requested, _flags(pairs, index),
+        requested, index, 1,
     )
 
 
@@ -313,11 +321,7 @@ def sweep_grid(spec: SweepSpec) -> SweepResult:
     signal = SignalSpec(_SWEEP_FREQUENCY_HZ)
     quantizers = [QuantizerConfig(bits, spec.mode) for bits in spec.bits_axis()]
     requested, pairs, index = _snapped_axis(spec)
-    # the report of bit count b of distinct multiplier i is report
-    # i*len(quantizers) + b
-    n = len(quantizers)
     return SweepResult(
         "grid", spec, evaluate_columns(signal, pairs, quantizers),
-        [i * n + b for b in range(n) for i in index],
-        requested * n, _flags(pairs, index) * n,
+        requested, index, len(quantizers),
     )

@@ -507,17 +507,31 @@ def report_columns(reports) -> dict[str, list]:
 
 
 def result_from_rows(kind: str, rows, spec) -> SweepResult:
-    """The sweep result whose rows are ``rows``: its columns derived from
-    the rows, a report shared by rows (the same object) once. The
-    reference that a sweep's own columns are compared against."""
+    """The sweep result whose rows are ``rows``, given in a sweep's shape:
+    row ``b*n + i`` is bit count b at point i of the n points of
+    ``spec``'s multiplier axis (``[None]`` in a bits sweep), with that
+    point's requested multiplier and its report's flags. Axis points
+    whose column of reports is the same objects share one position, and
+    each distinct column's reports are stored once. The reference that a
+    sweep's own columns are compared against."""
     rows = tuple(rows)
-    distinct = {id(row.report): row.report for row in rows}
-    position = {key: i for i, key in enumerate(distinct)}
-    return SweepResult(
-        kind, spec, report_columns(list(distinct.values())),
-        [position[id(row.report)] for row in rows],
-        [row.requested_multiplier for row in rows], [row.flags for row in rows],
+    axis = [None] if kind == "bits" else spec.multiplier_axis()
+    n = len(axis)
+    width = len(rows) // n
+    assert [row.requested_multiplier for row in rows] == axis * width, "not a sweep's shape"
+    column_rows = [rows[i::n] for i in range(n)]
+    keys = [tuple(id(row.report) for row in column) for column in column_rows]
+    distinct = dict(zip(keys, column_rows))  # in order of first appearance
+    position = {key: k for k, key in enumerate(distinct)}
+    result = SweepResult(
+        kind, spec,
+        report_columns([row.report for column in distinct.values() for row in column]),
+        axis, [position[key] for key in keys], width,
     )
+    for row, flags in zip(rows, map(result.report_column("flags").__getitem__,
+                                    result.row_reports())):
+        assert row.flags == flags, "not a sweep's shape"
+    return result
 
 
 def parse_csv(text: str) -> tuple[list[str], list[str], list[list[str]]]:

@@ -135,13 +135,21 @@ class TestHeatmap:
         assert meta["high"] == -6.0
         assert meta["metric"] == "thd_db"
 
-    def test_ragged_grid_rejected(self):
-        result = _grid_result(
-            [(2, 4.0, 1.0, -6.0), (2, 8.0, 0.8, -8.0), (3, 4.0, 1.0, -6.5)]
-        )
+    def test_repeated_multiplier_rejected(self):
+        # a library sweep may repeat a multiplier; its chart would need
+        # two columns at one x
+        result = sweep_grid(SweepSpec(bits_from=2, bits_to=3, multipliers=(4.0, 8.0, 4.0)))
         style = ChartStyle(ChartKind.HEATMAP)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\b4\.0\b"):
             render_heatmap(result, style, "max_err")
+
+    def test_columns_go_in_ascending_multiplier_order(self):
+        style = ChartStyle(ChartKind.HEATMAP)
+        ascending = sweep_grid(SweepSpec(bits_from=2, bits_to=4, multipliers=(4.0, 8.0, 16.0)))
+        shuffled = sweep_grid(SweepSpec(bits_from=2, bits_to=4, multipliers=(16.0, 4.0, 8.0)))
+        assert render_heatmap(shuffled, style, "thd_db") == render_heatmap(
+            ascending, style, "thd_db"
+        )
 
     def test_wrong_kind_rejected(self):
         style = ChartStyle(ChartKind.HEATMAP)

@@ -291,30 +291,40 @@ class TestSweepCsvColumns:
         result = sweep_grid(spec)
         assert sweep_to_csv(result) == csv_row_by_row(result)
 
-    def test_values_outside_the_plain_range_and_equal_values_of_two_types(self):
+    def test_values_outside_the_plain_range(self):
+        # the first two axis points share a report, as snapped-equal
+        # multipliers do; the last two are sub-Nyquist
         shared = sample_report(max_abs_error=1e-7, thd_ratio=2e6, thd_db=-0.0, paper_bound=1e-4)
         rows = [
-            SweepRow(4, shared),
-            SweepRow(4.0, shared, ("subnyquist",)),
-            SweepRow(4.0, sample_report(strict_bound=999999.9999999999, thd_ratio=None)),
-            SweepRow(5e-324, sample_report(max_abs_error=-1.5e-5, thd_db=None)),
+            SweepRow(4.0, shared),
+            SweepRow(4.0, shared),
+            SweepRow(1.5, sample_report(m_num=3, m_den=2, strict_bound=999999.9999999999,
+                                        thd_ratio=None), ("subnyquist",)),
+            SweepRow(5e-324, sample_report(m_num=1, m_den=16, max_abs_error=-1.5e-5,
+                                           thd_db=None), ("subnyquist",)),
         ]
+        spec = SweepSpec(bits_from=8, bits_to=8, multipliers=(4.0, 4, 1.5, 5e-324))
         for kind in ("multiplier", "grid"):
-            result = result_from_rows(kind, tuple(rows), SweepSpec(multipliers=(4.0,)))
+            result = result_from_rows(kind, tuple(rows), spec)
+            assert result.index == [0, 0, 1, 2]
             text = sweep_to_csv(result)
             assert text == csv_row_by_row(result)
             _, _, parsed = parse_csv(text)
             assert [row[1 if kind == "grid" else 0] for row in parsed] == [
-                "4", "4.0", "4.0", "5e-324"
+                "4.0", "4.0", "1.5", "5e-324"
             ]
+            assert [row[-1] for row in parsed] == ["-", "-", "subnyquist", "subnyquist"]
 
     def test_echoed_multipliers_are_fmt_float_of_the_spec(self):
-        # the echo line reuses the rows' text of a float multiplier, and
-        # must not reuse it for an int, whose row cell is "4", not "4.0"
+        # the echo line is the rows' text of the axis, the spec's
+        # multipliers as floats: an int 4 reads "4.0" in both
         axis = (4, 4.0, 5e-324, 2e6, 1.5)
-        rows = [SweepRow(m, sample_report()) for m in axis]
+        rows = [SweepRow(float(m), sample_report()) for m in axis]
+        spec = SweepSpec(bits_from=8, bits_to=8, multipliers=axis)
         for kind in ("multiplier", "grid"):
-            text = sweep_to_csv(result_from_rows(kind, tuple(rows), SweepSpec(multipliers=axis)))
+            text = sweep_to_csv(result_from_rows(kind, tuple(rows), spec))
             echo = " ".join(map(fmt_float, axis))
             assert f"# multipliers={echo}\n" in text
             assert echo == "4.0 4.0 5e-324 2e+06 1.5"
+            _, _, parsed = parse_csv(text)
+            assert [row[1 if kind == "grid" else 0] for row in parsed] == echo.split()

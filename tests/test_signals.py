@@ -360,6 +360,18 @@ class TestSinTurnsArray:
         expected = sin_turns_by_selection(x)
         assert sin_turns_array(x).view(np.int64).tolist() == expected.view(np.int64).tolist()
 
+    def test_numpy_sine_equals_the_scalar_sine(self):
+        # the held supremum reads array sines and the held THD and half
+        # swing scalar ones, so numpy's np.sin must give math.sin's bits:
+        # every phase j/(4p) up to p = 400, and 200,000 random phases
+        rng = np.random.default_rng(27)
+        x = np.concatenate(
+            [np.arange(4 * p) / (4 * p) for p in range(1, 401)] + [rng.random(200_000)]
+        )
+        assert len(x) == 520_800
+        scalar = np.array([sin_turns(v) for v in x.tolist()])
+        assert sin_turns_array(x).view(np.int64).tolist() == scalar.view(np.int64).tolist()
+
     def test_exact_quarter_points(self):
         assert sin_turns_array(np.array([0.0, 0.25, 0.5, 0.75])).tolist() == [0.0, 1.0, 0.0, -1.0]
         assert math.copysign(1.0, sin_turns_array(np.array([0.5]))[0]) == 1.0

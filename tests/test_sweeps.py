@@ -573,6 +573,21 @@ class TestColumnarResult:
         assert any(row.report.thd_db is None for row in rows)
         assert outputs(result) == outputs(result_from_rows("grid", rows, spec))
 
+    def test_a_grid_keeps_its_axis_once(self):
+        # 30,001 axis points by 52 bit counts: the result keeps the axis,
+        # each point's position and the distinct reports, nothing per row
+        spec = SweepSpec(
+            bits_from=1, bits_to=52, decades_from=0.5, decades_to=0.8, points_per_decade=100_000
+        )
+        tracemalloc.start()
+        try:
+            result = sweep_grid(spec)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 16 << 20
+        assert len(result.axis) * result.width == 1_560_052
+
     def test_rows_are_built_once(self):
         result = sweep_multiplier(SweepSpec(multipliers=(4.0, 3.001, 3.002)))
         rows = result.rows
