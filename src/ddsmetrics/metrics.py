@@ -8,9 +8,9 @@ O(pieces):
 * maximum absolute error is the exact supremum, taken piece by piece:
   on each piece the larger of the two one-sided endpoint limits, or the
   distance to a sine extremum (phase 1/4 or 3/4) inside the piece. A
-  digitized row examines all p pieces; a held row only the few that can
-  attain it, with the same floats, so it reports the all-piece values
-  bit for bit;
+  digitized row examines all p pieces; a held row a fixed-width row of
+  candidates that covers every piece that can attain it, with the same
+  floats, so it reports the all-piece values bit for bit;
 * THD follows from Parseval's theorem. The held model's start phases
   k*q mod p run over every residue mod p, which leaves the
   zero-order-hold closed form sqrt(1/sinc(q/p)**2 - 1). A digitized
@@ -25,18 +25,20 @@ Apart from the target model, :func:`evaluate` is a batch of one of two
 engines, each of which takes a whole sweep axis in one call and returns
 one list per report field (see ``REPORT_FIELDS``): :func:`quantized_columns`,
 O(1) per quantizer, and :func:`evaluate_columns`, rows p/q held (without
-quantizers) or digitized (a column of quantizers each). The latter lays
-consecutive rows' pieces end to end in the batches of
-:func:`column_batches`, a held row's few candidates (:func:`_held_pieces`)
-or a digitized row's every piece, so that what depends on the multipliers
-alone is built once per batch: per piece only the start sine, its swing
-and its cosine (see :class:`_Pieces`). The quantizers then go in groups
-through one working set, matrices allocated once per batch that every
-whole-matrix step writes into (:meth:`_Pieces.quantized`); each group
-leaves a few values per report, and the THD, the argmax times and the
-logarithms are taken from them once per batch. Both kinds of row take
+quantizers) or digitized (a column of quantizers each), in the batches of
+:func:`column_batches`. A batch of held rows is one fixed-width int64
+matrix of candidate residues, a row per p/q (:func:`_held_candidates`),
+whose suprema are row maxima (:func:`_held_suprema`). A batch of
+digitized rows lays their pieces end to end, so that what depends on the
+multipliers alone is built once per batch: per piece only the start sine,
+its swing and its cosine (see :class:`_Pieces`). The quantizers then go
+in groups through one working set, matrices allocated once per batch that
+every whole-matrix step writes into (:meth:`_Pieces.quantized`); each
+group leaves a few values per report, and the THD, the argmax times and
+the logarithms are taken from them once per batch. Digitized rows take
 their suprema from one segmented pass, :meth:`_Pieces.supremum`, so a row
 of a sweep costs a few Python-level steps, not a few dozen numpy calls.
+Both kinds of row take the time of a supremum from :func:`_times`.
 
 The step levels come from :func:`ddsmetrics.signals.step_levels`, the
 definition the pointwise models use. The probe-grid and DFT estimators
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import partial, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,11 +101,11 @@ _COLUMN_CHUNK = 1 << 15
 # shares one set of array calls and a group holds at least 2 rows.
 _BATCH_PIECES = _COLUMN_CHUNK // 2
 
-# The most pieces _held_pieces() keeps of a held row: the width of its
-# matrix, 6 window residues and 25 swing candidates. A batch of held rows
-# holds _BATCH_PIECES // _HELD_CANDIDATES = 528 of them, with about 1.2 KB
-# of temporaries each (tracemalloc), 0.6 MB a batch.
-_HELD_CANDIDATES = 31
+# The width of the candidate matrix of _held_candidates(): 6 window
+# residues and 15 swing slots a held row. A batch of held rows holds
+# _BATCH_PIECES // _HELD_CANDIDATES = 780 of them, with about 1.5 KB of
+# temporaries each (tracemalloc, beside the reports), 1.1 MB a batch.
+_HELD_CANDIDATES = 21
 
 # Up to this many bits quantized THD sums over the at most 8 thresholds:
 # the Hankel series of _bessel_sums is only asymptotic and falls short
@@ -270,25 +272,19 @@ def _errors(level, start, swing, at_peak, at_trough) -> tuple:
 
 
 class _Pieces:
-    """The pieces of one or more held or digitized rows p/q at frequency
-    f, and what every quantizer shares about them. Row ``rows[i]`` has
-    the next ``counts[i]`` pieces, its segment, in time order: the
-    indices ``k`` (ascending), or every piece of the row when ``k`` is
-    None. Piece k of a row p/q starts at residue r = k*q mod p, where the
-    sine is ``start`` and its quadrature is ``cosine``; the sine changes
-    by ``swing`` across it. These three are the only arrays over every
-    piece. The pieces that hold phase 1/4 (3/4) are the positions
-    ``peak`` (``trough``); k, r and the windows are taken again only at
-    the pieces that attain a supremum (see :meth:`times`)."""
+    """The pieces of one or more digitized rows p/q at frequency f, and
+    what every quantizer shares about them. Row ``rows[i]`` has the next
+    p pieces, its segment, in time order. Piece k of a row p/q starts at
+    residue r = k*q mod p, where the sine is ``start`` and its quadrature
+    is ``cosine``; the sine changes by ``swing`` across it. These three
+    are the only arrays over every piece. The pieces that hold phase 1/4
+    (3/4) are the positions ``peak`` (``trough``); r and the windows are
+    taken again only at the pieces that attain a supremum (see
+    :meth:`times`)."""
 
-    def __init__(
-        self,
-        f: float,
-        rows: Sequence[tuple[int, int]],
-        counts: list[int],
-        k: np.ndarray | None = None,
-    ):
-        self.f, self.rows, self.k = f, rows, k
+    def __init__(self, f: float, rows: Sequence[tuple[int, int]]):
+        self.f, self.rows = f, rows
+        counts = [p for p, _ in rows]
         self.starts = np.cumsum([0, *counts[:-1]])
         # One column per row: p, q mod p, 4*min(q, p) and 2*(q mod 2p) + p.
         # q meets the int64 arrays only reduced, so any exact multiplier
@@ -306,13 +302,10 @@ class _Pieces:
             spread = partial(np.repeat, repeats=np.array(counts))
             self.segment = spread(np.arange(len(rows)))
         p = spread(self.table[0])
-        if k is None:
-            r = np.arange(sum(counts))
-            if self.segment is not None:
-                r -= spread(self.starts)
-            r *= spread(self.table[1])
-        else:
-            r = k * spread(self.table[1])
+        r = np.arange(sum(counts))
+        if self.segment is not None:
+            r -= spread(self.starts)
+        r *= spread(self.table[1])
         r %= p
         self.start = step_levels(r, p)
         # Phase 1/4 (3/4) lies in [r/p, (r+q)/p] iff its offset from r/p
@@ -324,8 +317,7 @@ class _Pieces:
         # from the start of each piece to the end, without cancellation.
         # Both cosines are sines a quarter turn on, in units of 1/(4*p).
         four_r, four_p = np.multiply(r, 4, out=r), 4 * p
-        # only a row of every piece has a THD to take
-        self.cosine = None if k is not None else sin_turns_array(_turns(four_r + p, four_p))
+        self.cosine = sin_turns_array(_turns(four_r + p, four_p))
         swing = sin_turns_array(_turns(four_r + spread(self.table[3]), four_p))
         self.swing = np.multiply(np.multiply(swing, 2.0, out=swing), spread(halves), out=swing)
 
@@ -341,10 +333,9 @@ class _Pieces:
         matrix of one level per piece), written to ``sups`` (rows by
         segments), and the flat index into ``level`` of the first piece
         of each that attains it, row by row. ``error`` holds
-        ``level - start`` (zeros for held rows) and is overwritten;
-        ``largest`` and ``equal`` (bool) are scratch of the same shape.
-        A held batch is one row of many segments, a column many rows of
-        one, and a batch of columns many rows of many."""
+        ``level - start`` and is overwritten; ``largest`` and ``equal``
+        (bool) are scratch of the same shape. A column is many rows of
+        one segment, a batch of columns many rows of many."""
         # The largest of each piece's _errors, folded in place: the same
         # floats, without four arrays alive at once; the extrema only on
         # the pieces that hold them.
@@ -402,66 +393,69 @@ class _Pieces:
             np.take(level[rows], hits, out=levels[at].reshape(-1), mode="clip")
         return sums, sups, firsts, levels
 
-    def held_suprema(self) -> tuple[list, list]:
-        """The supremum of each held row, whose levels are the sine at
-        the starts of its pieces, and the earliest time it is attained."""
-        level = self.start[None]
-        sups = np.empty((1, len(self.rows)))
-        firsts = self.supremum(
-            level, np.zeros(level.shape), np.empty(level.shape),
-            np.empty(level.shape, dtype=bool), sups,
-        )
-        return self.times(sups, firsts[None], level[:, firsts])
-
     def times(self, sups: np.ndarray, at: np.ndarray, levels: np.ndarray) -> tuple[list, list]:
         """The suprema ``sups`` (quantizers by segments) as a list, and
-        the earliest time each is attained, segment by segment: at is
-        the first attaining piece (its position in its row) and levels
-        its level."""
+        the earliest time each is attained, segment by segment (see
+        :func:`_times`): at is the first attaining piece (its position in
+        its row) and levels its level."""
         n = len(sups)
         sups, at, levels = (values.T.ravel() for values in (sups, at, levels))
-        p, q_mod_p, reach, _ = np.repeat(self.table, n, axis=1)
-        k = at - np.repeat(self.starts, n) if self.k is None else self.k[at]
-        to_peak, to_trough = _windows(k * q_mod_p % p, p)
-        # The earliest of the four candidates at the first attaining piece
-        # that equals the supremum. Their offsets into the piece, in units
-        # of 1/(4*p*f), are 0, 4q and the windows to phase 1/4 and 3/4;
-        # 4*min(q, p) stands in for 4q, which may pass int64, and orders
-        # alike, since both windows lie below 4p.
-        candidates = _errors(
-            levels, self.start[at], self.swing[at], to_peak <= reach, to_trough <= reach
+        return sups.tolist(), _times(
+            self.f, [row for row in self.rows for _ in range(n)],
+            np.repeat(self.table[:3], n, axis=1), at - np.repeat(self.starts, n),
+            sups, levels, self.start[at], self.swing[at],
         )
-        offsets = np.array((np.zeros_like(reach), reach, to_peak, to_trough))
-        offsets[np.array(candidates) != sups] = np.iinfo(np.int64).max
-        # the end of the piece is tick 4*(k + 1)*q, in Python ints
-        at_end = offsets.argmin(axis=0) == 1
-        times = [
-            (4 * q * (k + end) + offset) / (4 * p) / self.f
-            for (p, q), k, end, offset in zip(
-                [row for row in self.rows for _ in range(n)], k.tolist(), at_end.tolist(),
-                np.where(at_end, 0, offsets.min(axis=0)).tolist(),
-            )
-        ]
-        return sups.tolist(), times
 
 
-# The candidate residues of a held row p/q (see _held_pieces). Its six
-# window residues are (a*p - b*min(q, p) + c) // 4 for these (a, b, c):
-# ceil(p/4 - q), ceil(3p/4 - q), and the floor and ceiling of p/4 and 3p/4.
+# Above every candidate offset of _times: the windows lie below 4p.
+_NEVER = 2**63 - 1
+
+
+def _times(f: float, rows, table, k, sups, levels, start, swing) -> list[float]:
+    """The earliest time each supremum of ``sups`` is attained, at piece
+    ``k`` of its row p/q, the first piece that attains it: ``rows`` holds
+    that p/q per supremum, ``table`` its p, q mod p and 4*min(q, p) as
+    int64 columns, and ``levels``, ``start`` and ``swing`` the piece's
+    level, start sine and swing."""
+    p, q_mod_p, reach = table
+    to_peak, to_trough = _windows(k * q_mod_p % p, p)
+    # The earliest of the four candidates at the piece that equals the
+    # supremum. Their offsets into the piece, in units of 1/(4*p*f), are
+    # 0, 4q and the windows to phase 1/4 and 3/4; 4*min(q, p) stands in
+    # for 4q, which may pass int64, and orders alike, since both windows
+    # lie below 4p.
+    candidates = _errors(levels, start, swing, to_peak <= reach, to_trough <= reach)
+    offsets = np.array((np.zeros_like(reach), reach, to_peak, to_trough))
+    offsets[np.array(candidates) != sups] = _NEVER
+    # the end of the piece is tick 4*(k + 1)*q, in Python ints
+    at_end = offsets.argmin(axis=0) == 1
+    return [
+        (4 * q * (k + end) + offset) / (4 * p) / f
+        for (p, q), k, end, offset in zip(
+            rows, k.tolist(), at_end.tolist(), np.where(at_end, 0, offsets.min(axis=0)).tolist()
+        )
+    ]
+
+
+# The candidate residues of a held row p/q (see _held_candidates), one
+# column each. Its six window residues are (a*p - b*4*min(q, p) + c) // 4
+# for these (a, b, c): ceil(p/4 - q), ceil(3p/4 - q), and the floor and
+# ceiling of p/4 and 3p/4.
 _WINDOW_P = np.array([1, 3, 1, 1, 3, 3], dtype=np.int64)
-_WINDOW_REACH = np.array([4, 4, 0, 0, 0, 0], dtype=np.int64)
+_WINDOW_REACH = np.array([1, 1, 0, 0, 0, 0], dtype=np.int64)
 _WINDOW_CEIL = np.array([3, 3, 0, 3, 0, 3], dtype=np.int64)
-# Beside its swing maxima 2r + (q mod 2p) is at most 2 from a multiple m*p
-# of p, m = 0..4, so 2r is m*p + gap - (q mod 2p) for these (m, gap).
-_SWING_MULTIPLES = np.repeat(np.arange(5, dtype=np.int64), 5)
-_SWING_GAPS = np.tile(np.arange(-2, 3, dtype=np.int64), 5)
+# Its 15 swing slots: 2r = m*p + gap - (q mod 2p) for three consecutive
+# multiples m of p, at gaps -2..2.
+_SWING_MULTIPLES = np.repeat(np.arange(3, dtype=np.int64), 5)
+_SWING_GAPS = np.tile(np.arange(-2, 3, dtype=np.int64), 3)
 
 
-def _held_pieces(rows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
-    """Indices of the few held pieces of each row p/q that can attain the
-    supremum, ascending and each once, the rows end to end, and how many
-    each row has; for each row a superset of every piece whose candidate
-    error (see :class:`_Pieces`) equals the maximum of its kind.
+def _held_candidates(rows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate residues of each held row p/q, one row each of a
+    matrix ``_HELD_CANDIDATES`` wide: as a set, a superset of the residue
+    of every piece whose candidate error (see :func:`_errors`) equals the
+    maximum of its kind. Also a table of one int64 column per row: p,
+    q mod p, 4*min(q, p), q mod 2p and q**-1 mod p.
 
     * The swing 2*cos(pi*(2r + q)/p)*sin(pi*q/p) is largest where 2r + q
       is nearest a multiple of p; residues within 2 of one are kept.
@@ -470,46 +464,46 @@ def _held_pieces(rows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, list[int]
       end of that window, r = ceil(p/4 - q), or, if the window reaches
       past 3/4, beside 3p/4. Likewise for the trough, mirrored.
 
-    Piece k starts at residue r = k*q mod p, so k = r * q**-1 mod p. The
-    candidates of all rows form one int64 matrix, 6 window residues and
-    25 swing candidates a row: p <= 2**24 keeps 4*p and every product
-    r * q**-1 far inside int64, and q meets the arrays only reduced.
+    p <= 2**24 keeps 4*p and every product r * q**-1 far inside int64,
+    and q meets the arrays only reduced.
     """
     table = np.array(
-        [(p, q % (2 * p), min(q, p), pow(q % p, -1, p)) for p, q in rows], dtype=np.int64
-    )
-    p, twice_q, reach, inverse = table.T[:, :, None]
+        [(p, q % p, 4 * min(q, p), q % (2 * p), pow(q % p, -1, p)) for p, q in rows],
+        dtype=np.int64,
+    ).T
+    p, _, reach, twice_q, _ = table[:, :, None]
     # (n + 3) // 4 is ceil(n/4), negative n included
     windows = (_WINDOW_P * p - _WINDOW_REACH * reach + _WINDOW_CEIL) // 4
-    # 2r + (q mod 2p) lies in [0, 4p), so the multiples 0..4p bracket it;
-    # an odd or out-of-range 2r gives way to the first window residue, a
-    # repeat that is dropped below
-    r, odd = np.divmod(_SWING_MULTIPLES * p + _SWING_GAPS - twice_q, 2)
+    # 2r + (q mod 2p) lies in [q mod 2p, q mod 2p + 2p), so for p >= 4
+    # the three multiples of p from ceil(((q mod 2p) - 2)/p) on bracket
+    # it within 2 (below, the windows hold every residue); an odd or
+    # out-of-range 2r gives way to the first window residue
+    first = np.maximum(-((2 - twice_q) // p), 0)
+    r, odd = np.divmod((first + _SWING_MULTIPLES) * p + _SWING_GAPS - twice_q, 2)
     swing = np.where((odd == 0) & (r >= 0) & (r < p), r, windows[:, :1])
-    k = np.hstack((windows, swing)) % p * inverse % p
-    k.sort(axis=1)
-    kept = np.ones(k.shape, dtype=bool)
-    kept[:, 1:] = k[:, 1:] != k[:, :-1]
-    return k[kept], kept.sum(axis=1).tolist()
+    return table, np.hstack((windows, swing)) % p
 
 
-# n*(n + 1) for n = 2, 4, ..., 20: term n + 1 of the sine's Taylor series
-# is term n - 1 times -x**2/(n*(n + 1)).
-_TAYLOR_DIVISORS = np.array([n * (n + 1) for n in range(2, 22, 2)], dtype=np.float64)
-
-
-def _x_minus_sin(x: np.ndarray) -> list[float]:
-    """x - sin(x) for each 0 <= x < 1 of ``x`` from its Taylor series, free
-    of the cancellation of the direct difference; the terms past
-    x**21/21! are below an ulp. The terms are the products of a scalar
-    loop, term = term * (-x*x / divisor), in its order: accumulate
-    multiplies along a row one factor at a time. Each sum is
-    ``math.fsum``'s, correctly rounded."""
-    factors = np.empty((len(x), len(_TAYLOR_DIVISORS) + 1))
-    factors[:, 0] = x
-    np.divide((-x * x)[:, None], _TAYLOR_DIVISORS, out=factors[:, 1:])
-    terms = np.multiply.accumulate(factors, axis=1)[:, 1:]
-    return [-math.fsum(row) for row in terms.tolist()]
+def _held_suprema(f: float, rows: Sequence[tuple[int, int]]) -> tuple[list, list]:
+    """The supremum of each held row p/q, whose levels are the sine at
+    the starts of its pieces, and the earliest time it is attained: the
+    largest candidate error of its row of :func:`_held_candidates`, exact
+    in any order, so a repeated residue does no harm, and of the pieces
+    that attain it the earliest, k = r * q**-1 mod p least (see
+    :func:`_times`)."""
+    table, r = _held_candidates(rows)
+    p, _, reach, twice_q, inverse = table[:, :, None]
+    start = step_levels(r, p)
+    at_peak, at_trough = (window <= reach for window in _windows(r, p))
+    # the swing of _Pieces, in the same floats
+    swing = sin_turns_array(_turns(4 * r + 2 * twice_q + p, 4 * p))
+    swing *= 2.0
+    swing *= np.array([_half_swing(f, p, q) for p, q in rows])[:, None]
+    largest = reduce(np.maximum, _errors(start, start, swing, at_peak, at_trough))
+    sups = largest.max(axis=1)
+    k = r * inverse % p
+    at = np.arange(len(rows)), np.where(largest == sups[:, None], k, p).argmin(axis=1)
+    return sups.tolist(), _times(f, rows, table[:3], k[at], sups, start[at], start[at], swing[at])
 
 
 def _held_thd(rows: Sequence[tuple[int, int]]) -> tuple[list, list]:
@@ -519,28 +513,27 @@ def _held_thd(rows: Sequence[tuple[int, int]]) -> tuple[list, list]:
     Since gcd(p, q) = 1 the start residues k*q mod p run over 0..p-1, so
     for p >= 3 the levels have mean 0, mean square 1/2 and fundamental
     bin p/2; Parseval then leaves sqrt((x - h)*(x + h))/h with
-    x = pi*q/p and h = |sin x|. Below p = 3 every level is 0, and both
-    fields are None. The arithmetic is a row's own, elementwise: only
-    correctly rounded operations run on arrays, and the sine and the
-    logarithm stay ``math``'s.
+    x = pi*q/p and h = |sin x|. Below x = 1, x - h is the sine's Taylor
+    series, free of the cancellation of the direct difference: the terms
+    past x**21/21! are below an ulp, and ``math.fsum`` rounds their sum
+    correctly. Below p = 3 every level is 0, and both fields are None.
     """
-    ratios, dbs = [None] * len(rows), [None] * len(rows)
-    live = [i for i, (p, _) in enumerate(rows) if p >= 3]
-    if not live:
-        return ratios, dbs
-    # |sin x| = sin(pi*near/p), near the distance from q to the closest
-    # multiple of p: a turn below 1/4, so a sine near its zero keeps its
-    # digits
-    x, h = map(np.array, zip(*(
-        (math.pi * (q / p), sin_turns(min(q % p, -q % p) / (2 * p)))
-        for p, q in map(rows.__getitem__, live)
-    )))
-    gap = x - h
-    small = x < 1.0
-    gap[small] = _x_minus_sin(x[small])
-    for i, ratio in zip(live, (np.sqrt(gap * (x + h)) / h).tolist()):
-        ratios[i], dbs[i] = ratio, 20.0 * math.log10(ratio)
-    return ratios, dbs
+    ratios = []
+    for p, q in rows:
+        x = math.pi * (q / p)
+        # |sin x| = sin(pi*near/p), near the distance from q to the
+        # closest multiple of p: a turn below 1/4, so a sine near its zero
+        # keeps its digits
+        h = sin_turns(min(q % p, -q % p) / (2 * p))
+        gap = x - h
+        if x < 1.0:
+            terms, term = [], x
+            for n in range(2, 22, 2):
+                term *= -x * x / (n * (n + 1))
+                terms.append(term)
+            gap = -math.fsum(terms)
+        ratios.append(None if p < 3 else math.sqrt(gap * (x + h)) / h)
+    return ratios, [None if ratio is None else 20.0 * math.log10(ratio) for ratio in ratios]
 
 
 def _quantized_supremum(quantizer: QuantizerConfig, f: float) -> tuple[float, float]:
@@ -732,12 +725,11 @@ def evaluate_columns(
     quantizer, one multiplier after another, so that report
     ``i*len(quantizers) + b`` is that of row i and quantizer b. The
     bounds are taken once for all rows. The rows go in the batches of
-    :func:`column_batches`, their pieces end to end, so that what else
-    depends on the multipliers alone (see :class:`_Pieces`, the held THD)
-    is a few array calls per batch: of a held row only the candidate
-    pieces of :func:`_held_pieces`, of a digitized row every piece (see
-    :func:`_evaluate_batch`). The batches run one after another in the
-    calling thread. :class:`CapExceeded` is raised before anything is
+    :func:`column_batches`, so that what else depends on the multipliers
+    alone is a few array calls per batch: of held rows one matrix of
+    candidate residues (:func:`_held_suprema`), of digitized rows every
+    piece, end to end (see :class:`_Pieces`, :func:`_evaluate_batch`).
+    The batches run one after another in the calling thread. :class:`CapExceeded` is raised before anything is
     allocated when some row has more than ``MAX_PIECES`` pieces.
     """
     check_pieces(rows)
@@ -753,25 +745,20 @@ def evaluate_columns(
     )
     values = ([], [], [], [])  # max_abs_error, argmax_time_s, thd_ratio, thd_db
     for batch in column_batches(rows, held):
-        k, counts = _held_pieces(batch) if held else (None, [p for p, _ in batch])
-        pieces = _Pieces(f, batch, counts, k)
+        # a batch's pieces are freed before the next batch builds its own
         batch_values = (
-            (*pieces.held_suprema(), *_held_thd(batch)) if held
-            else _evaluate_batch(pieces, quantizers, counts)
+            (*_held_suprema(f, batch), *_held_thd(batch)) if held
+            else _evaluate_batch(_Pieces(f, batch), quantizers)
         )
-        del pieces  # freed before the next batch builds its own
         for column, batch_column in zip(values, batch_values):
             column += batch_column
     return _report_columns(kind, f, rows, each, (*values, paper, strict))
 
 
-def _evaluate_batch(
-    pieces: _Pieces, quantizers: Sequence[QuantizerConfig], counts: list[int]
-) -> tuple[list, ...]:
+def _evaluate_batch(pieces: _Pieces, quantizers: Sequence[QuantizerConfig]) -> tuple[list, ...]:
     """The max_abs_error, argmax_time_s, thd_ratio and thd_db columns of
     the digitized reports of :func:`evaluate_columns` of one batch of
-    rows p/q, whose ``pieces`` are all of theirs, ``counts[i] = p`` of
-    row i.
+    rows p/q, whose ``pieces`` are all of theirs.
 
     THD**2 = THD_held**2 + THD_seq**2*(1 + THD_held**2) exactly: the hold
     scales the fundamental by sinc(q/p) and keeps the AC power of the
@@ -786,7 +773,7 @@ def _evaluate_batch(
     held = _held_thd(pieces.rows)[0]
     # THD_held**2 of each column; a column of p < 3 has no fundamental
     held_square = np.array([0.0 if ratio is None else ratio * ratio for ratio in held])
-    mean, mean_square, a, b = sums / counts
+    mean, mean_square, a, b = sums / pieces.table[0]  # p pieces a row
     harmonic = mean_square - mean * mean - 2.0 * (a * a + b * b)
     fundamental = 2.0 * (a * a + (0.5 + b) * (0.5 + b))
     sequence = np.maximum(harmonic, 0.0) / fundamental

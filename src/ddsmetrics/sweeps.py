@@ -40,7 +40,6 @@ from typing import Iterator
 
 from .metrics import (
     MetricsReport,
-    check_pieces,
     evaluate_columns,
     quantized_columns,
     reports_from_columns,
@@ -280,16 +279,13 @@ def _snapped_axis(spec: SweepSpec) -> tuple[list[float], list[tuple[int, int]], 
     """The requested multipliers of the axis; the distinct snapped
     multipliers (p, q), in order of first appearance; and the position
     of each requested multiplier's among them. Repeated and snapped-equal
-    multipliers share one row evaluation. Raises
-    :class:`~ddsmetrics.metrics.CapExceeded` if any snapped multiplier is
-    over the piece cap, before a single row is evaluated, for the one
-    that :func:`~ddsmetrics.metrics.check_pieces` picks from all of them."""
+    multipliers share one row evaluation. The engine checks the piece cap
+    of these pairs before it evaluates a single row."""
     requested = spec.multiplier_axis()
     positions: dict[tuple[int, int], int] = {}
     index = []
     for value in requested:
         index.append(positions.setdefault(_snap(value, spec.q_max), len(positions)))
-    check_pieces(positions)
     return requested, list(positions), index
 
 

@@ -12,9 +12,11 @@ engine, :func:`ddsmetrics.metrics.evaluate`, calls none of them.
 at a time, the byte reference for its suprema, with THD from the
 Parseval difference of the levels' unit-size terms; :func:`held_rows`
 its held batch one row at a time, from the candidate pieces of
-:func:`held_pieces_by_row` and the scalar THD of :func:`held_thd_by_row`;
-:func:`held_supremum` takes a held model's supremum over any set of its
-pieces. :func:`snap_by_fraction` snaps a multiplier from its
+:func:`held_pieces_by_row`, the supremum of :func:`held_supremum` and
+the scalar THD of :func:`held_thd_by_row`. :func:`held_supremum` takes a
+held model's supremum over any set of its pieces one piece at a time, in
+Python floats, and calls no part of the engine but its scalar helpers.
+:func:`snap_by_fraction` snaps a multiplier from its
 ``Fraction``, :func:`result_from_rows` builds a sweep result from rows,
 and :func:`parse_csv` splits emitted CSV into its parts.
 """
@@ -380,7 +382,7 @@ def column_rows(spec, timing, quantizers) -> list:
     digits as THD falls: about 1e-7 relative near p = 2**15 at 52 bits."""
     p, q = timing.multiplier_num, timing.multiplier_den
     check_pieces([(p, q)])
-    pieces = _Pieces(spec.frequency_hz, [(p, q)], [p])
+    pieces = _Pieces(spec.frequency_hz, [(p, q)])
     # The residue of each piece, and which pieces hold phase 1/4 and 3/4:
     # their offsets from the piece's start are at most 4q.
     r = np.arange(p, dtype=np.int64) * (q % p) % p
@@ -405,9 +407,11 @@ def column_rows(spec, timing, quantizers) -> list:
 
 
 def held_pieces_by_row(p: int, q: int) -> np.ndarray:
-    """The held candidate pieces of one row p/q, gathered as a set of
-    residues (see :func:`ddsmetrics.metrics._held_pieces`). Residues
-    that differ by p land on one piece, which then appears twice."""
+    """The held candidate pieces of one row p/q, ascending, gathered as a
+    set of residues (see :func:`ddsmetrics.metrics._held_candidates`):
+    the window residues, and every residue r whose 2r + (q mod 2p) lies
+    within 2 of a multiple of p. Residues that differ by p land on one
+    piece, which then appears twice."""
     twice_q = q % (2 * p)
     reach = min(q, p)
     residues = {
@@ -426,7 +430,7 @@ def held_pieces_by_row(p: int, q: int) -> np.ndarray:
 
 def x_minus_sin_by_loop(x: float) -> float:
     """x - sin(x) from the Taylor terms, each divisor n*(n + 1) formed in
-    the loop: the reference for ``metrics._x_minus_sin``."""
+    the loop."""
     terms, term = [], x
     for n in range(2, 22, 2):
         term *= -x * x / (n * (n + 1))
@@ -445,11 +449,31 @@ def held_thd_by_row(p: int, q: int) -> tuple[float | None, float | None]:
     return ratio, 20.0 * math.log10(ratio)
 
 
-def held_supremum(model: WaveformModel, k: np.ndarray) -> tuple[float, float]:
-    """The engine's supremum of a held model over its pieces ``k``
-    (ascending), whose levels are the sine at their starts."""
-    [sup], [time] = _Pieces(model.spec.frequency_hz, [_model_pq(model)], [len(k)], k).held_suprema()
-    return sup, time
+def held_supremum(model: WaveformModel, k) -> tuple[float, float]:
+    """The supremum of a held model over its pieces ``k`` (ascending),
+    whose levels are the sine at their starts, and the earliest time it
+    is attained, one piece at a time in Python floats: the first piece
+    that reaches the largest of its four candidate errors (start, end,
+    peak, trough), and its earliest candidate that does."""
+    f, (p, q) = model.spec.frequency_hz, _model_pq(model)
+    half = _half_swing(f, p, q)
+    best, best_tick = -1.0, None
+    for k in map(int, k):
+        r = k * q % p
+        start = sin_turns(r / p)
+        # the sine's change across the piece, 2*cos(pi*(2r + q)/p)*half
+        swing = sin_turns((4 * r + 2 * (q % (2 * p)) + p) % (4 * p) / (4 * p)) * 2.0 * half
+        to_peak, to_trough = _windows(r, p)
+        candidates = [
+            (0.0, 0), (abs(0.0 - swing), 4 * q),
+            (abs(start - 1.0) if to_peak <= 4 * q else 0.0, to_peak),
+            (abs(start + 1.0) if to_trough <= 4 * q else 0.0, to_trough),
+        ]
+        error = max(e for e, _ in candidates)
+        if error > best:
+            best = error
+            best_tick = 4 * q * k + min(offset for e, offset in candidates if e == error)
+    return best, best_tick / (4 * p) / f
 
 
 def held_rows(spec, timings) -> list:

@@ -23,7 +23,7 @@ from ddsmetrics.metrics import (
     CapExceeded,
     _ZETA_HALF_INTEGERS,
     REPORT_FIELDS,
-    _held_pieces,
+    _held_candidates,
     column_batches,
     evaluate,
     evaluate_columns,
@@ -44,7 +44,6 @@ from oracles import (
     spectrum_exact_staircase,
     staircase_values,
     thd,
-    x_minus_sin_by_loop,
 )
 from ddsmetrics.signals import (
     QuantizationMode,
@@ -1465,7 +1464,7 @@ class TestEvaluateHeld:
     @pytest.mark.parametrize("position", [0, 3, 6])
     def test_over_cap_timing_raises_before_any_pieces(self, position, monkeypatch):
         built = []
-        monkeypatch.setattr(metrics, "_held_pieces", lambda *args: built.append(args))
+        monkeypatch.setattr(metrics, "_held_candidates", lambda *args: built.append(args))
         monkeypatch.setattr(metrics, "_Pieces", lambda *args: built.append(args))
         timings = [TimingConfig(p, 3) for p in (4, 5, 7, 11, 13, 17)]
         timings.insert(position, TimingConfig(MAX_PIECES + 1, 3))
@@ -1481,21 +1480,25 @@ COPRIME_TO_64 = [
 
 
 class TestHeldPieceMatrix:
-    """_held_pieces builds the candidate pieces of a whole batch as one
-    matrix; each row keeps the pieces of the per-row set oracle, each
-    once, and every report equals the row evaluated from that oracle."""
+    """_held_candidates builds the candidate residues of a whole batch as
+    one fixed-width matrix; each row holds the pieces of the per-row set
+    oracle, and every report equals the row evaluated from that oracle."""
 
-    def test_rows_keep_the_oracle_pieces_once_each(self):
+    def test_rows_hold_the_oracle_pieces(self):
         rows = [(t.multiplier_num, t.multiplier_den) for t in COPRIME_TO_64]
         rows += [(MAX_PIECES, 10**20 + 1), (MAX_PIECES - 3, 1), (4099, 10**19 + 7)]
-        k, counts = _held_pieces(rows)
-        assert sum(counts) == len(k)
-        duplicated = 0
-        for (p, q), row in zip(rows, np.split(k, np.cumsum(counts)[:-1])):
-            expected = held_pieces_by_row(p, q)
-            assert row.tolist() == np.unique(expected).tolist()
-            duplicated += len(expected) > len(row)
-        assert duplicated > 100
+        table, residues = _held_candidates(rows)
+        assert residues.shape == (len(rows), metrics._HELD_CANDIDATES)
+        assert table.T.tolist() == [
+            [p, q % p, 4 * min(q, p), q % (2 * p), pow(q % p, -1, p)] for p, q in rows
+        ]
+        repeated = 0
+        for (p, q), row in zip(rows, residues.tolist()):
+            assert all(0 <= r < p for r in row)
+            pieces = {r * pow(q % p, -1, p) % p for r in row}
+            assert pieces == set(held_pieces_by_row(p, q).tolist())
+            repeated += len(pieces) < len(row)
+        assert repeated == len(rows)
 
     @pytest.mark.parametrize("freq", [1.0, 3.7e5])
     def test_every_small_coprime_row_equals_the_row_oracle(self, freq):
@@ -1534,25 +1537,30 @@ class TestHeldPieceMatrix:
     @example(rows=[(13, 11), (MAX_PIECES, 10**20 + 1), (MAX_PIECES - 1, 1)], repeat=HELD_BATCH)
     @settings(max_examples=60, deadline=None)
     def test_held_batches_stay_within_the_piece_budget(self, rows, repeat):
-        # a row keeps at most the width of the candidate matrix, so a
-        # batch of held rows measured in that width holds no more pieces
-        # than the budget of a batch of digitized rows
-        _, counts = _held_pieces(rows)
-        assert max(counts) <= metrics._HELD_CANDIDATES
+        # a row is one row of the candidate matrix, so a batch of held
+        # rows holds no more candidates than the budget of a batch of
+        # digitized rows holds pieces
+        assert _held_candidates(rows)[1].shape == (len(rows), metrics._HELD_CANDIDATES)
         rows = (rows * repeat)[:3 * HELD_BATCH]
         batches = column_batches(rows, held=True)
         assert [row for batch in batches for row in batch] == rows
         assert [len(batch) for batch in batches[:-1]] == [HELD_BATCH] * (len(batches) - 1)
         for batch in batches:
             assert len(batch) * metrics._HELD_CANDIDATES <= metrics._BATCH_PIECES
-            assert sum(_held_pieces(batch)[1]) <= metrics._BATCH_PIECES
+            assert _held_candidates(batch)[1].size <= metrics._BATCH_PIECES
 
 
-def test_x_minus_sin_equals_the_loop():
+def test_held_thd_equals_the_row_loop():
+    # every x = pi*q/p < 1 with p < 400, then seeded rows up to the cap on
+    # both sides of x = 1
     rng = np.random.default_rng(9)
-    xs = [math.pi * q / p for p in range(4, 400) for q in range(1, p) if math.pi * q / p < 1.0]
-    xs += rng.random(20000).tolist() + [0.0, 5e-324, 1e-300, 1e-8, math.nextafter(1.0, 0.0)]
-    assert metrics._x_minus_sin(np.array(xs)) == [x_minus_sin_by_loop(x) for x in xs]
+    rows = [(p, q) for p in range(4, 400) for q in range(1, p) if math.pi * q / p < 1.0]
+    ps = rng.integers(3, MAX_PIECES, 20000, endpoint=True).tolist()
+    rows += [(p, int(rng.integers(1, max(2, p // 3)))) for p in ps[:10000]]
+    rows += [(p, int(rng.integers(1, 10**18))) for p in ps[10000:]]
+    rows += [(MAX_PIECES, 1), (MAX_PIECES - 1, MAX_PIECES // 3), (22, 7), (113, 36)]
+    ratios, dbs = metrics._held_thd(rows)
+    assert list(zip(ratios, dbs)) == [held_thd_by_row(p, q) for p, q in rows]
 
 
 @given(

@@ -276,14 +276,37 @@ class TestSweepMultiplier:
 
     @pytest.mark.parametrize("sweep", [sweep_multiplier, sweep_grid], ids=["multiplier", "grid"])
     def test_over_cap_multiplier_refuses_the_sweep(self, sweep, monkeypatch):
-        # the engine the sweep calls, recorded: no row may reach it
+        # the engine's row evaluators, recorded: no row may reach them
         evaluated = []
-        monkeypatch.setattr(sweeps, "evaluate_columns", lambda *args: evaluated.append(args))
+        for name in ("_Pieces", "_held_suprema"):
+            monkeypatch.setattr(metrics, name, lambda *args: evaluated.append(args))
         spec = SweepSpec(bits_from=2, bits_to=3, multipliers=(4.0, MAX_PIECES + 1.0))
         with pytest.raises(CapExceeded) as exc_info:
             sweep(spec)
         assert exc_info.value.p == MAX_PIECES + 1
         assert evaluated == []
+
+    @pytest.mark.parametrize("sweep", [sweep_multiplier, sweep_grid], ids=["multiplier", "grid"])
+    @pytest.mark.parametrize("last", [97.0, MAX_PIECES + 1.0])
+    def test_one_cap_check_per_sweep(self, sweep, last, monkeypatch):
+        # the engine's check, on the distinct snapped pairs in order
+        checked = []
+        original = metrics.check_pieces
+
+        def counted(rows):
+            checked.append(list(rows))
+            return original(rows)
+
+        # a sweep that imported the check under its own name counts too
+        monkeypatch.setattr(metrics, "check_pieces", counted)
+        monkeypatch.setattr(sweeps, "check_pieces", counted, raising=False)
+        spec = SweepSpec(bits_from=2, bits_to=3, multipliers=(4.0, 0.5, 4.0, last))
+        if last > MAX_PIECES:
+            with pytest.raises(CapExceeded):
+                sweep(spec)
+        else:
+            sweep(spec)
+        assert checked == [[(4, 1), (1, 2), (int(last), 1)]]
 
     def test_under_cap_rows_keep_thd(self):
         # 300001 pieces was past the old 2**24-sample DFT cap at 64 per step
@@ -489,9 +512,9 @@ class TestHeldBatches:
         assert list(sweep_multiplier(spec).rows) == per_row_multiplier_rows(spec)
 
     def test_three_batches_equal_per_row_evaluate(self):
-        # q_max 1000 keeps about 1300 distinct timings: three batches
+        # q_max 1000 keeps 2041 distinct timings: three batches
         spec = SweepSpec(
-            decades_from=0.5, decades_to=1.7, points_per_decade=1100, q_max=1000
+            decades_from=0.5, decades_to=1.7, points_per_decade=1700, q_max=1000
         )
         _, pairs, _ = sweeps._snapped_axis(spec)
         assert 2 * HELD_BATCH < len(pairs) <= 3 * HELD_BATCH
