@@ -101,12 +101,6 @@ _COLUMN_CHUNK = 1 << 15
 # shares one set of array calls and a group holds at least 2 rows.
 _BATCH_PIECES = _COLUMN_CHUNK // 2
 
-# The width of the candidate matrix of _held_candidates(): 6 window
-# residues and 15 swing slots a held row. A batch of held rows holds
-# _BATCH_PIECES // _HELD_CANDIDATES = 780 of them, with about 1.5 KB of
-# temporaries each (tracemalloc, beside the reports), 1.1 MB a batch.
-_HELD_CANDIDATES = 21
-
 # Up to this many bits quantized THD sums over the at most 8 thresholds:
 # the Hankel series of _bessel_sums is only asymptotic and falls short
 # there (3e-7 off at 1 bit). From the next bit on it is exact to float
@@ -444,10 +438,16 @@ def _times(f: float, rows, table, k, sups, levels, start, swing) -> list[float]:
 _WINDOW_P = np.array([1, 3, 1, 1, 3, 3], dtype=np.int64)
 _WINDOW_REACH = np.array([1, 1, 0, 0, 0, 0], dtype=np.int64)
 _WINDOW_CEIL = np.array([3, 3, 0, 3, 0, 3], dtype=np.int64)
-# Its 15 swing slots: 2r = m*p + gap - (q mod 2p) for three consecutive
-# multiples m of p, at gaps -2..2.
-_SWING_MULTIPLES = np.repeat(np.arange(3, dtype=np.int64), 5)
-_SWING_GAPS = np.tile(np.arange(-2, 3, dtype=np.int64), 3)
+# Its six swing residues are (m*p - (q mod 2p) + o) // 2 for these (m, o):
+# both classes m of the multiple of p, whose offsets o floor to every even
+# 2r within 2 of m*p - (q mod 2p).
+_SWING_CLASS = np.array([0, 0, 0, 1, 1, 1], dtype=np.int64)
+_SWING_OFFSET = np.array([-1, 1, 2, -1, 1, 2], dtype=np.int64)
+
+# The width of the candidate matrix of _held_candidates(). A batch holds
+# _BATCH_PIECES // _HELD_CANDIDATES = 1365 held rows, with about 0.8 KB of
+# temporaries each (tracemalloc, beside the reports), 1.1 MB a batch.
+_HELD_CANDIDATES = len(_WINDOW_P) + len(_SWING_OFFSET)
 
 
 def _held_candidates(rows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -459,13 +459,16 @@ def _held_candidates(rows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.nd
 
     * The swing 2*cos(pi*(2r + q)/p)*sin(pi*q/p) is largest where 2r + q
       is nearest a multiple of p; residues within 2 of one are kept.
+      Multiples m*p and (m + 2)*p give residues p apart, one piece, so
+      only m mod 2 counts.
     * The peak error 1 - level grows with the distance back from phase
       1/4, so within the pieces that contain 1/4 it is largest at the far
       end of that window, r = ceil(p/4 - q), or, if the window reaches
       past 3/4, beside 3p/4. Likewise for the trough, mirrored.
 
-    p <= 2**24 keeps 4*p and every product r * q**-1 far inside int64,
-    and q meets the arrays only reduced.
+    ``% p`` brings every floor into [0, p). p <= 2**24 keeps 4*p and
+    every product r * q**-1 far inside int64, and q meets the arrays
+    only reduced.
     """
     table = np.array(
         [(p, q % p, 4 * min(q, p), q % (2 * p), pow(q % p, -1, p)) for p, q in rows],
@@ -474,13 +477,7 @@ def _held_candidates(rows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.nd
     p, _, reach, twice_q, _ = table[:, :, None]
     # (n + 3) // 4 is ceil(n/4), negative n included
     windows = (_WINDOW_P * p - _WINDOW_REACH * reach + _WINDOW_CEIL) // 4
-    # 2r + (q mod 2p) lies in [q mod 2p, q mod 2p + 2p), so for p >= 4
-    # the three multiples of p from ceil(((q mod 2p) - 2)/p) on bracket
-    # it within 2 (below, the windows hold every residue); an odd or
-    # out-of-range 2r gives way to the first window residue
-    first = np.maximum(-((2 - twice_q) // p), 0)
-    r, odd = np.divmod((first + _SWING_MULTIPLES) * p + _SWING_GAPS - twice_q, 2)
-    swing = np.where((odd == 0) & (r >= 0) & (r < p), r, windows[:, :1])
+    swing = (_SWING_CLASS * p - twice_q + _SWING_OFFSET) // 2
     return table, np.hstack((windows, swing)) % p
 
 

@@ -1479,14 +1479,36 @@ COPRIME_TO_64 = [
 ]
 
 
+# Rows p/q, coprime, up to the piece cap and far past int64 in q.
+COPRIME_ROWS = st.tuples(
+    st.integers(min_value=1, max_value=MAX_PIECES),
+    st.integers(min_value=1, max_value=10**20),
+).filter(lambda pq: math.gcd(*pq) == 1)
+
+# Rows whose q mod 2p is 1, 2p - 2 or 2p - 1, at q below p, past it and
+# past int64: the swing residues at the ends of [0, p), where they wrap.
+SWING_EDGE_ROWS = [
+    (p, q)
+    for p in (1, 2, 3, 4, 5, 1001, 4099, MAX_PIECES - 3, MAX_PIECES)
+    for t in (1, 2 * p - 2, 2 * p - 1)
+    for q in (t, t + 2 * p, t + 2 * p * 10**12)
+    if q > 0 and math.gcd(p, q) == 1
+]
+
+
 class TestHeldPieceMatrix:
     """_held_candidates builds the candidate residues of a whole batch as
     one fixed-width matrix; each row holds the pieces of the per-row set
     oracle, and every report equals the row evaluated from that oracle."""
 
-    def test_rows_hold_the_oracle_pieces(self):
-        rows = [(t.multiplier_num, t.multiplier_den) for t in COPRIME_TO_64]
-        rows += [(MAX_PIECES, 10**20 + 1), (MAX_PIECES - 3, 1), (4099, 10**19 + 7)]
+    @given(rows=st.lists(COPRIME_ROWS, min_size=1, max_size=40))
+    @example(
+        rows=[(t.multiplier_num, t.multiplier_den) for t in COPRIME_TO_64]
+        + [(MAX_PIECES, 10**20 + 1), (MAX_PIECES - 3, 1), (4099, 10**19 + 7)]
+        + SWING_EDGE_ROWS
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_hold_the_oracle_pieces(self, rows):
         table, residues = _held_candidates(rows)
         assert residues.shape == (len(rows), metrics._HELD_CANDIDATES)
         assert table.T.tolist() == [
@@ -1524,14 +1546,7 @@ class TestHeldPieceMatrix:
         assert held_reports(spec, timings) == held_rows(spec, timings)
 
     @given(
-        rows=st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=MAX_PIECES),
-                st.integers(min_value=1, max_value=10**20),
-            ).filter(lambda pq: math.gcd(*pq) == 1),
-            min_size=1,
-            max_size=40,
-        ),
+        rows=st.lists(COPRIME_ROWS, min_size=1, max_size=40),
         repeat=st.integers(min_value=1, max_value=3 * HELD_BATCH),
     )
     @example(rows=[(13, 11), (MAX_PIECES, 10**20 + 1), (MAX_PIECES - 1, 1)], repeat=HELD_BATCH)

@@ -512,9 +512,9 @@ class TestHeldBatches:
         assert list(sweep_multiplier(spec).rows) == per_row_multiplier_rows(spec)
 
     def test_three_batches_equal_per_row_evaluate(self):
-        # q_max 1000 keeps 2041 distinct timings: three batches
+        # q_max 1000 keeps 3361 distinct timings: three batches
         spec = SweepSpec(
-            decades_from=0.5, decades_to=1.7, points_per_decade=1700, q_max=1000
+            decades_from=0.5, decades_to=1.7, points_per_decade=2800, q_max=1000
         )
         _, pairs, _ = sweeps._snapped_axis(spec)
         assert 2 * HELD_BATCH < len(pairs) <= 3 * HELD_BATCH
@@ -538,7 +538,7 @@ class TestHeldBatches:
         assert list(rows) == per_row_multiplier_rows(spec)
 
     def test_peak_memory_is_one_chunks(self):
-        # about 1.6 KB per row of a batch: 13 MB if the axis were one batch
+        # about 0.8 KB per row of a batch: 6.3 MB if the axis were one batch
         spec = SweepSpec(multipliers=tuple(multiplier_axis(0.5, 4.5, 2048)[:8192]))
         tracemalloc.start()
         try:
