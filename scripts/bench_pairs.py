@@ -29,7 +29,9 @@ no-regression verdict against the metric's relative bound in
 ``BENCHMARK.json`` (see :func:`verdict`). The regressions list every
 workload, seed and metric whose verdict is not ``"no worse"``. With
 ``--claim``, the record also judges the claim by ``RULE`` at each seed
-of the claimed workload, from that summary.
+of the claimed workload, from that summary, and beside it by
+``PAIRED_RULE``, which a drift of the host's speed across the pairs moves
+less than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -50,6 +52,13 @@ RULE = (
     "at every seed run of the claimed workload, the change wins at least nine "
     "tenths of the pairs, and its median is better than the parent's by more "
     "than the parent's interquartile range"
+)
+
+
+PAIRED_RULE = (
+    "at every seed run of the claimed workload, the upper quartile of the pairs' "
+    "change/parent ratios lies below 1 (the lower quartile above 1 for a metric "
+    "where higher is better)"
 )
 
 
@@ -158,9 +167,12 @@ def judge(summary: dict, workload: str, metric: str, direction: str) -> dict:
     """The claim's verdict by ``RULE``: for each seed of ``workload`` in
     ``summary``, the wins, the pairs, the gap between the medians (in
     the metric's better direction) and the parent's interquartile range,
-    and whether that seed meets the rule; and whether every seed does."""
+    and whether that seed meets the rule; and whether every seed does.
+    Beside it, ``"paired"``, the verdict by ``PAIRED_RULE``: per seed the
+    wins, the pairs and the quartiles of the pair ratios, and whether
+    they meet that rule; and whether every seed does."""
     sign = 1.0 if direction == "lower" else -1.0
-    seeds = {}
+    seeds, paired = {}, {}
     for key, entry in summary.items():
         if not key.startswith(f"{workload}/") or metric not in entry:
             continue
@@ -174,7 +186,23 @@ def judge(summary: dict, workload: str, metric: str, direction: str) -> dict:
             "met": 10 * stats["change_wins"] >= 9 * stats["pairs"]
             and gap > stats["parent"]["iqr"],
         }
-    return {"seeds": seeds, "met": bool(seeds) and all(s["met"] for s in seeds.values())}
+        ratio = stats.get("pair_ratio")  # absent when a parent reads 0
+        worst = None if ratio is None else ratio["q3" if direction == "lower" else "q1"]
+        paired[key] = {
+            "wins": stats["change_wins"],
+            "pairs": stats["pairs"],
+            "pair_ratio": ratio,
+            "met": worst is not None and sign * (worst - 1.0) < 0,
+        }
+    return {
+        "seeds": seeds,
+        "met": bool(seeds) and all(s["met"] for s in seeds.values()),
+        "paired": {
+            "rule": PAIRED_RULE,
+            "seeds": paired,
+            "met": bool(paired) and all(s["met"] for s in paired.values()),
+        },
+    }
 
 
 def main() -> int:

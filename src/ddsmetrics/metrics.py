@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import partial, reduce
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -151,11 +152,10 @@ class CapExceeded(RuntimeError):
     """A multiplier needs more work than a cap allows, such as more
     pieces than ``MAX_PIECES`` in :func:`evaluate`."""
 
-    def __init__(self, p: int, q: int, count: int, cap: int, unit: str):
+    def __init__(self, p: int, q: int, cap: int, unit: str):
         super().__init__(f"multiplier {p}/{q} needs more than {cap} {unit}")
         self.p = p
         self.q = q
-        self.count = count
         self.cap = cap
 
     @property
@@ -204,6 +204,15 @@ def reports_from_columns(columns: dict[str, list]) -> list[MetricsReport]:
     return list(map(MetricsReport, *(columns[name] for name in REPORT_FIELDS)))
 
 
+def _row_table(rows: Sequence[tuple[int, int]]) -> np.ndarray:
+    """One int64 column per row p/q: p, q mod p, 4*min(q, p) and q mod 2p;
+    held rows add q**-1 mod p (see :func:`_held_candidates`). q meets the
+    int64 arrays only reduced, so any exact multiplier fits, and
+    p <= ``MAX_PIECES`` keeps 4*p and every product r * q**-1 far inside
+    int64."""
+    return np.array([(p, q % p, 4 * min(q, p), q % (2 * p)) for p, q in rows], dtype=np.int64).T
+
+
 def _turns(num: np.ndarray, den: int) -> np.ndarray:
     """Phase num/den in turns, reduced modulo 1 in integers first."""
     return np.true_divide(num % den, den)
@@ -217,7 +226,7 @@ def check_pieces(rows: Iterable[tuple[int, int]]) -> None:
     over = [(p, q) for p, q in rows if p > MAX_PIECES]
     if over:
         p, q = min(over, key=lambda pair: _rounded(*pair) <= MAX_PIECES)
-        raise CapExceeded(p, q, p, MAX_PIECES, "pieces")
+        raise CapExceeded(p, q, MAX_PIECES, "pieces")
 
 
 def _parseval_thd(mean: float, mean_square: float, fundamental: float) -> tuple[float, float]:
@@ -280,13 +289,7 @@ class _Pieces:
         self.f, self.rows = f, rows
         counts = [p for p, _ in rows]
         self.starts = np.cumsum([0, *counts[:-1]])
-        # One column per row: p, q mod p, 4*min(q, p) and 2*(q mod 2p) + p.
-        # q meets the int64 arrays only reduced, so any exact multiplier
-        # fits; both window offsets below are below 4p, so 4*min(q, p)
-        # reaches as far as 4q.
-        self.table = np.array(
-            [(p, q % p, 4 * min(q, p), 2 * (q % (2 * p)) + p) for p, q in rows], dtype=np.int64
-        ).T
+        self.table = _row_table(rows)
         halves = np.array([_half_swing(f, p, q) for p, q in rows])
         # each piece's segment, or None for a single row, whose values
         # broadcast
@@ -303,7 +306,8 @@ class _Pieces:
         r %= p
         self.start = step_levels(r, p)
         # Phase 1/4 (3/4) lies in [r/p, (r+q)/p] iff its offset from r/p
-        # is at most 4q, exact in integers.
+        # is at most 4q, exact in integers; 4*min(q, p) reaches as far,
+        # since both offsets lie below 4p.
         reach = spread(self.table[2])
         self.peak, self.trough = (np.flatnonzero(window <= reach) for window in _windows(r, p))
         del reach  # freed before the sines' temporaries
@@ -312,7 +316,8 @@ class _Pieces:
         # Both cosines are sines a quarter turn on, in units of 1/(4*p).
         four_r, four_p = np.multiply(r, 4, out=r), 4 * p
         self.cosine = sin_turns_array(_turns(four_r + p, four_p))
-        swing = sin_turns_array(_turns(four_r + spread(self.table[3]), four_p))
+        p_row, _, _, twice_q = self.table  # 2*(q mod 2p) + p per row
+        swing = sin_turns_array(_turns(four_r + spread(2 * twice_q + p_row), four_p))
         self.swing = np.multiply(np.multiply(swing, 2.0, out=swing), spread(halves), out=swing)
 
     def supremum(
@@ -454,8 +459,8 @@ def _held_candidates(rows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.nd
     """The candidate residues of each held row p/q, one row each of a
     matrix ``_HELD_CANDIDATES`` wide: as a set, a superset of the residue
     of every piece whose candidate error (see :func:`_errors`) equals the
-    maximum of its kind. Also a table of one int64 column per row: p,
-    q mod p, 4*min(q, p), q mod 2p and q**-1 mod p.
+    maximum of its kind. Also the rows' :func:`_row_table`, with
+    q**-1 mod p as a fifth column.
 
     * The swing 2*cos(pi*(2r + q)/p)*sin(pi*q/p) is largest where 2r + q
       is nearest a multiple of p; residues within 2 of one are kept.
@@ -466,14 +471,9 @@ def _held_candidates(rows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.nd
       end of that window, r = ceil(p/4 - q), or, if the window reaches
       past 3/4, beside 3p/4. Likewise for the trough, mirrored.
 
-    ``% p`` brings every floor into [0, p). p <= 2**24 keeps 4*p and
-    every product r * q**-1 far inside int64, and q meets the arrays
-    only reduced.
+    ``% p`` brings every floor into [0, p).
     """
-    table = np.array(
-        [(p, q % p, 4 * min(q, p), q % (2 * p), pow(q % p, -1, p)) for p, q in rows],
-        dtype=np.int64,
-    ).T
+    table = np.vstack((_row_table(rows), [[pow(q % p, -1, p) for p, q in rows]]))
     p, _, reach, twice_q, _ = table[:, :, None]
     # (n + 3) // 4 is ceil(n/4), negative n included
     windows = (_WINDOW_P * p - _WINDOW_REACH * reach + _WINDOW_CEIL) // 4
@@ -546,17 +546,9 @@ def _quantized_supremum(quantizer: QuantizerConfig, f: float) -> tuple[float, fl
     return step, 0.0
 
 
-def _sum8(terms: list[float]) -> float:
-    """The sum of at most 8 terms in the order that ``numpy.sum`` takes
-    them: left to right from 0.0 below 8 terms, as sums of pairs at 8.
-    The output corpus records :func:`_threshold_thd`'s sums in it."""
-    if len(terms) == 8:
-        a = terms
-        return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
-    total = 0.0
-    for term in terms:
-        total += term
-    return total
+# The sum of a list of floats, left to right: builtin sum compensates
+# float sums from Python 3.12 on, and the output corpus records these.
+_fold = partial(reduce, add)
 
 
 def _threshold_thd(quantizer: QuantizerConfig) -> tuple[float, float]:
@@ -576,12 +568,12 @@ def _threshold_thd(quantizer: QuantizerConfig) -> tuple[float, float]:
     # the level just above the sine's trough
     bottom = -1.0 + step if quantizer.mode is QuantizationMode.CEILING else -1.0
     above_share = [math.acos(c) / math.pi for c in thresholds]
-    mean = bottom + step * _sum8(above_share)
-    mean_square = bottom * bottom + step * _sum8([
+    mean = bottom + step * _fold(above_share)
+    mean_square = bottom * bottom + step * _fold([
         (2.0 * (bottom + step * j) + step) * share for j, share in enumerate(above_share)
     ])
     root = [math.sqrt((1.0 - c) * (1.0 + c)) for c in thresholds]
-    fundamental = 2.0 * step / math.pi * _sum8(root)
+    fundamental = 2.0 * step / math.pi * _fold(root)
     return _parseval_thd(mean, mean_square, fundamental)
 
 

@@ -1,12 +1,14 @@
 """CSV and JSON serialization for reports and sweep results.
 
 Every numeric field is written with shortest round-trip digits so a
-parse of the emitted text recovers the exact float. Style rules: plain
-decimal notation for magnitudes in [1e-4, 1e6), scientific notation with
-a lowercase ``e`` otherwise, ``.`` as the only separator regardless of
-locale. Absent values (for example the dB figure of a distortion-free
-signal) serialize as empty CSV fields and JSON nulls, never as sentinel
-numbers.
+parse of the emitted text recovers the exact float, with ``.`` as the
+only separator regardless of locale. A CSV float is plain decimal for
+magnitudes in [1e-4, 1e6) and scientific with a lowercase ``e``
+otherwise (see :func:`fmt_float`). A JSON float is ``json.dumps``'s, its
+``repr``: plain decimal in [1e-4, 1e16), so a 1e7 Hz minimum clock
+reads ``10000000.0``. Absent values (for example the dB figure of a
+distortion-free signal) serialize as empty CSV fields and JSON nulls,
+never as sentinel numbers.
 """
 
 from __future__ import annotations
@@ -44,23 +46,24 @@ JSON_KEYS = (*REPORT_FIELDS, "schema_version")
 
 
 def fmt_float(x: float) -> str:
-    """Shortest exact decimal text for a finite float, styled per module rules."""
+    """Shortest exact decimal text for a finite float: "0" for zero, its
+    ``repr`` in [1e-4, 1e6), and otherwise scientific notation with the
+    fewest significant digits that round-trip when correctly rounded."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     if x == 0.0:
         return "0"
-    shortest = repr(x)  # plain decimal for magnitudes in [1e-4, 1e16)
+    shortest = repr(x)
     if 1e-4 <= abs(x) < 1e6:
         return shortest
-    # repr has the fewest significant digits that round-trip, so no
-    # shorter precision can; the search starts at its digit count
+    # repr's digit count round-trips, correctly rounded, except at 46
+    # powers of two such as 2**-24: floats lie twice as close below one as
+    # above, so repr's digits may round-trip where the correctly rounded
+    # ones of their count do not. One more digit always does.
     digits = shortest.partition("e")[0].replace(".", "").lstrip("-").strip("0")
-    for precision in range(len(digits) - 1, 17):
-        s = f"{x:.{precision}e}"
-        if float(s) == x:
-            return s
-    return f"{x:.17e}"
+    text = f"{x:.{len(digits) - 1}e}"
+    return text if float(text) == x else f"{x:.{len(digits)}e}"
 
 
 def csv_field(value) -> str:

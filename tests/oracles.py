@@ -234,7 +234,7 @@ def spectrum_dft(
     p, q = _model_pq(model)
     n_total = _dft_size(model, m)
     if n_total > dft_cap:
-        raise CapExceeded(p, q, n_total, dft_cap, "DFT samples")
+        raise CapExceeded(p, q, dft_cap, "DFT samples")
 
     if model.kind in (ModelKind.HELD, ModelKind.DIGITIZED):
         samples = np.repeat(staircase_values(model), m)

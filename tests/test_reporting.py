@@ -5,7 +5,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ddsmetrics.metrics import MetricsReport
@@ -227,8 +227,9 @@ def fmt_float_from_precision_zero(x):
 
 
 class TestFmtFloatSearch:
-    """The exponent form's search starts at repr's digit count; no
-    shorter precision round-trips, so the text is the same."""
+    """The exponent form's precision is repr's digit count, or one more;
+    no shorter precision round-trips, so the text is that of a search
+    from 0."""
 
     def test_powers_of_two_subnormals_and_random_bits(self):
         rng = random.Random(5)
@@ -244,6 +245,53 @@ class TestFmtFloatSearch:
     @given(x=st.floats(allow_nan=False, allow_infinity=False))
     def test_any_float(self, x):
         assert fmt_float(x) == fmt_float_from_precision_zero(x)
+
+
+def significant_digits(text):
+    """The significant digits of a decimal text, without sign, point,
+    exponent or the zeros around them."""
+    return text.partition("e")[0].replace(".", "").lstrip("-").strip("0")
+
+
+class TestFmtFloatIsRepr:
+    """fmt_float is repr outside [1e6, 1e16), and repr's significant
+    digits in scientific notation inside it, except at the powers of two
+    whose repr digits are not correctly rounded: there it has one digit
+    more, all of them outside [1e-4, 1e16)."""
+
+    @given(x=st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+    @example(x=1e6)
+    @example(x=-9999999999999998.0)
+    @example(x=1e16)
+    @example(x=999999.9999999999)
+    @example(x=5e-324)
+    @example(x=2.0**-24)
+    @example(x=-(2.0**-1017))
+    def test_any_nonzero_float(self, x):
+        text, shortest = fmt_float(x), repr(x)
+        assert float(text) == x
+        if 1e-4 <= abs(x) < 1e6:
+            assert text == shortest
+            return
+        assert "e" in text and text.lstrip("-")[0] != "0"
+        digits = len(significant_digits(shortest))
+        if f"{x:.{digits - 1}e}" != text:  # repr's digits not correctly rounded
+            assert math.frexp(x)[0] in (0.5, -0.5) and not 1e6 <= abs(x) < 1e16
+            assert text == f"{x:.{digits}e}"
+        elif 1e6 <= abs(x) < 1e16:
+            assert significant_digits(text) == significant_digits(shortest)
+        else:
+            assert text == shortest
+
+    def test_powers_of_two_off_repr(self):
+        longer = {
+            e: len(significant_digits(fmt_float(2.0**e)))
+            - len(significant_digits(repr(2.0**e)))
+            for e in range(-1074, 1024)
+        }
+        off = [e for e, extra in longer.items() if extra]
+        assert len(off) == 46 and -24 in off
+        assert all(longer[e] == 1 and not 1e-4 <= 2.0**e < 1e16 for e in off)
 
 
 def csv_row_by_row(result):
