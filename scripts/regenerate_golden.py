@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Rewrite the output corpus in tests/golden/ from the code as it is.
 
-Runs every case of tests/golden/cases.txt, writes its record to
-tests/golden/expected/<name>.txt, deletes the records of cases no longer
-listed, and writes the Python and numpy versions to
-tests/golden/VERSIONS. Regenerating moves test data: review the diff of
-tests/golden/ before committing it.
+Runs every case of tests/golden/cases.txt and writes its record to
+tests/golden/expected/<name>.txt where the record is new or differs,
+deletes the records of cases no longer listed, and writes the Python and
+numpy versions to tests/golden/VERSIONS. It prints each record it
+created, changed or deleted, and leaves identical records untouched.
+Regenerating moves test data: review the diff of tests/golden/ before
+committing it.
 """
 
 from __future__ import annotations
@@ -22,13 +24,17 @@ import corpus  # noqa: E402
 def main() -> int:
     corpus.EXPECTED.mkdir(parents=True, exist_ok=True)
     names = corpus.cases()
-    for stale in corpus.EXPECTED.glob("*.txt"):
+    for stale in sorted(corpus.EXPECTED.glob("*.txt")):
         if stale.stem not in names:
             stale.unlink()
+            print(f"deleted {stale.relative_to(ROOT)}")
     for name, argv in names.items():
         path = corpus.EXPECTED / f"{name}.txt"
-        path.write_text(corpus.record(argv), encoding="utf-8", newline="\n")
-        print(f"wrote {path.relative_to(ROOT)}")
+        text = corpus.record(argv)
+        old = path.read_text(encoding="utf-8") if path.exists() else None
+        if text != old:
+            path.write_text(text, encoding="utf-8", newline="\n")
+            print(f"{'created' if old is None else 'changed'} {path.relative_to(ROOT)}")
     corpus.VERSIONS.write_text(corpus.versions(), encoding="utf-8", newline="\n")
     return 0
 

@@ -4,9 +4,10 @@ Two families are exposed. The ``PAPER`` variant reproduces the published
 formulas verbatim: one quantization level for amplitude error, and the
 small-gap estimate sin(2*pi*f*dt) for the hold error. The ``STRICT``
 variant replaces the hold estimate with a provable supremum over every
-step alignment, 2*sin(pi*f*dt): the estimate is exact only when the
-number of steps per period is an even integer, and is exceeded for odd
-integers, so tests that assert soundness must use the strict form.
+step alignment, 2*sin(pi*f*dt). The estimate is the supremum only for
+an even integer number of steps per period, and is exceeded on most rows
+of the default sweeps, so soundness tests use the strict form. The batch
+functions take rows p/q, whose phase f*dt per update is the float q/p.
 """
 
 from __future__ import annotations
@@ -83,49 +84,49 @@ def _sin_two_pi(x: float) -> float:
     return sin_turns(x - math.floor(x))
 
 
-def held_bounds(
-    frequency_hz: float, dts: Iterable[float]
-) -> tuple[list[float], list[float]]:
-    """The paper and strict hold bounds (see :func:`held_error_bound`) at
-    each gap of ``dts``, as two columns, with the frequency checked once."""
-    _check_positive("frequency_hz", frequency_hz)
-    paper: list[float] = []
-    strict: list[float] = []
-    for dt in dts:
-        _check_positive("dt", dt)
-        x = frequency_hz * dt
-        paper.append(sin_turns(x) if x <= 0.25 else ERROR_CAP)
-        strict.append(min(ERROR_CAP, 2.0 * sin_turns(x / 2.0)) if x <= 0.5 else ERROR_CAP)
-    return paper, strict
-
-
-def digitized_bounds(
-    frequency_hz: float, dts: Iterable[float], bits: Iterable[int]
-) -> tuple[list[float], list[float]]:
-    """The paper and strict combined bounds (see
-    :func:`digitized_error_bound`) of each bit count of ``bits`` at each
-    gap of ``dts``, as two columns, one gap after another: entry
-    ``i*len(bits) + b`` is that of gap i and bit count b. The frequency
-    and each gap are checked, and each gap's sine and strict hold terms
-    computed, once; so are the bit terms, whatever the number of gaps.
-    No pair is made per entry, so the columns hold their floats alone."""
-    dts = list(dts)
-    _, holds = held_bounds(frequency_hz, dts)
+def _bounds(turns: list[float], bits: Iterable[int] | None = None) -> tuple[list, list]:
+    """The paper and strict bounds at each phase f*dt of ``turns``, as two
+    columns: of the hold when ``bits`` is None, else of each bit count of
+    ``bits`` at each phase, one phase after another. The bit terms are
+    computed once, and no pair is made per entry."""
+    holds = [min(ERROR_CAP, 2.0 * sin_turns(x / 2.0)) if x <= 0.5 else ERROR_CAP for x in turns]
+    if bits is None:
+        return [sin_turns(x) if x <= 0.25 else ERROR_CAP for x in turns], holds
     levels = [(quantization_error_bound(b), 1 << (b - 1)) for b in bits]
     paper: list[float] = []
     strict: list[float] = []
-    for hold, dt in zip(holds, dts):
-        s = _sin_two_pi(frequency_hz * dt)
+    for hold, x in zip(holds, turns):
+        s = _sin_two_pi(x)
         paper += [(1.0 + abs(scale * s)) / scale for _, scale in levels]
         strict += [level + hold for level, _ in levels]
     return paper, strict
 
 
-def _variant(pair: tuple[float, float], variant: BoundVariant) -> float:
+def held_bounds(rows: Iterable[tuple[int, int]]) -> tuple[list[float], list[float]]:
+    """:func:`held_error_bound` of each multiplier p/q of ``rows`` at
+    f*dt = q/p, as two columns: paper and strict. The strict bound
+    doubles the very float of the engine's half swing."""
+    return _bounds([q / p for p, q in rows])
+
+
+def digitized_bounds(
+    rows: Iterable[tuple[int, int]], bits: Iterable[int]
+) -> tuple[list[float], list[float]]:
+    """:func:`digitized_error_bound` of each bit count of ``bits`` at each
+    multiplier p/q of ``rows``, at f*dt = q/p, as two columns: entry
+    ``i*len(bits) + b`` is that of row i and bit count b."""
+    return _bounds([q / p for p, q in rows], bits)
+
+
+def _variant(frequency_hz: float, dt: float, bits: int | None, variant: BoundVariant) -> float:
+    """The bound of ``variant`` at f*dt: of the hold when ``bits`` is None."""
+    _check_positive("frequency_hz", frequency_hz)
+    _check_positive("dt", dt)
+    [paper], [strict] = _bounds([frequency_hz * dt], None if bits is None else [bits])
     if variant is BoundVariant.PAPER:
-        return pair[0]
+        return paper
     if variant is BoundVariant.STRICT:
-        return pair[1]
+        return strict
     raise ValueError(f"unknown bound variant {variant!r}")
 
 
@@ -140,8 +141,7 @@ def held_error_bound(frequency_hz: float, dt: float, variant: BoundVariant) -> f
     true supremum of |sin(theta + delta) - sin(theta)| over all phases for
     lags delta up to 2*pi*f*dt, hence sound for every step alignment.
     """
-    [paper], [strict] = held_bounds(frequency_hz, [dt])
-    return _variant((paper, strict), variant)
+    return _variant(frequency_hz, dt, None, variant)
 
 
 def digitized_error_bound(
@@ -153,8 +153,7 @@ def digitized_error_bound(
     combined formula. STRICT: the quantization level plus the strict hold
     bound, sound for any alignment.
     """
-    [paper], [strict] = digitized_bounds(frequency_hz, [dt], [bits])
-    return _variant((paper, strict), variant)
+    return _variant(frequency_hz, dt, bits, variant)
 
 
 def report(
@@ -163,7 +162,7 @@ def report(
     """Every closed-form figure of a parameter point, keyed and ordered as
     the ``bounds`` command prints them: the quantization bound when
     ``bits`` is given, the clock, phase and hold figures when ``timing``
-    is, and the combined bounds when both are."""
+    is, and the combined bounds when both are, from its p/q alone."""
     f = frequency_hz
     data: dict = {"freq_hz": f, "full_scale_range": full_scale_range()}
     if bits is not None:
@@ -177,9 +176,10 @@ def report(
     data["dt_s"] = dt
     data["min_clock_hz"] = min_clock_frequency(dt)
     data["max_phase_shift_rad"] = max_phase_shift(f, dt)
-    for variant, [value] in zip(BoundVariant, held_bounds(f, [dt])):
+    rows = [(timing.multiplier_num, timing.multiplier_den)]
+    for variant, [value] in zip(BoundVariant, held_bounds(rows)):
         data[f"held_bound_{variant.value}"] = value
     if bits is not None:
-        for variant, [value] in zip(BoundVariant, digitized_bounds(f, [dt], [bits])):
+        for variant, [value] in zip(BoundVariant, digitized_bounds(rows, [bits])):
             data[f"digitized_bound_{variant.value}"] = value
     return data

@@ -38,7 +38,8 @@ group leaves a few values per report, and the THD, the argmax times and
 the logarithms are taken from them once per batch. Digitized rows take
 their suprema from one segmented pass, :meth:`_Pieces.supremum`, so a row
 of a sweep costs a few Python-level steps, not a few dozen numpy calls.
-Both kinds of row take the time of a supremum from :func:`_times`.
+Both kinds of row take the time of a supremum from :func:`_times`, in
+periods: no field but ``argmax_time_s`` depends on the frequency.
 
 The step levels come from :func:`ddsmetrics.signals.step_levels`, the
 definition the pointwise models use. The probe-grid and DFT estimators
@@ -237,17 +238,11 @@ def _parseval_thd(mean: float, mean_square: float, fundamental: float) -> tuple[
     return ratio, 20.0 * math.log10(ratio)
 
 
-def _gap(f: float, p: int, q: int) -> float:
-    """The update gap q/(p*f) of the multiplier p/q, in seconds: the float
-    of :meth:`~ddsmetrics.signals.TimingConfig.time_gap_s`."""
-    return q / (p * f)
-
-
-def _half_swing(f: float, p: int, q: int) -> float:
+def _half_swing(p: int, q: int) -> float:
     """sin(pi*q/p), half the sine's swing across a piece of the multiplier
-    p/q. Up to f*dt = 1/2 it is the very float the strict bound doubles,
+    p/q. Up to q/p = 1/2 it is the very float the strict bound doubles,
     so that the swing 2*cos(...)*half can never round above the bound."""
-    x = f * _gap(f, p, q)
+    x = q / p
     return sin_turns(x / 2.0) if x <= 0.5 else sin_turns(q % (2 * p) / (2 * p))
 
 
@@ -275,8 +270,8 @@ def _errors(level, start, swing, at_peak, at_trough) -> tuple:
 
 
 class _Pieces:
-    """The pieces of one or more digitized rows p/q at frequency f, and
-    what every quantizer shares about them. Row ``rows[i]`` has the next
+    """The pieces of one or more digitized rows p/q, and what every
+    quantizer shares about them. Row ``rows[i]`` has the next
     p pieces, its segment, in time order. Piece k of a row p/q starts at
     residue r = k*q mod p, where the sine is ``start`` and its quadrature
     is ``cosine``; the sine changes by ``swing`` across it. These three
@@ -285,12 +280,12 @@ class _Pieces:
     taken again only at the pieces that attain a supremum (see
     :meth:`times`)."""
 
-    def __init__(self, f: float, rows: Sequence[tuple[int, int]]):
-        self.f, self.rows = f, rows
+    def __init__(self, rows: Sequence[tuple[int, int]]):
+        self.rows = rows
         counts = [p for p, _ in rows]
         self.starts = np.cumsum([0, *counts[:-1]])
         self.table = _row_table(rows)
-        halves = np.array([_half_swing(f, p, q) for p, q in rows])
+        halves = np.array([_half_swing(p, q) for p, q in rows])
         # each piece's segment, or None for a single row, whose values
         # broadcast
         self.segment = None
@@ -394,13 +389,13 @@ class _Pieces:
 
     def times(self, sups: np.ndarray, at: np.ndarray, levels: np.ndarray) -> tuple[list, list]:
         """The suprema ``sups`` (quantizers by segments) as a list, and
-        the earliest time each is attained, segment by segment (see
-        :func:`_times`): at is the first attaining piece (its position in
-        its row) and levels its level."""
+        the earliest time each is attained, in periods, segment by segment
+        (see :func:`_times`): at is the first attaining piece (its
+        position in its row) and levels its level."""
         n = len(sups)
         sups, at, levels = (values.T.ravel() for values in (sups, at, levels))
         return sups.tolist(), _times(
-            self.f, [row for row in self.rows for _ in range(n)],
+            [row for row in self.rows for _ in range(n)],
             np.repeat(self.table[:3], n, axis=1), at - np.repeat(self.starts, n),
             sups, levels, self.start[at], self.swing[at],
         )
@@ -410,26 +405,26 @@ class _Pieces:
 _NEVER = 2**63 - 1
 
 
-def _times(f: float, rows, table, k, sups, levels, start, swing) -> list[float]:
-    """The earliest time each supremum of ``sups`` is attained, at piece
-    ``k`` of its row p/q, the first piece that attains it: ``rows`` holds
-    that p/q per supremum, ``table`` its p, q mod p and 4*min(q, p) as
-    int64 columns, and ``levels``, ``start`` and ``swing`` the piece's
-    level, start sine and swing."""
+def _times(rows, table, k, sups, levels, start, swing) -> list[float]:
+    """The earliest time each supremum of ``sups`` is attained, in periods
+    of the sine, at piece ``k`` of its row p/q, the first piece that
+    attains it: ``rows`` holds that p/q per supremum, ``table`` its p,
+    q mod p and 4*min(q, p) as int64 columns, and ``levels``, ``start``
+    and ``swing`` the piece's level, start sine and swing."""
     p, q_mod_p, reach = table
     to_peak, to_trough = _windows(k * q_mod_p % p, p)
     # The earliest of the four candidates at the piece that equals the
-    # supremum. Their offsets into the piece, in units of 1/(4*p*f), are
-    # 0, 4q and the windows to phase 1/4 and 3/4; 4*min(q, p) stands in
-    # for 4q, which may pass int64, and orders alike, since both windows
-    # lie below 4p.
+    # supremum. Their offsets into the piece, in units of 1/(4*p) period,
+    # are 0, 4q and the windows to phase 1/4 and 3/4; 4*min(q, p) stands
+    # in for 4q, which may pass int64, and orders alike, since both
+    # windows lie below 4p.
     candidates = _errors(levels, start, swing, to_peak <= reach, to_trough <= reach)
     offsets = np.array((np.zeros_like(reach), reach, to_peak, to_trough))
     offsets[np.array(candidates) != sups] = _NEVER
     # the end of the piece is tick 4*(k + 1)*q, in Python ints
     at_end = offsets.argmin(axis=0) == 1
     return [
-        (4 * q * (k + end) + offset) / (4 * p) / f
+        (4 * q * (k + end) + offset) / (4 * p)
         for (p, q), k, end, offset in zip(
             rows, k.tolist(), at_end.tolist(), np.where(at_end, 0, offsets.min(axis=0)).tolist()
         )
@@ -481,13 +476,13 @@ def _held_candidates(rows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.nd
     return table, np.hstack((windows, swing)) % p
 
 
-def _held_suprema(f: float, rows: Sequence[tuple[int, int]]) -> tuple[list, list]:
+def _held_suprema(rows: Sequence[tuple[int, int]]) -> tuple[list, list]:
     """The supremum of each held row p/q, whose levels are the sine at
-    the starts of its pieces, and the earliest time it is attained: the
-    largest candidate error of its row of :func:`_held_candidates`, exact
-    in any order, so a repeated residue does no harm, and of the pieces
-    that attain it the earliest, k = r * q**-1 mod p least (see
-    :func:`_times`)."""
+    the starts of its pieces, and the earliest time it is attained, in
+    periods: the largest candidate error of its row of
+    :func:`_held_candidates`, exact in any order, so a repeated residue
+    does no harm, and of the pieces that attain it the earliest,
+    k = r * q**-1 mod p least (see :func:`_times`)."""
     table, r = _held_candidates(rows)
     p, _, reach, twice_q, inverse = table[:, :, None]
     start = step_levels(r, p)
@@ -495,12 +490,12 @@ def _held_suprema(f: float, rows: Sequence[tuple[int, int]]) -> tuple[list, list
     # the swing of _Pieces, in the same floats
     swing = sin_turns_array(_turns(4 * r + 2 * twice_q + p, 4 * p))
     swing *= 2.0
-    swing *= np.array([_half_swing(f, p, q) for p, q in rows])[:, None]
+    swing *= np.array([_half_swing(p, q) for p, q in rows])[:, None]
     largest = reduce(np.maximum, _errors(start, start, swing, at_peak, at_trough))
     sups = largest.max(axis=1)
     k = r * inverse % p
     at = np.arange(len(rows)), np.where(largest == sups[:, None], k, p).argmin(axis=1)
-    return sups.tolist(), _times(f, rows, table[:3], k[at], sups, start[at], start[at], swing[at])
+    return sups.tolist(), _times(rows, table[:3], k[at], sups, start[at], start[at], swing[at])
 
 
 def _held_thd(rows: Sequence[tuple[int, int]]) -> tuple[list, list]:
@@ -713,41 +708,42 @@ def evaluate_columns(
     models when ``quantizers`` is None, else the digitized model of each
     quantizer, one multiplier after another, so that report
     ``i*len(quantizers) + b`` is that of row i and quantizer b. The
-    bounds are taken once for all rows. The rows go in the batches of
-    :func:`column_batches`, so that what else depends on the multipliers
-    alone is a few array calls per batch: of held rows one matrix of
-    candidate residues (:func:`_held_suprema`), of digitized rows every
-    piece, end to end (see :class:`_Pieces`, :func:`_evaluate_batch`).
-    The batches run one after another in the calling thread. :class:`CapExceeded` is raised before anything is
-    allocated when some row has more than ``MAX_PIECES`` pieces.
+    bounds are taken once for all rows, and the frequency only divides
+    the argmax times. The rows go in the batches of :func:`column_batches`,
+    so that what else depends on the multipliers is a few array calls per
+    batch: of held rows one matrix of candidate residues
+    (:func:`_held_suprema`), of digitized rows every piece, end to end
+    (see :class:`_Pieces`, :func:`_evaluate_batch`), one batch after
+    another. :class:`CapExceeded` is raised before anything is allocated
+    when some row has more than ``MAX_PIECES`` pieces.
     """
     check_pieces(rows)
     held = quantizers is None
     kind, each = (ModelKind.HELD, [None]) if held else (ModelKind.DIGITIZED, quantizers)
     if not rows or not each:
         return {name: [] for name in REPORT_FIELDS}
-    f = spec.frequency_hz
-    gaps = [_gap(f, p, q) for p, q in rows]
     paper, strict = (
-        bounds.held_bounds(f, gaps) if held
-        else bounds.digitized_bounds(f, gaps, [quantizer.bits for quantizer in quantizers])
+        bounds.held_bounds(rows) if held
+        else bounds.digitized_bounds(rows, [quantizer.bits for quantizer in quantizers])
     )
-    values = ([], [], [], [])  # max_abs_error, argmax_time_s, thd_ratio, thd_db
+    values = error, periods, ratio, db = [], [], [], []  # argmax in periods
     for batch in column_batches(rows, held):
         # a batch's pieces are freed before the next batch builds its own
         batch_values = (
-            (*_held_suprema(f, batch), *_held_thd(batch)) if held
-            else _evaluate_batch(_Pieces(f, batch), quantizers)
+            (*_held_suprema(batch), *_held_thd(batch)) if held
+            else _evaluate_batch(_Pieces(batch), quantizers)
         )
         for column, batch_column in zip(values, batch_values):
             column += batch_column
-    return _report_columns(kind, f, rows, each, (*values, paper, strict))
+    f = spec.frequency_hz
+    times = [t / f for t in periods]
+    return _report_columns(kind, f, rows, each, (error, times, ratio, db, paper, strict))
 
 
 def _evaluate_batch(pieces: _Pieces, quantizers: Sequence[QuantizerConfig]) -> tuple[list, ...]:
-    """The max_abs_error, argmax_time_s, thd_ratio and thd_db columns of
-    the digitized reports of :func:`evaluate_columns` of one batch of
-    rows p/q, whose ``pieces`` are all of theirs.
+    """The max_abs_error, argmax time (in periods), thd_ratio and thd_db
+    columns of the digitized reports of :func:`evaluate_columns` of one
+    batch of rows p/q, whose ``pieces`` are all of theirs.
 
     THD**2 = THD_held**2 + THD_seq**2*(1 + THD_held**2) exactly: the hold
     scales the fundamental by sinc(q/p) and keeps the AC power of the

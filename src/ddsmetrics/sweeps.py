@@ -3,8 +3,9 @@
 Three sweeps cover the experiment space: bit count alone (quantized
 model), frequency multiplier alone (held model, the infinite-resolution
 limit), and the full two-dimensional grid (digitized model). Frequency
-is fixed at 1 Hz; every metric depends on the product f*dt only, so this
-loses no generality and scale invariance is covered by tests.
+is fixed at 1 Hz, which loses no generality: the engines read the
+multiplier p/q alone, so every reported metric and bound is the same
+float at any frequency and times scale as 1/f, as tests check bit for bit.
 
 Requested multipliers are snapped to the nearest rational p/q with
 q <= q_max, the best rational approximation found from the continued
@@ -65,7 +66,7 @@ SCHEMA_VERSION = 1
 
 FLAG_SUBNYQUIST = "subnyquist"
 
-# All sweeps run at 1 Hz; the metrics depend on f*dt = 1/M only.
+# All sweeps run at 1 Hz; the metrics depend on the multiplier p/q only.
 _SWEEP_FREQUENCY_HZ = 1.0
 
 # Longest multiplier axis built from decades and points per decade.

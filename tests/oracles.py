@@ -341,7 +341,7 @@ def thd(spectrum: Spectrum) -> tuple[float, float | None]:
 
 def _row_supremum(pieces: _Pieces, level: np.ndarray, at_peak, at_trough) -> list[tuple[float, float]]:
     """The exact supremum of one digitized row of every piece and the
-    earliest time it is attained: the four candidate errors of every
+    earliest time it is attained, in periods: the four candidate errors of every
     piece stacked, with the pieces that hold phase 1/4 (3/4) marked by
     ``at_peak`` (``at_trough``), and the first piece that attains their
     maximum."""
@@ -359,15 +359,15 @@ def _row_supremum(pieces: _Pieces, level: np.ndarray, at_peak, at_trough) -> lis
     offsets = (0, 4 * q, *_windows(k * q % p, p))
     candidates = errors[:, k].tolist()
     tick = 4 * k * q + min(o for o, e in zip(offsets, candidates) if e == sup)
-    return [(sup, tick / (4 * p) / pieces.f)]
+    return [(sup, tick / (4 * p))]
 
 
 def _report(model, err, argmax_t, thd_result):
     """The engine's report with the model's digitized bounds, each
-    variant taken alone."""
+    variant taken alone at f = 1, where dt = q/p."""
     f, timing, quantizer = model.spec.frequency_hz, model.timing, model.quantizer
-    dt, bits = timing.time_gap_s(f), quantizer.bits
-    pair = tuple(bounds.digitized_error_bound(f, dt, bits, v) for v in bounds.BoundVariant)
+    dt, bits = timing.multiplier_den / timing.multiplier_num, quantizer.bits
+    pair = tuple(bounds.digitized_error_bound(1.0, dt, bits, v) for v in bounds.BoundVariant)
     return MetricsReport(
         model.kind.value, f, bits, quantizer.mode.value, timing.multiplier_num,
         timing.multiplier_den, err, argmax_t, *thd_result, *pair,
@@ -382,7 +382,7 @@ def column_rows(spec, timing, quantizers) -> list:
     digits as THD falls: about 1e-7 relative near p = 2**15 at 52 bits."""
     p, q = timing.multiplier_num, timing.multiplier_den
     check_pieces([(p, q)])
-    pieces = _Pieces(spec.frequency_hz, [(p, q)])
+    pieces = _Pieces([(p, q)])
     # The residue of each piece, and which pieces hold phase 1/4 and 3/4:
     # their offsets from the piece's start are at most 4q.
     r = np.arange(p, dtype=np.int64) * (q % p) % p
@@ -390,11 +390,11 @@ def column_rows(spec, timing, quantizers) -> list:
     # One DFT bin of the levels at their start phases, times the
     # zero-order-hold factor |sin(pi*q/p)|/(pi*q), gives the fundamental.
     cosine = sin_turns_array(_turns(4 * r + p, 4 * p))
-    half = _half_swing(spec.frequency_hz, p, q)
+    half = _half_swing(p, q)
     reports = []
     for quantizer in quantizers:
         level = quantize(pieces.start, quantizer)
-        [(err, argmax_t)] = _row_supremum(pieces, level, at_peak, at_trough)
+        [(err, periods)] = _row_supremum(pieces, level, at_peak, at_trough)
         bin_1 = math.hypot(float(level @ cosine), float(level @ pieces.start))
         fundamental = 2.0 * bin_1 * abs(half) / (math.pi * q)
         # p <= 2 holds every level at Q(0): no fundamental
@@ -402,7 +402,7 @@ def column_rows(spec, timing, quantizers) -> list:
             float(np.mean(level)), float(np.mean(level * level)), fundamental
         )
         model = WaveformModel.digitized(spec, timing, quantizer)
-        reports.append(_report(model, err, argmax_t, thd_result))
+        reports.append(_report(model, err, periods / spec.frequency_hz, thd_result))
     return reports
 
 
@@ -456,7 +456,7 @@ def held_supremum(model: WaveformModel, k) -> tuple[float, float]:
     that reaches the largest of its four candidate errors (start, end,
     peak, trough), and its earliest candidate that does."""
     f, (p, q) = model.spec.frequency_hz, _model_pq(model)
-    half = _half_swing(f, p, q)
+    half = _half_swing(p, q)
     best, best_tick = -1.0, None
     for k in map(int, k):
         r = k * q % p
@@ -488,8 +488,8 @@ def held_rows(spec, timings) -> list:
         check_pieces([(p, q)])
         model = WaveformModel.held(spec, timing)
         err, argmax_t = held_supremum(model, held_pieces_by_row(p, q))
-        dt = timing.time_gap_s(f)
-        pair = tuple(bounds.held_error_bound(f, dt, v) for v in bounds.BoundVariant)
+        # the bounds at f = 1, where dt = q/p
+        pair = tuple(bounds.held_error_bound(1.0, q / p, v) for v in bounds.BoundVariant)
         reports.append(MetricsReport(
             ModelKind.HELD.value, f, None, None, p, q, err, argmax_t, *held_thd_by_row(p, q), *pair
         ))

@@ -180,28 +180,31 @@ class TestDigitizedErrorBound:
         assert value >= quantization_error_bound(bits)
 
 
-GAPS = [1e-12, 0.01, 1 / 64, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0, 3.3, 1e9]
+# Multipliers p/q whose f*dt = q/p runs from 1e-12 past 1/4, 1/2 and 1
+# to 1e9, a few of them not in lowest terms, by set.
+ROWS = {
+    "integers": [(10**12, 1), (100, 1), (64, 1), (5, 1), (4, 1), (2, 1), (1, 1), (3, 1)],
+    "fractions": [(10, 3), (10, 7), (7, 2), (20, 5), (1000, 1001), (10, 33), (4, 2)],
+    "extremes": [(1, 10**9), (16777213, 100000000000000000001), (2**70 + 1, 3), (1, 2**53 + 1)],
+}
 
 
 class TestBatchBounds:
-    """held_bounds and digitized_bounds check their shared inputs once and
-    give the bytes of the single-variant functions."""
+    """held_bounds and digitized_bounds take multipliers p/q and give the
+    bytes of the single-variant functions at f = 1, where dt = q/p."""
 
-    @pytest.mark.parametrize("freq", [1.0, 0.37, 3.0])
-    def test_held_pairs_equal_each_variant(self, freq):
-        assert held_bounds(freq, GAPS) == tuple(
-            [held_error_bound(freq, dt, variant) for dt in GAPS] for variant in (PAPER, STRICT)
+    @pytest.mark.parametrize("rows", list(ROWS.values()), ids=list(ROWS))
+    def test_held_pairs_equal_each_variant(self, rows):
+        assert held_bounds(rows) == tuple(
+            [held_error_bound(1.0, q / p, variant) for p, q in rows] for variant in (PAPER, STRICT)
         )
 
-    @given(
-        freq=st.floats(min_value=1e-3, max_value=1e3),
-        dt=st.floats(min_value=1e-9, max_value=10.0),
-    )
-    def test_digitized_pairs_equal_each_variant(self, freq, dt):
+    @given(p=st.integers(1, 10**20), q=st.integers(1, 10**20))
+    def test_digitized_pairs_equal_each_variant(self, p, q):
         bits = list(range(1, 53))
-        gaps = [dt, 0.25 / freq, 3.0 * dt]
-        assert digitized_bounds(freq, gaps, bits) == tuple(
-            [digitized_error_bound(freq, gap, b, variant) for gap in gaps for b in bits]
+        rows = [(p, q), (4, 1), (p, 3 * q)]
+        assert digitized_bounds(rows, bits) == tuple(
+            [digitized_error_bound(1.0, q / p, b, variant) for p, q in rows for b in bits]
             for variant in (PAPER, STRICT)
         )
 
@@ -209,15 +212,16 @@ class TestBatchBounds:
         "freq,dt,bits", [(0.0, 0.1, 8), (1.0, 0.0, 8), (1.0, math.nan, 8), (1.0, 0.1, 0)]
     )
     def test_refuse_what_each_variant_refuses(self, freq, dt, bits):
+        # frequency and gap on the single-variant functions alike; bits on
+        # digitized_bounds too
         with pytest.raises(ValueError) as single:
             digitized_error_bound(freq, dt, bits, PAPER)
-        with pytest.raises(ValueError) as batch:
-            digitized_bounds(freq, [dt], [8, bits])
-        assert str(batch.value) == str(single.value)
-        if bits == 8:
-            with pytest.raises(ValueError) as held:
-                held_bounds(freq, [0.1, dt])
-            assert str(held.value) == str(single.value)
+        with pytest.raises(ValueError) as other:
+            if bits == 8:
+                held_error_bound(freq, dt, PAPER)
+            else:
+                digitized_bounds([(10, 1)], [8, bits])
+        assert str(other.value) == str(single.value)
 
 
 def sin_two_pi_by_fraction(x):

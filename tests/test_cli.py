@@ -231,6 +231,28 @@ class TestBounds:
         assert code == 0
         assert json.loads(out)["full_scale_range"] == 2.0
 
+    @pytest.mark.parametrize("freq", [1.0, 3.3, 1e-5])
+    @pytest.mark.parametrize("timing", [
+        ("--multiplier", "3"), ("--multiplier", "1009/13"), ("--multiplier", "7/2"),
+        ("--dt", None),
+    ])
+    @pytest.mark.parametrize("bits", [None, "12"])
+    def test_prints_the_bounds_that_eval_reports(self, capsys, freq, timing, bits):
+        flag, value = timing
+        # a gap of 0.37 turns at every frequency
+        value = repr(0.37 / freq) if value is None else value
+        point = ["--freq", repr(freq), flag, value, *([] if bits is None else ["--bits", bits])]
+        model = "held" if bits is None else "digitized"
+        code, out, err = run_cli(capsys, "bounds", *point)
+        assert code == 0, err
+        printed = json.loads(out)
+        code, out, err = run_cli(capsys, "eval", "--model", model, *point)
+        assert code == 0, err
+        report = json.loads(out)
+        assert (report["m_num"], report["m_den"]) == (printed["m_num"], printed["m_den"])
+        assert report["paper_bound"] == printed[f"{model}_bound_paper"]
+        assert report["strict_bound"] == printed[f"{model}_bound_strict"]
+
 
 class TestExitCodes:
     def test_no_command(self, capsys):
