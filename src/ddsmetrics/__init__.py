@@ -27,7 +27,6 @@ from .bounds import (
 from .metrics import MAX_PIECES, CapExceeded, MetricsReport, evaluate
 from .sweeps import (
     SweepResult,
-    SweepRow,
     SweepSpec,
     multiplier_axis,
     snap_multiplier,
@@ -35,7 +34,7 @@ from .sweeps import (
     sweep_grid,
     sweep_multiplier,
 )
-from .charts import ChartKind, ChartStyle, EmptyChart, render_heatmap, render_line_chart
+from .charts import EmptyChart, render_sweep
 from . import reporting
 
 __version__ = "0.1.0"

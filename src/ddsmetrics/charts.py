@@ -1,30 +1,22 @@
-"""Dependency-free SVG renderers for sweep results.
+"""Dependency-free SVG charts of sweep results.
 
-Line charts cover the single-axis sweeps (optionally with a log x-axis
-for the multiplier sweep or a log error axis for the bits sweep); the
-grid sweep renders as a heatmap with a blue-to-yellow ramp. Output is a
-plain text function of the input data, byte-identical across runs.
+:func:`render_sweep` draws the two charts of each sweep, its max error
+against its bounds and its THD: a line chart of a bits sweep (with a log
+error axis) or of a multiplier sweep (with a log x axis), and a heatmap
+with a blue-to-yellow ramp of a grid sweep. Output is a plain text
+function of the input data, byte-identical across runs.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import math
-from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
 
-from .sweeps import COLUMN_FIELDS, SweepResult
+from .sweeps import SweepResult
 
-__all__ = [
-    "ChartKind",
-    "ChartStyle",
-    "EmptyChart",
-    "render_line_chart",
-    "render_heatmap",
-    "render_sweep",
-]
+__all__ = ["EmptyChart", "render_sweep"]
 
 WIDTH = 800
 HEIGHT = 600
@@ -42,32 +34,6 @@ MISSING_FILL = "#bbbbbb"
 
 class EmptyChart(ValueError):
     """The selected metric has no plottable value in the sweep."""
-
-
-class ChartKind(enum.Enum):
-    LINEAR_LINE = "linear-line"
-    LOG_X_LINE = "log-x-line"
-    HEATMAP = "heatmap"
-
-
-@dataclass(frozen=True)
-class ChartStyle:
-    kind: ChartKind
-    x_label: str = ""
-    y_label: str = ""
-    log_y: bool = False
-
-
-# The metrics a chart plots: the renamed error and bound columns of a
-# sweep's CSV, and the report's THD and bound fields.
-_METRICS = frozenset((*COLUMN_FIELDS, "thd_ratio", "thd_db", "paper_bound", "strict_bound"))
-
-
-def _metric(result: SweepResult, name: str) -> list:
-    """The metric ``name`` of each distinct report of the sweep."""
-    if name not in _METRICS:
-        raise ValueError(f"unknown metric {name!r}")
-    return result.report_column(name)
 
 
 def _on_axis(values: list, log: bool) -> list[float]:
@@ -121,35 +87,28 @@ def _svg_open(lines: list[str]) -> None:
     lines.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
 
 
-def _axis_labels(lines: list[str], style: ChartStyle, left: int, right: int,
+def _axis_labels(lines: list[str], labels: tuple[str, str], left: int, right: int,
                  top: int, bottom: int) -> None:
     cx = (left + right) / 2
     cy = (top + bottom) / 2
-    if style.x_label:
-        lines.append(
-            f'<text x="{cx:.1f}" y="{HEIGHT - 15}" text-anchor="middle" '
-            f'font-size="15" font-family="sans-serif">{style.x_label}</text>'
-        )
-    if style.y_label:
-        lines.append(
-            f'<text x="22" y="{cy:.1f}" text-anchor="middle" font-size="15" '
-            f'font-family="sans-serif" transform="rotate(-90 22 {cy:.1f})">'
-            f"{style.y_label}</text>"
-        )
+    x_label, y_label = labels
+    lines.append(
+        f'<text x="{cx:.1f}" y="{HEIGHT - 15}" text-anchor="middle" '
+        f'font-size="15" font-family="sans-serif">{x_label}</text>'
+    )
+    lines.append(
+        f'<text x="22" y="{cy:.1f}" text-anchor="middle" font-size="15" '
+        f'font-family="sans-serif" transform="rotate(-90 22 {cy:.1f})">'
+        f"{y_label}</text>"
+    )
 
 
 def render_line_chart(
-    result: SweepResult, style: ChartStyle, series: Sequence[str]
+    result: SweepResult, labels: tuple[str, str], log_y: bool, series: Sequence[str]
 ) -> str:
-    """Self-contained SVG with one polyline per selected metric."""
-    if result.kind not in ("bits", "multiplier"):
-        raise ValueError(f"line charts need a bits or multiplier sweep, got {result.kind!r}")
-    if not series:
-        raise ValueError("series selection is empty")
-    if not result.axis:
-        raise ValueError("sweep result has no rows")
-
-    log_x = style.kind is ChartKind.LOG_X_LINE
+    """Self-contained SVG of a bits or multiplier sweep with one polyline
+    per metric of ``series``; the x axis of a multiplier sweep is log."""
+    log_x = result.kind == "multiplier"
     # the rows of a bits sweep are its reports, of a multiplier sweep its
     # axis points
     if result.kind == "bits":
@@ -161,7 +120,7 @@ def render_line_chart(
     points: dict[str, tuple[list[float], list[bool]]] = {}
     ranges = []
     for name in series:
-        report_y = _on_axis(_metric(result, name), style.log_y)
+        report_y = _on_axis(result.report_column(name), log_y)
         keep = [not (math.isnan(x) or math.isnan(report_y[i])) for x, i in zip(row_x, index)]
         points[name] = report_y, keep
         if any(keep):
@@ -194,7 +153,7 @@ def render_line_chart(
     lines: list[str] = []
     _svg_open(lines)
 
-    for v, label in _ticks(y_lo, y_hi, style.log_y):
+    for v, label in _ticks(y_lo, y_hi, log_y):
         y = py(v)
         lines.append(
             f'<line x1="{left}" y1="{y:.2f}" x2="{right}" y2="{y:.2f}" '
@@ -249,7 +208,7 @@ def render_line_chart(
             f'font-size="12" font-family="sans-serif">{name}</text>'
         )
 
-    _axis_labels(lines, style, left, right, top, bottom)
+    _axis_labels(lines, labels, left, right, top, bottom)
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -263,18 +222,13 @@ def _ramp_color(t: float) -> str:
     )
 
 
-def render_heatmap(result: SweepResult, style: ChartStyle, metric: str) -> str:
+def render_heatmap(result: SweepResult, labels: tuple[str, str], metric: str) -> str:
     """One filled cell per (bits, multiplier) pair of a grid sweep.
 
     The max-error ramp is anchored at 0 (blue) and 1.0 (yellow); other
     metrics anchor to the observed finite range, and the anchors are
     recorded in the SVG metadata either way.
     """
-    if result.kind != "grid":
-        raise ValueError(f"heatmaps need a grid sweep, got {result.kind!r}")
-    if not result.axis:
-        raise ValueError("sweep result has no rows")
-
     # the axis points in ascending order, one column each; the cell of
     # bit count b at axis point i has report index[i]*width + b
     axis, width = result.axis, result.width
@@ -284,7 +238,7 @@ def render_heatmap(result: SweepResult, style: ChartStyle, metric: str) -> str:
             raise ValueError(f"the grid chart needs multiplier {axis[i]!r} only once")
     mult_axis = [axis[i] for i in order]
     bits_axis = result.report_column("bits")[:width]
-    column = _metric(result, metric)
+    column = result.report_column(metric)
     columns = [result.index[i] * width for i in order]
 
     present = [v for v in column if v is not None]
@@ -341,40 +295,35 @@ def render_heatmap(result: SweepResult, style: ChartStyle, metric: str) -> str:
             f'font-size="11" font-family="sans-serif">{bits}</text>'
         )
 
-    _axis_labels(lines, style, left, right, top, bottom)
+    _axis_labels(lines, labels, left, right, top, bottom)
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
 # The chart of each (sweep kind, metric), as the CLI and the figure script
-# draw it: its style, and the series of a line chart or the metric of a
-# heatmap.
+# draw it: its x and y labels, whether its y axis is log, and the series
+# of a line chart or the metric of a heatmap.
 _SWEEP_CHARTS = {
-    ("bits", "error"): (
-        ChartStyle(ChartKind.LINEAR_LINE, "bits", "max abs error", log_y=True),
-        ("max_err", "eq5_bound"),
-    ),
-    ("bits", "thd"): (ChartStyle(ChartKind.LINEAR_LINE, "bits", "THD [dB]"), ("thd_db",)),
+    ("bits", "error"): (("bits", "max abs error"), True, ("max_err", "eq5_bound")),
+    ("bits", "thd"): (("bits", "THD [dB]"), False, ("thd_db",)),
     ("multiplier", "error"): (
-        ChartStyle(ChartKind.LOG_X_LINE, "frequency multiplier", "max abs error"),
+        ("frequency multiplier", "max abs error"), False,
         ("max_err", "eq14_bound", "strict_bound"),
     ),
-    ("multiplier", "thd"): (
-        ChartStyle(ChartKind.LOG_X_LINE, "frequency multiplier", "THD [dB]"),
-        ("thd_db",),
-    ),
-    ("grid", "error"): (
-        ChartStyle(ChartKind.HEATMAP, "frequency multiplier", "bits"), "max_err"
-    ),
-    ("grid", "thd"): (ChartStyle(ChartKind.HEATMAP, "frequency multiplier", "bits"), "thd_db"),
+    ("multiplier", "thd"): (("frequency multiplier", "THD [dB]"), False, ("thd_db",)),
+    ("grid", "error"): (("frequency multiplier", "bits"), False, "max_err"),
+    ("grid", "thd"): (("frequency multiplier", "bits"), False, "thd_db"),
 }
 
 
 def render_sweep(result: SweepResult, metric: str) -> str:
-    """The standard chart of a sweep's ``metric``, ``"error"`` (max error
-    against its bounds) or ``"thd"``: a line chart of a bits or multiplier
-    sweep, a heatmap of a grid sweep."""
-    style, selection = _SWEEP_CHARTS[result.kind, metric]
-    if style.kind is ChartKind.HEATMAP:
-        return render_heatmap(result, style, selection)
-    return render_line_chart(result, style, selection)
+    """The chart of a sweep's ``metric``, ``"error"`` (max error against
+    its bounds) or ``"thd"``: a line chart of a bits or multiplier sweep,
+    a heatmap of a grid sweep. Raises :class:`EmptyChart` when no row has
+    a value to draw."""
+    if not result.axis:
+        raise ValueError("sweep result has no rows")
+    labels, log_y, selection = _SWEEP_CHARTS[result.kind, metric]
+    if result.kind == "grid":
+        return render_heatmap(result, labels, selection)
+    return render_line_chart(result, labels, log_y, selection)

@@ -102,13 +102,16 @@ def _multipliers(text: str) -> tuple[float, ...]:
     return tuple(float(value) for value in text.split(","))
 
 
-def _check_times(freq: float, timing: TimingConfig | None) -> None:
+def _check_times(freq: float, timing: TimingConfig | None, gap: bool = False) -> None:
     """The combined period q/f (1/f without timing) bounds every reported
-    time, and the bounds divide by the update gap q/(p*f): both must be
-    positive finite floats."""
+    time, and with ``gap`` the update gap q/(p*f), which only the clock
+    and phase shift of ``bounds`` divide by: each must be a positive
+    finite float."""
     p, q = (timing.multiplier_num, timing.multiplier_den) if timing else (1, 1)
-    period = "combined period q/f" if timing else "period 1/f"
-    for name, seconds in ((period, q / freq), ("update gap q/(p*f)", q / (p * freq))):
+    times = [("combined period q/f" if timing else "period 1/f", q / freq)]
+    if gap:
+        times.append(("update gap q/(p*f)", q / (p * freq)))
+    for name, seconds in times:
         if not 0.0 < seconds < math.inf:
             raise UsageError(f"--freq {freq!r} is out of range: the {name} is {seconds!r} s")
 
@@ -337,7 +340,7 @@ def cmd_bounds(args) -> int:
     timing = None
     if args.multiplier is not None or args.dt is not None:
         timing = _resolve_timing(args)
-    _check_times(args.freq, timing)
+    _check_times(args.freq, timing, gap=True)
     data = bounds_mod.report(args.freq, timing, args.bits)
     # only the timing's figures can leave the float range, such as the
     # phase shift 2*pi*f*dt or the clock 1/dt of a subnormal dt

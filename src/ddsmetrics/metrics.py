@@ -528,16 +528,17 @@ def _held_thd(rows: Sequence[tuple[int, int]]) -> tuple[list, list]:
     return ratios, [None if ratio is None else 20.0 * math.log10(ratio) for ratio in ratios]
 
 
-def _quantized_supremum(quantizer: QuantizerConfig, f: float) -> tuple[float, float]:
+def _quantized_supremum(quantizer: QuantizerConfig) -> tuple[float, float]:
     """Exact supremum of the quantizer's error and the earliest time it is
-    approached. Floor: one level, as the rising sine nears the first level
-    above 0 (the peak, for 1 bit). Round: half a level, reached where the
-    sine first equals half a level. Ceiling: one level, just after t = 0."""
+    approached, in periods. Floor: one level, as the rising sine nears the
+    first level above 0 (the peak, for 1 bit). Round: half a level,
+    reached where the sine first equals half a level. Ceiling: one level,
+    just after t = 0."""
     step = quantizer.step
     if quantizer.mode is QuantizationMode.FLOOR:
-        return step, math.asin(step) / (2.0 * math.pi) / f
+        return step, math.asin(step) / (2.0 * math.pi)
     if quantizer.mode is QuantizationMode.ROUND:
-        return step / 2.0, math.asin(step / 2.0) / (2.0 * math.pi) / f
+        return step / 2.0, math.asin(step / 2.0) / (2.0 * math.pi)
     return step, 0.0
 
 
@@ -653,16 +654,18 @@ def _report_columns(
 ) -> dict[str, list]:
     """The columns (see ``REPORT_FIELDS``) of the reports of each row p/q
     of ``rows`` and each quantizer, one row after another: the model
-    parameters echoed, then ``values``, the columns from max_abs_error on.
-    A quantized report has the row (None, None), a held one the quantizer
-    None."""
+    parameters echoed, then ``values``, the columns from max_abs_error on,
+    whose argmax times are in periods; the frequency ``f`` divides them
+    here, the one place where a reported field reads it. A quantized
+    report has the row (None, None), a held one the quantizer None."""
     n = len(rows) * len(quantizers)
     bits = [None if quantizer is None else quantizer.bits for quantizer in quantizers]
     modes = [None if quantizer is None else quantizer.mode.value for quantizer in quantizers]
+    error, periods, *rest = values
     return dict(zip(REPORT_FIELDS, (
         [kind.value] * n, [f] * n, bits * len(rows), modes * len(rows),
         [p for p, _ in rows for _ in quantizers], [q for _, q in rows for _ in quantizers],
-        *values,
+        error, [t / f for t in periods], *rest,
     )))
 
 
@@ -670,11 +673,10 @@ def quantized_columns(spec: SignalSpec, quantizers: Sequence[QuantizerConfig]) -
     """The quantized reports of the quantizers, as columns (see
     ``REPORT_FIELDS``), in their order: :func:`_quantized_supremum`,
     :func:`_quantized_thd` and the bound of each, O(1) apiece."""
-    f = spec.frequency_hz
-    suprema = [_quantized_supremum(quantizer, f) for quantizer in quantizers]
+    suprema = [_quantized_supremum(quantizer) for quantizer in quantizers]
     thds = [_quantized_thd(quantizer) for quantizer in quantizers]
     bound = [bounds.quantization_error_bound(quantizer.bits) for quantizer in quantizers]
-    return _report_columns(ModelKind.QUANTIZED, f, [(None, None)], quantizers, (
+    return _report_columns(ModelKind.QUANTIZED, spec.frequency_hz, [(None, None)], quantizers, (
         [error for error, _ in suprema], [t for _, t in suprema],
         [ratio for ratio, _ in thds], [db for _, db in thds], bound, bound.copy(),
     ))
@@ -735,9 +737,9 @@ def evaluate_columns(
         )
         for column, batch_column in zip(values, batch_values):
             column += batch_column
-    f = spec.frequency_hz
-    times = [t / f for t in periods]
-    return _report_columns(kind, f, rows, each, (error, times, ratio, db, paper, strict))
+    return _report_columns(
+        kind, spec.frequency_hz, rows, each, (error, periods, ratio, db, paper, strict)
+    )
 
 
 def _evaluate_batch(pieces: _Pieces, quantizers: Sequence[QuantizerConfig]) -> tuple[list, ...]:

@@ -25,10 +25,9 @@ rows and of digitized ones.
 A :class:`SweepResult` holds its rows as columns: the distinct reports,
 one list per report field, the requested axis once, and each axis
 point's position among the distinct snapped multipliers; every row's
-report follows by arithmetic. A multiplier or grid sweep builds no
-report, row or timing object per point; the CSV writer and the charts
-read the columns, and ``SweepResult.rows`` builds the :class:`SweepRow`
-objects only when it is first read.
+report follows by arithmetic. There is no row view: a sweep builds no
+report, row or timing object per point, and the CSV writer and the
+charts read the columns.
 """
 
 from __future__ import annotations
@@ -39,19 +38,13 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterator
 
-from .metrics import (
-    MetricsReport,
-    evaluate_columns,
-    quantized_columns,
-    reports_from_columns,
-)
+from .metrics import evaluate_columns, quantized_columns
 from .signals import MAX_BITS, QuantizationMode, QuantizerConfig, SignalSpec, TimingConfig
 
 __all__ = [
     "SCHEMA_VERSION",
     "FLAG_SUBNYQUIST",
     "SweepSpec",
-    "SweepRow",
     "SweepResult",
     "MAX_AXIS_POINTS",
     "snap_multiplier",
@@ -149,13 +142,6 @@ COLUMN_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    requested_multiplier: float | None
-    report: MetricsReport
-    flags: tuple[str, ...] = ()
-
-
 class SweepResult:
     """The rows of one sweep, held as columns.
 
@@ -166,9 +152,7 @@ class SweepResult:
     and ``index`` the position of each among the distinct snapped
     multipliers. Row ``b*len(axis) + i`` is bit count b at axis point i,
     with report ``index[i]*width + b``; its flags are those of its report
-    (see :meth:`report_column`). :attr:`rows` builds the
-    :class:`SweepRow` objects when it is first read and keeps them; rows
-    that share a report share one :class:`~ddsmetrics.metrics.MetricsReport`.
+    (see :meth:`report_column`).
     """
 
     schema_version = SCHEMA_VERSION
@@ -184,18 +168,6 @@ class SweepResult:
     ):
         self.kind, self.spec, self.reports = kind, spec, reports
         self.axis, self.index, self.width = axis, index, width
-        self._rows = None
-
-    @property
-    def rows(self) -> tuple[SweepRow, ...]:
-        if self._rows is None:
-            reports = reports_from_columns(self.reports)
-            flags = self.report_column("flags")
-            self._rows = tuple(
-                SweepRow(requested, reports[k], flags[k])
-                for requested, k in zip(self.axis * self.width, self.row_reports())
-            )
-        return self._rows
 
     def row_reports(self) -> Iterator[int]:
         """The position of each row's report among the distinct reports,
@@ -217,13 +189,6 @@ class SweepResult:
         if name == "max_err_pct":
             return [100.0 * error for error in column]
         return column
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SweepResult):
-            return NotImplemented
-        return (self.kind, self.rows, self.spec, self.schema_version) == (
-            other.kind, other.rows, other.spec, other.schema_version
-        )
 
 
 def _snap(requested: float, q_max: int) -> tuple[int, int]:

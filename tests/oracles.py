@@ -18,7 +18,9 @@ held model's supremum over any set of its pieces one piece at a time, in
 Python floats, and calls no part of the engine but its scalar helpers.
 :func:`snap_by_fraction` snaps a multiplier from its
 ``Fraction``, :func:`result_from_rows` builds a sweep result from rows,
-and :func:`parse_csv` splits emitted CSV into its parts.
+:func:`row_table` reads a sweep result's columns in row order and
+:func:`rows_table` lays out rows given one by one the same way, and
+:func:`parse_csv` splits emitted CSV into its parts.
 """
 
 from __future__ import annotations
@@ -531,31 +533,47 @@ def report_columns(reports) -> dict[str, list]:
 
 
 def result_from_rows(kind: str, rows, spec) -> SweepResult:
-    """The sweep result whose rows are ``rows``, given in a sweep's shape:
-    row ``b*n + i`` is bit count b at point i of the n points of
-    ``spec``'s multiplier axis (``[None]`` in a bits sweep), with that
-    point's requested multiplier and its report's flags. Axis points
-    whose column of reports is the same objects share one position, and
-    each distinct column's reports are stored once. The reference that a
-    sweep's own columns are compared against."""
+    """The sweep result whose rows are ``rows``, (requested multiplier,
+    report) pairs given in a sweep's shape: row ``b*n + i`` is bit count b
+    at point i of the n points of ``spec``'s multiplier axis (``[None]``
+    in a bits sweep). Axis points whose column of reports is the same
+    objects share one position, and each distinct column's reports are
+    stored once. The reference that a sweep's own columns are compared
+    against."""
     rows = tuple(rows)
     axis = [None] if kind == "bits" else spec.multiplier_axis()
     n = len(axis)
     width = len(rows) // n
-    assert [row.requested_multiplier for row in rows] == axis * width, "not a sweep's shape"
+    assert [requested for requested, _ in rows] == axis * width, "not a sweep's shape"
     column_rows = [rows[i::n] for i in range(n)]
-    keys = [tuple(id(row.report) for row in column) for column in column_rows]
+    keys = [tuple(id(report) for _, report in column) for column in column_rows]
     distinct = dict(zip(keys, column_rows))  # in order of first appearance
     position = {key: k for k, key in enumerate(distinct)}
-    result = SweepResult(
+    return SweepResult(
         kind, spec,
-        report_columns([row.report for column in distinct.values() for row in column]),
+        report_columns([report for column in distinct.values() for _, report in column]),
         axis, [position[key] for key in keys], width,
     )
-    for row, flags in zip(rows, map(result.report_column("flags").__getitem__,
-                                    result.row_reports())):
-        assert row.flags == flags, "not a sweep's shape"
-    return result
+
+
+def row_column(result: SweepResult, name: str) -> list:
+    """Column ``name`` of :meth:`SweepResult.report_column` for each row
+    of the sweep, in row order."""
+    return list(map(result.report_column(name).__getitem__, result.row_reports()))
+
+
+def row_table(result: SweepResult) -> dict[str, list]:
+    """Every row of the sweep as columns in row order: its requested
+    multiplier (``m_requested``), each report field and its flags."""
+    table = {name: row_column(result, name) for name in (*REPORT_FIELDS, "flags")}
+    return dict(table, m_requested=result.axis * result.width)
+
+
+def rows_table(rows) -> dict[str, list]:
+    """The :func:`row_table` of rows given one by one, as (requested
+    multiplier, report, flags) triples."""
+    requested, reports, flags = zip(*rows)
+    return dict(report_columns(reports), flags=list(flags), m_requested=list(requested))
 
 
 def parse_csv(text: str) -> tuple[list[str], list[str], list[list[str]]]:

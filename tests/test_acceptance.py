@@ -27,11 +27,13 @@ from ddsmetrics.bounds import (
     held_error_bound,
     quantization_error_bound,
 )
-from ddsmetrics.charts import ChartKind, ChartStyle, render_heatmap
+from ddsmetrics.charts import render_sweep
 from ddsmetrics.cli import main
 from oracles import (
     SamplingPlan,
     max_abs_error,
+    row_column,
+    row_table,
     spectrum_dft,
     spectrum_exact_staircase,
     staircase_values,
@@ -132,14 +134,15 @@ def test_criterion_03_hold_estimate_is_not_a_bound_strict_is():
 
 def test_criterion_04_combined_bound_compliance():
     with criterion("4", "combined bound holds across the whole grid", 60.0):
-        result = grid_result()
-        assert len(result.rows) == len(GRID_BITS) * len(GRID_MULTIPLIERS)
-        for row in result.rows:
-            report = row.report
-            assert report.max_abs_error <= report.strict_bound
+        table = row_table(grid_result())
+        assert len(table["m_requested"]) == len(GRID_BITS) * len(GRID_MULTIPLIERS)
+        for error, strict, paper, m_num, m_den in zip(*map(table.get, (
+            "max_abs_error", "strict_bound", "paper_bound", "m_num", "m_den"
+        ))):
+            assert error <= strict
             # every multiplier on this grid is an even integer
-            assert report.m_den == 1 and report.m_num % 2 == 0
-            assert report.max_abs_error <= report.paper_bound
+            assert m_den == 1 and m_num % 2 == 0
+            assert error <= paper
 
 
 def test_criterion_05_thd_closed_form_oracle():
@@ -179,11 +182,8 @@ def test_criterion_07_quantization_thd_trend():
             bits_to=12,
             mode=QuantizationMode.ROUND,
         )
-        rows = sweep_bits(spec).rows
-        slope, _, r2 = linear_fit(
-            [row.report.bits for row in rows],
-            [row.report.thd_db for row in rows],
-        )
+        result = sweep_bits(spec)
+        slope, _, r2 = linear_fit(row_column(result, "bits"), row_column(result, "thd_db"))
         assert -8.0 <= slope <= -5.0
         assert r2 > 0.98
 
@@ -196,23 +196,19 @@ def test_criterion_08_hold_thd_trend():
             points_per_decade=30,
             q_max=1,  # integer-snapped axis
         )
-        rows = sweep_multiplier(spec).rows
+        result = sweep_multiplier(spec)
         slope, _, r2 = linear_fit(
-            [math.log10(row.requested_multiplier) for row in rows],
-            [row.report.thd_db for row in rows],
+            [math.log10(requested) for requested in result.axis],
+            row_column(result, "thd_db"),
         )
         assert -21.0 <= slope <= -19.0
         assert r2 > 0.99
 
 
 def _grid_tables(grid_result):
-    errors = {}
-    distortions = {}
-    for row in grid_result.rows:
-        key = (row.report.bits, row.requested_multiplier)
-        errors[key] = row.report.max_abs_error
-        distortions[key] = row.report.thd_db
-    return errors, distortions
+    table = row_table(grid_result)
+    keys = list(zip(table["bits"], table["m_requested"]))
+    return dict(zip(keys, table["max_abs_error"])), dict(zip(keys, table["thd_db"]))
 
 
 def test_criterion_09a_grid_monotonicity():
@@ -318,8 +314,7 @@ def test_criterion_10_determinism_under_parallelism(tmp_path):
             outputs.append((csv.read_bytes(), svg.read_bytes()))
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == sweep_to_csv(grid_result()).encode()
-        style = ChartStyle(ChartKind.HEATMAP, "frequency multiplier", "bits")
-        assert outputs[0][1] == render_heatmap(grid_result(), style, "max_err").encode()
+        assert outputs[0][1] == render_sweep(grid_result(), "error").encode()
 
 
 def test_criterion_11_trivial_anchors():

@@ -993,7 +993,9 @@ class TestFloatRangeOfTimes:
             (["eval", "--model", "held", "--multiplier", "11/10", "--freq", "1e-308"],
              "--freq"),
             (["eval", "--model", "held", "--multiplier", "3", "--freq", "1e-320"], "--freq"),
-            (["eval", "--model", "held", "--multiplier", "3", "--freq", "1e308"], "--freq"),
+            # the clock and phase shift that bounds reports divide by the
+            # update gap q/(p*f), which underflows to 0
+            (["bounds", "--multiplier", "3", "--freq", "1e308"], "--freq"),
             # f*dt = 1e308 turns is a float, but the phase shift 2*pi*f*dt
             # that bounds reports is not
             (["bounds", "--multiplier", "1/1" + "0" * 308], "--multiplier"),
@@ -1005,7 +1007,7 @@ class TestFloatRangeOfTimes:
         ids=[
             "eval-freq-dt-underflow", "bounds-freq-dt-underflow", "eval-freq-dt-overflow",
             "quantized-period-overflow", "held-period-overflow",
-            "multiplier-period-overflow", "multiplier-gap-underflow",
+            "multiplier-period-overflow", "bounds-multiplier-gap-underflow",
             "bounds-multiplier-phase-overflow", "bounds-dt-phase-overflow",
             "bounds-multiplier-clock-overflow", "bounds-multiplier-clock-overflow-bits",
         ],
@@ -1016,6 +1018,22 @@ class TestFloatRangeOfTimes:
         assert out == ""
         assert err.startswith(f"error: {flag}")
         assert err.count("\n") == 1
+
+    def test_eval_reads_no_update_gap(self, capsys):
+        # at 3/1 and 1e308 Hz the update gap q/(p*f) underflows to 0, but
+        # no field of eval reads it
+        reports = []
+        for freq in (1.0, 1e308):
+            code, out, err = run_cli(
+                capsys, "eval", "--model", "held", "--multiplier", "3", "--freq", repr(freq)
+            )
+            assert code == 0, err
+            reports.append(json.loads(out))
+        slow, fast = reports
+        assert fast.pop("freq_hz") == 1e308
+        assert fast.pop("argmax_time_s") == slow["argmax_time_s"] / 1e308
+        del slow["freq_hz"], slow["argmax_time_s"]
+        assert fast == slow
 
     @pytest.mark.parametrize("bits", [[], ["--bits", "52"]])
     def test_clock_overflow_writes_no_output(self, capsys, tmp_path, bits):

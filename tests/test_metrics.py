@@ -221,26 +221,32 @@ def _coprime_rows():
 
 
 @lru_cache(maxsize=None)
-def _columns_at(freq, held):
-    """The engine's columns at ``freq``: the held rows of _coprime_rows,
-    or their small rows digitized at bits 2, 8 and 12 in every mode."""
+def _columns_at(freq, kind):
+    """The engines' columns at ``freq``: the held rows of _coprime_rows,
+    their small rows digitized at bits 2, 8 and 12 in every mode, or the
+    quantized reports of bits 1 to 52 in every mode."""
     spec = SignalSpec(freq)
+    if kind == "quantized":
+        return quantized_columns(spec, [
+            QuantizerConfig(bits, mode) for bits in range(1, 53) for mode in QuantizationMode
+        ])
     random_rows, small = _coprime_rows()
-    if held:
+    if kind == "held":
         return evaluate_columns(spec, random_rows + small)
     quantizers = [QuantizerConfig(bits, mode) for bits in (2, 8, 12) for mode in QuantizationMode]
     return evaluate_columns(spec, small, quantizers)
 
 
 class TestEngineScaleInvariance:
-    """The engine reads the multipliers p/q alone, so frequency scales out
-    exactly: at any f every reported metric and bound is the float of
-    f = 1, and argmax_time_s is the 1 Hz value divided by f."""
+    """The engines read the multipliers p/q and the quantizers alone, so
+    frequency scales out exactly: at any f every reported metric and bound
+    is the float of f = 1, and argmax_time_s is the 1 Hz value divided by
+    f."""
 
-    @pytest.mark.parametrize("held", [True, False], ids=["held", "digitized"])
+    @pytest.mark.parametrize("kind", ["held", "digitized", "quantized"])
     @pytest.mark.parametrize("freq", [0.37, 3.3, 1e-5, 7e4, 1e300 / 3])
-    def test_every_field_is_the_1_hz_float(self, freq, held):
-        base, columns = _columns_at(1.0, held), _columns_at(freq, held)
+    def test_every_field_is_the_1_hz_float(self, freq, kind):
+        base, columns = _columns_at(1.0, kind), _columns_at(freq, kind)
         expected = dict(base, argmax_time_s=[t / freq for t in base["argmax_time_s"]])
         names = ("max_abs_error", "argmax_time_s", "thd_ratio", "thd_db",
                  "paper_bound", "strict_bound")
@@ -1027,7 +1033,7 @@ class TestColumnGroups:
             kept, grid = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(result.rows) == 1696
+        assert len(list(result.row_reports())) == 1696
         # beside its largest column the grid holds only the reports it keeps
         assert grid <= column + kept
 
@@ -1391,9 +1397,9 @@ class TestReportColumnsContract:
         expected = []
         for quantizer in quantizers:
             bound = bounds.quantization_error_bound(quantizer.bits)
+            error, period = metrics._quantized_supremum(quantizer)
             expected.append((
-                *metrics._quantized_supremum(quantizer, freq),
-                *metrics._quantized_thd(quantizer), bound, bound,
+                error, period / freq, *metrics._quantized_thd(quantizer), bound, bound,
             ))
         columns = quantized_columns(SignalSpec(freq), quantizers)
         computed = (

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ddsmetrics.metrics import MetricsReport
+from ddsmetrics.metrics import MetricsReport, reports_from_columns
 from ddsmetrics.reporting import (
     BITS_HEADER,
     GRID_HEADER,
@@ -21,10 +21,9 @@ from ddsmetrics.reporting import (
     sweep_to_csv,
 )
 from ddsmetrics import reporting
-from oracles import parse_csv, result_from_rows
+from oracles import parse_csv, result_from_rows, row_table
 from ddsmetrics.signals import QuantizationMode
 from ddsmetrics.sweeps import (
-    SweepRow,
     SweepSpec,
     sweep_bits,
     sweep_grid,
@@ -184,13 +183,14 @@ class TestSweepCsv:
         )
         result = sweep_multiplier(spec)
         _, _, rows = parse_csv(sweep_to_csv(result))
-        for parsed, row in zip(rows, result.rows):
-            assert float(parsed[0]) == row.requested_multiplier
-            assert float(parsed[3]) == row.report.max_abs_error
-            assert float(parsed[4]) == row.report.paper_bound
-            assert float(parsed[5]) == row.report.strict_bound
-            assert float(parsed[6]) == row.report.thd_ratio
-            assert float(parsed[7]) == row.report.thd_db
+        table = row_table(result)
+        names = ("m_requested", "max_abs_error", "paper_bound", "strict_bound",
+                 "thd_ratio", "thd_db")
+        assert len(rows) == len(table["m_requested"])
+        for i, parsed in enumerate(rows):
+            assert [float(parsed[j]) for j in (0, 3, 4, 5, 6, 7)] == [
+                table[name][i] for name in names
+            ]
 
     def test_absent_thd_serializes_empty(self):
         spec = SweepSpec(multipliers=(2.0,))
@@ -300,19 +300,20 @@ def csv_row_by_row(result):
     lines = sweep_to_csv(result).splitlines()
     comments = [line for line in lines if line.startswith("#")]
     head = comments + [lines[len(comments)]]  # the header line
-    for row in result.rows:
-        r = row.report
+    reports, flags = reports_from_columns(result.reports), result.report_column("flags")
+    for requested, k in zip(result.axis * result.width, result.row_reports()):
+        r = reports[k]
         if result.kind == "bits":
             values = [r.bits, r.mode, r.max_abs_error, r.max_err_pct, r.paper_bound,
                       r.thd_ratio, r.thd_db]
             head.append(",".join(map(csv_field, values)))
             continue
-        values = [row.requested_multiplier, r.m_num, r.m_den, r.max_abs_error,
+        values = [requested, r.m_num, r.m_den, r.max_abs_error,
                   r.paper_bound, r.strict_bound, r.thd_ratio, r.thd_db]
         if result.kind == "grid":
             values.insert(0, r.bits)
-        flags = ";".join(row.flags) if row.flags else "-"
-        head.append(",".join([*map(csv_field, values), flags]))
+        row_flags = ";".join(flags[k]) if flags[k] else "-"
+        head.append(",".join([*map(csv_field, values), row_flags]))
     return "\n".join(head) + "\n"
 
 
@@ -328,10 +329,10 @@ class TestSweepCsvColumns:
     def test_multiplier_axis_longer_than_a_chunk_with_repeats(self):
         spec = SweepSpec(decades_from=-1.0, decades_to=2.0, points_per_decade=300, q_max=8)
         result = sweep_multiplier(spec)
-        assert len(result.rows) > 2 * reporting._CSV_CHUNK
-        reports = {id(row.report) for row in result.rows}
-        assert len(reports) < len(result.rows)  # snapped-equal rows share a report
-        assert any(row.report.thd_ratio is None for row in result.rows)
+        assert len(result.axis) > 2 * reporting._CSV_CHUNK
+        # snapped-equal rows share a report
+        assert len(result.report_column("model")) < len(result.axis)
+        assert None in result.report_column("thd_ratio")
         assert sweep_to_csv(result) == csv_row_by_row(result)
 
     def test_grid(self):
@@ -344,12 +345,11 @@ class TestSweepCsvColumns:
         # multipliers do; the last two are sub-Nyquist
         shared = sample_report(max_abs_error=1e-7, thd_ratio=2e6, thd_db=-0.0, paper_bound=1e-4)
         rows = [
-            SweepRow(4.0, shared),
-            SweepRow(4.0, shared),
-            SweepRow(1.5, sample_report(m_num=3, m_den=2, strict_bound=999999.9999999999,
-                                        thd_ratio=None), ("subnyquist",)),
-            SweepRow(5e-324, sample_report(m_num=1, m_den=16, max_abs_error=-1.5e-5,
-                                           thd_db=None), ("subnyquist",)),
+            (4.0, shared),
+            (4.0, shared),
+            (1.5, sample_report(m_num=3, m_den=2, strict_bound=999999.9999999999,
+                                thd_ratio=None)),
+            (5e-324, sample_report(m_num=1, m_den=16, max_abs_error=-1.5e-5, thd_db=None)),
         ]
         spec = SweepSpec(bits_from=8, bits_to=8, multipliers=(4.0, 4, 1.5, 5e-324))
         for kind in ("multiplier", "grid"):
@@ -367,7 +367,7 @@ class TestSweepCsvColumns:
         # the echo line is the rows' text of the axis, the spec's
         # multipliers as floats: an int 4 reads "4.0" in both
         axis = (4, 4.0, 5e-324, 2e6, 1.5)
-        rows = [SweepRow(float(m), sample_report()) for m in axis]
+        rows = [(float(m), sample_report()) for m in axis]
         spec = SweepSpec(bits_from=8, bits_to=8, multipliers=axis)
         for kind in ("multiplier", "grid"):
             text = sweep_to_csv(result_from_rows(kind, tuple(rows), spec))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import best_rational_by_exhaustion, linear_fit
-from oracles import result_from_rows, snap_by_fraction
+from oracles import result_from_rows, row_column, row_table, rows_table, snap_by_fraction
 from ddsmetrics import reporting
 from ddsmetrics.charts import render_sweep
 from ddsmetrics.reporting import sweep_to_csv
@@ -23,10 +23,15 @@ from ddsmetrics.signals import (
     WaveformModel,
 )
 from ddsmetrics import metrics, sweeps
-from ddsmetrics.metrics import MAX_PIECES, CapExceeded, MetricsReport, evaluate
+from ddsmetrics.metrics import (
+    MAX_PIECES,
+    CapExceeded,
+    MetricsReport,
+    evaluate,
+    reports_from_columns,
+)
 from ddsmetrics.sweeps import (
     FLAG_SUBNYQUIST,
-    SweepRow,
     SweepSpec,
     multiplier_axis,
     snap_multiplier,
@@ -212,29 +217,26 @@ class TestSweepBits:
         spec = SweepSpec(bits_from=1, bits_to=16)
         result = sweep_bits(spec)
         assert result.kind == "bits"
-        assert len(result.rows) == 16
-        bounds = [row.report.paper_bound for row in result.rows]
+        bounds = row_column(result, "paper_bound")
+        assert len(bounds) == 16
         assert all(b2 == b1 / 2 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_four_bit_error_within_bound(self):
         spec = SweepSpec(bits_from=4, bits_to=4)
-        row = sweep_bits(spec).rows[0]
-        assert row.report.max_abs_error <= 0.125
+        [error] = row_column(sweep_bits(spec), "max_abs_error")
+        assert error <= 0.125
 
     def test_thd_improves_with_bits(self):
         spec = SweepSpec(bits_from=4, bits_to=8, bits_step=4)
-        rows = sweep_bits(spec).rows
-        assert rows[1].report.thd_db < rows[0].report.thd_db
+        thd_db = row_column(sweep_bits(spec), "thd_db")
+        assert thd_db[1] < thd_db[0]
 
     def test_round_mode_fit(self):
         spec = SweepSpec(
             bits_from=4, bits_to=12, mode=QuantizationMode.ROUND
         )
-        rows = sweep_bits(spec).rows
-        slope, _, r2 = linear_fit(
-            [row.report.bits for row in rows],
-            [row.report.thd_db for row in rows],
-        )
+        result = sweep_bits(spec)
+        slope, _, r2 = linear_fit(row_column(result, "bits"), row_column(result, "thd_db"))
         assert -8.0 <= slope <= -5.0
         assert r2 > 0.98
 
@@ -246,33 +248,33 @@ class TestSweepMultiplier:
         )
         result = sweep_multiplier(spec)
         assert result.kind == "multiplier"
-        assert len(result.rows) == 6
-        requested = [row.requested_multiplier for row in result.rows]
+        requested = result.axis
+        assert len(requested) == len(list(result.row_reports())) == 6
         assert requested == sorted(requested)
 
     def test_four_step_row_thd(self):
         spec = SweepSpec(multipliers=(4.0,))
-        row = sweep_multiplier(spec).rows[0]
-        assert row.report.thd_db == pytest.approx(-6.3134, abs=0.05)
+        [thd_db] = row_column(sweep_multiplier(spec), "thd_db")
+        assert thd_db == pytest.approx(-6.3134, abs=0.05)
 
     def test_large_multiplier_strict_bound(self):
         spec = SweepSpec(multipliers=(1000.0,))
-        row = sweep_multiplier(spec).rows[0]
-        assert row.report.max_abs_error <= 2 * math.sin(math.pi / 1000)
-        assert row.report.strict_bound == pytest.approx(2 * math.sin(math.pi / 1000))
+        result = sweep_multiplier(spec)
+        [error], [strict] = row_column(result, "max_abs_error"), row_column(result, "strict_bound")
+        assert error <= 2 * math.sin(math.pi / 1000)
+        assert strict == pytest.approx(2 * math.sin(math.pi / 1000))
 
     def test_decade_spacing_of_thd(self):
         spec = SweepSpec(multipliers=(10.0, 100.0, 1000.0))
-        rows = sweep_multiplier(spec).rows
-        for first, second in zip(rows, rows[1:]):
-            delta = second.report.thd_db - first.report.thd_db
-            assert delta == pytest.approx(-20.0, abs=0.5)
+        thd_db = row_column(sweep_multiplier(spec), "thd_db")
+        for first, second in zip(thd_db, thd_db[1:]):
+            assert second - first == pytest.approx(-20.0, abs=0.5)
 
     def test_subnyquist_flag(self):
         spec = SweepSpec(multipliers=(1.5, 4.0))
-        rows = sweep_multiplier(spec).rows
-        assert FLAG_SUBNYQUIST in rows[0].flags
-        assert FLAG_SUBNYQUIST not in rows[1].flags
+        flags = row_column(sweep_multiplier(spec), "flags")
+        assert FLAG_SUBNYQUIST in flags[0]
+        assert FLAG_SUBNYQUIST not in flags[1]
 
     @pytest.mark.parametrize("sweep", [sweep_multiplier, sweep_grid], ids=["multiplier", "grid"])
     def test_over_cap_multiplier_refuses_the_sweep(self, sweep, monkeypatch):
@@ -310,22 +312,25 @@ class TestSweepMultiplier:
 
     def test_under_cap_rows_keep_thd(self):
         # 300001 pieces was past the old 2**24-sample DFT cap at 64 per step
-        row = sweep_multiplier(SweepSpec(multipliers=(300_001.0,))).rows[0]
-        assert row.flags == ()
-        assert row.report.thd_ratio > 0
+        result = sweep_multiplier(SweepSpec(multipliers=(300_001.0,)))
+        assert row_column(result, "flags") == [()]
+        assert row_column(result, "thd_ratio")[0] > 0
 
     def test_every_row_within_strict_bound(self):
         spec = SweepSpec(
             decades_from=0.5, decades_to=2.0, points_per_decade=4
         )
-        for row in sweep_multiplier(spec).rows:
-            assert row.report.max_abs_error <= row.report.strict_bound
+        result = sweep_multiplier(spec)
+        for error, strict in zip(
+            row_column(result, "max_abs_error"), row_column(result, "strict_bound")
+        ):
+            assert error <= strict
 
     def test_snapped_values_recorded(self):
         spec = SweepSpec(multipliers=(3.1623,))
-        row = sweep_multiplier(spec).rows[0]
-        assert row.requested_multiplier == 3.1623
-        assert (row.report.m_num, row.report.m_den) == (19, 6)
+        result = sweep_multiplier(spec)
+        assert result.axis == [3.1623]
+        assert (row_column(result, "m_num"), row_column(result, "m_den")) == ([19], [6])
 
     def test_log_linear_trend(self):
         spec = SweepSpec(
@@ -334,10 +339,10 @@ class TestSweepMultiplier:
             points_per_decade=6,
             q_max=1,
         )
-        rows = sweep_multiplier(spec).rows
+        result = sweep_multiplier(spec)
         slope, _, r2 = linear_fit(
-            [math.log10(row.requested_multiplier) for row in rows],
-            [row.report.thd_db for row in rows],
+            [math.log10(requested) for requested in result.axis],
+            row_column(result, "thd_db"),
         )
         assert -21.0 <= slope <= -19.0
         assert r2 > 0.99
@@ -350,9 +355,8 @@ class TestSweepGrid:
         )
         result = sweep_grid(spec)
         assert result.kind == "grid"
-        keys = [
-            (row.report.bits, row.requested_multiplier) for row in result.rows
-        ]
+        table = row_table(result)
+        keys = list(zip(table["bits"], table["m_requested"]))
         assert keys == [(2, 4.0), (2, 8.0), (3, 4.0), (3, 8.0), (4, 4.0), (4, 8.0)]
 
     def test_corner_comparison(self):
@@ -360,29 +364,27 @@ class TestSweepGrid:
             bits_from=2, bits_to=12, bits_step=10,
             multipliers=(4.0, 4096.0)
         )
-        rows = sweep_grid(spec).rows
-        by_key = {
-            (row.report.bits, row.requested_multiplier): row.report for row in rows
-        }
-        assert (
-            by_key[(12, 4096.0)].max_abs_error < by_key[(2, 4.0)].max_abs_error
-        )
+        table = row_table(sweep_grid(spec))
+        by_key = dict(zip(zip(table["bits"], table["m_requested"]), table["max_abs_error"]))
+        assert by_key[(12, 4096.0)] < by_key[(2, 4.0)]
 
     def test_low_bit_plateau(self):
         spec = SweepSpec(
             bits_from=2, bits_to=2, multipliers=(64.0, 4096.0)
         )
-        rows = sweep_grid(spec).rows
-        for row in rows:
-            assert row.report.max_abs_error >= 0.25
+        for error in row_column(sweep_grid(spec), "max_abs_error"):
+            assert error >= 0.25
 
     def test_every_cell_within_strict_bound(self):
         spec = SweepSpec(
             bits_from=2, bits_to=6, bits_step=2,
             multipliers=(4.0, 32.0, 256.0)
         )
-        for row in sweep_grid(spec).rows:
-            assert row.report.max_abs_error <= row.report.strict_bound
+        result = sweep_grid(spec)
+        for error, strict in zip(
+            row_column(result, "max_abs_error"), row_column(result, "strict_bound")
+        ):
+            assert error <= strict
 
 
 class TestDeterminism:
@@ -417,20 +419,21 @@ class TestSweepSpecValidation:
 
 def per_cell_rows(spec):
     """The grid's rows evaluated one cell at a time, row-major with bits
-    outermost: the reference for the column engine."""
+    outermost, as a :func:`oracles.row_table`: the reference for the
+    column engine."""
     signal = SignalSpec(1.0)
     axis = []
     for requested in spec.multiplier_axis():
         timing = snap_multiplier(requested, spec.q_max)
         flags = (FLAG_SUBNYQUIST,) if timing.multiplier < 2 else ()
         axis.append((requested, timing, flags))
-    return [
-        SweepRow(requested, evaluate(WaveformModel.digitized(
+    return rows_table(
+        (requested, evaluate(WaveformModel.digitized(
             signal, timing, QuantizerConfig(bits, spec.mode)
         )), flags)
         for bits in spec.bits_axis()
         for requested, timing, flags in axis
-    ]
+    )
 
 
 class TestGridColumns:
@@ -448,8 +451,7 @@ class TestGridColumns:
             multipliers=(4.0, 0.5, 1.5, 4.0, 3.001, 3.002, 97.0, 1000.0, 4.0),
         )
         assert snap_multiplier(3.001, 100) == snap_multiplier(3.002, 100)
-        rows = sweep_grid(spec).rows
-        assert list(rows) == per_cell_rows(spec)
+        assert row_table(sweep_grid(spec)) == per_cell_rows(spec)
 
     def test_repeated_multipliers_evaluate_one_column(self, monkeypatch):
         calls = []
@@ -465,10 +467,10 @@ class TestGridColumns:
             bits_from=1, bits_to=6, q_max=100,
             multipliers=(4.0, 3.001, 3.002, 4.0, 97.0, 4.0, 20000.0, 1.5, 97.0),
         )
-        rows = sweep_grid(spec).rows
+        result = sweep_grid(spec)
         assert calls == [[(4, 1), (3, 1), (97, 1), (20000, 1), (3, 2)]]
         assert len(metrics.column_batches(calls[0])) == 3
-        assert list(rows) == per_cell_rows(spec)
+        assert row_table(result) == per_cell_rows(spec)
 
     def test_batches_equal_per_cell_evaluate(self):
         # 20000 and 17000 are batches of their own and cut the smaller
@@ -480,19 +482,19 @@ class TestGridColumns:
         _, pairs, _ = sweeps._snapped_axis(spec)
         batches = metrics.column_batches(pairs)
         assert len(batches) == 5
-        assert list(sweep_grid(spec).rows) == per_cell_rows(spec)
+        assert row_table(sweep_grid(spec)) == per_cell_rows(spec)
 
 
 def per_row_multiplier_rows(spec):
-    """The multiplier sweep's rows evaluated one at a time: the reference
-    for the held batches."""
+    """The multiplier sweep's rows evaluated one at a time, as a
+    :func:`oracles.row_table`: the reference for the held batches."""
     signal = SignalSpec(1.0)
     rows = []
     for requested in spec.multiplier_axis():
         timing = snap_multiplier(requested, spec.q_max)
         flags = (FLAG_SUBNYQUIST,) if timing.multiplier < 2 else ()
-        rows.append(SweepRow(requested, evaluate(WaveformModel.held(signal, timing)), flags))
-    return rows
+        rows.append((requested, evaluate(WaveformModel.held(signal, timing)), flags))
+    return rows_table(rows)
 
 
 # The held rows of a full batch of evaluate_columns.
@@ -509,7 +511,7 @@ class TestHeldBatches:
         spec = SweepSpec(multipliers=tuple(3.0 + k / 7.0 for k in range(size)))
         _, pairs, _ = sweeps._snapped_axis(spec)
         assert len(pairs) == size
-        assert list(sweep_multiplier(spec).rows) == per_row_multiplier_rows(spec)
+        assert row_table(sweep_multiplier(spec)) == per_row_multiplier_rows(spec)
 
     def test_three_batches_equal_per_row_evaluate(self):
         # q_max 1000 keeps 3361 distinct timings: three batches
@@ -519,7 +521,7 @@ class TestHeldBatches:
         _, pairs, _ = sweeps._snapped_axis(spec)
         assert 2 * HELD_BATCH < len(pairs) <= 3 * HELD_BATCH
         assert len(metrics.column_batches(pairs, held=True)) == 3
-        assert list(sweep_multiplier(spec).rows) == per_row_multiplier_rows(spec)
+        assert row_table(sweep_multiplier(spec)) == per_row_multiplier_rows(spec)
 
     def test_repeated_multipliers_evaluate_one_row(self, monkeypatch):
         batches = []
@@ -533,9 +535,9 @@ class TestHeldBatches:
         spec = SweepSpec(
             q_max=100, multipliers=(4.0, 0.5, 1.5, 4.0, 3.001, 3.002, 97.0, 1000.0, 4.0)
         )
-        rows = sweep_multiplier(spec).rows
+        result = sweep_multiplier(spec)
         assert batches == [([(4, 1), (1, 2), (3, 2), (3, 1), (97, 1), (1000, 1)], ())]
-        assert list(rows) == per_row_multiplier_rows(spec)
+        assert row_table(result) == per_row_multiplier_rows(spec)
 
     def test_peak_memory_is_one_chunks(self):
         # about 0.8 KB per row of a batch: 6.3 MB if the axis were one batch
@@ -546,7 +548,7 @@ class TestHeldBatches:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(result.rows) == 8192
+        assert len(result.axis) == 8192
         assert peak - kept < 4 << 20
 
 
@@ -563,24 +565,34 @@ def outputs(result):
     return sweep_to_csv(result), render_sweep(result, "error"), render_sweep(result, "thd")
 
 
+def row_pairs(result):
+    """Each row's (requested multiplier, report), with the reports built
+    from the columns: rows that share a report share one object."""
+    reports = reports_from_columns(result.reports)
+    return [
+        (requested, reports[k])
+        for requested, k in zip(result.axis * result.width, result.row_reports())
+    ]
+
+
 class TestColumnarResult:
-    """A sweep's result holds columns and builds its rows only when read;
-    its CSV and charts, written from the columns, have the bytes of the
-    same rows given one by one (see ``oracles.result_from_rows``)."""
+    """A sweep's result holds columns; its CSV and charts, written from
+    the columns, have the bytes of the same rows given one by one (see
+    ``oracles.result_from_rows``)."""
 
     @pytest.mark.parametrize("mode", list(QuantizationMode))
     def test_bits_outputs_equal_the_rows_result(self, mode):
         result = sweep_bits(SweepSpec(bits_from=1, bits_to=52, mode=mode))
-        from_rows = result_from_rows("bits", result.rows, result.spec)
+        from_rows = result_from_rows("bits", row_pairs(result), result.spec)
         assert outputs(result) == outputs(from_rows)
 
     def test_multiplier_outputs_equal_the_rows_result(self):
         result = sweep_multiplier(SweepSpec(multipliers=SHARED_AXIS, q_max=8))
-        rows = result.rows
+        rows = row_pairs(result)
         assert len(rows) > reporting._CSV_CHUNK
-        assert len({id(row.report) for row in rows}) < len(rows)
-        assert any(row.report.thd_db is None for row in rows)
-        assert any(row.flags == (FLAG_SUBNYQUIST,) for row in rows)
+        assert len({id(report) for _, report in rows}) < len(rows)
+        assert any(report.thd_db is None for _, report in rows)
+        assert (FLAG_SUBNYQUIST,) in row_column(result, "flags")
         assert outputs(result) == outputs(result_from_rows("multiplier", rows, result.spec))
 
     @pytest.mark.parametrize("mode", list(QuantizationMode))
@@ -590,10 +602,10 @@ class TestColumnarResult:
         axis = (*multiplier_axis(-0.5, 3.0, 6), 3.001, 3.002, 0.5, 5e-5, 2e6)
         spec = SweepSpec(bits_from=1, bits_to=40, bits_step=3, mode=mode, multipliers=axis)
         result = sweep_grid(spec)
-        rows = result.rows
+        rows = row_pairs(result)
         assert len(rows) > reporting._CSV_CHUNK
-        assert len({id(row.report) for row in rows}) < len(rows)
-        assert any(row.report.thd_db is None for row in rows)
+        assert len({id(report) for _, report in rows}) < len(rows)
+        assert any(report.thd_db is None for _, report in rows)
         assert outputs(result) == outputs(result_from_rows("grid", rows, spec))
 
     def test_a_grid_keeps_its_axis_once(self):
@@ -611,13 +623,6 @@ class TestColumnarResult:
         assert kept < 16 << 20
         assert len(result.axis) * result.width == 1_560_052
 
-    def test_rows_are_built_once(self):
-        result = sweep_multiplier(SweepSpec(multipliers=(4.0, 3.001, 3.002)))
-        rows = result.rows
-        assert result.rows is rows
-        assert rows[1].report is rows[2].report
-        assert result == result_from_rows("multiplier", rows, result.spec)
-
     def test_writing_a_multiplier_sweep_builds_no_row_objects(self, monkeypatch):
         built = []
 
@@ -630,21 +635,10 @@ class TestColumnarResult:
 
             monkeypatch.setattr(cls, method, counted)
 
-        counting(SweepRow, "__init__")
         counting(MetricsReport, "__init__")
         counting(TimingConfig, "__post_init__")
         spec = SweepSpec(multipliers=SHARED_AXIS, q_max=8)
         result = sweep_multiplier(spec)
         outputs(result)
         assert built == []
-        expected = per_row_multiplier_rows(spec)
-        built.clear()
-        rows = result.rows
-        assert len(rows) == len(expected)
-        for row, want in zip(rows, expected):
-            assert (row.requested_multiplier, row.flags) == (want.requested_multiplier, want.flags)
-            assert vars(row.report) == vars(want.report)
-        # one report per distinct snapped multiplier, one row per point
-        assert built.count("MetricsReport") == len({id(row.report) for row in rows})
-        assert built.count("SweepRow") == len(rows)
-        assert "TimingConfig" not in built
+        assert row_table(result) == per_row_multiplier_rows(spec)
