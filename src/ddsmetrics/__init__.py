@@ -16,10 +16,9 @@ from .signals import (
     target_sample,
 )
 from .bounds import (
-    BoundVariant,
-    digitized_error_bound,
+    digitized_bounds,
     full_scale_range,
-    held_error_bound,
+    held_bounds,
     max_phase_shift,
     min_clock_frequency,
     quantization_error_bound,

@@ -1,31 +1,27 @@
 """Closed-form worst-case error bounds for the degraded sine models.
 
-Two families are exposed. The ``PAPER`` variant reproduces the published
-formulas verbatim: one quantization level for amplitude error, and the
-small-gap estimate sin(2*pi*f*dt) for the hold error. The ``STRICT``
-variant replaces the hold estimate with a provable supremum over every
+Each bound is asked for at rows p/q, whose phase f*dt per update is the
+float q/p, and comes as two columns. The paper column reproduces the
+published formulas verbatim: one quantization level for amplitude error,
+and the small-gap estimate sin(2*pi*f*dt) for the hold error. The strict
+column replaces the hold estimate with a provable supremum over every
 step alignment, 2*sin(pi*f*dt). The estimate is the supremum only for
 an even integer number of steps per period, and is exceeded on most rows
-of the default sweeps, so soundness tests use the strict form. The batch
-functions take rows p/q, whose phase f*dt per update is the float q/p.
+of the default sweeps, so soundness tests use the strict column.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Iterable
 
 from .signals import MAX_BITS, TimingConfig, sin_turns
 
 __all__ = [
-    "BoundVariant",
     "quantization_error_bound",
     "full_scale_range",
     "min_clock_frequency",
     "max_phase_shift",
-    "held_error_bound",
-    "digitized_error_bound",
     "held_bounds",
     "digitized_bounds",
     "report",
@@ -34,11 +30,6 @@ __all__ = [
 # Absolute error between two points of a unit sine can never exceed the
 # peak-to-peak span of 2, whatever the time gap does.
 ERROR_CAP = 2.0
-
-
-class BoundVariant(enum.Enum):
-    PAPER = "paper"
-    STRICT = "strict"
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -84,11 +75,14 @@ def _sin_two_pi(x: float) -> float:
     return sin_turns(x - math.floor(x))
 
 
-def _bounds(turns: list[float], bits: Iterable[int] | None = None) -> tuple[list, list]:
-    """The paper and strict bounds at each phase f*dt of ``turns``, as two
-    columns: of the hold when ``bits`` is None, else of each bit count of
-    ``bits`` at each phase, one phase after another. The bit terms are
-    computed once, and no pair is made per entry."""
+def _bounds(
+    rows: Iterable[tuple[int, int]], bits: Iterable[int] | None = None
+) -> tuple[list, list]:
+    """The paper and strict bounds at the phase f*dt = q/p of each row p/q,
+    as two columns: of the hold when ``bits`` is None, else of each bit
+    count of ``bits`` at each phase, one phase after another. The bit terms
+    are computed once, and no pair is made per entry."""
+    turns = [q / p for p, q in rows]
     holds = [min(ERROR_CAP, 2.0 * sin_turns(x / 2.0)) if x <= 0.5 else ERROR_CAP for x in turns]
     if bits is None:
         return [sin_turns(x) if x <= 0.25 else ERROR_CAP for x in turns], holds
@@ -103,57 +97,33 @@ def _bounds(turns: list[float], bits: Iterable[int] | None = None) -> tuple[list
 
 
 def held_bounds(rows: Iterable[tuple[int, int]]) -> tuple[list[float], list[float]]:
-    """:func:`held_error_bound` of each multiplier p/q of ``rows`` at
-    f*dt = q/p, as two columns: paper and strict. The strict bound
-    doubles the very float of the engine's half swing."""
-    return _bounds([q / p for p, q in rows])
+    """Worst-case amplitude error of the sample-hold model at each
+    multiplier p/q of ``rows``, at f*dt = q/p, as two columns.
+
+    Paper: sin(2*pi*f*dt) while f*dt <= 1/4, else the cap of 2. The sine
+    estimate peaks at f*dt = 1/4 and is misleading past it, so the cap
+    takes over there.
+
+    Strict: min(2, 2*sin(pi*f*dt)) for f*dt <= 1/2, else 2. This is the
+    true supremum of |sin(theta + delta) - sin(theta)| over all phases for
+    lags delta up to 2*pi*f*dt, hence sound for every step alignment. It
+    doubles the very float of the engine's half swing.
+    """
+    return _bounds(rows)
 
 
 def digitized_bounds(
     rows: Iterable[tuple[int, int]], bits: Iterable[int]
 ) -> tuple[list[float], list[float]]:
-    """:func:`digitized_error_bound` of each bit count of ``bits`` at each
-    multiplier p/q of ``rows``, at f*dt = q/p, as two columns: entry
-    ``i*len(bits) + b`` is that of row i and bit count b."""
-    return _bounds([q / p for p, q in rows], bits)
+    """Worst-case error with quantization and hold combined, for each bit
+    count of ``bits`` at each multiplier p/q of ``rows``, at f*dt = q/p, as
+    two columns: entry ``i*len(bits) + b`` is that of row i and bit count b.
 
-
-def _variant(frequency_hz: float, dt: float, bits: int | None, variant: BoundVariant) -> float:
-    """The bound of ``variant`` at f*dt: of the hold when ``bits`` is None."""
-    _check_positive("frequency_hz", frequency_hz)
-    _check_positive("dt", dt)
-    [paper], [strict] = _bounds([frequency_hz * dt], None if bits is None else [bits])
-    if variant is BoundVariant.PAPER:
-        return paper
-    if variant is BoundVariant.STRICT:
-        return strict
-    raise ValueError(f"unknown bound variant {variant!r}")
-
-
-def held_error_bound(frequency_hz: float, dt: float, variant: BoundVariant) -> float:
-    """Worst-case amplitude error of the sample-hold model.
-
-    PAPER: sin(2*pi*f*dt) while f*dt <= 1/4, else the cap of 2. The sine
-    estimate peaks at f*dt = 1/4 and is misleading past it, so the cap
-    takes over there.
-
-    STRICT: min(2, 2*sin(pi*f*dt)) for f*dt <= 1/2, else 2. This is the
-    true supremum of |sin(theta + delta) - sin(theta)| over all phases for
-    lags delta up to 2*pi*f*dt, hence sound for every step alignment.
-    """
-    return _variant(frequency_hz, dt, None, variant)
-
-
-def digitized_error_bound(
-    frequency_hz: float, dt: float, bits: int, variant: BoundVariant
-) -> float:
-    """Worst-case error with quantization and hold combined.
-
-    PAPER: (1 + |2**(bits-1) * sin(2*pi*f*dt)|) / 2**(bits-1), the printed
-    combined formula. STRICT: the quantization level plus the strict hold
+    Paper: (1 + |2**(bits-1) * sin(2*pi*f*dt)|) / 2**(bits-1), the printed
+    combined formula. Strict: the quantization level plus the strict hold
     bound, sound for any alignment.
     """
-    return _variant(frequency_hz, dt, bits, variant)
+    return _bounds(rows, bits)
 
 
 def report(
@@ -177,9 +147,9 @@ def report(
     data["min_clock_hz"] = min_clock_frequency(dt)
     data["max_phase_shift_rad"] = max_phase_shift(f, dt)
     rows = [(timing.multiplier_num, timing.multiplier_den)]
-    for variant, [value] in zip(BoundVariant, held_bounds(rows)):
-        data[f"held_bound_{variant.value}"] = value
+    for column, [value] in zip(("paper", "strict"), held_bounds(rows)):
+        data[f"held_bound_{column}"] = value
     if bits is not None:
-        for variant, [value] in zip(BoundVariant, digitized_bounds(rows, [bits])):
-            data[f"digitized_bound_{variant.value}"] = value
+        for column, [value] in zip(("paper", "strict"), digitized_bounds(rows, [bits])):
+            data[f"digitized_bound_{column}"] = value
     return data

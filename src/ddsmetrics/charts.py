@@ -244,12 +244,10 @@ def render_heatmap(result: SweepResult, labels: tuple[str, str], metric: str) ->
     present = [v for v in column if v is not None]
     if not present:
         raise EmptyChart(f"metric {metric!r} has no values on this grid")
-    if metric in ("max_err", "max_err_pct"):
-        lo = 0.0
-        hi = 1.0 if metric == "max_err" else 100.0
+    if metric == "max_err":
+        lo, hi = 0.0, 1.0
     else:
-        lo = min(present)
-        hi = max(present)
+        lo, hi = min(present), max(present)
 
     left, right = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     top, bottom = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
@@ -323,6 +321,8 @@ def render_sweep(result: SweepResult, metric: str) -> str:
     a value to draw."""
     if not result.axis:
         raise ValueError("sweep result has no rows")
+    if metric not in ("error", "thd"):
+        raise ValueError(f"chart must be 'error' or 'thd', got {metric!r}")
     labels, log_y, selection = _SWEEP_CHARTS[result.kind, metric]
     if result.kind == "grid":
         return render_heatmap(result, labels, selection)

@@ -188,11 +188,6 @@ class MetricsReport:
     paper_bound: float
     strict_bound: float
 
-    @property
-    def max_err_pct(self) -> float:
-        """Percent error relative to the unit peak amplitude."""
-        return 100.0 * self.max_abs_error
-
 
 # The fields of a MetricsReport, in order. A set of reports can be held as
 # columns: a dict of one list per field, position i of every list
@@ -230,12 +225,11 @@ def check_pieces(rows: Iterable[tuple[int, int]]) -> None:
         raise CapExceeded(p, q, MAX_PIECES, "pieces")
 
 
-def _parseval_thd(mean: float, mean_square: float, fundamental: float) -> tuple[float, float]:
-    """THD from the signal's mean, mean square and fundamental peak
+def _parseval_thd(mean: float, mean_square: float, fundamental: float) -> float:
+    """THD ratio from the signal's mean, mean square and fundamental peak
     amplitude: harmonic power is the AC power less the fundamental's."""
     harmonic = 2.0 * (mean_square - mean * mean) - fundamental * fundamental
-    ratio = math.sqrt(harmonic) / fundamental
-    return ratio, 20.0 * math.log10(ratio)
+    return math.sqrt(harmonic) / fundamental
 
 
 def _half_swing(p: int, q: int) -> float:
@@ -498,9 +492,9 @@ def _held_suprema(rows: Sequence[tuple[int, int]]) -> tuple[list, list]:
     return sups.tolist(), _times(rows, table[:3], k[at], sups, start[at], start[at], swing[at])
 
 
-def _held_thd(rows: Sequence[tuple[int, int]]) -> tuple[list, list]:
-    """THD of the held model of each row p/q in closed form,
-    sqrt(1/sinc(q/p)**2 - 1): the ratios and their dB values.
+def _held_thd(rows: Sequence[tuple[int, int]]) -> list[float | None]:
+    """THD ratio of the held model of each row p/q in closed form,
+    sqrt(1/sinc(q/p)**2 - 1).
 
     Since gcd(p, q) = 1 the start residues k*q mod p run over 0..p-1, so
     for p >= 3 the levels have mean 0, mean square 1/2 and fundamental
@@ -508,7 +502,7 @@ def _held_thd(rows: Sequence[tuple[int, int]]) -> tuple[list, list]:
     x = pi*q/p and h = |sin x|. Below x = 1, x - h is the sine's Taylor
     series, free of the cancellation of the direct difference: the terms
     past x**21/21! are below an ulp, and ``math.fsum`` rounds their sum
-    correctly. Below p = 3 every level is 0, and both fields are None.
+    correctly. Below p = 3 every level is 0, and the ratio is None.
     """
     ratios = []
     for p, q in rows:
@@ -525,7 +519,7 @@ def _held_thd(rows: Sequence[tuple[int, int]]) -> tuple[list, list]:
                 terms.append(term)
             gap = -math.fsum(terms)
         ratios.append(None if p < 3 else math.sqrt(gap * (x + h)) / h)
-    return ratios, [None if ratio is None else 20.0 * math.log10(ratio) for ratio in ratios]
+    return ratios
 
 
 def _quantized_supremum(quantizer: QuantizerConfig) -> tuple[float, float]:
@@ -547,8 +541,8 @@ def _quantized_supremum(quantizer: QuantizerConfig) -> tuple[float, float]:
 _fold = partial(reduce, add)
 
 
-def _threshold_thd(quantizer: QuantizerConfig) -> tuple[float, float]:
-    """Parseval THD of the quantized sine, summed over its thresholds.
+def _threshold_thd(quantizer: QuantizerConfig) -> float:
+    """Parseval THD ratio of the quantized sine, summed over its thresholds.
 
     The level rises by one step at each threshold c inside (-1, 1); the
     sine lies above c for acos(c)/pi of the period, and the step it adds
@@ -594,8 +588,8 @@ def _bessel_sums(scale: int, alternating: bool) -> tuple[float, float]:
     )
 
 
-def _quantized_thd(quantizer: QuantizerConfig) -> tuple[float | None, float | None]:
-    """Parseval THD of the quantized sine from its error u = Q(s) - s.
+def _quantized_thd(quantizer: QuantizerConfig) -> float:
+    """Parseval THD ratio of the quantized sine from its error u = Q(s) - s.
 
     With S = 2**(bits-1) levels per unit and step h = 1/S, u is a
     sawtooth in S*s whose Fourier series, averaged over s = sin(theta),
@@ -614,8 +608,7 @@ def _quantized_thd(quantizer: QuantizerConfig) -> tuple[float | None, float | No
     step = quantizer.step
     error_1 = 2.0 / math.pi * sum1  # E1 in steps
     harmonic = 2.0 * (1.0 / 12.0 + sum0 / math.pi**2) - error_1 * error_1
-    ratio = step * math.sqrt(harmonic) / (1.0 + step * error_1)
-    return ratio, 20.0 * math.log10(ratio)
+    return step * math.sqrt(harmonic) / (1.0 + step * error_1)
 
 
 def evaluate(model: WaveformModel) -> MetricsReport:
@@ -654,18 +647,23 @@ def _report_columns(
 ) -> dict[str, list]:
     """The columns (see ``REPORT_FIELDS``) of the reports of each row p/q
     of ``rows`` and each quantizer, one row after another: the model
-    parameters echoed, then ``values``, the columns from max_abs_error on,
-    whose argmax times are in periods; the frequency ``f`` divides them
-    here, the one place where a reported field reads it. A quantized
-    report has the row (None, None), a held one the quantizer None."""
+    parameters echoed, then the fields from max_abs_error on. ``values``
+    holds their columns but thd_db: max_abs_error, the argmax times in
+    periods, thd_ratio, paper_bound and strict_bound. The frequency ``f``
+    divides the times here, the one place where a reported field reads
+    it, and thd_db is derived from thd_ratio here, the one place where a
+    report's dB figure is computed. A quantized report has the row
+    (None, None), a held one the quantizer None."""
     n = len(rows) * len(quantizers)
     bits = [None if quantizer is None else quantizer.bits for quantizer in quantizers]
     modes = [None if quantizer is None else quantizer.mode.value for quantizer in quantizers]
-    error, periods, *rest = values
+    error, periods, ratios, paper, strict = values
     return dict(zip(REPORT_FIELDS, (
         [kind.value] * n, [f] * n, bits * len(rows), modes * len(rows),
         [p for p, _ in rows for _ in quantizers], [q for _, q in rows for _ in quantizers],
-        error, [t / f for t in periods], *rest,
+        error, [t / f for t in periods],
+        ratios, [None if ratio is None else 20.0 * math.log10(ratio) for ratio in ratios],
+        paper, strict,
     )))
 
 
@@ -674,11 +672,10 @@ def quantized_columns(spec: SignalSpec, quantizers: Sequence[QuantizerConfig]) -
     ``REPORT_FIELDS``), in their order: :func:`_quantized_supremum`,
     :func:`_quantized_thd` and the bound of each, O(1) apiece."""
     suprema = [_quantized_supremum(quantizer) for quantizer in quantizers]
-    thds = [_quantized_thd(quantizer) for quantizer in quantizers]
     bound = [bounds.quantization_error_bound(quantizer.bits) for quantizer in quantizers]
     return _report_columns(ModelKind.QUANTIZED, spec.frequency_hz, [(None, None)], quantizers, (
         [error for error, _ in suprema], [t for _, t in suprema],
-        [ratio for ratio, _ in thds], [db for _, db in thds], bound, bound.copy(),
+        [_quantized_thd(quantizer) for quantizer in quantizers], bound, bound.copy(),
     ))
 
 
@@ -728,23 +725,21 @@ def evaluate_columns(
         bounds.held_bounds(rows) if held
         else bounds.digitized_bounds(rows, [quantizer.bits for quantizer in quantizers])
     )
-    values = error, periods, ratio, db = [], [], [], []  # argmax in periods
+    values = [], [], []  # max_abs_error, argmax in periods, thd_ratio
     for batch in column_batches(rows, held):
         # a batch's pieces are freed before the next batch builds its own
         batch_values = (
-            (*_held_suprema(batch), *_held_thd(batch)) if held
+            (*_held_suprema(batch), _held_thd(batch)) if held
             else _evaluate_batch(_Pieces(batch), quantizers)
         )
         for column, batch_column in zip(values, batch_values):
             column += batch_column
-    return _report_columns(
-        kind, spec.frequency_hz, rows, each, (error, periods, ratio, db, paper, strict)
-    )
+    return _report_columns(kind, spec.frequency_hz, rows, each, (*values, paper, strict))
 
 
 def _evaluate_batch(pieces: _Pieces, quantizers: Sequence[QuantizerConfig]) -> tuple[list, ...]:
-    """The max_abs_error, argmax time (in periods), thd_ratio and thd_db
-    columns of the digitized reports of :func:`evaluate_columns` of one
+    """The max_abs_error, argmax time (in periods) and thd_ratio columns
+    of the digitized reports of :func:`evaluate_columns` of one
     batch of rows p/q, whose ``pieces`` are all of theirs.
 
     THD**2 = THD_held**2 + THD_seq**2*(1 + THD_held**2) exactly: the hold
@@ -757,7 +752,7 @@ def _evaluate_batch(pieces: _Pieces, quantizers: Sequence[QuantizerConfig]) -> t
     mean is one segmented sum, whose order depends on its segment alone.
     """
     sums, sups, firsts, levels = pieces.quantized(quantizers)
-    held = _held_thd(pieces.rows)[0]
+    held = _held_thd(pieces.rows)
     # THD_held**2 of each column; a column of p < 3 has no fundamental
     held_square = np.array([0.0 if ratio is None else ratio * ratio for ratio in held])
     mean, mean_square, a, b = sums / pieces.table[0]  # p pieces a row
@@ -765,8 +760,7 @@ def _evaluate_batch(pieces: _Pieces, quantizers: Sequence[QuantizerConfig]) -> t
     fundamental = 2.0 * (a * a + (0.5 + b) * (0.5 + b))
     sequence = np.maximum(harmonic, 0.0) / fundamental
     thd = np.sqrt(held_square + sequence * (1.0 + held_square)).T.tolist()
-    ratios, dbs, none = [], [], [None] * len(quantizers)
+    ratios, none = [], [None] * len(quantizers)
     for ratio, column in zip(held, thd):
         ratios += none if ratio is None else column
-        dbs += none if ratio is None else [20.0 * math.log10(value) for value in column]
-    return (*pieces.times(sups, firsts, levels), ratios, dbs)
+    return (*pieces.times(sups, firsts, levels), ratios)

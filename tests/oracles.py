@@ -13,7 +13,9 @@ at a time, the byte reference for its suprema, with THD from the
 Parseval difference of the levels' unit-size terms; :func:`held_rows`
 its held batch one row at a time, from the candidate pieces of
 :func:`held_pieces_by_row`, the supremum of :func:`held_supremum` and
-the scalar THD of :func:`held_thd_by_row`. :func:`held_supremum` takes a
+the scalar THD of :func:`held_thd_by_row`; the bounds of both are those
+of :func:`held_bounds_by_row` and :func:`digitized_bounds_by_row`, the
+formulas written out. :func:`held_supremum` takes a
 held model's supremum over any set of its pieces one piece at a time, in
 Python floats, and calls no part of the engine but its scalar helpers.
 :func:`snap_by_fraction` snaps a multiplier from its
@@ -31,7 +33,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ddsmetrics import bounds
 from ddsmetrics.metrics import (
     REPORT_FIELDS,
     CapExceeded,
@@ -364,15 +365,40 @@ def _row_supremum(pieces: _Pieces, level: np.ndarray, at_peak, at_trough) -> lis
     return [(sup, tick / (4 * p))]
 
 
-def _report(model, err, argmax_t, thd_result):
-    """The engine's report with the model's digitized bounds, each
-    variant taken alone at f = 1, where dt = q/p."""
+def held_bounds_by_row(p: int, q: int) -> tuple[float, float]:
+    """The paper and strict hold bounds of one row p/q, written out at its
+    phase x = q/p: sin(2*pi*x) up to x = 1/4, and 2*sin(pi*x) capped at 2
+    up to x = 1/2; 2 past either. The reference for ``bounds.held_bounds``."""
+    x = q / p
+    paper = sin_turns(x) if x <= 0.25 else 2.0
+    strict = min(2.0, 2.0 * sin_turns(x / 2.0)) if x <= 0.5 else 2.0
+    return paper, strict
+
+
+def digitized_bounds_by_row(p: int, q: int, bits: int) -> tuple[float, float]:
+    """The paper and strict combined bounds of one row p/q at ``bits``,
+    written out at its phase x = q/p: (1 + |S*sin(2*pi*x)|)/S with
+    S = 2**(bits-1), and one level 1/S plus the strict hold bound. The
+    reference for ``bounds.digitized_bounds``."""
+    x = q / p
+    scale = 2.0 ** (bits - 1)
+    paper = (1.0 + abs(scale * sin_turns(x % 1.0))) / scale
+    return paper, 1.0 / scale + held_bounds_by_row(p, q)[1]
+
+
+def _with_db(ratio: float | None) -> tuple[float | None, float | None]:
+    """A THD ratio and its dB value, both None when the ratio is."""
+    return ratio, None if ratio is None else 20.0 * math.log10(ratio)
+
+
+def _report(model, err, argmax_t, ratio):
+    """The engine's report with the THD ``ratio`` and the model's
+    digitized bounds, written out."""
     f, timing, quantizer = model.spec.frequency_hz, model.timing, model.quantizer
-    dt, bits = timing.multiplier_den / timing.multiplier_num, quantizer.bits
-    pair = tuple(bounds.digitized_error_bound(1.0, dt, bits, v) for v in bounds.BoundVariant)
+    p, q, bits = timing.multiplier_num, timing.multiplier_den, quantizer.bits
     return MetricsReport(
-        model.kind.value, f, bits, quantizer.mode.value, timing.multiplier_num,
-        timing.multiplier_den, err, argmax_t, *thd_result, *pair,
+        model.kind.value, f, bits, quantizer.mode.value, p, q, err, argmax_t,
+        *_with_db(ratio), *digitized_bounds_by_row(p, q, bits),
     )
 
 
@@ -400,11 +426,11 @@ def column_rows(spec, timing, quantizers) -> list:
         bin_1 = math.hypot(float(level @ cosine), float(level @ pieces.start))
         fundamental = 2.0 * bin_1 * abs(half) / (math.pi * q)
         # p <= 2 holds every level at Q(0): no fundamental
-        thd_result = (None, None) if p < 3 else _parseval_thd(
+        ratio = None if p < 3 else _parseval_thd(
             float(np.mean(level)), float(np.mean(level * level)), fundamental
         )
         model = WaveformModel.digitized(spec, timing, quantizer)
-        reports.append(_report(model, err, periods / spec.frequency_hz, thd_result))
+        reports.append(_report(model, err, periods / spec.frequency_hz, ratio))
     return reports
 
 
@@ -440,15 +466,14 @@ def x_minus_sin_by_loop(x: float) -> float:
     return -math.fsum(terms)
 
 
-def held_thd_by_row(p: int, q: int) -> tuple[float | None, float | None]:
+def held_thd_by_row(p: int, q: int) -> float | None:
     """The held THD closed form sqrt(1/sinc(q/p)**2 - 1) of one row p/q
     in Python floats: the reference for ``metrics._held_thd``."""
     if p < 3:
-        return None, None
+        return None
     x = math.pi * (q / p)
     h = sin_turns(min(q % p, -q % p) / (2 * p))
-    ratio = math.sqrt((x_minus_sin_by_loop(x) if x < 1.0 else x - h) * (x + h)) / h
-    return ratio, 20.0 * math.log10(ratio)
+    return math.sqrt((x_minus_sin_by_loop(x) if x < 1.0 else x - h) * (x + h)) / h
 
 
 def held_supremum(model: WaveformModel, k) -> tuple[float, float]:
@@ -480,8 +505,8 @@ def held_supremum(model: WaveformModel, k) -> tuple[float, float]:
 
 def held_rows(spec, timings) -> list:
     """The held reports of the timings one row at a time, each from the
-    pieces of :func:`held_pieces_by_row` and its bounds taken a variant
-    at a time: the byte reference for the held rows of
+    pieces of :func:`held_pieces_by_row` and the bounds of
+    :func:`held_bounds_by_row`: the byte reference for the held rows of
     :func:`ddsmetrics.metrics.evaluate_columns`."""
     f = spec.frequency_hz
     reports = []
@@ -490,10 +515,9 @@ def held_rows(spec, timings) -> list:
         check_pieces([(p, q)])
         model = WaveformModel.held(spec, timing)
         err, argmax_t = held_supremum(model, held_pieces_by_row(p, q))
-        # the bounds at f = 1, where dt = q/p
-        pair = tuple(bounds.held_error_bound(1.0, q / p, v) for v in bounds.BoundVariant)
         reports.append(MetricsReport(
-            ModelKind.HELD.value, f, None, None, p, q, err, argmax_t, *held_thd_by_row(p, q), *pair
+            ModelKind.HELD.value, f, None, None, p, q, err, argmax_t,
+            *_with_db(held_thd_by_row(p, q)), *held_bounds_by_row(p, q),
         ))
     return reports
 

@@ -21,12 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_held_max_error, held_thd_closed_form, linear_fit
-from ddsmetrics.bounds import (
-    BoundVariant,
-    digitized_error_bound,
-    held_error_bound,
-    quantization_error_bound,
-)
+from ddsmetrics.bounds import digitized_bounds, held_bounds, quantization_error_bound
 from ddsmetrics.charts import render_sweep
 from ddsmetrics.cli import main
 from oracles import (
@@ -129,7 +124,8 @@ def test_criterion_03_hold_estimate_is_not_a_bound_strict_is():
         assert observed <= 2 * math.sin(math.pi / 5) + 1e-6
         brute = brute_force_held_max_error(5, grid_points=2_000_000)
         assert abs(observed - brute) < 1e-5
-        assert observed <= held_error_bound(1.0, 0.2, BoundVariant.STRICT)
+        _, [strict] = held_bounds([(5, 1)])  # f*dt = 1/5
+        assert observed <= strict
 
 
 def test_criterion_04_combined_bound_compliance():
@@ -249,9 +245,8 @@ def test_criterion_09b_low_bit_rows_change_more_per_decade():
         )
         floor_err, _ = max_abs_error(floor_model, DEFAULT_PLAN)
         _, floor_db = thd(spectrum_dft(floor_model))
-        high_bound = digitized_error_bound(
-            1.0, 1.0 / last, high_bits, BoundVariant.STRICT
-        )
+        # the strict combined bounds at the last multiplier, f*dt = 1/last
+        _, [low_bound, high_bound] = digitized_bounds([(int(last), 1)], [low_bits, high_bits])
 
         # The low-bit row ends on its quantization floor: not below it, and
         # no further above it than the hold term of the combined bound (error)
@@ -262,9 +257,7 @@ def test_criterion_09b_low_bit_rows_change_more_per_decade():
             f"{low_bits}-bit row ends at error {low_end_err:.7f}, "
             f"below its quantized-only floor {floor_err:.7f}"
         )
-        assert low_end_err <= digitized_error_bound(
-            1.0, 1.0 / last, low_bits, BoundVariant.STRICT
-        )
+        assert low_end_err <= low_bound
         assert floor_db <= low_end_db <= floor_db + 0.05, (
             f"{low_bits}-bit row ends at THD {low_end_db:.3f} dB, "
             f"quantized-only floor is {floor_db:.3f} dB"

@@ -10,21 +10,36 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_held_max_error
 from ddsmetrics.bounds import (
-    BoundVariant,
     _sin_two_pi,
     digitized_bounds,
-    digitized_error_bound,
     full_scale_range,
     held_bounds,
-    held_error_bound,
     max_phase_shift,
     min_clock_frequency,
     quantization_error_bound,
 )
 from ddsmetrics.signals import sin_turns
+from oracles import digitized_bounds_by_row, held_bounds_by_row
 
-PAPER = BoundVariant.PAPER
-STRICT = BoundVariant.STRICT
+
+def row(x):
+    """The row p/q whose phase q/p is the float ``x`` itself: the
+    denominator and numerator of its exact ratio."""
+    n, d = x.as_integer_ratio()
+    return d, n
+
+
+def held(pq):
+    """The paper and strict held bounds of one row ``pq`` = (p, q)."""
+    [paper], [strict] = held_bounds([pq])
+    return paper, strict
+
+
+def digitized(pq, bits):
+    """The paper and strict digitized bounds of one row ``pq`` = (p, q) at
+    ``bits``."""
+    [paper], [strict] = digitized_bounds([pq], [bits])
+    return paper, strict
 
 
 class TestQuantizationErrorBound:
@@ -96,88 +111,85 @@ class TestMaxPhaseShift:
 
 class TestHeldErrorBound:
     def test_estimate_small_gap(self):
-        assert held_error_bound(1.0, 0.01, PAPER) == pytest.approx(0.0627905, abs=1e-7)
+        paper, _ = held((100, 1))
+        assert paper == pytest.approx(0.0627905, abs=1e-7)
 
     def test_estimate_caps_at_two(self):
-        assert held_error_bound(1.0, 0.5, PAPER) == 2.0
+        paper, _ = held((2, 1))
+        assert paper == 2.0
 
     def test_strict_odd_multiplier_value(self):
         expected = 2 * math.sin(math.pi / 5)  # 1.1755705...
-        assert held_error_bound(1.0, 0.2, STRICT) == pytest.approx(expected, abs=1e-12)
-        assert held_error_bound(1.0, 0.2, STRICT) == pytest.approx(1.1755705, abs=1e-7)
+        _, strict = held((5, 1))
+        assert strict == pytest.approx(expected, abs=1e-12)
+        assert strict == pytest.approx(1.1755705, abs=1e-7)
 
     def test_strict_to_estimate_ratio(self):
-        ratio = held_error_bound(1.0, 0.01, STRICT) / held_error_bound(1.0, 0.01, PAPER)
-        assert ratio == pytest.approx(1.0 / math.cos(math.pi * 0.01), rel=1e-12)
+        paper, strict = held((100, 1))
+        assert strict / paper == pytest.approx(1.0 / math.cos(math.pi * 0.01), rel=1e-12)
 
     def test_strict_dominates_brute_force_sup(self):
         for multiplier in (3, 5, 7, 8, 16):
             observed = brute_force_held_max_error(multiplier, grid_points=400_000)
-            assert observed <= held_error_bound(1.0, 1.0 / multiplier, STRICT)
+            assert observed <= held((multiplier, 1))[1]
 
     def test_estimate_matches_even_multiplier_sup(self):
         for multiplier in (8, 16, 64):
             observed = brute_force_held_max_error(multiplier, grid_points=400_000)
-            assert observed <= held_error_bound(1.0, 1.0 / multiplier, PAPER)
+            assert observed <= held((multiplier, 1))[0]
 
     def test_estimate_fails_odd_multiplier_sup(self):
         # the published estimate is not a sound bound for odd step counts
         observed = brute_force_held_max_error(5, grid_points=400_000)
-        assert observed > held_error_bound(1.0, 0.2, PAPER)
+        assert observed > held((5, 1))[0]
 
     @given(fdt=st.floats(min_value=1e-9, max_value=10.0, allow_nan=False))
     def test_cap_never_exceeded(self, fdt):
-        assert held_error_bound(1.0, fdt, PAPER) <= 2.0
-        assert held_error_bound(1.0, fdt, STRICT) <= 2.0
+        paper, strict = held(row(fdt))
+        assert paper <= 2.0
+        assert strict <= 2.0
 
     @given(
         fdt=st.floats(min_value=1e-9, max_value=0.25, allow_nan=False),
     )
     def test_strict_dominates_estimate(self, fdt):
-        assert held_error_bound(1.0, fdt, STRICT) >= held_error_bound(1.0, fdt, PAPER)
+        paper, strict = held(row(fdt))
+        assert strict >= paper
 
     def test_ratio_decreases_with_multiplier(self):
         ratios = []
         for multiplier in (4, 8, 16, 32, 64, 256, 1024):
-            dt = 1.0 / multiplier
-            ratios.append(
-                held_error_bound(1.0, dt, STRICT) / held_error_bound(1.0, dt, PAPER)
-            )
+            paper, strict = held((multiplier, 1))
+            ratios.append(strict / paper)
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] == pytest.approx(1.0, abs=1e-5)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            held_error_bound(0.0, 0.1, PAPER)
-        with pytest.raises(ValueError):
-            held_error_bound(1.0, 0.0, STRICT)
 
 
 class TestDigitizedErrorBound:
     def test_printed_formula_value(self):
         expected = (1 + 128 * math.sin(2 * math.pi / 64)) / 128
-        value = digitized_error_bound(1.0, 1 / 64, 8, PAPER)
-        assert value == pytest.approx(expected, abs=1e-12)
-        assert value == pytest.approx(0.1058296, abs=1e-6)
+        paper, _ = digitized((64, 1), 8)
+        assert paper == pytest.approx(expected, abs=1e-12)
+        assert paper == pytest.approx(0.1058296, abs=1e-6)
 
     def test_vanishing_gap_recovers_quantization_bound(self):
-        value = digitized_error_bound(1.0, 1e-12, 8, PAPER)
-        assert value == pytest.approx(quantization_error_bound(8), rel=1e-6)
+        paper, _ = digitized((10**12, 1), 8)
+        assert paper == pytest.approx(quantization_error_bound(8), rel=1e-6)
 
     def test_strict_value(self):
         # one level plus the strict hold bound: 1/128 + 2 sin(pi/64)
         expected = 0.0078125 + 2 * math.sin(math.pi / 64)
-        value = digitized_error_bound(1.0, 1 / 64, 8, STRICT)
-        assert value == pytest.approx(expected, abs=1e-12)
-        assert value == pytest.approx(0.1059478, abs=1e-7)
+        _, strict = digitized((64, 1), 8)
+        assert strict == pytest.approx(expected, abs=1e-12)
+        assert strict == pytest.approx(0.1059478, abs=1e-7)
 
     @given(
         fdt=st.floats(min_value=1e-9, max_value=2.0, allow_nan=False),
         bits=st.integers(min_value=1, max_value=52),
     )
     def test_dominates_quantization_bound(self, fdt, bits):
-        value = digitized_error_bound(1.0, fdt, bits, PAPER)
-        assert value >= quantization_error_bound(bits)
+        paper, _ = digitized(row(fdt), bits)
+        assert paper >= quantization_error_bound(bits)
 
 
 # Multipliers p/q whose f*dt = q/p runs from 1e-12 past 1/4, 1/2 and 1
@@ -191,36 +203,28 @@ ROWS = {
 
 class TestBatchBounds:
     """held_bounds and digitized_bounds take multipliers p/q and give the
-    bytes of the single-variant functions at f = 1, where dt = q/p."""
+    bytes of the formulas written out one row at a time, at the phase
+    f*dt = q/p (see ``oracles.held_bounds_by_row``)."""
 
     @pytest.mark.parametrize("rows", list(ROWS.values()), ids=list(ROWS))
     def test_held_pairs_equal_each_variant(self, rows):
-        assert held_bounds(rows) == tuple(
-            [held_error_bound(1.0, q / p, variant) for p, q in rows] for variant in (PAPER, STRICT)
-        )
+        pairs = [held_bounds_by_row(p, q) for p, q in rows]
+        assert held_bounds(rows) == tuple(map(list, zip(*pairs)))
 
     @given(p=st.integers(1, 10**20), q=st.integers(1, 10**20))
     def test_digitized_pairs_equal_each_variant(self, p, q):
         bits = list(range(1, 53))
         rows = [(p, q), (4, 1), (p, 3 * q)]
-        assert digitized_bounds(rows, bits) == tuple(
-            [digitized_error_bound(1.0, q / p, b, variant) for p, q in rows for b in bits]
-            for variant in (PAPER, STRICT)
-        )
+        pairs = [digitized_bounds_by_row(p, q, b) for p, q in rows for b in bits]
+        assert digitized_bounds(rows, bits) == tuple(map(list, zip(*pairs)))
 
-    @pytest.mark.parametrize(
-        "freq,dt,bits", [(0.0, 0.1, 8), (1.0, 0.0, 8), (1.0, math.nan, 8), (1.0, 0.1, 0)]
-    )
-    def test_refuse_what_each_variant_refuses(self, freq, dt, bits):
-        # frequency and gap on the single-variant functions alike; bits on
-        # digitized_bounds too
+    def test_refuses_bits_out_of_range(self):
+        # a bit count of 0 among valid ones, as quantization_error_bound
+        # refuses it
         with pytest.raises(ValueError) as single:
-            digitized_error_bound(freq, dt, bits, PAPER)
+            quantization_error_bound(0)
         with pytest.raises(ValueError) as other:
-            if bits == 8:
-                held_error_bound(freq, dt, PAPER)
-            else:
-                digitized_bounds([(10, 1)], [8, bits])
+            digitized_bounds([(10, 1)], [8, 0])
         assert str(other.value) == str(single.value)
 
 

@@ -133,6 +133,16 @@ def test_empty_axis_rejected(sweep, metric):
         render_sweep(result, metric)
 
 
+@pytest.mark.parametrize(
+    "sweep", [sweep_bits, sweep_multiplier, sweep_grid], ids=["bits", "multiplier", "grid"]
+)
+@pytest.mark.parametrize("metric", ["nope", "max_err"])
+def test_unknown_chart_rejected(sweep, metric):
+    result = sweep(SweepSpec(bits_from=2, bits_to=3, multipliers=(4.0,)))
+    with pytest.raises(ValueError, match=r"'error' or 'thd'.*" + repr(metric)):
+        render_sweep(result, metric)
+
+
 def _texts(svg, attributes):
     """The text of every <text> element whose attributes end in ``attributes``."""
     return re.findall(rf'{attributes} font-family="sans-serif"[^>]*>([^<]*)</text>', svg)

@@ -53,6 +53,19 @@ class TestEval:
         assert code == 2
         assert "--bits not valid for model 'held'" in err
 
+    def test_mode_invalid_for_held(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--model", "held", "--mode", "round", "--multiplier", "8",
+        )
+        assert (code, out) == (2, "")
+        assert "--mode not valid for model 'held'" in err
+
+    @pytest.mark.parametrize("flag,value", [("--multiplier", "5"), ("--dt", "0.1")])
+    def test_timing_invalid_for_quantized(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "eval", "--model", "quantized", "--bits", "4", flag, value)
+        assert (code, out) == (2, "")
+        assert f"{flag} not valid for model 'quantized'" in err
+
     def test_missing_bits_for_quantized(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--model", "quantized")
         assert code == 2
@@ -1070,6 +1083,32 @@ class TestOutputsCheckedFirst:
         assert err.count("\n") == 1
         assert repr(path) in err and ".tmp" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_directory_refused(self, capsys, tmp_path):
+        directory = tmp_path / "out"
+        directory.mkdir()
+        code, out, err = run_cli(capsys, "eval", "--model", "target", "--out", str(directory))
+        assert (code, out) == (3, "")
+        assert "it is a directory" in err and err.count("\n") == 1
+        assert list(tmp_path.rglob("*")) == [directory]
+
+    def test_failed_rename_leaves_no_temp_file(self, capsys, tmp_path, monkeypatch):
+        # the CSV is new, the chart replaces a file: neither target moves,
+        # and the temp files beside them are removed
+        csv, svg = tmp_path / "sweep.csv", tmp_path / "chart.svg"
+        svg.write_text("old\n")
+
+        def refuse(source, target):
+            raise OSError(f"cannot rename {source!r}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code, out, err = run_cli(
+            capsys, "sweep", "bits", "--bits-to", "4", "--out", str(csv), "--svg", str(svg)
+        )
+        assert (code, out) == (3, "")
+        assert "cannot rename" in err
+        assert list(tmp_path.iterdir()) == [svg]
+        assert svg.read_text() == "old\n"
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_each_output_path_is_resolved_once(self, capsys, tmp_path, monkeypatch, existing):

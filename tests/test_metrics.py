@@ -47,6 +47,7 @@ from oracles import (
     thd,
 )
 from ddsmetrics.signals import (
+    ModelKind,
     QuantizationMode,
     QuantizerConfig,
     SignalSpec,
@@ -181,11 +182,12 @@ class TestMaxAbsError:
             assert err == pytest.approx(brute, abs=5e-5)
 
     def test_error_at_most_strict_bound(self):
-        from ddsmetrics.bounds import BoundVariant, held_error_bound
+        from ddsmetrics.bounds import held_bounds
 
         for multiplier in (3, 5, 6, 9, 17):
             err, _ = max_abs_error(held_model(multiplier), SamplingPlan())
-            assert err <= held_error_bound(1.0, 1.0 / multiplier, BoundVariant.STRICT)
+            _, [strict] = held_bounds([(multiplier, 1)])
+            assert err <= strict
 
     def test_refinement_stability(self):
         for model in (held_model(8), quantized_model(8), digitized_model(16, 6)):
@@ -462,7 +464,6 @@ class TestEvaluate:
         assert report.bits == 3
         assert report.mode == "round"
         assert (report.m_num, report.m_den) == (8, 1)
-        assert report.max_err_pct == 100.0 * report.max_abs_error
 
     @given(
         p=st.integers(min_value=2, max_value=40),
@@ -1398,8 +1399,9 @@ class TestReportColumnsContract:
         for quantizer in quantizers:
             bound = bounds.quantization_error_bound(quantizer.bits)
             error, period = metrics._quantized_supremum(quantizer)
+            ratio = metrics._quantized_thd(quantizer)
             expected.append((
-                error, period / freq, *metrics._quantized_thd(quantizer), bound, bound,
+                error, period / freq, ratio, 20.0 * math.log10(ratio), bound, bound,
             ))
         columns = quantized_columns(SignalSpec(freq), quantizers)
         computed = (
@@ -1626,8 +1628,15 @@ def test_held_thd_equals_the_row_loop():
     rows += [(p, int(rng.integers(1, max(2, p // 3)))) for p in ps[:10000]]
     rows += [(p, int(rng.integers(1, 10**18))) for p in ps[10000:]]
     rows += [(MAX_PIECES, 1), (MAX_PIECES - 1, MAX_PIECES // 3), (22, 7), (113, 36)]
-    ratios, dbs = metrics._held_thd(rows)
-    assert list(zip(ratios, dbs)) == [held_thd_by_row(p, q) for p, q in rows]
+    ratios = metrics._held_thd(rows)
+    assert ratios == [held_thd_by_row(p, q) for p, q in rows]
+    # the dB figure is the report columns' own, from the ratio
+    zeros = [0.0] * len(rows)
+    columns = metrics._report_columns(
+        ModelKind.HELD, 1.0, rows, [None], (zeros, zeros, ratios, zeros, zeros)
+    )
+    assert columns["thd_ratio"] == ratios
+    assert columns["thd_db"] == [None if r is None else 20.0 * math.log10(r) for r in ratios]
 
 
 @given(
@@ -1642,5 +1651,4 @@ def test_held_thd_equals_the_row_loop():
 @example(rows=[(1, 1), (2, 1), (3, 1), (4, 1), (7, 22), (300001, 1), (MAX_PIECES - 1, 10**20)])
 def test_held_thd_columns_equal_the_row_formula(rows):
     rows += [(p, q) for p in range(1, 65) for q in range(1, 65) if math.gcd(p, q) == 1]
-    ratios, dbs = metrics._held_thd(rows)
-    assert list(zip(ratios, dbs)) == [held_thd_by_row(p, q) for p, q in rows]
+    assert metrics._held_thd(rows) == [held_thd_by_row(p, q) for p, q in rows]

@@ -304,7 +304,7 @@ def csv_row_by_row(result):
     for requested, k in zip(result.axis * result.width, result.row_reports()):
         r = reports[k]
         if result.kind == "bits":
-            values = [r.bits, r.mode, r.max_abs_error, r.max_err_pct, r.paper_bound,
+            values = [r.bits, r.mode, r.max_abs_error, 100.0 * r.max_abs_error, r.paper_bound,
                       r.thd_ratio, r.thd_db]
             head.append(",".join(map(csv_field, values)))
             continue
